@@ -153,7 +153,8 @@ def pair_decomposition(q: Polynomial) -> list[tuple[Polynomial, Polynomial]]:
         cof = {m: c for m, c in cof.items() if not K.is_zero(c)}
         if cof:
             pairs.append((ring.var(i), Polynomial(ring, cof)))
-    assert not rest
+    if rest:
+        raise GroebnerError("pair_decomposition: the polynomial has a constant term")
     return pairs
 
 

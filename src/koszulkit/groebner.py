@@ -336,7 +336,8 @@ def _to_extended(ring_ext: RingContext, f: Polynomial, extra: int) -> Polynomial
 def _from_extended(ring: RingContext, f: Polynomial, extra: int) -> Polynomial:
     out = {}
     for m, c in f.terms.items():
-        assert all(e == 0 for e in m[ring.n:])
+        if any(m[ring.n:]):
+            raise GroebnerError("auxiliary variable left in an eliminated polynomial")
         out[m[: ring.n]] = c
     return Polynomial(ring, out)
 
@@ -472,7 +473,8 @@ def g_quadratic_search(
                 gb = buchberger(moved, order)
                 checked += 1
                 if is_quadratic_gb(gb):
-                    assert is_quadratic_gb(buchberger(moved, order))
+                    if not is_quadratic_gb(buchberger(moved, order)):
+                        raise GroebnerError("quadratic basis not reproduced by a second Buchberger run")
                     return {
                         "witness": {
                             "change": change,

@@ -183,7 +183,8 @@ def hilbert_from_monomials(ring: RingContext, mons) -> HilbertData:
     if zp_div_1mt(reduced) is not None and dim == 0 and zp_eval1(reduced) == 0:
         raise AssertionError("inconsistent codimension data")
     e = zp_eval1(reduced)
-    assert e >= 1, "multiplicity must be positive"
+    if e < 1:
+        raise GroebnerError("multiplicity must be positive")
     return HilbertData(num, ring.n, dim, codim, e, reduced)
 
 

@@ -4,19 +4,23 @@ the first-syzygy span criterion, and numeric series consistency checks.
 
 Coordinates are taken in the standard-monomial bases of the graded (or
 bigraded) pieces of R, so every resolution step reduces to kernels of
-field-linear maps.
+field-linear maps.  Coordinate vectors are the columns of linalg matrices:
+int64 arrays with entries in [0, p) for primes below linalg's int64 bound,
+object arrays of exact field values for QQ and larger primes.  The resolver
+only calls linalg, which makes that choice.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from . import linalg
 from .groebner import GroebnerError, Ideal, minimal_quadric_generators, normal_form
-from .hilbert import hilbert_of_quotient, is_regular_sequence_mod
-from .modules import FreeModule, PolyMatrix, TaggedModule, syzygy_matrix
-from .resolution import FreeComplex, minimal_resolution, minimalize_complex
+from .hilbert import is_regular_sequence_mod
+from .modules import FreeModule, TaggedModule
+from .resolution import minimal_resolution
 from .ring import (
     DEGREVLEX,
     Deg,
@@ -24,7 +28,6 @@ from .ring import (
     MonomialOrder,
     Polynomial,
     RingContext,
-    RingError,
     add_deg,
     total,
 )
@@ -50,7 +53,7 @@ class QuotientRing:
         self._std: dict[Deg, list[Mon]] = {}
         self._pos: dict[Deg, dict[Mon, int]] = {}
         self._nf_cache: dict[Mon, Polynomial] = {}
-        self._mul: dict[tuple[int, Deg], list] = {}
+        self._mul: dict = {}  # (i, d) -> the linalg matrix mul_var(i, d)
 
     # -- bases -----------------------------------------------------------
     def _enumerate_std(self, d: Deg) -> list[Mon]:
@@ -130,28 +133,22 @@ class QuotientRing:
         terms = {m: v for m, v in zip(basis, vec) if not K.is_zero(v)}
         return Polynomial(self.ring, terms)
 
-    def mul_var(self, i: int, d: Deg) -> list:
-        """Columns of multiplication by variable i: R_d -> R_{d+w_i}."""
+    def mul_var(self, i: int, d: Deg):
+        """Matrix of multiplication by variable i: R_d -> R_{d+w_i}, with one
+        column per standard monomial of degree d."""
         key = (i, d)
         M = self._mul.get(key)
         if M is None:
-            w = self.ring.weights[i]
-            tgt = add_deg(d, w)
-            cols = []
-            for m in self.std_basis(d):
+            tgt = add_deg(d, self.ring.weights[i])
+            self.std_basis(tgt)
+            pos = self._pos[tgt]
+            src = self.std_basis(d)
+            M = linalg.zeros(self.field, (len(pos), len(src)))
+            for c, m in enumerate(src):
                 mm = list(m)
                 mm[i] += 1
-                g = self._nf_mon(tuple(mm))
-                K = self.field
-                pos = self._pos[tgt] if tgt in self._pos else None
-                if pos is None:
-                    self.std_basis(tgt)
-                    pos = self._pos[tgt]
-                vec = [K.zero()] * len(self._std[tgt])
-                for t, c in g.terms.items():
-                    vec[pos[t]] = c
-                cols.append(vec)
-            M = cols
+                for t, coef in self._nf_mon(tuple(mm)).terms.items():
+                    M[pos[t], c] = coef
             self._mul[key] = M
         return M
 
@@ -208,178 +205,167 @@ class TruncatedResolution:
 
 
 class _Resolver:
-    """Degreewise kernel computation for one module over a QuotientRing."""
+    """Degreewise kernel computation for one module over a QuotientRing.
+
+    levels[i] holds the generator degrees of F_i, in increasing order, and
+    for i >= 1 "cols": degree -> matrix whose columns are the differentials
+    of the generators of that degree, in coordinates of F_{i-1}.
+    """
 
     def __init__(self, Q: QuotientRing, degree_bound: int):
         self.Q = Q
         self.K = Q.field
         self.ring = Q.ring
         self.bound = degree_bound
-        self.degrees = [d for d in _degrees_upto(self.ring, degree_bound)]
-        # per level: gen degree list, differential columns (coords in prev level)
+        self.degrees = _degrees_upto(self.ring, degree_bound)
         self.levels: list[dict] = []
-        self._mul_cache: dict = {}
+        self._layouts: dict[tuple[int, Deg], tuple[list, int]] = {}
+        self._splits: dict[Deg, dict[int, tuple[list[int], list[int]]]] = {}
+
+    def _add_level(self, degrees: list[Deg], cols) -> None:
+        groups = [(g, len(list(run))) for g, run in groupby(degrees)]
+        self.levels.append({"degrees": degrees, "groups": groups, "cols": cols})
 
     # ---- layouts ------------------------------------------------------
     def layout(self, level: int, d: Deg):
-        """Blocks (gen index, piece degree, offset, size) of (F_level)_d."""
-        gd = self.levels[level]["degrees"]
-        blocks = []
-        off = 0
-        for j, gdeg in enumerate(gd):
-            e = tuple(a - b for a, b in zip(d, gdeg))
-            if any(x < 0 for x in e):
-                blocks.append((j, e, off, 0))
-                continue
-            sz = self.Q.dim_piece(e)
-            blocks.append((j, e, off, sz))
-            off += sz
-        return blocks, off
+        """Blocks (piece degree e, offset, generator count, piece size) of
+        (F_level)_d, one per generator degree, and the total size.  A block
+        holds `count` consecutive copies of R_e, one per generator."""
+        key = (level, d)
+        out = self._layouts.get(key)
+        if out is None:
+            blocks = []
+            off = 0
+            for gdeg, cnt in self.levels[level]["groups"]:
+                e = tuple(a - b for a, b in zip(d, gdeg))
+                sz = 0 if any(x < 0 for x in e) else self.Q.dim_piece(e)
+                blocks.append((e, off, cnt, sz))
+                off += cnt * sz
+            out = self._layouts[key] = (blocks, off)
+        return out
 
     def _amb_dim(self, level: int, d: Deg) -> int:
         return self.layout(level, d)[1]
 
-    # ---- multiplication of stored columns ------------------------------
-    def _mul_var_level(self, level: int, vec: list, d_from: Deg, var: int) -> list:
-        """Multiply a coordinate vector in (F_level)_{d_from} by variable var."""
-        Q, K = self.Q, self.K
-        w = self.ring.weights[var]
-        d_to = add_deg(d_from, w)
-        blocks_from, _ = self.layout(level, d_from)
-        blocks_to, dim_to = self.layout(level, d_to)
-        out = [K.zero()] * dim_to
-        for (j, e, off, sz), (j2, e2, off2, sz2) in zip(blocks_from, blocks_to):
-            if sz == 0 or sz2 == 0:
-                continue
-            cols = Q.mul_var(var, e)
-            for c in range(sz):
-                v = vec[off + c]
-                if K.is_zero(v):
-                    continue
-                col = cols[c]
-                for r in range(sz2):
-                    cv = col[r]
-                    if not K.is_zero(cv):
-                        out[off2 + r] = K.add(out[off2 + r], K.mul(v, cv))
+    def _split(self, e: Deg):
+        """var i -> (indices t of the standard monomials m of degree e whose
+        first variable is i, indices of m / x_i in the basis of e - w_i)."""
+        out = self._splits.get(e)
+        if out is None:
+            Q = self.Q
+            out = {}
+            for t, m in enumerate(Q.std_basis(e)):
+                i = next(i for i, x in enumerate(m) if x)
+                m2 = list(m)
+                m2[i] -= 1
+                e2 = tuple(a - b for a, b in zip(e, self.ring.weights[i]))
+                Q.std_basis(e2)
+                ts, ts2 = out.setdefault(i, ([], []))
+                ts.append(t)
+                ts2.append(Q._pos[e2][tuple(m2)])
+            self._splits[e] = out
         return out
 
-    def col_times_mon(self, level: int, gen_idx: int, m: Mon) -> list:
-        """(monomial m) * (differential column of generator gen_idx of F_{level+1}),
-        as a vector in (F_level)_{gen degree + deg m}."""
-        key = (level, gen_idx, m)
-        v = self._mul_cache.get(key)
-        if v is not None:
-            return v
-        nxt = self.levels[level + 1]
-        if all(e == 0 for e in m):
-            v = nxt["cols"][gen_idx]
-        else:
-            i = next(i for i, e in enumerate(m) if e)
-            m2 = list(m)
-            m2[i] -= 1
-            m2 = tuple(m2)
-            base = self.col_times_mon(level, gen_idx, m2)
-            d_from = add_deg(nxt["degrees"][gen_idx], self.ring.mon_degree(m2))
-            v = self._mul_var_level(level, base, d_from, i)
-        self._mul_cache[key] = v
-        return v
+    # ---- multiplication of stored columns ------------------------------
+    def _mul_var_level(self, level: int, X, d_from: Deg, var: int):
+        """Multiply the columns of X, coordinates in (F_level)_{d_from}, by
+        variable var: one block matrix product per generator degree."""
+        K = self.K
+        n = X.shape[1]
+        blocks_from, _ = self.layout(level, d_from)
+        blocks_to, dim_to = self.layout(level, add_deg(d_from, self.ring.weights[var]))
+        out = linalg.zeros(K, (dim_to, n))
+        for (e, off, cnt, sz), (_, off2, _, sz2) in zip(blocks_from, blocks_to):
+            if sz and sz2:
+                piece = X[off:off + cnt * sz].reshape(cnt, sz, n)
+                dest = out[off2:off2 + cnt * sz2].reshape(cnt, sz2, n)
+                linalg.matmul(K, self.Q.mul_var(var, e), piece, out=dest)
+        return out
+
+    def _differential(self, lev: int, d: Deg, diffs: dict):
+        """Matrix of (F_lev)_d -> (F_{lev-1})_d.  The column of m * e_j, for
+        a standard monomial m = x_i * m' with i its first variable, is x_i
+        times the column of m' * e_j in diffs[d - w_i]."""
+        blocks, dim_src = self.layout(lev, d)
+        A = linalg.zeros(self.K, (self._amb_dim(lev - 1, d), dim_src))
+        below = [tuple(a - b for a, b in zip(d, w)) for w in self.ring.weights]
+        dst: dict[int, list[int]] = {}  # var i -> columns of A
+        src: dict[int, list[int]] = {}  # var i -> columns of diffs[below[i]]
+        for b, (e, off, cnt, sz) in enumerate(blocks):
+            if not sz:
+                continue
+            if not any(e):
+                A[:, off:off + cnt] = self.levels[lev]["cols"][d]
+                continue
+            for i, (ts, ts2) in self._split(e).items():
+                _, off2, _, sz2 = self.layout(lev, below[i])[0][b]
+                for j in range(cnt):
+                    dst.setdefault(i, []).extend(off + j * sz + t for t in ts)
+                    src.setdefault(i, []).extend(off2 + j * sz2 + t for t in ts2)
+        for i, cols in dst.items():
+            A[:, cols] = self._mul_var_level(lev - 1, diffs[below[i]][:, src[i]], below[i], i)
+        return A
 
     # ---- main loop ------------------------------------------------------
-    def run(self, f0_degrees: list[Deg], first_cols: dict[Deg, list[list]], hom_bound: int):
-        """Resolve given level-0 generator degrees and the level-1 seed kernels.
+    def _add_generators(self, lev: int, d: Deg, B, unit, bases: dict, degrees: list, cols: dict):
+        """Append to (degrees, cols) the columns of B, a basis of the degree-d
+        piece that is the identity on the rows `unit`, that are not generated
+        by the lower-degree pieces in bases."""
+        if not unit:
+            return
+        below = [(var, tuple(a - b for a, b in zip(d, w))) for var, w in enumerate(self.ring.weights)]
+        # a generator, so that each product is dropped once its coordinates are read
+        old = (self._mul_var_level(lev, bases[dp], dp, var) for var, dp in below
+               if dp in bases and bases[dp].shape[1])
+        chosen = linalg.complement_in_basis(self.K, unit, old)
+        if chosen:
+            degrees.extend([d] * len(chosen))
+            cols[d] = B[:, chosen]
 
-        first_cols maps degree -> list of coordinate vectors in (F_0)_d that
-        span the degree-d piece of the submodule to resolve (the kernel of
-        the augmentation).  Returns gen_degrees per level.
+    def run(self, f0_degrees: list[Deg], seeds: dict, hom_bound: int):
+        """Resolve given level-0 generator degrees and the level-1 seeds.
+
+        seeds maps degree -> matrix whose rows span the degree-d piece of the
+        submodule of F_0 to resolve (the kernel of the augmentation).
+        Returns gen_degrees per level.
         """
-        K = self.K
-        self.levels.append({"degrees": list(f0_degrees), "cols": None})
-        gen_degree_lists = [list(f0_degrees)]
+        self._add_level(list(f0_degrees), None)
 
         # level 1: minimal generators of the seeded submodule
-        prev_kernel: dict[Deg, list[list]] = {}
-        new_degrees: list[Deg] = []
-        new_cols: list[list] = []
+        bases: dict = {}
+        degrees: list[Deg] = []
+        cols: dict = {}
         for d in self.degrees:
-            span_vecs = first_cols.get(d, [])
-            old = []
-            for dprev in self.degrees:
-                if dprev not in prev_kernel:
-                    continue
-                for var in range(self.ring.n):
-                    if add_deg(dprev, self.ring.weights[var]) == d:
-                        for v in prev_kernel[dprev]:
-                            old.append(self._mul_var_level(0, v, dprev, var))
-            # the degree-d piece of the submodule
-            dim_amb = self._amb_dim(0, d)
-            if dim_amb == 0:
-                prev_kernel[d] = []
-                continue
-            all_rows = [list(v) for v in span_vecs]
-            basis_rows = linalg.row_space_basis(K, all_rows) if all_rows else []
-            prev_kernel[d] = basis_rows
-            if not basis_rows:
-                continue
-            chosen = linalg.complement_indices(K, [list(v) for v in old], basis_rows)
-            for idx in chosen:
-                new_degrees.append(d)
-                new_cols.append(basis_rows[idx])
-        self.levels.append({"degrees": new_degrees, "cols": new_cols})
-        gen_degree_lists.append(list(new_degrees))
+            if d in seeds:
+                B, pivots = linalg.span_basis(self.K, seeds[d])
+                self._add_generators(0, d, B, pivots, bases, degrees, cols)
+                bases[d] = B
+        self._add_level(degrees, cols)
 
         for lev in range(1, hom_bound):
-            degs, cols = self._kernel_step(lev)
-            self.levels.append({"degrees": degs, "cols": cols})
-            gen_degree_lists.append(list(degs))
-            if not degs:
+            degrees, cols = self._kernel_step(lev)
+            self._add_level(degrees, cols)
+            if not degrees:
                 break
+        gen_degree_lists = [list(level["degrees"]) for level in self.levels]
         # complete means the resolution actually terminated inside the window
         complete = not gen_degree_lists[-1]
         return gen_degree_lists, complete
 
     def _kernel_step(self, lev: int):
         """Minimal generators of ker((F_lev)_d -> (F_{lev-1})_d) over all d."""
-        K = self.K
-        kernel_bases: dict[Deg, list[list]] = {}
-        new_degrees: list[Deg] = []
-        new_cols: list[list] = []
+        diffs: dict = {}
+        kernels: dict = {}
+        degrees: list[Deg] = []
+        cols: dict = {}
         for d in self.degrees:
-            blocks, dim_src = self.layout(lev, d)
-            if dim_src == 0:
-                kernel_bases[d] = []
+            if not self._amb_dim(lev, d):
                 continue
-            dim_tgt = self._amb_dim(lev - 1, d)
-            # assemble the matrix of d_lev in degree d, column by column
-            cols = []
-            for (j, e, off, sz) in blocks:
-                if sz == 0:
-                    continue
-                for m in self.Q.std_basis(e):
-                    cols.append(self.col_times_mon(lev - 1, j, m))
-            if dim_tgt == 0:
-                ker = [
-                    [K.one() if i == c else K.zero() for i in range(dim_src)]
-                    for c in range(dim_src)
-                ]
-            else:
-                rows = [[cols[c][r] for c in range(dim_src)] for r in range(dim_tgt)]
-                ker = linalg.kernel(K, rows, dim_src)
-            kernel_bases[d] = ker
-            if not ker:
-                continue
-            old = []
-            for var in range(self.ring.n):
-                w = self.ring.weights[var]
-                dprev = tuple(a - b for a, b in zip(d, w))
-                if any(x < 0 for x in dprev) or dprev not in kernel_bases:
-                    continue
-                for v in kernel_bases[dprev]:
-                    old.append(self._mul_var_level(lev, v, dprev, var))
-            chosen = linalg.complement_indices(K, old, ker)
-            for idx in chosen:
-                new_degrees.append(d)
-                new_cols.append(ker[idx])
-        return new_degrees, new_cols
+            A = diffs[d] = self._differential(lev, d, diffs)
+            B, free = linalg.kernel_basis(self.K, A)
+            self._add_generators(lev, d, B, free, kernels, degrees, cols)
+            kernels[d] = B
+        return degrees, cols
 
 
 def resolve_over_quotient(
@@ -404,7 +390,7 @@ def resolve_over_quotient(
     ring = Q.ring
 
     # seed: the submodule's graded pieces inside (F_0) = R
-    first_cols: dict[Deg, list[list]] = {}
+    seeds = {}
     for d in res.degrees:
         vecs = []
         for g in gens:
@@ -418,14 +404,14 @@ def resolve_over_quotient(
                 prod = Q.nf(g.mul_term(m, Q.field.one()))
                 vecs.append(Q.coords(prod, d))
         if vecs:
-            first_cols[d] = vecs
+            seeds[d] = linalg.array(Q.field, vecs, Q.dim_piece(d))
 
     if kind == "quotient":
-        gen_lists, complete = res.run([ring.zero_deg], first_cols, hom_bound)
+        gen_lists, complete = res.run([ring.zero_deg], seeds, hom_bound)
         return TruncatedResolution(Q, hom_bound, degree_bound, gen_lists, complete)
     if kind == "module":
         # resolve the submodule itself: its minimal generators become F_0
-        gen_lists, complete = res.run([ring.zero_deg], first_cols, hom_bound + 1)
+        gen_lists, complete = res.run([ring.zero_deg], seeds, hom_bound + 1)
         return TruncatedResolution(Q, hom_bound, degree_bound, gen_lists[1:], complete)
     raise GroebnerError(f"unknown resolution target kind {kind!r}")
 

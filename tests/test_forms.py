@@ -2,8 +2,8 @@
 
 import pytest
 
-from koszulkit import GF, QQ, Ideal, hilbert_of_quotient, minimal_resolution
-from koszulkit.forms import FORMS, KNOWN_HEIGHT2_TABLES, generate_ideal, resolve_case_id
+from koszulkit import GF, QQ, Ideal, hilbert_of_quotient, minimal_resolution, parse_poly, parse_ring
+from koszulkit.forms import FORMS, KNOWN_HEIGHT2_TABLES, generate_ideal, pair_decomposition, resolve_case_id
 from koszulkit.groebner import GroebnerError, minimal_quadric_generators
 
 
@@ -47,3 +47,10 @@ def test_sampling_exhaustion_raises():
     # four independent quadrics cannot exist in two variables
     with pytest.raises(GroebnerError, match="larger field"):
         generate_ideal("ht4-CI", GF(2), seed=0, nvars=2)
+
+
+def test_pair_decomposition_rejects_constant_term():
+    R = parse_ring("ring F32003 [x,y]")
+    assert len(pair_decomposition(parse_poly(R, "x^2+x*y"))) == 1
+    with pytest.raises(GroebnerError, match="constant term"):
+        pair_decomposition(parse_poly(R, "x*y+1"))

@@ -17,6 +17,7 @@ from koszulkit import (
     parse_ring,
     resolve_over_quotient,
 )
+from koszulkit import linalg, quotient
 from koszulkit.forms import generate_ideal, random_quadric
 from koszulkit.ring import DEGLEX, MonomialOrder
 
@@ -107,6 +108,45 @@ class TestResolveOverQuotient:
                     if rem >= 0:
                         total += (-1) ** i * h[rem]
             assert total == (1 if d == 0 else 0)
+
+
+class TestResolverPaths:
+    """The int64 path and the generic object-array path of linalg give the
+    same resolution, down to the differential columns of every level."""
+
+    def both_paths(self, monkeypatch, resolve):
+        resolvers = []
+        run = quotient._Resolver.run
+
+        def spy(self, *args):
+            resolvers.append(self)
+            return run(self, *args)
+
+        monkeypatch.setattr(quotient._Resolver, "run", spy)
+        fast = resolve()
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "_use_numpy", lambda K: False)
+            generic = resolve()
+        assert fast.to_json() == generic.to_json()
+        levels = []
+        for res, dtype in zip(resolvers, ("int64", "object")):
+            cols = [lvl["cols"] for lvl in res.levels[1:]]
+            assert all(M.dtype == dtype for c in cols for M in c.values())
+            levels.append([{d: M.tolist() for d, M in c.items()} for c in cols])
+        assert levels[0] == levels[1]
+        return fast
+
+    def test_bigraded_module(self, monkeypatch):
+        R = parse_ring("ring F32003 [x:(1,0), y:(1,0), a:(0,1), b:(0,1)]")
+        I = ideal(R, "b*x", "x*y", "a*x-b*y", "x^2-y^2")
+        res = self.both_paths(monkeypatch, lambda: resolve_over_quotient(
+            QuotientRing(I), ("module", [R.var(2), R.var(3)]), 4, 6))
+        assert res.ranks() == [2, 3, 6, 11, 20]
+
+    def test_2iv_d_witness(self, monkeypatch):
+        I = generate_ideal("2iv-d", GF(32003), seed=8)["ideal"]
+        res = self.both_paths(monkeypatch, lambda: is_koszul_up_to(I, 4)["resolution"])
+        assert res.first_nonlinear() is None
 
 
 class TestKoszulVerdicts:
