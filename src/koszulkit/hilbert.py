@@ -178,10 +178,10 @@ def hilbert_from_monomials(ring: RingContext, mons) -> HilbertData:
     for _ in range(codim):
         nxt = zp_div_1mt(reduced)
         if nxt is None:
-            raise AssertionError("numerator not divisible by (1-t)^codim")
+            raise GroebnerError("numerator not divisible by (1-t)^codim")
         reduced = nxt
     if zp_div_1mt(reduced) is not None and dim == 0 and zp_eval1(reduced) == 0:
-        raise AssertionError("inconsistent codimension data")
+        raise GroebnerError("inconsistent codimension data")
     e = zp_eval1(reduced)
     if e < 1:
         raise GroebnerError("multiplicity must be positive")

@@ -12,7 +12,10 @@ keeps the generated syzygy module complete.
 from __future__ import annotations
 
 import heapq
+from itertools import groupby
+from operator import add
 
+from .linalg import complement_indices
 from .ring import (
     DEGREVLEX,
     Deg,
@@ -305,12 +308,11 @@ class ModuleGB:
     pair's syzygy is the directly injected Koszul tag element.
     """
 
-    def __init__(self, order: ModuleOrder, K, *, keep_koszul_tags: bool):
+    def __init__(self, order: ModuleOrder, K):
         self.order = order
         self.K = K
         self.n_free = order.n_free
         self.use_coprime = order.n_free == 1
-        self.keep_koszul_tags = keep_koszul_tags
         self.basis: list[tuple] = []
         self.pairs: set[tuple[int, int]] = set()
 
@@ -370,12 +372,11 @@ class ModuleGB:
             if ci != cm[0] or ci >= self.n_free:
                 continue
             if self.use_coprime and mon_coprime(mi, cm[1]):
-                if self.keep_koszul_tags:
-                    tau = self._koszul_tag(i, k)
-                    if tau:
-                        tau = _mel_monic(tau, self.order, K)
-                        tcm = max(tau, key=self.order.key)
-                        self.basis.append((tcm, tau[tcm], tau))
+                tau = self._koszul_tag(i, k)
+                if tau:
+                    tau = _mel_monic(tau, self.order, K)
+                    tcm = max(tau, key=self.order.key)
+                    self.basis.append((tcm, tau[tcm], tau))
                 continue
             new_pairs.append((i, k))
         # strict mutual-divisibility pruning among the new pairs
@@ -417,10 +418,8 @@ class ModuleGB:
                 self._add_reduced(rem)
 
 
-def module_buchberger(
-    elements: list[dict], order: ModuleOrder, K, *, keep_koszul_tags: bool = False
-) -> list[tuple]:
-    gb = ModuleGB(order, K, keep_koszul_tags=keep_koszul_tags)
+def module_buchberger(elements: list[dict], order: ModuleOrder, K) -> list[tuple]:
+    gb = ModuleGB(order, K)
     for el in elements:
         gb.add(el)
     gb.complete()
@@ -463,9 +462,7 @@ class TaggedModule:
 
     def gb(self) -> list[tuple]:
         if self._gb is None:
-            self._gb = module_buchberger(
-                self._augmented(), self.order, self.K, keep_koszul_tags=True
-            )
+            self._gb = module_buchberger(self._augmented(), self.order, self.K)
         return self._gb
 
     def _split(self, el: dict) -> tuple[dict, dict]:
@@ -502,11 +499,20 @@ class TaggedModule:
         return not free
 
 
-def minimal_module_generators(
-    F: FreeModule, cols: list[dict], order: MonomialOrder = DEGREVLEX
-) -> list[int]:
-    """Indices of a minimal generating subset of the graded submodule
-    spanned by cols, scanning by increasing degree (graded Nakayama)."""
+def minimal_module_generators(F: FreeModule, cols: list[dict]) -> list[int]:
+    """Indices of a minimal generating subset of the graded submodule of F
+    spanned by the homogeneous elements cols.
+
+    The nonzero columns are scanned by increasing total degree, then degree,
+    then sorted terms, and a column is kept unless the columns kept before it
+    generate it.  By graded Nakayama a column of degree d is generated
+    exactly when its coefficient vector lies in the k-span of the products
+    m*h, where h runs over the kept columns and m over the monomials of
+    degree d - deg(h), m = 1 included.  So each degree takes one
+    linalg.complement_indices call: the products of the kept columns of
+    lower degree span, and the columns of degree d are the candidates in
+    scan order, of which the greedy complement is kept.
+    """
     ring = F.ring
     K = ring.field
     degs = []
@@ -515,18 +521,36 @@ def minimal_module_generators(
         if d is None and c:
             raise RingError("inhomogeneous module generator")
         degs.append(d)
-    order = order.for_ring(ring)
-    mo = ModuleOrder(order, F.rank)
     idx = sorted(
         (i for i in range(len(cols)) if cols[i]),
         key=lambda i: (sum(degs[i]), degs[i], sorted(cols[i].keys())),
     )
     kept: list[int] = []
-    gb = ModuleGB(mo, K, keep_koszul_tags=False)
-    for i in idx:
-        if gb.add(cols[i]):
-            kept.append(i)
-            gb.complete()
+    for d, group in groupby(idx, key=degs.__getitem__):
+        group = list(group)
+        # each vector as (coordinate, value) pairs; coordinates number the
+        # terms (component, monomial) in order of first appearance
+        index: dict = {}
+        sparse = []
+        for h in kept:
+            terms = cols[h].items()
+            for m in ring.monomials(sub_deg(d, degs[h])):
+                sparse.append([
+                    (index.setdefault((r, tuple(map(add, m, hm))), len(index)), v)
+                    for (r, hm), v in terms
+                ])
+        n_products = len(sparse)
+        for i in group:
+            sparse.append([(index.setdefault(key, len(index)), v) for key, v in cols[i].items()])
+        zero = K.zero()
+        rows = []
+        for pairs in sparse:
+            row = [zero] * len(index)
+            for j, v in pairs:
+                row[j] = v
+            rows.append(row)
+        chosen = complement_indices(K, rows[:n_products], rows[n_products:])
+        kept.extend(group[j] for j in chosen)
     return kept
 
 
@@ -542,7 +566,7 @@ def syzygy_matrix(
     syz = tm.syzygies()
     ring = M.ring
     if minimalize and syz:
-        kept = minimal_module_generators(M.source, syz, order)
+        kept = minimal_module_generators(M.source, syz)
         syz = [syz[i] for i in kept]
     degs = []
     for s in syz:
@@ -555,7 +579,3 @@ def syzygy_matrix(
     cols = [p[0] for p in packed]
     degs = [p[1] for p in packed]
     return PolyMatrix.from_columns(M.source, cols, degs)
-
-
-def kernel_is_zero(M: PolyMatrix, order: MonomialOrder = DEGREVLEX) -> bool:
-    return syzygy_matrix(M, order).ncols == 0

@@ -57,32 +57,11 @@ class QuotientRing:
 
     # -- bases -----------------------------------------------------------
     def _enumerate_std(self, d: Deg) -> list[Mon]:
-        ring = self.ring
-        out: list[Mon] = []
-        exps = [0] * ring.n
         lead = self._lead
-
-        def reducible(m: Mon) -> bool:
-            return any(all(x >= y for x, y in zip(m, g)) for g in lead)
-
-        def rec(i: int, remaining: Deg):
-            if i == ring.n:
-                if all(r == 0 for r in remaining):
-                    m = tuple(exps)
-                    if not reducible(m):
-                        out.append(m)
-                return
-            w = ring.weights[i]
-            cap = min(
-                (remaining[k] for k in range(len(w)) if w[k]),
-                default=0,
-            )
-            for e in range(cap + 1):
-                exps[i] = e
-                rec(i + 1, tuple(r - e * wk for r, wk in zip(remaining, w)))
-            exps[i] = 0
-
-        rec(0, d)
+        out = [
+            m for m in self.ring.monomials(d)
+            if not any(all(x >= y for x, y in zip(m, g)) for g in lead)
+        ]
         out.sort(key=self.order.key, reverse=True)
         return out
 
@@ -549,7 +528,6 @@ def first_syzygy_criterion(I: Ideal) -> dict:
     ring = I.ring
     gens = minimal_quadric_generators(I)
     g = len(gens)
-    F0 = FreeModule(ring, [ring.zero_deg])
     two = ring.mon_degree(tuple([2] + [0] * (ring.n - 1)))
     F1 = FreeModule(ring, [two] * g)
     cx, _ = minimal_resolution(Ideal(gens, ring))

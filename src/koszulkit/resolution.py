@@ -180,7 +180,9 @@ def _prune_units(modules: list[list], maps: list[list[list]], ring: RingContext)
 
 
 def minimalize_complex(cx: FreeComplex) -> FreeComplex:
-    """Minimal complex homotopy-equivalent to cx (prunes constant entries)."""
+    """Minimal complex homotopy-equivalent to cx (prunes constant entries).
+
+    The result is validated (d o d = 0), whether or not cx was."""
     modules = [list(m.twists) for m in cx.modules]
     maps = [[row[:] for row in d.entries] for d in cx.maps]
     _prune_units(modules, maps, cx.ring)
@@ -222,10 +224,10 @@ def minimal_resolution(
             break
         maps.append(S)
     modules = [maps[0].target] + [d.source for d in maps]
+    # minimalize_complex validates d o d = 0 on the pruned complex, once
     cx = minimalize_complex(FreeComplex(modules, maps, check=False))
-    cx.validate()
     if not cx.is_minimal():
-        raise AssertionError("resolution failed to minimalize")
+        raise GroebnerError("resolution failed to minimalize")
     return cx, cx.betti()
 
 

@@ -10,6 +10,7 @@ degree one.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .field import Field, FieldError, QQ
@@ -71,6 +72,10 @@ class RingContext:
                     d[i] += e * wi
         return tuple(d)
 
+    def monomials(self, d: Deg) -> tuple[Mon, ...]:
+        """All monomials of (multi)degree d."""
+        return _monomials_of_degree(tuple(self.weights), tuple(d))
+
     def var_index(self, name: str) -> int:
         if name not in self._index:
             raise RingError(f"unknown variable {name!r} in ring {self.names}")
@@ -131,6 +136,33 @@ class RingContext:
         return self.decl()
 
 
+@lru_cache(maxsize=1024)
+def _monomials_of_degree(weights: tuple, d: Deg) -> tuple[Mon, ...]:
+    """Exponent tuples m with sum(m_i * weights[i]) == d.
+
+    Cached on the weight tuple, which fixes the number of variables, so
+    rings with equal gradings share entries and no other ring does.
+    """
+    n = len(weights)
+    out: list[Mon] = []
+    exps = [0] * n
+
+    def rec(i: int, remaining: Deg):
+        if i == n:
+            if all(r == 0 for r in remaining):
+                out.append(tuple(exps))
+            return
+        w = weights[i]
+        cap = min((remaining[k] for k in range(len(w)) if w[k]), default=0)
+        for e in range(cap + 1):
+            exps[i] = e
+            rec(i + 1, tuple(r - e * wk for r, wk in zip(remaining, w)))
+        exps[i] = 0
+
+    rec(0, d)
+    return tuple(out)
+
+
 def mon_mul(a: Mon, b: Mon) -> Mon:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -151,10 +183,6 @@ def mon_divides(b: Mon, a: Mon) -> bool:
 
 def mon_lcm(a: Mon, b: Mon) -> Mon:
     return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mon_gcd(a: Mon, b: Mon) -> Mon:
-    return tuple(min(x, y) for x, y in zip(a, b))
 
 
 def mon_coprime(a: Mon, b: Mon) -> bool:

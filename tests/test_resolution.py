@@ -27,7 +27,7 @@ from koszulkit import (
 from koszulkit.forms import KNOWN_HEIGHT2_TABLES, generate_ideal, random_quadric
 from koszulkit.groebner import colon
 from koszulkit.resolution import FreeComplex
-from koszulkit.ring import DEGLEX, MonomialOrder
+from koszulkit.ring import DEGLEX, MonomialOrder, RingError
 
 
 def P(R, s):
@@ -120,6 +120,11 @@ class TestMinimalResolutions:
             _, B1 = minimal_resolution(I, order=MonomialOrder("degrevlex"))
             _, B2 = minimal_resolution(I, order=MonomialOrder("deglex"))
             assert B1 == B2
+
+    def test_known_height_two_tables(self):
+        for form, table in (("2i", "i"), ("2ii", "ii"), ("2iii", "iii"), ("2iv-d", "iv")):
+            I = generate_ideal(form, GF(32003), 5)["ideal"]
+            assert minimal_resolution(I)[1] == KNOWN_HEIGHT2_TABLES[table]
 
     def test_display_convention(self):
         R = parse_ring("ring QQ [x,y,z,w]")
@@ -272,3 +277,26 @@ class TestExtAnnihilators:
         I = ideal(R, "x^2", "y^2")
         a1 = ann_ext(I, 1)
         assert any(g.is_constant() for g in a1.gens)
+
+
+class TestValidation:
+    def test_minimal_resolution_validates_once(self, monkeypatch, conca_ideal):
+        seen = []
+        validate = FreeComplex.validate
+
+        def counted(cx):
+            seen.append(cx)
+            return validate(cx)
+
+        monkeypatch.setattr(FreeComplex, "validate", counted)
+        cx, _ = minimal_resolution(conca_ideal)
+        assert len(seen) == 1 and seen[0] is cx
+
+    def test_minimalize_complex_rejects_nonzero_composition(self, qq_xy):
+        R = qq_xy
+        F0, F1, F2 = (FreeModule(R, [(d,)]) for d in range(3))
+        d1 = PolyMatrix(F0, F1, [[P(R, "x")]])
+        d2 = PolyMatrix(F1, F2, [[P(R, "y")]])
+        bad = FreeComplex([F0, F1, F2], [d1, d2], check=False)
+        with pytest.raises(RingError, match="d_1 o d_2 != 0"):
+            minimalize_complex(bad)
