@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .field import Field, GF, QQ
-from .groebner import Ideal, normal_form
+from .field import Field
+from .groebner import Ideal
 from .modules import FreeModule, PolyMatrix
-from .quotient import QuotientRing, TruncatedResolution, resolve_over_quotient
+from .quotient import QuotientRing, resolve_over_quotient
 from .ring import Deg, Polynomial, RingContext, total
 
 

@@ -6,10 +6,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from .appendix import CHARACTERISTIC_BATTERY, run_battery, run_characteristic
+from .appendix import run_battery, run_characteristic
 from .classify import ClassificationError, classify
 from .field import field_by_name
 from .forms import FORMS, generate_ideal
@@ -24,7 +23,7 @@ from .hilbert import hilbert_of_quotient
 from .parse import ParseError, parse_ideal_file, parse_polys, parse_ring
 from .quotient import QuotientRing, froberg_consistency, is_koszul_up_to, resolve_over_quotient
 from .resolution import minimal_resolution
-from .ring import MonomialOrder, poly_str
+from .ring import MonomialOrder
 
 
 def _load_ideal(args) -> Ideal:
@@ -241,8 +240,7 @@ def cmd_gen(args) -> int:
 def cmd_repro(args) -> int:
     from .repro import run_manifest
 
-    threads = int(os.environ.get("KOSZULKIT_THREADS", "1"))
-    report = run_manifest(max_workers=threads, only=args.only)
+    report = run_manifest(only=args.only)
     lines = []
     for chk in report["checks"]:
         lines.append(f"[{'PASS' if chk['ok'] else 'FAIL'}] {chk['name']} ({chk['basis']})")

@@ -16,15 +16,13 @@ from . import linalg
 from .groebner import (
     GroebnerError,
     Ideal,
-    buchberger,
     ideal_equal,
     intersect,
-    is_quadratic_gb,
     minimal_quadric_generators,
 )
 from .hilbert import hilbert_of_quotient
-from .modules import FreeModule, PolyMatrix, TaggedModule
-from .ring import DEGLEX, DEGREVLEX, MonomialOrder, Polynomial, RingContext
+from .modules import FreeModule, TaggedModule
+from .ring import MonomialOrder, Polynomial, RingContext
 
 CASE_IDS = [
     "ht1",
@@ -106,7 +104,7 @@ def random_sparse_quadric(ring: RingContext, rng, max_terms: int = 4) -> Polynom
 
 def quadric_regular_on(I: Ideal, q: Polynomial) -> bool:
     """Hilbert-series test that the quadric q is a nonzerodivisor mod I."""
-    from .hilbert import ONE_MINUS_T, zp_mul
+    from .hilbert import zp_mul
 
     big = Ideal(list(I.gens) + [q], I.ring)
     lhs = hilbert_of_quotient(big).numerator

@@ -1,9 +1,12 @@
 """Buchberger's algorithm, normal forms, and the ideal-arithmetic layer.
 
-The reduction engine works on raw term dicts for speed.  Pair management
-uses the normal selection strategy (smallest lcm degree first) with the
-product and chain criteria; criteria can be disabled by callers that need
-every S-pair processed (the syzygy machinery does).
+The reduction engine works on packed term dicts (see ring.PackedLayout) and
+is shared with the module engine in modules.py: reduce_terms and s_element
+are its one reduction loop and one S-element builder, and a polynomial is
+the one-component, tagless case of a module element.  Pair management uses
+the normal selection strategy (smallest lcm degree first) with the product
+and chain criteria; criteria can be disabled by callers that need every
+S-pair processed.
 """
 
 from __future__ import annotations
@@ -11,21 +14,18 @@ from __future__ import annotations
 import heapq
 import random
 
-from .field import QQ
 from .ring import (
     DEGREVLEX,
+    FIELD_MASK,
     LinearChange,
     Mon,
     MonomialOrder,
+    PackedLayout,
     Polynomial,
     RingContext,
     RingError,
     elimination_order,
-    mon_coprime,
-    mon_div,
-    mon_divides,
-    mon_lcm,
-    mon_mul,
+    primitive_scale,
 )
 
 
@@ -33,64 +33,109 @@ class GroebnerError(ValueError):
     pass
 
 
-def _reduce_terms(terms: dict, reducers, order: MonomialOrder, K) -> dict:
-    """Full normal form of a term dict against reducers [(lm, lc, terms)].
+# ---------------------------------------------------------------------------
+# the engine: elements are dicts {packed term: coefficient}, and a reducer is
+# a triple (packed lead, lead coefficient, element).  Every stored term has
+# its fields below 2^15, so the product of a stored term and a quotient
+# never carries out of a field; a term that reaches a guard bit is caught
+# when it is popped or returned.
 
-    Terms are processed largest-first through a lazy-deletion heap; newly
-    created terms are always smaller than the one being reduced.
+
+def reduce_terms(terms: dict, reducers: list, lay: PackedLayout, K) -> dict:
+    """Normal form of the free part of a packed element.
+
+    reducers[c] lists the reducers with lead in free component c, in basis
+    order; the first whose lead divides a term reduces it.  Terms are
+    processed largest-first through a lazy-deletion heap; newly created
+    terms are always smaller than the one being reduced.  Free coefficients
+    are summed unreduced (raw values of both fields are Python numbers) and
+    reduced when their term is popped.  Tag terms (flag clear) sort below
+    every free term, so once one is popped the rest of the element is tag
+    terms, which are returned untouched: they only carry representation
+    bookkeeping and never need reducing.  They are kept reduced, and leave
+    when they cancel, so the tag block keeps the order in which its terms
+    arose.
     """
     work = dict(terms)
     rem: dict = {}
-    nkey = order.nkey
-    heap = [(nkey(m), m) for m in work]
+    neg, guard, divmask, flag = lay.neg, lay.guard, lay.divmask, lay.flag
+    heap = [(((P & neg) << 1) - P, P) for P in work]
     heapq.heapify(heap)
+    heappush, heappop = heapq.heappush, heapq.heappop
+    is_zero, coerce, sub, mul = K.is_zero, K.coerce, K.sub, K.mul
     zero = K.zero()
     while heap:
-        _, m = heapq.heappop(heap)
-        c = work.pop(m, None)
-        if c is None or K.is_zero(c):
+        P = heappop(heap)[1]
+        c = work.pop(P, None)
+        if c is None:
             continue
-        for lm, lc, g in reducers:
-            q = mon_div(m, lm)
-            if q is not None:
-                f = K.div(c, lc)
-                for tm, tc in g.items():
-                    mm = mon_mul(q, tm)
-                    if mm == m:
-                        continue  # cancels against the popped lead
-                    old = work.get(mm)
-                    s = K.sub(old if old is not None else zero, K.mul(f, tc))
-                    if K.is_zero(s):
-                        work.pop(mm, None)
+        c = coerce(c)
+        if is_zero(c):
+            continue
+        if P & guard:
+            lay.check(P)
+        if P < flag:
+            rem[P] = c
+            rem.update(work)
+            for T in work:
+                lay.check(T)
+            break
+        for lead, lc, g in reducers[P & FIELD_MASK]:
+            q = P - lead
+            if q & divmask:
+                continue
+            f = K.div(c, lc)
+            for T, tc in g.items():
+                mm = q + T
+                if mm == P:
+                    continue  # cancels against the popped lead
+                old = work.get(mm)
+                if mm >= flag:
+                    if old is None:
+                        heappush(heap, (((mm & neg) << 1) - mm, mm))
+                        work[mm] = -f * tc
                     else:
-                        if old is None:
-                            heapq.heappush(heap, (nkey(mm), mm))
-                        work[mm] = s
-                break
+                        work[mm] = old - f * tc
+                    continue
+                s = sub(old if old is not None else zero, mul(f, tc))
+                if is_zero(s):
+                    work.pop(mm, None)
+                else:
+                    if old is None:
+                        heappush(heap, (((mm & neg) << 1) - mm, mm))
+                    work[mm] = s
+            break
         else:
-            rem[m] = c
+            rem[P] = c
     return rem
 
 
-def _spoly_terms(fi, fj, order: MonomialOrder, K) -> dict:
-    """S-polynomial of two (lm, lc, terms) triples, as a term dict."""
-    lmi, lci, ti = fi
-    lmj, lcj, tj = fj
-    lcm = mon_lcm(lmi, lmj)
-    qi, qj = mon_div(lcm, lmi), mon_div(lcm, lmj)
-    out: dict = {}
-    ci = K.inv(lci)
-    for m, c in ti.items():
-        out[mon_mul(qi, m)] = K.mul(c, ci)
-    cj = K.inv(lcj)
-    for m, c in tj.items():
-        mm = mon_mul(qj, m)
-        s = K.sub(out.get(mm, K.zero()), K.mul(c, cj))
+def s_element(a: tuple, b: tuple, lcm: int, K) -> dict:
+    """S-element of two reducers whose leads divide the packed term lcm."""
+    (la, lca, ta), (lb, lcb, tb) = a, b
+    qa, qb = lcm - la, lcm - lb
+    ia = K.inv(lca)
+    out = {qa + T: K.mul(c, ia) for T, c in ta.items()}
+    ib = K.inv(lcb)
+    for T, c in tb.items():
+        mm = qb + T
+        s = K.sub(out.get(mm, K.zero()), K.mul(c, ib))
         if K.is_zero(s):
             out.pop(mm, None)
         else:
             out[mm] = s
     return out
+
+
+def lead_term(el: dict, lay: PackedLayout) -> int:
+    return max(el, key=lay.key)
+
+
+def scaled(el: dict, factor, K) -> dict:
+    """el times a nonzero constant (el itself when the factor is one)."""
+    if factor == K.one():
+        return el
+    return {P: K.mul(c, factor) for P, c in el.items()}
 
 
 class GroebnerBasis:
@@ -101,8 +146,18 @@ class GroebnerBasis:
         self.order = order
         self.elements = elements
         self.lead_mons = [g.lm(order) for g in elements]
-        self._reducers = [(g.lm(order), g.lt(order)[1], g.terms) for g in elements]
         self.is_reduced = True
+        self._packed = None
+
+    def reducers(self) -> list[tuple]:
+        """The elements packed as reducers, made on the first normal form."""
+        if self._packed is None:
+            lay = self.order.for_ring(self.ring).layout
+            self._packed = [
+                (lay.pack(m) + lay.flag, g.terms[m], lay.pack_terms(g.terms, lay.flag))
+                for g, m in zip(self.elements, self.lead_mons)
+            ]
+        return self._packed
 
     def __len__(self):
         return len(self.elements)
@@ -120,8 +175,9 @@ class GroebnerBasis:
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     if not f.ring.same(gb.ring):
         raise RingError("normal form in the wrong ring")
-    rem = _reduce_terms(f.terms, gb._reducers, gb.order, f.ring.field)
-    return Polynomial(f.ring, rem)
+    lay = gb.order.for_ring(gb.ring).layout
+    rem = reduce_terms(lay.pack_terms(f.terms, lay.flag), [gb.reducers()], lay, f.ring.field)
+    return Polynomial(f.ring, lay.unpack_terms(rem))
 
 
 def buchberger(
@@ -136,101 +192,97 @@ def buchberger(
         raise GroebnerError("Groebner basis of the zero ideal")
     ring = gens[0].ring
     order = order.for_ring(ring)
+    lay = order.layout
     K = ring.field
+    flag = lay.flag
 
-    basis: list[Polynomial] = []
-    triples: list[tuple] = []  # (lm, lc, terms)
+    basis: list[tuple] = []  # reducers (lead, lc, terms), all in component 0
     pairs: set[tuple[int, int]] = set()
+    pair_lcm: dict[tuple[int, int], int] = {}  # monomial lcm of the leads
+    pair_key: dict[tuple[int, int], tuple] = {}
 
-    def lcm_of(i, j):
-        return mon_lcm(triples[i][0], triples[j][0])
-
-    def add_element(h: Polynomial):
-        h = h.primitive(order)
+    def add_element(h: dict):
+        lead = lead_term(h, lay)
+        h = scaled(h, primitive_scale(K, h.values(), h[lead]), K)
         k = len(basis)
-        lm_h = h.lm(order)
+        mono = lead - flag
+        lcms = [lay.lcm(basis[i][0], lead) for i in range(k)]
         if use_criteria:
             # chain criterion on existing pairs
             drop = set()
             for (i, j) in pairs:
-                l = lcm_of(i, j)
-                if (
-                    mon_divides(lm_h, l)
-                    and mon_lcm(triples[i][0], lm_h) != l
-                    and mon_lcm(triples[j][0], lm_h) != l
-                ):
+                l = pair_lcm[(i, j)]
+                if lay.divides(mono, l) and lcms[i] != l and lcms[j] != l:
                     drop.add((i, j))
             pairs.difference_update(drop)
             # new pairs, pruned among themselves
             cand = {}
             for i in range(k):
-                l = mon_lcm(triples[i][0], lm_h)
-                cand.setdefault(l, []).append(i)
+                cand.setdefault(lcms[i], []).append(i)
             kept = []
-            lcms = list(cand)
-            for l in lcms:
-                if any(l2 != l and mon_divides(l2, l) for l2 in lcms):
+            for l in cand:
+                if any(l2 != l and lay.divides(l2, l) for l2 in cand):
                     continue
                 kept.append(cand[l][0])
-            for i in kept:
-                if not mon_coprime(triples[i][0], lm_h):
-                    pairs.add((i, k))
+            # product criterion: no pair for coprime leads
+            new = [i for i in kept if lay.degree(lcms[i]) != lay.degree(basis[i][0]) + lay.degree(lead)]
         else:
-            for i in range(k):
-                pairs.add((i, k))
-        basis.append(h)
-        triples.append((lm_h, h.lt(order)[1], h.terms))
+            new = range(k)
+        for i in new:
+            l = lcms[i]
+            pairs.add((i, k))
+            pair_lcm[(i, k)] = l
+            pair_key[(i, k)] = (lay.degree(l), lay.key(l))
+        basis.append((lead, h[lead], h))
 
-    for g in sorted(gens, key=lambda f: order.key(f.lm(order))):
-        rem = _reduce_terms(g.terms, triples, order, K)
+    reducers = [basis]  # indexed by component: one
+    packed = [lay.pack_terms(g.terms, flag) for g in gens]
+    for g in sorted(packed, key=lambda el: lay.key(lead_term(el, lay))):
+        rem = reduce_terms(g, reducers, lay, K)
         if rem:
-            add_element(Polynomial(ring, rem))
+            add_element(rem)
 
     while pairs:
-        i, j = min(pairs, key=lambda p: (sum(lcm_of(*p)), order.key(lcm_of(*p))))
-        pairs.discard((i, j))
-        s = _spoly_terms(triples[i], triples[j], order, K)
-        rem = _reduce_terms(s, triples, order, K)
+        p = min(pairs, key=pair_key.__getitem__)
+        pairs.discard(p)
+        i, j = p
+        s = s_element(basis[i], basis[j], pair_lcm[p] + flag, K)
+        rem = reduce_terms(s, reducers, lay, K)
         if rem:
-            add_element(Polynomial(ring, rem))
+            add_element(rem)
 
     return _reduce_final(ring, order, basis)
 
 
-def _reduce_final(ring, order, basis: list[Polynomial]) -> GroebnerBasis:
+def _reduce_final(ring, order, basis: list[tuple]) -> GroebnerBasis:
     """Minimalize leads, tail-reduce, normalize to the canonical reduced basis."""
     K = ring.field
-    items = sorted(basis, key=lambda g: order.key(g.lm(order)))
-    kept: list[Polynomial] = []
-    kept_lms: list[Mon] = []
-    for g in items:
-        lm = g.lm(order)
-        if any(mon_divides(l, lm) for l in kept_lms):
+    lay = order.layout
+    items = sorted(basis, key=lambda r: lay.key(r[0]))
+    kept: list[tuple] = []
+    for r in items:
+        if any(lay.divides(k[0], r[0]) for k in kept):
             continue
-        kept.append(g)
-        kept_lms.append(lm)
+        kept.append(r)
     final = []
-    for idx, g in enumerate(kept):
-        others = [
-            (kept_lms[i], kept[i].lt(order)[1], kept[i].terms)
-            for i in range(len(kept))
-            if i != idx
-        ]
-        rem = _reduce_terms(g.terms, others, order, K)
+    for idx, r in enumerate(kept):
+        rem = reduce_terms(r[2], [kept[:idx] + kept[idx + 1:]], lay, K)
         if rem:
-            final.append(Polynomial(ring, rem).monic(order))
-    final.sort(key=lambda g: order.key(g.lm(order)), reverse=True)
-    return GroebnerBasis(ring, order, final)
+            lead = lead_term(rem, lay)
+            final.append((lay.key(lead), scaled(rem, K.inv(rem[lead]), K)))
+    final.sort(key=lambda t: t[0], reverse=True)
+    return GroebnerBasis(ring, order, [Polynomial(ring, lay.unpack_terms(el)) for _, el in final])
 
 
 def verify_basis(gb: GroebnerBasis) -> bool:
     """Buchberger's criterion: every S-pair reduces to zero."""
     K = gb.ring.field
-    tr = gb._reducers
+    lay = gb.order.for_ring(gb.ring).layout
+    tr = gb.reducers()
     for i in range(len(tr)):
         for j in range(i + 1, len(tr)):
-            s = _spoly_terms(tr[i], tr[j], gb.order, K)
-            if _reduce_terms(s, tr, gb.order, K):
+            s = s_element(tr[i], tr[j], lay.lcm(tr[i][0], tr[j][0]) + lay.flag, K)
+            if reduce_terms(s, [tr], lay, K):
                 return False
     return True
 
@@ -295,29 +347,31 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
         raise GroebnerError("division by the zero polynomial")
     if not f:
         return f.ring.zero()
-    order = DEGREVLEX.for_ring(f.ring)
+    lay = DEGREVLEX.for_ring(f.ring).layout
     K = f.ring.field
-    lmg, lcg = g.lt(order)
-    work = dict(f.terms)
+    divisor = lay.pack_terms(g.terms)
+    lead = lead_term(divisor, lay)
+    lcg = divisor[lead]
+    work = lay.pack_terms(f.terms)
     quot: dict = {}
     while work:
-        m = max(work, key=order.key)
-        c = work.pop(m)
-        q = mon_div(m, lmg)
-        if q is None:
+        P = lead_term(work, lay)
+        c = work.pop(P)
+        if not lay.divides(lead, P):
             raise GroebnerError("inexact polynomial division")
+        q = P - lead
         coef = K.div(c, lcg)
         quot[q] = coef
-        for tm, tc in g.terms.items():
-            mm = mon_mul(q, tm)
-            if mm == m:
+        for T, tc in divisor.items():
+            mm = q + T
+            if mm == P:
                 continue
             s = K.sub(work.get(mm, K.zero()), K.mul(coef, tc))
             if K.is_zero(s):
                 work.pop(mm, None)
             else:
                 work[mm] = s
-    return Polynomial(f.ring, quot)
+    return Polynomial(f.ring, lay.unpack_terms(quot))
 
 
 def _fresh_name(ring: RingContext, stem: str) -> str:

@@ -6,29 +6,31 @@ generators g_i of a submodule of F are tagged as (g_i, e_i) in F (+) S^s with
 a block order in which F dominates, so Groebner elements with vanishing
 F-part carry syzygies in their tags, and normal forms of (v, 0) carry
 representations.  Syzygy runs process every S-pair (no pair criteria), which
-keeps the generated syzygy module complete.
+keeps the generated syzygy module complete.  Inside the engine elements are
+packed dicts {int: coefficient} (see ModuleOrder), reduced by the loop that
+groebner.py shares with Buchberger's algorithm; elements are packed and
+unpacked only at this module's functions.
 """
 
 from __future__ import annotations
 
-import heapq
 from itertools import groupby
 from operator import add
 
+from .groebner import lead_term, reduce_terms, s_element, scaled
 from .linalg import complement_indices
 from .ring import (
     DEGREVLEX,
+    FIELD_MASK,
+    LIMIT,
     Deg,
     Mon,
     MonomialOrder,
+    MonomialOverflow,
     Polynomial,
     RingContext,
     RingError,
     add_deg,
-    mon_coprime,
-    mon_div,
-    mon_lcm,
-    mon_mul,
     sub_deg,
 )
 
@@ -110,18 +112,38 @@ class PolyMatrix:
         return all(not self.entries[r][c] for r in range(self.nrows) for c in range(self.ncols))
 
     def compose(self, other: "PolyMatrix") -> "PolyMatrix":
-        """self composed after other: self * other."""
+        """self composed after other: self * other.
+
+        Entries are packed once.  Each output entry sums its products in one
+        dict, unreduced (raw values of both fields are Python numbers), and
+        is reduced once; only the terms that survive are unpacked."""
         if other.target != self.source:
             if other.target.twists != self.source.twists:
                 raise RingError("composition with mismatched modules")
-        zero = self.ring.zero()
-        prod = [
-            [
-                sum((self.entries[r][k] * other.entries[k][c] for k in range(self.ncols)), zero)
-                for c in range(other.ncols)
-            ]
-            for r in range(self.nrows)
-        ]
+        ring = self.ring
+        K = ring.field
+        lay = DEGREVLEX.for_ring(ring).layout
+        A = [[lay.pack_terms(f.terms) for f in row] for row in self.entries]
+        B = [[lay.pack_terms(f.terms) for f in row] for row in other.entries]
+        prod = []
+        for a_row in A:
+            row = []
+            for c in range(other.ncols):
+                acc: dict = {}
+                get = acc.get
+                for a, b_row in zip(a_row, B):
+                    b = b_row[c]
+                    if a and b:
+                        for P, x in a.items():
+                            for Q, y in b.items():
+                                acc[P + Q] = get(P + Q, 0) + x * y
+                terms = {}
+                for P, v in acc.items():
+                    v = K.coerce(v)
+                    if not K.is_zero(v):
+                        terms[lay.unpack(P)] = v
+                row.append(Polynomial(ring, terms))
+            prod.append(row)
         return PolyMatrix(self.target, other.source, prod, check=False)
 
     def transpose(self) -> "PolyMatrix":
@@ -181,249 +203,158 @@ def mel_degree(ring: RingContext, twists, el: dict) -> Deg | None:
 
 
 class ModuleOrder:
-    """Order on F (+) tag-block: F components dominate; tags compare by the
-    Schreyer key induced from the tagged generators' lead monomials."""
+    """Order on F (+) tag block, and the packing of its terms.
+
+    Terms pack into the base order's layout: a free term (c, m) as
+    m + c + flag, a tag term (c, m) as m*lead + c, where lead is the lead
+    monomial of the c-th tagged generator.  The layout's key then orders
+    free terms above tag terms, then by the base key of m (of m*lead for
+    tags: the Schreyer key induced from the tagged generators), then by
+    decreasing component.
+    """
 
     def __init__(self, base: MonomialOrder, n_free: int, tag_leads: list[Mon] | None = None):
         self.base = base
+        self.lay = base.layout
         self.n_free = n_free
-        self.tag_leads = tag_leads or []
-        self._cache: dict = {}
-        self._ncache: dict = {}
+        self.packed_leads = [self.lay.pack(m) for m in tag_leads or []]
+        if n_free + len(self.packed_leads) >= LIMIT:
+            raise MonomialOverflow("too many module components for the packed component field")
 
-    def key(self, cm):
-        k = self._cache.get(cm)
-        if k is None:
-            c, m = cm
-            if c < self.n_free:
-                k = (1, self.base.key(m), -c)
-            else:
-                lead = self.tag_leads[c - self.n_free]
-                k = (0, self.base.key(mon_mul(m, lead)), -c)
-            self._cache[cm] = k
-        return k
+    def pack(self, cm) -> int:
+        c, m = cm
+        if c < self.n_free:
+            return self.lay.pack(m) + c + self.lay.flag
+        return self.lay.check(self.lay.pack(m) + self.packed_leads[c - self.n_free]) + c
 
-    def nkey(self, cm):
-        k = self._ncache.get(cm)
-        if k is None:
-            c, m = cm
-            if c < self.n_free:
-                k = (-1, self.base.nkey(m), c)
-            else:
-                lead = self.tag_leads[c - self.n_free]
-                k = (0, self.base.nkey(mon_mul(m, lead)), c)
-            self._ncache[cm] = k
-        return k
+    def unpack(self, P: int):
+        c = P & FIELD_MASK
+        if P & self.lay.flag:
+            return c, self.lay.unpack(P)
+        return c, self.lay.unpack(P - self.packed_leads[c - self.n_free])
 
-
-def _mel_reduce(work: dict, reducers, order: ModuleOrder, K, *, collect_remainder=True):
-    """Module normal form of the free-block part; reducers are (lead_cm, lc, terms).
-
-    Once the leading term falls into the tag block every remaining term does
-    too (block order), so the tail is returned untouched: tag parts only carry
-    representation bookkeeping and never need reducing.
-    """
-    work = dict(work)
-    rem: dict = {}
-    nkey = order.nkey
-    n_free = order.n_free
-    heap = [(nkey(cm), cm) for cm in work]
-    heapq.heapify(heap)
-    zero = K.zero()
-    while heap:
-        _, cm = heapq.heappop(heap)
-        c0 = work.pop(cm, None)
-        if c0 is None or K.is_zero(c0):
-            continue
-        if cm[0] >= n_free:
-            # block order: everything left lives in the tag block
-            if collect_remainder:
-                rem[cm] = c0
-                rem.update(work)
-            break
-        comp, m = cm
-        for (rc, rm), lc, terms in reducers:
-            if rc != comp:
-                continue
-            q = mon_div(m, rm)
-            if q is not None:
-                f = K.div(c0, lc)
-                for (tc, tm), tv in terms.items():
-                    mm = (tc, mon_mul(q, tm))
-                    if mm == cm:
-                        continue
-                    old = work.get(mm)
-                    s = K.sub(old if old is not None else zero, K.mul(f, tv))
-                    if K.is_zero(s):
-                        work.pop(mm, None)
-                    else:
-                        if old is None:
-                            heapq.heappush(heap, (nkey(mm), mm))
-                        work[mm] = s
-                break
-        else:
-            if collect_remainder:
-                rem[cm] = c0
-    return rem
-
-
-def _mel_monic(el: dict, order: ModuleOrder, K) -> dict:
-    cm = max(el, key=order.key)
-    lc = el[cm]
-    if lc == K.one():
-        return el
-    inv = K.inv(lc)
-    return {k: K.mul(v, inv) for k, v in el.items()}
-
-
-def _mel_spoly(a, b, order: ModuleOrder, K):
-    """S-element of two triples with equal lead component."""
-    (ca, ma), lca, ta = a
-    (cb, mb), lcb, tb = b
-    lcm = mon_lcm(ma, mb)
-    qa, qb = mon_div(lcm, ma), mon_div(lcm, mb)
-    out: dict = {}
-    ia = K.inv(lca)
-    for (tc, tm), tv in ta.items():
-        out[(tc, mon_mul(qa, tm))] = K.mul(tv, ia)
-    ib = K.inv(lcb)
-    for (tc, tm), tv in tb.items():
-        mm = (tc, mon_mul(qb, tm))
-        s = K.sub(out.get(mm, K.zero()), K.mul(tv, ib))
-        if K.is_zero(s):
-            out.pop(mm, None)
-        else:
-            out[mm] = s
-    return out
+    def pack_element(self, el: dict) -> dict:
+        pack = self.pack
+        return {pack(cm): v for cm, v in el.items()}
 
 
 class ModuleGB:
     """Incremental Groebner basis of the free-block part of a module, with
     tag parts carried along.
 
-    S-pairs are only formed inside the free block: pairs of pure-tag elements
-    would compute syzygies among syzygies, which no caller needs.  The strict
-    chain criterion is always safe; the coprime criterion applies only when
-    the free block has one component (the ideal case), where the dropped
-    pair's syzygy is the directly injected Koszul tag element.
+    Elements are packed dicts (see ModuleOrder); basis entries are reducers
+    (lead, lc, element), and self.reducers[c] lists the ones with lead in
+    free component c, in basis order.  S-pairs are only formed inside the
+    free block: pairs of pure-tag elements would compute syzygies among
+    syzygies, which no caller needs.  The strict chain criterion is always
+    safe; the coprime criterion applies only when the free block has one
+    component (the ideal case), where the dropped pair's syzygy is the
+    directly injected Koszul tag element.
     """
 
     def __init__(self, order: ModuleOrder, K):
         self.order = order
+        self.lay = order.lay
         self.K = K
         self.n_free = order.n_free
         self.use_coprime = order.n_free == 1
         self.basis: list[tuple] = []
+        self.reducers: list[list] = [[] for _ in range(order.n_free)]
         self.pairs: set[tuple[int, int]] = set()
-
-    def _fpoly(self, el: dict) -> dict:
-        return {m: c for (c0, m), c in el.items() if c0 < self.n_free}
+        self._pair_lcm: dict[tuple[int, int], int] = {}  # monomial lcm of the leads
+        self._pair_key: dict[tuple[int, int], tuple] = {}
 
     def _koszul_tag(self, i: int, j: int) -> dict:
-        """g_j * w_i - g_i * w_j for single-component free parts: pure tag."""
-        K = self.K
-        gi = self._fpoly(self.basis[i][2])
-        gj = self._fpoly(self.basis[j][2])
+        """g_j * w_i - g_i * w_j for single-component free parts: pure tag.
+
+        Only tag terms times free terms are formed; the free-by-free products
+        cancel in the Koszul syzygy and are never needed."""
+        K, flag = self.K, self.lay.flag
+        ei, ej = self.basis[i][2], self.basis[j][2]
         out: dict = {}
-        for (c0, m), v in self.basis[i][2].items():
-            for mm, cc in gj.items():
-                key = (c0, mon_mul(m, mm))
-                s = K.add(out.get(key, K.zero()), K.mul(v, cc))
-                if K.is_zero(s):
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        for (c0, m), v in self.basis[j][2].items():
-            for mm, cc in gi.items():
-                key = (c0, mon_mul(m, mm))
-                s = K.sub(out.get(key, K.zero()), K.mul(v, cc))
-                if K.is_zero(s):
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return {k: v for k, v in out.items() if k[0] >= self.n_free}
+        for el, other, sign in ((ei, ej, K.add), (ej, ei, K.sub)):
+            free = [(P - flag, c) for P, c in other.items() if P & flag]
+            for T, v in el.items():
+                if T & flag:
+                    continue
+                for m, c in free:
+                    key = self.lay.check(T + m)
+                    s = sign(out.get(key, K.zero()), K.mul(v, c))
+                    if K.is_zero(s):
+                        out.pop(key, None)
+                    else:
+                        out[key] = s
+        return out
+
+    def _insert(self, el: dict) -> int:
+        """Append el, made monic, to the basis; returns its lead."""
+        lead = lead_term(el, self.lay)
+        el = scaled(el, self.K.inv(el[lead]), self.K)
+        self.basis.append((lead, el[lead], el))
+        return lead
 
     def _add_reduced(self, el: dict):
-        K = self.K
-        el = _mel_monic(el, self.order, K)
+        lay = self.lay
         k = len(self.basis)
-        cm = max(el, key=self.order.key)
-        self.basis.append((cm, el[cm], el))
-        if cm[0] >= self.n_free:
+        lead = self._insert(el)
+        if not lead & lay.flag:
             return
+        comp = lead & FIELD_MASK
+        self.reducers[comp].append(self.basis[k])
+        mono = lead - (lead & lay.frame)
+        same = [i for i in range(k) if self.basis[i][0] & lay.frame == lead & lay.frame]
+        lcms = {i: lay.lcm(self.basis[i][0], lead) for i in same}
         # strict chain criterion on pending pairs
         drop = set()
-        for (i, j) in self.pairs:
-            (ci, mi), _, _ = self.basis[i]
-            (cj, mj), _, _ = self.basis[j]
-            if ci != cm[0]:
+        for p in self.pairs:
+            i, j = p
+            if i not in lcms:
                 continue
-            l = mon_lcm(mi, mj)
-            if (
-                mon_div(l, cm[1]) is not None
-                and mon_lcm(mi, cm[1]) != l
-                and mon_lcm(mj, cm[1]) != l
-            ):
-                drop.add((i, j))
+            l = self._pair_lcm[p]
+            if lay.divides(mono, l) and lcms[i] != l and lcms[j] != l:
+                drop.add(p)
         self.pairs.difference_update(drop)
         new_pairs = []
-        for i in range(k):
-            (ci, mi), _, _ = self.basis[i]
-            if ci != cm[0] or ci >= self.n_free:
-                continue
-            if self.use_coprime and mon_coprime(mi, cm[1]):
+        for i in same:
+            if self.use_coprime and lay.degree(lcms[i]) == lay.degree(self.basis[i][0]) + lay.degree(lead):
                 tau = self._koszul_tag(i, k)
                 if tau:
-                    tau = _mel_monic(tau, self.order, K)
-                    tcm = max(tau, key=self.order.key)
-                    self.basis.append((tcm, tau[tcm], tau))
+                    self._insert(tau)
                 continue
-            new_pairs.append((i, k))
+            new_pairs.append(i)
         # strict mutual-divisibility pruning among the new pairs
-        lcms = {p: mon_lcm(self.basis[p[0]][0][1], cm[1]) for p in new_pairs}
-        for p in new_pairs:
-            l = lcms[p]
-            if any(
-                q != p and lcms[q] != l and mon_div(l, lcms[q]) is not None
-                for q in new_pairs
-            ):
+        for i in new_pairs:
+            l = lcms[i]
+            if any(lcms[j] != l and lay.divides(lcms[j], l) for j in new_pairs if j != i):
                 continue
-            self.pairs.add(p)
+            self.pairs.add((i, k))
+            self._pair_lcm[(i, k)] = l
+            self._pair_key[(i, k)] = (lay.degree(l), lay.key(l))
 
     def add(self, el: dict) -> bool:
-        """Reduce and, if nonzero, insert; returns True when inserted."""
+        """Reduce and, if nonzero, insert a {(component, monomial): c} dict;
+        returns True when inserted."""
+        return self.add_packed(self.order.pack_element(el))
+
+    def add_packed(self, el: dict) -> bool:
         if not el:
             return False
-        rem = _mel_reduce(el, self.basis, self.order, self.K)
+        rem = reduce_terms(el, self.reducers, self.lay, self.K)
         if not rem:
             return False
         self._add_reduced(rem)
         return True
 
-    def reduce(self, el: dict) -> dict:
-        return _mel_reduce(el, self.basis, self.order, self.K)
-
     def complete(self):
-        def pair_key(p):
-            i, j = p
-            l = mon_lcm(self.basis[i][0][1], self.basis[j][0][1])
-            return (sum(l), self.order.base.key(l))
-
+        basis, lay, K = self.basis, self.lay, self.K
         while self.pairs:
-            i, j = min(self.pairs, key=pair_key)
-            self.pairs.discard((i, j))
-            s = _mel_spoly(self.basis[i], self.basis[j], self.order, self.K)
-            rem = _mel_reduce(s, self.basis, self.order, self.K)
+            p = min(self.pairs, key=self._pair_key.__getitem__)
+            self.pairs.discard(p)
+            i, j = p
+            lcm = self._pair_lcm[p] + (basis[i][0] & lay.frame)
+            rem = reduce_terms(s_element(basis[i], basis[j], lcm, K), self.reducers, lay, K)
             if rem:
                 self._add_reduced(rem)
-
-
-def module_buchberger(elements: list[dict], order: ModuleOrder, K) -> list[tuple]:
-    gb = ModuleGB(order, K)
-    for el in elements:
-        gb.add(el)
-    gb.complete()
-    return gb.basis
 
 
 # ---------------------------------------------------------------------------
@@ -440,35 +371,39 @@ class TaggedModule:
         self.gens = gens
         self.n_free = F.rank
         base = order.for_ring(F.ring)
+        lay = base.layout
+        plain = ModuleOrder(base, F.rank)  # packs free terms, as every order of F does
         self.gen_degrees = []
+        self._packed = []
         tag_leads = []
-        mod_order_plain = ModuleOrder(base, F.rank + len(gens), [(0,) * F.ring.n] * len(gens))
         for g in gens:
             d = mel_degree(self.ring, F.twists, g)
             if d is None and g:
                 raise RingError("inhomogeneous module generator")
             self.gen_degrees.append(d)
-            tag_leads.append(max(g, key=mod_order_plain.key)[1] if g else (0,) * F.ring.n)
+            el = plain.pack_element(g)
+            self._packed.append(el)
+            tag_leads.append(lay.unpack(lead_term(el, lay)) if el else (0,) * F.ring.n)
         self.order = ModuleOrder(base, F.rank, tag_leads)
-        self._gb: list[tuple] | None = None
+        self._gb: ModuleGB | None = None
 
-    def _augmented(self) -> list[dict]:
-        out = []
-        for i, g in enumerate(self.gens):
-            el = dict(g)
-            el[(self.n_free + i, (0,) * self.ring.n)] = self.K.one()
-            out.append(el)
-        return out
-
-    def gb(self) -> list[tuple]:
+    def gb(self) -> ModuleGB:
+        """The completed Groebner basis of the augmented generators (g_i, e_i)."""
         if self._gb is None:
-            self._gb = module_buchberger(self._augmented(), self.order, self.K)
+            gb = ModuleGB(self.order, self.K)
+            one, unit = self.K.one(), (0,) * self.ring.n
+            for i, el in enumerate(self._packed):
+                gb.add_packed({**el, self.order.pack((self.n_free + i, unit)): one})
+            gb.complete()
+            self._gb = gb
         return self._gb
 
     def _split(self, el: dict) -> tuple[dict, dict]:
         free, tag = {}, {}
-        for (c, m), v in el.items():
-            if c < self.n_free:
+        unpack, flag = self.order.unpack, self.order.lay.flag
+        for P, v in el.items():
+            c, m = unpack(P)
+            if P & flag:
                 free[(c, m)] = v
             else:
                 tag[(c - self.n_free, m)] = v
@@ -476,17 +411,14 @@ class TaggedModule:
 
     def syzygies(self) -> list[dict]:
         """Generators of the syzygy module of the g_i, as elements of S^s."""
-        out = []
-        for _, _, el in self.gb():
-            free, tag = self._split(el)
-            if not free:
-                out.append(tag)
-        return out
+        flag = self.order.lay.flag
+        # an element whose lead is a tag term has no free part
+        return [self._split(el)[1] for lead, _, el in self.gb().basis if not lead & flag]
 
     def reduce(self, v: dict) -> tuple[dict, list[Polynomial]]:
         """(normal form of v, representation): v = nf + sum(rep_i * g_i)."""
-        el = dict(v)
-        rem = _mel_reduce(el, self.gb(), self.order, self.K)
+        gb = self.gb()
+        rem = reduce_terms(self.order.pack_element(v), gb.reducers, gb.lay, self.K)
         free, tag = self._split(rem)
         per: dict[int, dict] = {}
         for (c, m), val in tag.items():

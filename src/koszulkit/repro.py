@@ -4,13 +4,12 @@ compared exactly against the manifest shipped with the package."""
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 from .appendix import run_battery
 from .classify import ClassificationError, classify
-from .field import GF, field_by_name
-from .forms import FORMS, generate_ideal
+from .field import field_by_name
+from .forms import generate_ideal
 from .groebner import (
     Ideal,
     buchberger,
@@ -327,7 +326,7 @@ def load_manifest() -> dict:
     return json.loads(data)
 
 
-def run_manifest(max_workers: int = 1, only: str | None = None) -> dict:
+def run_manifest(only: str | None = None) -> dict:
     manifest = load_manifest()
     checks = [c for c in manifest["checks"] if not only or only in c["name"]]
 
@@ -346,11 +345,7 @@ def run_manifest(max_workers: int = 1, only: str | None = None) -> dict:
             "got": got,
         }
 
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(run_one, checks))
-    else:
-        results = [run_one(c) for c in checks]
+    results = [run_one(c) for c in checks]
     passed = sum(1 for r in results if r["ok"])
     return {
         "checks": results,

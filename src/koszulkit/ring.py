@@ -1,6 +1,7 @@
 """Monomials, monomial orders, sparse polynomials, and linear changes of coordinates.
 
-Monomials are exponent tuples.  A Polynomial is an immutable sparse map
+Monomials are exponent tuples; inside the Groebner engines they are packed
+into ints (PackedLayout).  A Polynomial is an immutable sparse map
 monomial -> raw field coefficient inside a fixed RingContext.  Degrees are
 tuples throughout (length 1 for the standard grading, length 2 for bigraded
 rings) so that graded bookkeeping is uniform; variables always have total
@@ -12,8 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
-from .field import Field, FieldError, QQ
+from . import linalg
+from .field import Field, QQ
 
 Mon = tuple  # exponent tuple, one entry per variable
 Deg = tuple  # grading-value tuple
@@ -167,26 +170,128 @@ def mon_mul(a: Mon, b: Mon) -> Mon:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mon_div(a: Mon, b: Mon) -> Mon | None:
-    """a / b, or None when b does not divide a."""
-    out = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        out.append(x - y)
-    return tuple(out)
+# ---------------------------------------------------------------------------
+# packed monomials
+
+FIELD_BITS = 16
+FIELD_MASK = (1 << FIELD_BITS) - 1  # also the component field of a packed term
+LIMIT = 1 << (FIELD_BITS - 1)  # packed values stay below; the top bit of a field is its guard
 
 
-def mon_divides(b: Mon, a: Mon) -> bool:
-    return all(x >= y for x, y in zip(a, b))
+class MonomialOverflow(RingError):
+    """An exponent, degree or component does not fit a packed field."""
 
 
-def mon_lcm(a: Mon, b: Mon) -> Mon:
-    return tuple(max(x, y) for x, y in zip(a, b))
+class PackedLayout:
+    """Encoding of the monomials of one order on n variables as Python ints.
+
+    A packed term is a sum of 16-bit fields; from low to high they hold a
+    module component, the exponents in increasing significance for the
+    order, the degree (for block orders, each block's exponents followed by
+    its degree, back block first), and a flag that the engines set on the
+    terms of the free part.  Values stay below 2^15, so the top bit of each
+    field is a guard bit that no valid term sets.
+
+    A product of two terms is their sum, since no field carries.  A term b
+    divides a term a exactly when (a - b) & divmask == 0: a field of a below
+    the one of b borrows and sets a guard bit, a different component or
+    flag leaves nonzero bits in those fields; the quotient is a - b.  The
+    order key P - 2*(P & neg) negates the component and the reverse-lex
+    exponent fields.  It is linear in P, and comparing keys as ints compares
+    their fields lexicographically from the top, so it sorts terms by the
+    order (free terms above tag terms, then the monomial, then decreasing
+    component).  That also holds for fields up to 2^16 - 1, so a term that
+    sets a guard bit is still sorted correctly until it is detected.
+    """
+
+    def __init__(self, kind: str, perm, front: int, n: int):
+        p = list(perm) if perm is not None else list(range(n))
+        # fields above the component: an exponent (variable index, negated
+        # in the key) or a degree (None, the variables it sums)
+        if kind == "degrevlex":
+            fields = [(i, True) for i in p] + [(None, p)]
+        elif kind == "deglex":
+            fields = [(i, False) for i in reversed(p)] + [(None, p)]
+        else:
+            f, b = p[:front], p[front:]
+            fields = [(i, True) for i in b] + [(None, b)] + [(i, True) for i in f] + [(None, f)]
+        weights = [0] * n
+        shifts = [0] * n
+        deg_shifts = []
+        neg = FIELD_MASK  # field 0 is the component
+        for pos, (var, spec) in enumerate(fields, start=1):
+            shift = FIELD_BITS * pos
+            if var is None:
+                deg_shifts.append(shift)
+                for v in spec:
+                    weights[v] += 1 << shift
+                continue
+            weights[var] += 1 << shift
+            shifts[var] = shift
+            if spec:
+                neg |= FIELD_MASK << shift
+        top = FIELD_BITS * (len(fields) + 1)
+        self.n = n
+        self.weights = tuple(weights)
+        self.shifts = tuple(shifts)
+        self.deg_shifts = tuple(deg_shifts)
+        self.key_weights = tuple(w - 2 * (w & neg) for w in weights)
+        self.neg = neg
+        self.flag = 1 << top
+        self.frame = FIELD_MASK | self.flag  # component and flag fields
+        self.guard = sum(LIMIT << s for s in range(0, top + 1, FIELD_BITS))
+        self.divmask = self.guard | self.frame | (FIELD_MASK << top)
+
+    def pack(self, m: Mon) -> int:
+        """The packed monomial m (component 0, flag clear)."""
+        if sum(m) >= LIMIT:
+            raise MonomialOverflow(f"monomial of degree {sum(m)} does not fit the packed fields")
+        return sum(map(mul, m, self.weights))
+
+    def unpack(self, P: int) -> Mon:
+        """The exponent tuple of a packed term, ignoring component and flag."""
+        return tuple([(P >> s) & FIELD_MASK for s in self.shifts])
+
+    def key(self, P: int) -> int:
+        return P - ((P & self.neg) << 1)
+
+    def key_of(self, m: Mon) -> int:
+        """key(pack(m)), computed directly from the exponents."""
+        if sum(m) >= LIMIT:
+            raise MonomialOverflow(f"monomial of degree {sum(m)} does not fit the packed fields")
+        return sum(map(mul, m, self.key_weights))
+
+    def degree(self, P: int) -> int:
+        """Total degree of a packed term."""
+        return sum([(P >> s) & FIELD_MASK for s in self.deg_shifts])
+
+    def divides(self, b: int, a: int) -> bool:
+        """b divides a (same component and flag)."""
+        return not (a - b) & self.divmask
+
+    def lcm(self, a: int, b: int) -> int:
+        """The packed lcm of the monomials of two packed terms."""
+        return sum(map(mul, map(max, self.unpack(a), self.unpack(b)), self.weights))
+
+    def check(self, P: int) -> int:
+        """P itself, or MonomialOverflow when some field reached its guard bit."""
+        if P & self.guard:
+            raise MonomialOverflow("an exponent, degree or component reached 2^15 in a packed term")
+        return P
+
+    def pack_terms(self, terms: dict, frame: int = 0) -> dict:
+        """{monomial: c} as {packed monomial + frame: c}, in the same order."""
+        pack = self.pack
+        return {pack(m) + frame: c for m, c in terms.items()}
+
+    def unpack_terms(self, terms: dict) -> dict:
+        unpack = self.unpack
+        return {unpack(P): c for P, c in terms.items()}
 
 
-def mon_coprime(a: Mon, b: Mon) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+@lru_cache(maxsize=256)
+def _layout(kind: str, perm: tuple | None, front: int, n: int) -> PackedLayout:
+    return PackedLayout(kind, perm, front, n)
 
 
 class MonomialOrder:
@@ -195,7 +300,10 @@ class MonomialOrder:
     kind 'degrevlex' or 'deglex' compare after permuting exponents so the
     permutation's first variable is largest.  kind 'block' is an elimination
     order: the first `front` permuted variables dominate (degrevlex within
-    each block), so it eliminates those variables.
+    each block), so it eliminates those variables.  Keys are the ints of the
+    order's PackedLayout, so a monomial of degree 2^15 or more raises
+    MonomialOverflow; an order made without n finds the layout from the
+    length of the monomial.
     """
 
     def __init__(self, kind: str = "degrevlex", perm: list[int] | None = None, front: int = 0, n: int | None = None):
@@ -207,51 +315,23 @@ class MonomialOrder:
         self.perm = list(perm) if perm is not None else None
         self.front = front
         self.n = n if n is not None else (len(self.perm) if self.perm else None)
-        self._key_cache: dict[Mon, tuple] = {}
-        self._nkey_cache: dict[Mon, tuple] = {}
+        self._perm = tuple(self.perm) if self.perm is not None else None
+        self.layout = _layout(kind, self._perm, front, self.n) if self.n is not None else None
 
     def for_ring(self, ring: RingContext) -> "MonomialOrder":
         if self.perm is not None and len(self.perm) != ring.n:
             raise RingError("order permutation length does not match ring")
         if self.n == ring.n:
             return self
-        o = MonomialOrder(self.kind, self.perm, self.front, ring.n)
-        return o
+        return _order(self.kind, self._perm, self.front, ring.n)
 
-    def _permuted(self, m: Mon) -> Mon:
-        return m if self.perm is None else tuple(m[i] for i in self.perm)
+    def key(self, m: Mon) -> int:
+        lay = self.layout or _layout(self.kind, self._perm, self.front, len(m))
+        return lay.key_of(m)
 
-    def key(self, m: Mon):
-        k = self._key_cache.get(m)
-        if k is None:
-            e = self._permuted(m)
-            if self.kind == "degrevlex":
-                k = (sum(e), tuple(-x for x in reversed(e)))
-            elif self.kind == "deglex":
-                k = (sum(e), e)
-            else:
-                f, b = e[: self.front], e[self.front:]
-                k = (
-                    (sum(f), tuple(-x for x in reversed(f))),
-                    (sum(b), tuple(-x for x in reversed(b))),
-                )
-            self._key_cache[m] = k
-        return k
-
-    def nkey(self, m: Mon):
+    def nkey(self, m: Mon) -> int:
         """Order-reversing key: min-heap on nkey pops the largest monomial."""
-        k = self._nkey_cache.get(m)
-        if k is None:
-            e = self._permuted(m)
-            if self.kind == "degrevlex":
-                k = (-sum(e), tuple(reversed(e)))
-            elif self.kind == "deglex":
-                k = (-sum(e), tuple(-x for x in e))
-            else:
-                f, b = e[: self.front], e[self.front:]
-                k = ((-sum(f), tuple(reversed(f))), (-sum(b), tuple(reversed(b))))
-            self._nkey_cache[m] = k
-        return k
+        return -self.key(m)
 
     def compare(self, m: Mon, n: Mon) -> int:
         a, b = self.key(m), self.key(n)
@@ -270,6 +350,11 @@ class MonomialOrder:
         if self.kind == "block":
             s += f"[front={self.front}]"
         return s
+
+
+@lru_cache(maxsize=256)
+def _order(kind: str, perm: tuple | None, front: int, n: int) -> MonomialOrder:
+    return MonomialOrder(kind, None if perm is None else list(perm), front, n)
 
 
 DEGREVLEX = MonomialOrder("degrevlex")
@@ -457,18 +542,8 @@ class Polynomial:
         if not self.terms:
             return self
         K = self.ring.field
-        if K != QQ:
-            return self.monic(order)
-        den = 1
-        for c in self.terms.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        num = 0
-        for c in self.terms.values():
-            num = gcd(num, c.numerator * den // c.denominator)
-        scale = Fraction(den, num)
-        if self.lt(order)[1] < 0:
-            scale = -scale
-        return self.scale(scale)
+        factor = primitive_scale(K, self.terms.values(), self.lt(order)[1])
+        return self if factor == K.one() else self.scale(factor)
 
     # -- substitution ----------------------------------------------------
     def map_coeffs(self, target_ring: RingContext, fn=None) -> "Polynomial":
@@ -495,6 +570,22 @@ class Polynomial:
 
     def __repr__(self):
         return poly_str(self)
+
+
+def primitive_scale(K: Field, coeffs, lc):
+    """The constant that makes coefficients primitive: over QQ, integers with
+    content 1 and a positive leading coefficient lc; over F_p, lc becomes 1.
+    coeffs is iterated twice."""
+    if K != QQ:
+        return K.inv(lc)
+    den = 1
+    for c in coeffs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    num = 0
+    for c in coeffs:
+        num = gcd(num, c.numerator * den // c.denominator)
+    scale = Fraction(den, num)
+    return -scale if lc < 0 else scale
 
 
 def poly_str(f: Polynomial, order: MonomialOrder = DEGREVLEX) -> str:
@@ -535,24 +626,8 @@ class LinearChange:
         n = ring.n
         self.matrix = [[K.coerce(matrix[i][j]) for j in range(n)] for i in range(n)]
         self._images = None
-        if self._det_is_zero():
+        if linalg.rank(K, self.matrix) < n:
             raise RingError("singular matrix for a linear change of coordinates")
-
-    def _det_is_zero(self) -> bool:
-        K = self.ring.field
-        n = self.ring.n
-        a = [row[:] for row in self.matrix]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if not K.is_zero(a[r][col])), None)
-            if piv is None:
-                return True
-            a[col], a[piv] = a[piv], a[col]
-            inv = K.inv(a[col][col])
-            for r in range(col + 1, n):
-                if not K.is_zero(a[r][col]):
-                    f = K.mul(a[r][col], inv)
-                    a[r] = [K.sub(x, K.mul(f, y)) for x, y in zip(a[r], a[col])]
-        return False
 
     def images(self) -> list[Polynomial]:
         if self._images is None:
@@ -565,19 +640,12 @@ class LinearChange:
         return f.substitute(self.images())
 
     def inverse(self) -> "LinearChange":
+        """The inverse change: the right half of rref([M | I])."""
         K = self.ring.field
         n = self.ring.n
-        a = [row[:] + [K.one() if i == j else K.zero() for j in range(n)] for i, row in enumerate(self.matrix)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if not K.is_zero(a[r][col]))
-            a[col], a[piv] = a[piv], a[col]
-            inv = K.inv(a[col][col])
-            a[col] = [K.mul(x, inv) for x in a[col]]
-            for r in range(n):
-                if r != col and not K.is_zero(a[r][col]):
-                    f = a[r][col]
-                    a[r] = [K.sub(x, K.mul(f, y)) for x, y in zip(a[r], a[col])]
-        return LinearChange(self.ring, [row[n:] for row in a])
+        aug = [row + [K.one() if i == j else K.zero() for j in range(n)] for i, row in enumerate(self.matrix)]
+        reduced, _ = linalg.rref(K, aug)
+        return LinearChange(self.ring, [row[n:] for row in reduced])
 
     @staticmethod
     def identity(ring: RingContext) -> "LinearChange":

@@ -12,8 +12,8 @@ import random
 from fractions import Fraction
 
 from .field import Field, PrimeField, QQ
-from .groebner import Ideal, buchberger, eliminate, normal_form
-from .ring import MonomialOrder, Polynomial, RingContext
+from .groebner import Ideal, eliminate
+from .ring import Polynomial, RingContext
 
 # -- univariate helpers (coefficient lists, index = degree) -----------------
 

@@ -1,6 +1,7 @@
 """Buchberger's algorithm, normal forms, and ideal arithmetic."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +21,7 @@ from koszulkit import (
     is_quadratic_gb,
     is_subideal,
     normal_form,
+    Polynomial,
     parse_poly,
     parse_ring,
     saturate,
@@ -240,3 +242,56 @@ class TestQuadraticSearch:
         R4 = parse_ring("ring QQ [x,y,z,w]")
         gb2 = buchberger([P(R4, s) for s in ("x*z", "x*w", "y*z", "y*w")])
         assert is_quadratic_gb(gb2)
+
+
+class TestAgainstSympy:
+    """Reduced degrevlex bases, made monic, against sympy.groebner on random
+    quadric ideals; sympy is an independent implementation, not a dependency."""
+
+    @staticmethod
+    def random_quadrics(R, rng, k, density):
+        K = R.field
+        out = []
+        while len(out) < k:
+            terms = {}
+            for m in R.monomials((2,)):
+                if rng.random() < density:
+                    c = K.coerce(rng.randint(-9, 9))
+                    if not K.is_zero(c):
+                        terms[m] = c
+            if terms:
+                out.append(Polynomial(R, terms))
+        return out
+
+    @staticmethod
+    def sympy_basis(R, gens):
+        sympy = pytest.importorskip("sympy")
+        xs = sympy.symbols(R.names)
+        exprs = [
+            sum(
+                (int(c) if R.field.char else sympy.Rational(c.numerator, c.denominator))
+                * sympy.prod(x**e for x, e in zip(xs, m))
+                for m, c in g.terms.items()
+            )
+            for g in gens
+        ]
+        opts = {"modulus": R.field.char} if R.field.char else {}
+        G = sympy.groebner(exprs, *xs, order="grevlex", **opts)
+        order = DEGREVLEX.for_ring(R)
+        out = []
+        for p in G.polys:
+            terms = {m: R.field.coerce(int(c) if R.field.char else Fraction(int(c.p), int(c.q))) for m, c in p.terms()}
+            out.append(Polynomial(R, terms).monic(order))
+        return sorted(out, key=lambda f: order.key(f.lm(order)), reverse=True)
+
+    @pytest.mark.parametrize("field,n_max,cases", [("F32003", 5, 8), ("QQ", 4, 5)])
+    def test_reduced_bases_agree(self, field, n_max, cases):
+        pytest.importorskip("sympy")
+        rng = random.Random(f"sympy:{field}")
+        for _ in range(cases):
+            n = rng.randint(3, n_max)
+            R = parse_ring(f"ring {field} [{','.join(f'x{i}' for i in range(n))}]")
+            gens = self.random_quadrics(R, rng, rng.randint(2, 4), 0.6 if field == "QQ" else 0.8)
+            ours = buchberger(gens).elements
+            theirs = self.sympy_basis(R, gens)
+            assert [g.terms for g in ours] == [g.terms for g in theirs]

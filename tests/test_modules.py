@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koszulkit import GF, QQ, FreeModule, parse_ring
+from koszulkit.forms import generate_ideal
 from koszulkit.modules import ModuleGB, ModuleOrder, TaggedModule, mel_degree, minimal_module_generators
 from koszulkit.ring import DEGREVLEX, RingContext, add_deg, mon_mul, sub_deg
 
@@ -162,3 +163,52 @@ def test_kept_columns_generate_every_column(K, n, seed):
     for i in kept:
         others = TaggedModule(F, [cols[j] for j in kept if j != i])
         assert not others.contains(cols[i])
+
+
+def full_product_koszul_tag(gb: ModuleGB, i: int, j: int) -> dict:
+    """The former _koszul_tag: every term of element i times the free part
+    of j, minus every term of j times the free part of i, with the free
+    block thrown away afterwards; on unpacked {(component, monomial): c}."""
+    K, order = gb.K, gb.order
+    ei = dict((order.unpack(P), v) for P, v in gb.basis[i][2].items())
+    ej = dict((order.unpack(P), v) for P, v in gb.basis[j][2].items())
+    gi = {m: c for (c0, m), c in ei.items() if c0 < gb.n_free}
+    gj = {m: c for (c0, m), c in ej.items() if c0 < gb.n_free}
+    out: dict = {}
+    for (c0, m), v in ei.items():
+        for mm, cc in gj.items():
+            key = (c0, mon_mul(m, mm))
+            s = K.add(out.get(key, K.zero()), K.mul(v, cc))
+            if K.is_zero(s):
+                out.pop(key, None)
+            else:
+                out[key] = s
+    for (c0, m), v in ej.items():
+        for mm, cc in gi.items():
+            key = (c0, mon_mul(m, mm))
+            s = K.sub(out.get(key, K.zero()), K.mul(v, cc))
+            if K.is_zero(s):
+                out.pop(key, None)
+            else:
+                out[key] = s
+    return {k: v for k, v in out.items() if k[0] >= gb.n_free}
+
+
+def test_koszul_tag_is_the_tag_part_of_the_full_product(monkeypatch):
+    original = ModuleGB._koszul_tag
+    seen = []
+
+    def checked(self, i, j):
+        tau = original(self, i, j)
+        unpacked = [(self.order.unpack(P), v) for P, v in tau.items()]
+        assert unpacked == list(full_product_koszul_tag(self, i, j).items())
+        seen.append(len(tau))
+        return tau
+
+    monkeypatch.setattr(ModuleGB, "_koszul_tag", checked)
+    for case, field in (("2iii", GF(32003)), ("2iv-d", GF(32003)), ("2ii", GF(7))):
+        I = generate_ideal(case, field, 3)["ideal"]
+        F = FreeModule(I.ring, [I.ring.zero_deg])
+        TaggedModule(F, [{(0, m): c for m, c in g.terms.items()} for g in I.gens]).syzygies()
+    # the injections happened, and had tag terms of more than one generator
+    assert len(seen) >= 3 and max(seen) > 2

@@ -179,6 +179,21 @@ class TestLinearChange:
         with pytest.raises(RingError):
             LinearChange(qq_xy, [[1, 1], [2, 2]])
 
+    def test_singularity_depends_on_the_field(self):
+        # det [[1, 1], [1, -1]] = -2: singular over F2, invertible over QQ
+        f2 = parse_ring("ring F2 [x,y,z]")
+        qq = parse_ring("ring QQ [x,y,z]")
+        M = [[1, 1, 0], [1, -1, 0], [0, 1, 1]]
+        with pytest.raises(RingError):
+            LinearChange(f2, M)
+        with pytest.raises(RingError):
+            LinearChange(qq, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+        phi = LinearChange(qq, M)
+        inv = phi.inverse()
+        f = P(qq, "x^2 + 1/3*y*z - z")
+        assert inv.apply(phi.apply(f)) == f
+        assert phi.apply(inv.apply(f)) == f
+
     def test_ring_homomorphism_random(self):
         R = parse_ring("ring F32003 [x,y,z]")
         rng = random.Random(19)

@@ -1,5 +1,6 @@
 """Source guards: runtime invariants of the library raise typed errors, never
-`assert` statements (which `python -O` strips) or bare AssertionError."""
+`assert` statements (which `python -O` strips) or bare AssertionError, and
+no module imports a name it does not use."""
 
 import ast
 from pathlib import Path
@@ -22,3 +23,23 @@ def test_library_has_no_assert_or_assertion_error():
                 if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                     found.append(f"{path.name}:{node.lineno}: raise AssertionError")
     assert not found, "\n".join(found)
+
+
+def test_library_imports_only_names_it_uses():
+    """Every name a module imports is used in it; the package __init__
+    re-exports and `from __future__` imports are exempt."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+    assert not found, "unused imports:\n" + "\n".join(found)
