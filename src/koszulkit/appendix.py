@@ -243,7 +243,7 @@ def _char2_extra_syzygy(inst: AppendixInstance) -> dict:
             vec.extend(Q.coords(entries[c], piece))
         return vec
 
-    sb = linalg.SpanBuilder(K, len(coords_of(s_entries)))
+    displayed = []
     for c in range(d4.ncols):
         col_deg = d4.source.twists[c]
         mult_deg = tuple(a - b for a, b in zip(target_deg, col_deg))
@@ -254,8 +254,8 @@ def _char2_extra_syzygy(inst: AppendixInstance) -> dict:
                 d4.entries[r][c].mul_term(m, K.one()) if d4.entries[r][c] else ring.zero()
                 for r in range(11)
             ]
-            sb.add(coords_of(scaled))
-    outside = not sb.contains(coords_of(s_entries))
+            displayed.append(coords_of(scaled))
+    outside = not linalg.in_row_space(K, displayed, coords_of(s_entries))
     return {"is_syzygy": image_ok, "outside_displayed_span": outside, "confirmed": image_ok and outside}
 
 

@@ -12,6 +12,7 @@ Everything else is inconclusive at the stated bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from . import linalg
 from .field import PrimeField
@@ -35,9 +36,9 @@ from .groebner import (
 from .hilbert import hilbert_of_quotient, is_regular_sequence_mod, zp_mul
 from .modules import FreeModule, PolyMatrix
 from .quotient import QuotientRing, first_syzygy_criterion, is_koszul_up_to, resolve_over_quotient
-from .resolution import BettiTable, ann_ext, minimal_resolution
-from .ring import DEGREVLEX, Polynomial, RingContext, total
-from .zerodim import solve_system_points, univariate_roots
+from .resolution import BettiTable, _det, ann_ext, minimal_resolution
+from .ring import DEGREVLEX, LinearChange, Polynomial, RingContext, total
+from .zerodim import _u_gcd, _u_trim, solve_system_points, univariate_roots
 
 
 class ClassificationError(ValueError):
@@ -93,7 +94,8 @@ def _deg2_monomials(ring: RingContext):
 
 
 class _QuadricSpace:
-    """The degree-two piece of the ideal as a coordinate subspace."""
+    """The degree-two piece of the ideal as a coordinate subspace, held as
+    the RREF rows of the generators' coordinate vectors."""
 
     def __init__(self, ring: RingContext, gens: list[Polynomial]):
         self.ring = ring
@@ -101,9 +103,8 @@ class _QuadricSpace:
         self.mons = _deg2_monomials(ring)
         self.pos = {m: i for i, m in enumerate(self.mons)}
         self.gens = gens
-        self.span = linalg.SpanBuilder(self.K, len(self.mons))
-        for g in gens:
-            self.span.add(self.vec(g))
+        rows, self.pivots = linalg.rref(self.K, [self.vec(g) for g in gens])
+        self.rows = rows[:len(self.pivots)]
 
     def vec(self, f: Polynomial):
         v = [self.K.zero()] * len(self.mons)
@@ -111,23 +112,21 @@ class _QuadricSpace:
             v[self.pos[m]] = c
         return v
 
-    def contains(self, f: Polynomial) -> bool:
-        return self.span.contains(self.vec(f))
+    def _reduce(self, v) -> list:
+        """The representative of v + I_2 that is zero on the pivot columns."""
+        K = self.K
+        for row, c in zip(self.rows, self.pivots):
+            f = v[c]
+            if not K.is_zero(f):
+                v = [K.sub(x, K.mul(f, y)) for x, y in zip(v, row)]
+        return v
 
     def complement_of(self, subset: list[Polynomial]) -> list[Polynomial]:
         """Elements of the generator list extending span(subset) to the full space."""
-        sb = linalg.SpanBuilder(self.K, len(self.mons))
-        for f in subset:
-            sb.add(self.vec(f))
-        out = []
-        for g in self.gens:
-            if sb.add(self.vec(g)):
-                out.append(g)
-        return out
-
-    def multiplication_cokernel_rows(self):
-        """Rows spanning I2 inside the coordinate space (for quotient tests)."""
-        return self.span
+        keep = linalg.complement_indices(
+            self.K, [self.vec(f) for f in subset], [self.vec(g) for g in self.gens]
+        )
+        return [self.gens[i] for i in keep]
 
 
 def _lin_vec(ring: RingContext, f: Polynomial):
@@ -138,32 +137,29 @@ def _lin_vec(ring: RingContext, f: Polynomial):
     return v
 
 
-def _lin_from_vec(ring: RingContext, v) -> Polynomial:
-    return ring.linear_form(v)
-
-
 def _echelon_forms(ring: RingContext, forms: list[Polynomial]) -> list[Polynomial]:
     rows = [_lin_vec(ring, f) for f in forms if f]
     basis = linalg.row_space_basis(ring.field, rows) if rows else []
-    return [_lin_from_vec(ring, r) for r in basis]
+    return [ring.linear_form(r) for r in basis]
+
+
+def _extend(ring: RingContext, avoid: list[Polynomial], forms: list[Polynomial]) -> list[Polynomial]:
+    """The linear forms a greedy scan keeps when it extends span(avoid) by
+    `forms` in order."""
+    keep = linalg.complement_indices(
+        ring.field, [_lin_vec(ring, f) for f in avoid], [_lin_vec(ring, f) for f in forms]
+    )
+    return [forms[i] for i in keep]
 
 
 def cofactor_space(qs: _QuadricSpace, f: Polynomial) -> list[Polynomial]:
     """Basis of {ell linear : f * ell in I_2}."""
     ring = qs.ring
-    K = ring.field
-    quo_rows = [list(r) for r in qs.span.rows] if qs.span.rows else []
-    # solve: coords of f*x_j must lie in span(I2): kernel of projection
-    cols = []
-    for j in range(ring.n):
-        prod = f * ring.var(j)
-        cols.append(qs.vec(prod))
-    # vector v in ker iff sum v_j * cols_j in span: reduce each col by the span,
-    # then kernel of the reduced column matrix
-    reduced = [qs.span.reduce(col) for col in cols]
+    # v is in the kernel iff sum v_j * f*x_j lies in I_2: reduce each product
+    # modulo I_2, then take the kernel of the reduced column matrix
+    reduced = [qs._reduce(qs.vec(f * ring.var(j))) for j in range(ring.n)]
     rows = [[reduced[j][r] for j in range(ring.n)] for r in range(len(qs.mons))]
-    ker = linalg.kernel(K, rows, ring.n)
-    return [_lin_from_vec(ring, v) for v in ker]
+    return [ring.linear_form(v) for v in linalg.kernel(ring.field, rows, ring.n)]
 
 
 def linear_syzygy_matrix(I: Ideal) -> PolyMatrix:
@@ -290,21 +286,10 @@ def _column_combination_candidates(M: PolyMatrix, extra: int = 4):
         ]
         for r in range(M.nrows)
     ]
-    from itertools import combinations
-
     minors = []
     for rows in combinations(range(M.nrows), 3):
         for cols in combinations(range(ring.n), 3):
-            det = aux.zero()
-            r0, r1, r2 = rows
-            for k, (c0, c1, c2) in enumerate(
-                [(cols[0], cols[1], cols[2])]
-            ):
-                det = (
-                    A[r0][c0] * (A[r1][c1] * A[r2][c2] - A[r1][c2] * A[r2][c1])
-                    - A[r0][c1] * (A[r1][c0] * A[r2][c2] - A[r1][c2] * A[r2][c0])
-                    + A[r0][c2] * (A[r1][c0] * A[r2][c1] - A[r1][c1] * A[r2][c0])
-                )
+            det = _det(aux, A, list(rows), list(cols))
             if det:
                 minors.append(det)
     cands: list[tuple] = []
@@ -318,8 +303,6 @@ def _column_combination_candidates(M: PolyMatrix, extra: int = 4):
             coeffs = [K.zero()] * (mnr.total_degree() + 1)
             for m, c in mnr.terms.items():
                 coeffs[m[0]] = c
-            from .zerodim import _u_gcd, _u_trim
-
             coeffs = _u_trim(K, coeffs)
             gcd = coeffs if gcd is None else _u_gcd(K, gcd, coeffs)
             if gcd == [K.one()] or (len(gcd) == 1 and not K.is_zero(gcd[0])):
@@ -464,10 +447,8 @@ def common_factors(I: Ideal, min_cofactors: int, seed: int = 0) -> list[tuple[Po
     aux = RingContext(K, names)
     tvars = [aux.var(i) for i in range(ring.n)]
     ncoords = len(qs.mons)
-    from itertools import combinations
-
     red_cols = [
-        [qs.span.reduce(qs.vec(ring.var(i) * ring.var(j))) for i in range(ring.n)]
+        [qs._reduce(qs.vec(ring.var(i) * ring.var(j))) for i in range(ring.n)]
         for j in range(ring.n)
     ]
     # mu(f)[coord][j] = sum_i t_i * red_cols[j][i][coord]
@@ -485,8 +466,7 @@ def common_factors(I: Ideal, min_cofactors: int, seed: int = 0) -> list[tuple[Po
         return list(found.values())
     for rows in combinations(live_rows, size):
         for cols in combinations(range(ring.n), size):
-            sub = [[mu[r][c] for c in cols] for r in rows]
-            det = _small_det(aux, sub)
+            det = _det(aux, mu, list(rows), list(cols))
             if det:
                 minors.append(det)
             if len(minors) > 120:
@@ -499,21 +479,6 @@ def common_factors(I: Ideal, min_cofactors: int, seed: int = 0) -> list[tuple[Po
             continue
         consider(ring.linear_form(list(pt)))
     return list(found.values())
-
-
-def _small_det(ring, grid):
-    n = len(grid)
-    if n == 1:
-        return grid[0][0]
-    out = ring.zero()
-    for k in range(n):
-        f = grid[0][k]
-        if not f:
-            continue
-        sub = [[grid[r][c] for c in range(n) if c != k] for r in range(1, n)]
-        term = f * _small_det(ring, sub)
-        out = out + (term if k % 2 == 0 else -term)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -530,21 +495,15 @@ def _prime_from_ann(I: Ideal, resolution) -> list[Polynomial]:
 
 def _canonical_complement(ring, inside: list[Polynomial], avoid: list[Polynomial]) -> Polynomial | None:
     """First echelon element of span(inside) independent from span(avoid)."""
-    K = ring.field
-    sb = linalg.SpanBuilder(K, ring.n)
-    for f in avoid:
-        sb.add(_lin_vec(ring, f))
-    for f in _echelon_forms(ring, inside):
-        if sb.add(_lin_vec(ring, f)):
-            return f
-    return None
+    rest = _extend(ring, avoid, _echelon_forms(ring, inside))
+    return rest[0] if rest else None
 
 
 def _solve_quadric_with_y_cofactor(qs: _QuadricSpace, x: Polynomial, y: Polynomial, b: Polynomial) -> Polynomial | None:
     """Some q in I_2 with q = a*x + b*y for some linear a (q = b*y mod x*S_1)."""
     ring = qs.ring
     K = ring.field
-    span_rows = qs.span.basis()
+    span_rows = qs.rows
     nq = len(span_rows)
     cols = list(span_rows)
     for j in range(ring.n):
@@ -677,7 +636,6 @@ def _attempt_2iv_c(I, qs, P, splits):
 
 def _attempt_2iv_d(I, qs, P, splits):
     ring = I.ring
-    K = ring.field
     for i in range(len(splits)):
         for j in range(len(splits)):
             if i == j:
@@ -704,7 +662,6 @@ def _space_intersection(ring, A: list[Polynomial], B: list[Polynomial]) -> list[
     rb = [_lin_vec(ring, f) for f in B]
     if not ra or not rb:
         return []
-    rows = [r + r for r in ra] + [r + [K.zero()] * ring.n for r in rb]
     # v in cap iff v = sum a_i A_i = sum b_j B_j: kernel trick on stacked system
     cols = [[ra[i][j] for i in range(len(ra))] + [K.neg(rb[i][j]) for i in range(len(rb))] for j in range(ring.n)]
     ker = linalg.kernel(K, cols, len(ra) + len(rb))
@@ -714,7 +671,7 @@ def _space_intersection(ring, A: list[Polynomial], B: list[Polynomial]) -> list[
         for i in range(len(ra)):
             if not K.is_zero(v[i]):
                 vec = [K.add(x, K.mul(v[i], y)) for x, y in zip(vec, ra[i])]
-        f = _lin_from_vec(ring, vec)
+        f = ring.linear_form(vec)
         if f:
             out.append(f)
     return _echelon_forms(ring, out)
@@ -748,7 +705,6 @@ def match_form_2iv(I: Ideal, resolution=None, seed: int = 0):
 
 def _extract_2iii(I: Ideal, resolution):
     ring = I.ring
-    K = ring.field
     qs = _QuadricSpace(ring, minimal_quadric_generators(I))
     P = _prime_from_ann(I, resolution)
     if len(P) != 2:
@@ -789,9 +745,7 @@ def _extract_table_i(I: Ideal, seed: int = 0):
     factors = common_factors(I, 2, seed)
 
     def try_c(x, cof):
-        sb = linalg.SpanBuilder(K, ring.n)
-        sb.add(_lin_vec(ring, x))
-        yzw = [f for f in _echelon_forms(ring, cof) if sb.add(_lin_vec(ring, f))]
+        yzw = _extend(ring, [x], _echelon_forms(ring, cof))
         if len(yzw) < 3:
             return None
         y, z, wv = yzw[:3]
@@ -867,9 +821,7 @@ def _extract_table_ii(I: Ideal, seed: int = 0):
     if x is None:
         return None
     cof = cofactor_space(qs, x)
-    sb = linalg.SpanBuilder(K, ring.n)
-    sb.add(_lin_vec(ring, x))
-    yzw = [f for f in _echelon_forms(ring, cof) if sb.add(_lin_vec(ring, f))]
+    yzw = _extend(ring, [x], _echelon_forms(ring, cof))
     if len(yzw) < 3:
         return None
     y, z, wv = yzw[:3]
@@ -884,7 +836,6 @@ def _extract_table_ii(I: Ideal, seed: int = 0):
 
 
 def _extract_ht1(I: Ideal):
-    ring = I.ring
     gens = minimal_quadric_generators(I)
     x = None
     for i in range(len(gens)):
@@ -991,7 +942,6 @@ def lg_quadratic_certificate(I: Ideal, case: str, witnesses: dict, *, verify_iso
         "regular_sequence_verified": True,
     }
     if verify_iso:
-        k = len(lift.fresh_names)
         big = Ideal(list(lifted.gens) + list(lift.specializing), lift.ring)
         lhs = hilbert_of_quotient(big).numerator
         rhs = hilbert_of_quotient(I).numerator
@@ -1013,18 +963,7 @@ def _retract_obstruction_certificate(I: Ideal, witnesses: dict, bound: int = 5) 
     K = ring.field
     P = [witnesses["x"], witnesses["y"]]
     all_forms = [witnesses[k] for k in ("x", "y", "a3", "b3", "a4", "b4")]
-    rows = [_lin_vec(ring, f) for f in P]
-    sb = linalg.SpanBuilder(K, ring.n)
-    for r in rows:
-        sb.add(r)
-    T = []
-    for f in all_forms[2:]:
-        v = _lin_vec(ring, f)
-        if sb.add(v):
-            T.append(f)
-    for i in range(ring.n):
-        if sb.add([K.one() if j == i else K.zero() for j in range(ring.n)]):
-            T.append(ring.var(i))
+    T = _extend(ring, P, all_forms[2:] + [ring.var(i) for i in range(ring.n)])
     # coordinates: new variables u1, u2 (grade (1,0)) and t's (grade (0,1))
     basis = P + T
     n = ring.n
@@ -1032,8 +971,6 @@ def _retract_obstruction_certificate(I: Ideal, witnesses: dict, bound: int = 5) 
         return None
     mat = [[_lin_vec(ring, b)[j] for j in range(n)] for b in basis]
     # invert: old variable -> combination of new basis forms
-    from .ring import LinearChange
-
     try:
         change = LinearChange(ring, mat)
     except Exception:

@@ -274,7 +274,6 @@ def build_2i_c(w: dict) -> list[Polynomial]:
 
 def check_2i_c(w: dict, I: Ideal) -> list[str]:
     fails = []
-    ring = w["x"].ring
     if span_dim([w["y"], w["z"], w["w"]]) != 3:
         fails.append("y,z,w not independent")
     if not w["x"]:

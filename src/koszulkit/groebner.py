@@ -5,8 +5,7 @@ is shared with the module engine in modules.py: reduce_terms and s_element
 are its one reduction loop and one S-element builder, and a polynomial is
 the one-component, tagless case of a module element.  Pair management uses
 the normal selection strategy (smallest lcm degree first) with the product
-and chain criteria; criteria can be disabled by callers that need every
-S-pair processed.
+and chain criteria.
 """
 
 from __future__ import annotations
@@ -180,12 +179,7 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     return Polynomial(f.ring, lay.unpack_terms(rem))
 
 
-def buchberger(
-    gens: list[Polynomial],
-    order: MonomialOrder = DEGREVLEX,
-    *,
-    use_criteria: bool = True,
-) -> GroebnerBasis:
+def buchberger(gens: list[Polynomial], order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by `gens`."""
     gens = [g for g in gens if g]
     if not gens:
@@ -207,27 +201,24 @@ def buchberger(
         k = len(basis)
         mono = lead - flag
         lcms = [lay.lcm(basis[i][0], lead) for i in range(k)]
-        if use_criteria:
-            # chain criterion on existing pairs
-            drop = set()
-            for (i, j) in pairs:
-                l = pair_lcm[(i, j)]
-                if lay.divides(mono, l) and lcms[i] != l and lcms[j] != l:
-                    drop.add((i, j))
-            pairs.difference_update(drop)
-            # new pairs, pruned among themselves
-            cand = {}
-            for i in range(k):
-                cand.setdefault(lcms[i], []).append(i)
-            kept = []
-            for l in cand:
-                if any(l2 != l and lay.divides(l2, l) for l2 in cand):
-                    continue
-                kept.append(cand[l][0])
-            # product criterion: no pair for coprime leads
-            new = [i for i in kept if lay.degree(lcms[i]) != lay.degree(basis[i][0]) + lay.degree(lead)]
-        else:
-            new = range(k)
+        # chain criterion on existing pairs
+        drop = set()
+        for (i, j) in pairs:
+            l = pair_lcm[(i, j)]
+            if lay.divides(mono, l) and lcms[i] != l and lcms[j] != l:
+                drop.add((i, j))
+        pairs.difference_update(drop)
+        # new pairs, pruned among themselves
+        cand = {}
+        for i in range(k):
+            cand.setdefault(lcms[i], []).append(i)
+        kept = []
+        for l in cand:
+            if any(l2 != l and lay.divides(l2, l) for l2 in cand):
+                continue
+            kept.append(cand[l][0])
+        # product criterion: no pair for coprime leads
+        new = [i for i in kept if lay.degree(lcms[i]) != lay.degree(basis[i][0]) + lay.degree(lead)]
         for i in new:
             l = lcms[i]
             pairs.add((i, k))
@@ -527,8 +518,6 @@ def g_quadratic_search(
                 gb = buchberger(moved, order)
                 checked += 1
                 if is_quadratic_gb(gb):
-                    if not is_quadratic_gb(buchberger(moved, order)):
-                        raise GroebnerError("quadratic basis not reproduced by a second Buchberger run")
                     return {
                         "witness": {
                             "change": change,

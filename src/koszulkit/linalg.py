@@ -200,81 +200,6 @@ def in_row_space(K: Field, rows, v) -> bool:
     return rank(K, list(rows) + [list(v)]) == rank(K, rows)
 
 
-class SpanBuilder:
-    """Incremental row-space membership: add() reports whether a vector
-    enlarged the span.  Rows are kept in echelon form (pivot-normalized)."""
-
-    def __init__(self, K: Field, ncols: int):
-        self.K = K
-        self.ncols = ncols
-        self._np = _use_numpy(K)
-        self.rows: list = []
-        self.pivots: list[int] = []
-
-    def _reduce_np(self, v):
-        p = self.K.p
-        v = np.asarray(v, dtype=np.int64) % p
-        for i, c in enumerate(self.pivots):
-            f = int(v[c])
-            if f:
-                v = (v - f * self.rows[i]) % p
-        return v
-
-    def add(self, vec) -> bool:
-        K = self.K
-        if self._np:
-            v = self._reduce_np(vec)
-            nz = np.nonzero(v)[0]
-            if nz.size == 0:
-                return False
-            c = int(nz[0])
-            v = v * pow(int(v[c]), K.p - 2, K.p) % K.p
-            self.rows.append(v)
-            self.pivots.append(c)
-            return True
-        v = [K.coerce(x) for x in vec]
-        for i, c in enumerate(self.pivots):
-            f = v[c]
-            if not K.is_zero(f):
-                row = self.rows[i]
-                v = [K.sub(x, K.mul(f, y)) for x, y in zip(v, row)]
-        c = next((j for j, x in enumerate(v) if not K.is_zero(x)), None)
-        if c is None:
-            return False
-        inv = K.inv(v[c])
-        v = [K.mul(x, inv) for x in v]
-        self.rows.append(v)
-        self.pivots.append(c)
-        return True
-
-    def reduce(self, vec) -> list:
-        """The vector reduced modulo the span, as a plain raw-value list."""
-        if self._np:
-            return [int(x) for x in self._reduce_np(vec)]
-        K = self.K
-        v = [K.coerce(x) for x in vec]
-        for i, c in enumerate(self.pivots):
-            f = v[c]
-            if not K.is_zero(f):
-                row = self.rows[i]
-                v = [K.sub(x, K.mul(f, y)) for x, y in zip(v, row)]
-        return v
-
-    def contains(self, vec) -> bool:
-        K = self.K
-        return all(K.is_zero(x) for x in self.reduce(vec))
-
-    def basis(self) -> list[list]:
-        """Echelon rows as plain raw-value lists."""
-        if self._np:
-            return [[int(x) for x in row] for row in self.rows]
-        return [list(row) for row in self.rows]
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-
 def complement_indices(K: Field, spanning, candidates):
     """Indices of candidate vectors extending span(spanning) to span(both).
 

@@ -150,14 +150,6 @@ class PolyMatrix:
         ent = [[self.entries[r][c] for r in range(self.nrows)] for c in range(self.ncols)]
         return PolyMatrix(self.source.dual(), self.target.dual(), ent)
 
-    def map_entries(self, fn) -> "PolyMatrix":
-        return PolyMatrix(
-            self.target,
-            self.source,
-            [[fn(self.entries[r][c]) for c in range(self.ncols)] for r in range(self.nrows)],
-            check=False,
-        )
-
     @staticmethod
     def from_columns(target: FreeModule, cols: list[dict], col_degrees: list[Deg]) -> "PolyMatrix":
         ring = target.ring
@@ -373,14 +365,11 @@ class TaggedModule:
         base = order.for_ring(F.ring)
         lay = base.layout
         plain = ModuleOrder(base, F.rank)  # packs free terms, as every order of F does
-        self.gen_degrees = []
         self._packed = []
         tag_leads = []
         for g in gens:
-            d = mel_degree(self.ring, F.twists, g)
-            if d is None and g:
+            if g and mel_degree(self.ring, F.twists, g) is None:
                 raise RingError("inhomogeneous module generator")
-            self.gen_degrees.append(d)
             el = plain.pack_element(g)
             self._packed.append(el)
             tag_leads.append(lay.unpack(lead_term(el, lay)) if el else (0,) * F.ring.n)

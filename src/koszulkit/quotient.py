@@ -106,12 +106,6 @@ class QuotientRing:
             vec[pos[m]] = c
         return vec
 
-    def from_coords(self, vec, d: Deg) -> Polynomial:
-        K = self.field
-        basis = self.std_basis(d)
-        terms = {m: v for m, v in zip(basis, vec) if not K.is_zero(v)}
-        return Polynomial(self.ring, terms)
-
     def mul_var(self, i: int, d: Deg):
         """Matrix of multiplication by variable i: R_d -> R_{d+w_i}, with one
         column per standard monomial of degree d."""
@@ -535,14 +529,9 @@ def first_syzygy_criterion(I: Ideal) -> dict:
         return {"passes": True, "witness": None, "n_min_syzygies": 0, "note": "no first syzygies"}
     d2 = cx.maps[1]
 
-    lin_cols, lin_degs = [], []
-    for c in range(d2.ncols):
-        if total(d2.source.twists[c]) == 3:
-            lin_cols.append(d2.column(c))
-            lin_degs.append(d2.source.twists[c])
+    lin_cols = [d2.column(c) for c in range(d2.ncols) if total(d2.source.twists[c]) == 3]
     K = ring.field
-    kos_cols, kos_degs = [], []
-    four = add_deg(two, two)
+    kos_cols = []
     for i in range(g):
         for j in range(i + 1, g):
             col = {}
@@ -551,7 +540,6 @@ def first_syzygy_criterion(I: Ideal) -> dict:
             for m, c in gens[i].terms.items():
                 col[(j, m)] = K.neg(c)
             kos_cols.append(col)
-            kos_degs.append(four)
     span = TaggedModule(F1, lin_cols + kos_cols)
     witness = None
     for c in range(d2.ncols):

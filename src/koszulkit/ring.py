@@ -546,16 +546,6 @@ class Polynomial:
         return self if factor == K.one() else self.scale(factor)
 
     # -- substitution ----------------------------------------------------
-    def map_coeffs(self, target_ring: RingContext, fn=None) -> "Polynomial":
-        """Reinterpret in another ring with the same variables (e.g. other field)."""
-        K = target_ring.field
-        out = {}
-        for m, c in self.terms.items():
-            v = K.coerce(fn(c) if fn else c)
-            if not K.is_zero(v):
-                out[m] = v
-        return Polynomial(target_ring, out)
-
     def substitute(self, images: list["Polynomial"]) -> "Polynomial":
         """Replace variable i by images[i] (all in a common ring)."""
         tgt = images[0].ring

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koszulkit import GF, QQ, linalg
+from koszulkit.classify import _deg2_monomials, _QuadricSpace
+from koszulkit.ring import Polynomial, RingContext
 
 BIG = GF(2147483647)  # the largest prime on the int64 path
 
@@ -17,12 +19,42 @@ def rand_rows(K, rng, nrows, ncols, density=0.6):
             for _ in range(nrows)]
 
 
+class Echelon:
+    """Reference: scalar echelon rows built one vector at a time.  Each row
+    is 1 at its pivot and 0 at the pivots of the rows before it."""
+
+    def __init__(self, K):
+        self.K = K
+        self.rows = []  # (pivot, row)
+
+    def reduce(self, v):
+        """v minus a combination of the rows; zero on every pivot column."""
+        K = self.K
+        v = [K.coerce(x) for x in v]
+        for c, row in self.rows:
+            f = v[c]
+            if not K.is_zero(f):
+                v = [K.sub(x, K.mul(f, y)) for x, y in zip(v, row)]
+        return v
+
+    def add(self, v) -> bool:
+        """Adds v; True when it enlarged the span."""
+        K = self.K
+        v = self.reduce(v)
+        c = next((j for j, x in enumerate(v) if not K.is_zero(x)), None)
+        if c is None:
+            return False
+        inv = K.inv(v[c])
+        self.rows.append((c, [K.mul(x, inv) for x in v]))
+        return True
+
+
 def greedy(K, spanning, candidates):
     """Reference: scan the candidates, keep each one that enlarges the span."""
-    sb = linalg.SpanBuilder(K, len(candidates[0]) if candidates else 0)
+    ech = Echelon(K)
     for v in spanning:
-        sb.add(v)
-    return [i for i, v in enumerate(candidates) if sb.add(v)]
+        ech.add(v)
+    return [i for i, v in enumerate(candidates) if ech.add(v)]
 
 
 def columns(M):
@@ -67,6 +99,37 @@ class TestComplement:
             # repeat some vectors so that dependent candidates occur
             candidates += [rng.choice(candidates + spanning) for _ in range(2)]
             assert linalg.complement_indices(K, spanning, candidates) == greedy(K, spanning, candidates)
+
+
+@pytest.mark.parametrize("K", [GF(2), GF(32003), QQ], ids=str)
+def test_quadric_space_reduction_against_echelon_reference(K):
+    """_QuadricSpace reduces modulo I_2 with RREF rows; the reference's
+    incremental echelon rows give the same vector, since both are the one
+    representative that is zero on the pivot columns of I_2."""
+    rng = random.Random(f"quadrics:{K}")
+    ring = RingContext(K, ["x", "y", "z"])
+    mons = _deg2_monomials(ring)
+
+    def quadric(row):
+        return Polynomial(ring, {m: c for m, c in zip(mons, row) if not K.is_zero(c)})
+
+    units = [[K.one() if j == i else K.zero() for j in range(len(mons))] for i in range(len(mons))]
+    spans = [[], units]  # the empty span and the full space
+    for _ in range(30):
+        rows = rand_rows(K, rng, rng.randint(1, len(mons) + 1), len(mons), rng.random())
+        rows += [rng.choice(rows) for _ in range(rng.randint(0, 2))]
+        spans.append(rows)
+    for rows in spans:
+        gens = [quadric(r) for r in rows]
+        qs = _QuadricSpace(ring, gens)
+        ech = Echelon(K)
+        for r in rows:
+            ech.add(r)
+        assert qs.pivots == sorted(c for c, _ in ech.rows)
+        for v in rand_rows(K, rng, 5, len(mons), rng.random()) + rows:
+            assert qs._reduce(qs.vec(quadric(v))) == ech.reduce(v)
+        subset = rand_rows(K, rng, rng.randint(0, 3), len(mons), rng.random())
+        assert qs.complement_of([quadric(r) for r in subset]) == [gens[i] for i in greedy(K, subset, rows)]
 
 
 class TestLargePrime:

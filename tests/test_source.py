@@ -1,6 +1,6 @@
 """Source guards: runtime invariants of the library raise typed errors, never
-`assert` statements (which `python -O` strips) or bare AssertionError, and
-no module imports a name it does not use."""
+`assert` statements (which `python -O` strips) or bare AssertionError, no
+module imports a name it does not use, and only linalg imports numpy."""
 
 import ast
 from pathlib import Path
@@ -43,3 +43,22 @@ def test_library_imports_only_names_it_uses():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_only_linalg_imports_numpy():
+    """The int64/object dispatch and the one Gaussian elimination live in
+    linalg; every other module reaches numpy arrays only through it."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.split(".")[0] == "numpy" for m in modules):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, "numpy imported outside linalg:\n" + "\n".join(found)
