@@ -415,10 +415,9 @@ def quadric_common_factor(f: Polynomial, g: Polynomial) -> Polynomial | None:
     return cof.monic(DEGREVLEX.for_ring(ring))
 
 
-def common_factors(I: Ideal, min_cofactors: int, seed: int = 0) -> list[tuple[Polynomial, list[Polynomial]]]:
-    """Linear forms f with dim(f*S_1 cap I_2) >= min_cofactors, with the
-    cofactor bases; pairwise-gcd fast path first, then the rank-variety
-    fallback over the coefficient field."""
+def common_factors(I: Ideal, seed: int = 0) -> list[tuple[Polynomial, list[Polynomial]]]:
+    """Linear forms f with dim(f*S_1 cap I_2) >= 2, with the cofactor
+    bases; pairwise-gcd fast path first, then the rank-variety fallback."""
     ring = I.ring
     K = ring.field
     gens = minimal_quadric_generators(I)
@@ -433,7 +432,7 @@ def common_factors(I: Ideal, min_cofactors: int, seed: int = 0) -> list[tuple[Po
         if key in found:
             return
         cof = cofactor_space(qs, f)
-        if len(cof) >= min_cofactors:
+        if len(cof) >= 2:
             found[key] = (f, cof)
 
     pool = list(gens) + [g for g in I.gens if g.total_degree() == 2]
@@ -442,7 +441,7 @@ def common_factors(I: Ideal, min_cofactors: int, seed: int = 0) -> list[tuple[Po
             consider(quadric_common_factor(pool[i], pool[j]))
     if found:
         return list(found.values())
-    # variety fallback: rank(mu_f) <= n - min_cofactors for unknown f
+    # variety fallback: rank(mu_f) <= n - 2 for unknown f
     names = [f"t{i}" for i in range(ring.n)]
     aux = RingContext(K, names)
     tvars = [aux.var(i) for i in range(ring.n)]
@@ -460,7 +459,7 @@ def common_factors(I: Ideal, min_cofactors: int, seed: int = 0) -> list[tuple[Po
         for coord in range(ncoords)
     ]
     live_rows = [r for r in range(ncoords) if any(mu[r][j] for j in range(ring.n))]
-    size = ring.n - min_cofactors + 1
+    size = ring.n - 1
     minors = []
     if size <= 0:
         return list(found.values())
@@ -742,7 +741,7 @@ def _extract_table_i(I: Ideal, seed: int = 0):
     K = ring.field
     gens = minimal_quadric_generators(I)
     qs = _QuadricSpace(ring, gens)
-    factors = common_factors(I, 2, seed)
+    factors = common_factors(I, seed)
 
     def try_c(x, cof):
         yzw = _extend(ring, [x], _echelon_forms(ring, cof))

@@ -81,12 +81,6 @@ class Field:
     def random(self, rng):
         raise NotImplementedError
 
-    def random_nonzero(self, rng):
-        while True:
-            a = self.random(rng)
-            if not self.is_zero(a):
-                return a
-
     def element(self, v) -> "FieldElement":
         return FieldElement(self, self.coerce(v))
 

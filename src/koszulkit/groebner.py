@@ -62,7 +62,7 @@ def reduce_terms(terms: dict, reducers: list, lay: PackedLayout, K) -> dict:
     heapq.heapify(heap)
     heappush, heappop = heapq.heappush, heapq.heappop
     is_zero, coerce, sub, mul = K.is_zero, K.coerce, K.sub, K.mul
-    zero = K.zero()
+    zero, one = K.zero(), K.one()
     while heap:
         P = heappop(heap)[1]
         c = work.pop(P, None)
@@ -83,7 +83,7 @@ def reduce_terms(terms: dict, reducers: list, lay: PackedLayout, K) -> dict:
             q = P - lead
             if q & divmask:
                 continue
-            f = K.div(c, lc)
+            f = c if lc == one else K.div(c, lc)  # module reducers are monic
             for T, tc in g.items():
                 mm = q + T
                 if mm == P:
@@ -113,12 +113,13 @@ def s_element(a: tuple, b: tuple, lcm: int, K) -> dict:
     """S-element of two reducers whose leads divide the packed term lcm."""
     (la, lca, ta), (lb, lcb, tb) = a, b
     qa, qb = lcm - la, lcm - lb
-    ia = K.inv(lca)
-    out = {qa + T: K.mul(c, ia) for T, c in ta.items()}
-    ib = K.inv(lcb)
+    one = K.one()  # module reducers are monic: no inversion, no scaling
+    ta = ta if lca == one else scaled(ta, K.inv(lca), K)
+    tb = tb if lcb == one else scaled(tb, K.inv(lcb), K)
+    out = {qa + T: c for T, c in ta.items()}
     for T, c in tb.items():
         mm = qb + T
-        s = K.sub(out.get(mm, K.zero()), K.mul(c, ib))
+        s = K.sub(out.get(mm, K.zero()), c)
         if K.is_zero(s):
             out.pop(mm, None)
         else:

@@ -5,28 +5,29 @@ membership-with-representation both go through one augmented construction:
 generators g_i of a submodule of F are tagged as (g_i, e_i) in F (+) S^s with
 a block order in which F dominates, so Groebner elements with vanishing
 F-part carry syzygies in their tags, and normal forms of (v, 0) carry
-representations.  Syzygy runs process every S-pair (no pair criteria), which
-keeps the generated syzygy module complete.  Inside the engine elements are
-packed dicts {int: coefficient} (see ModuleOrder), reduced by the loop that
-groebner.py shares with Buchberger's algorithm; elements are packed and
-unpacked only at this module's functions.
+representations.  S-pairs are pruned by the strict chain criterion, and by
+the coprime criterion with injected Koszul tags when F has one component
+(see ModuleGB).  Inside the engine elements are packed dicts {int: coeff}
+(see ModuleOrder), reduced by the loop groebner.py shares with Buchberger's
+algorithm.  syzygy_matrix keeps its columns packed from one call to the next
+(PolyMatrix.packed_columns) and unpacks them once, into the matrix it returns.
 """
 
 from __future__ import annotations
 
 from itertools import groupby
-from operator import add
 
 from .groebner import lead_term, reduce_terms, s_element, scaled
 from .linalg import complement_indices
 from .ring import (
     DEGREVLEX,
+    FIELD_BITS,
     FIELD_MASK,
     LIMIT,
     Deg,
-    Mon,
     MonomialOrder,
     MonomialOverflow,
+    PackedLayout,
     Polynomial,
     RingContext,
     RingError,
@@ -71,6 +72,7 @@ class PolyMatrix:
         self.target = target
         self.source = source
         self.entries = [list(row) for row in entries]
+        self._packed = None  # (layout, columns), set by syzygy_matrix
         if len(self.entries) != target.rank or any(len(r) != source.rank for r in self.entries):
             raise RingError("matrix shape does not match its free modules")
         if check:
@@ -94,9 +96,6 @@ class PolyMatrix:
     def ncols(self) -> int:
         return self.source.rank
 
-    def entry(self, r: int, c: int) -> Polynomial:
-        return self.entries[r][c]
-
     def column(self, c: int) -> dict:
         out = {}
         for r in range(self.nrows):
@@ -107,6 +106,19 @@ class PolyMatrix:
 
     def columns(self) -> list[dict]:
         return [self.column(c) for c in range(self.ncols)]
+
+    def packed_columns(self, lay: PackedLayout) -> list[dict]:
+        """The columns as packed elements {pack(m) + row + flag: c} of the
+        layout lay, checked homogeneous.  A matrix made by syzygy_matrix
+        keeps the packed columns it was unpacked from, and returns those."""
+        if self._packed is not None and self._packed[0] is lay:
+            return self._packed[1]
+        cols: list[dict] = [{} for _ in range(self.ncols)]
+        for r, row in enumerate(self.entries):
+            for col, f in zip(cols, row):
+                col.update(lay.pack_terms(f.terms, r + lay.flag))
+        column_degrees(self.target, lay, cols)
+        return cols
 
     def is_zero(self) -> bool:
         return all(not self.entries[r][c] for r in range(self.nrows) for c in range(self.ncols))
@@ -182,34 +194,52 @@ class PolyMatrix:
 # module elements and orders
 
 
-def mel_degree(ring: RingContext, twists, el: dict) -> Deg | None:
-    """Common degree of a homogeneous module element, None if mixed."""
-    deg = None
-    for (c, m), _ in el.items():
-        d = add_deg(twists[c], ring.mon_degree(m))
-        if deg is None:
-            deg = d
-        elif deg != d:
-            return None
-    return deg
+def column_degrees(F: FreeModule, lay: PackedLayout, cols: list[dict]) -> list[Deg | None]:
+    """The degree of each packed column of F, None for a zero column; raises
+    RingError when a column is inhomogeneous.  A term's degree is its
+    component's twist plus the degree of its monomial, which over a
+    standard graded ring is the sum of the layout's degree fields."""
+    ring, twists = F.ring, F.twists
+    degs = []
+    for col in cols:
+        if ring.gdim == 1:
+            ds = [twists[P & FIELD_MASK][0] for P in col]
+            for s in lay.deg_shifts:
+                ds = [d + ((P >> s) & FIELD_MASK) for d, P in zip(ds, col)]
+            ds = {(d,) for d in set(ds)}
+        else:
+            ds = {add_deg(twists[P & FIELD_MASK], ring.mon_degree(lay.unpack(P))) for P in col}
+        if len(ds) > 1:
+            raise RingError("inhomogeneous module element")
+        degs.append(ds.pop() if ds else None)
+    return degs
+
+
+def lex_terms(lay: PackedLayout, col: dict) -> list[int]:
+    """The terms of a packed column as ints that sort like their keys
+    (component, exponent tuple): one field each, in that order."""
+    keys = [P & FIELD_MASK for P in col]
+    for s in lay.shifts:
+        keys = [(k << FIELD_BITS) | ((P >> s) & FIELD_MASK) for k, P in zip(keys, col)]
+    return keys
 
 
 class ModuleOrder:
     """Order on F (+) tag block, and the packing of its terms.
 
     Terms pack into the base order's layout: a free term (c, m) as
-    m + c + flag, a tag term (c, m) as m*lead + c, where lead is the lead
-    monomial of the c-th tagged generator.  The layout's key then orders
+    m + c + flag, a tag term (c, m) as m*lead + c, where lead is the packed
+    lead monomial of the c-th tagged generator.  The layout's key then orders
     free terms above tag terms, then by the base key of m (of m*lead for
     tags: the Schreyer key induced from the tagged generators), then by
     decreasing component.
     """
 
-    def __init__(self, base: MonomialOrder, n_free: int, tag_leads: list[Mon] | None = None):
+    def __init__(self, base: MonomialOrder, n_free: int, packed_leads: list[int] = ()):
         self.base = base
         self.lay = base.layout
         self.n_free = n_free
-        self.packed_leads = [self.lay.pack(m) for m in tag_leads or []]
+        self.packed_leads = list(packed_leads)
         if n_free + len(self.packed_leads) >= LIMIT:
             raise MonomialOverflow("too many module components for the packed component field")
 
@@ -324,11 +354,7 @@ class ModuleGB:
             self._pair_key[(i, k)] = (lay.degree(l), lay.key(l))
 
     def add(self, el: dict) -> bool:
-        """Reduce and, if nonzero, insert a {(component, monomial): c} dict;
-        returns True when inserted."""
-        return self.add_packed(self.order.pack_element(el))
-
-    def add_packed(self, el: dict) -> bool:
+        """Reduce and, if nonzero, insert a packed element; True when inserted."""
         if not el:
             return False
         rem = reduce_terms(el, self.reducers, self.lay, self.K)
@@ -357,23 +383,25 @@ class TaggedModule:
     """Generators g_1..g_s of a submodule of F, tagged in F (+) S^s."""
 
     def __init__(self, F: FreeModule, gens: list[dict], order: MonomialOrder = DEGREVLEX):
-        self.F = F
-        self.ring = F.ring
-        self.K = F.ring.field
-        self.gens = gens
-        self.n_free = F.rank
         base = order.for_ring(F.ring)
-        lay = base.layout
-        plain = ModuleOrder(base, F.rank)  # packs free terms, as every order of F does
-        self._packed = []
-        tag_leads = []
-        for g in gens:
-            if g and mel_degree(self.ring, F.twists, g) is None:
-                raise RingError("inhomogeneous module generator")
-            el = plain.pack_element(g)
-            self._packed.append(el)
-            tag_leads.append(lay.unpack(lead_term(el, lay)) if el else (0,) * F.ring.n)
-        self.order = ModuleOrder(base, F.rank, tag_leads)
+        pack = ModuleOrder(base, F.rank).pack_element  # free terms pack alike in every order of F
+        packed = [pack(g) for g in gens]
+        column_degrees(F, base.layout, packed)
+        self._setup(F, base, packed)
+
+    @classmethod
+    def from_packed(cls, F: FreeModule, cols: list[dict], base: MonomialOrder) -> "TaggedModule":
+        """The tagged module of homogeneous packed columns of F, as
+        PolyMatrix.packed_columns gives them in base's layout."""
+        tm = cls.__new__(cls)
+        tm._setup(F, base, cols)
+        return tm
+
+    def _setup(self, F: FreeModule, base: MonomialOrder, packed: list[dict]):
+        self.ring, self.K, self.n_free = F.ring, F.ring.field, F.rank
+        self._packed = packed
+        lay = base.layout  # tags carry the lead monomials, without component and flag
+        self.order = ModuleOrder(base, F.rank, [lead_term(el, lay) & ~lay.frame if el else 0 for el in packed])
         self._gb: ModuleGB | None = None
 
     def gb(self) -> ModuleGB:
@@ -382,87 +410,76 @@ class TaggedModule:
             gb = ModuleGB(self.order, self.K)
             one, unit = self.K.one(), (0,) * self.ring.n
             for i, el in enumerate(self._packed):
-                gb.add_packed({**el, self.order.pack((self.n_free + i, unit)): one})
+                gb.add({**el, self.order.pack((self.n_free + i, unit)): one})
             gb.complete()
             self._gb = gb
         return self._gb
 
-    def _split(self, el: dict) -> tuple[dict, dict]:
-        free, tag = {}, {}
-        unpack, flag = self.order.unpack, self.order.lay.flag
-        for P, v in el.items():
-            c, m = unpack(P)
-            if P & flag:
-                free[(c, m)] = v
-            else:
-                tag[(c - self.n_free, m)] = v
-        return free, tag
-
     def syzygies(self) -> list[dict]:
-        """Generators of the syzygy module of the g_i, as elements of S^s."""
-        flag = self.order.lay.flag
+        """Generators of the syzygy module of the g_i, packed as elements of
+        S^s in the same layout: the tag term m*lead_i + n_free + i becomes
+        the free term m + i + flag, which is what packed_columns gives."""
+        lay, n = self.order.lay, self.n_free
+        shift = [lead + n - lay.flag for lead in self.order.packed_leads]
         # an element whose lead is a tag term has no free part
-        return [self._split(el)[1] for lead, _, el in self.gb().basis if not lead & flag]
+        return [{P - shift[(P & FIELD_MASK) - n]: v for P, v in el.items()}
+                for lead, _, el in self.gb().basis if not lead & lay.flag]
 
     def reduce(self, v: dict) -> tuple[dict, list[Polynomial]]:
         """(normal form of v, representation): v = nf + sum(rep_i * g_i)."""
         gb = self.gb()
         rem = reduce_terms(self.order.pack_element(v), gb.reducers, gb.lay, self.K)
-        free, tag = self._split(rem)
-        per: dict[int, dict] = {}
-        for (c, m), val in tag.items():
-            per.setdefault(c, {})[m] = self.K.neg(val)
-        rep = [Polynomial(self.ring, per.get(i, {})) for i in range(len(self.gens))]
-        return free, rep
+        free, per = {}, [{} for _ in self._packed]
+        unpack, flag = self.order.unpack, self.order.lay.flag
+        for P, val in rem.items():
+            c, m = unpack(P)
+            if P & flag:
+                free[(c, m)] = val
+            else:
+                per[c - self.n_free][m] = self.K.neg(val)
+        return free, [Polynomial(self.ring, terms) for terms in per]
 
     def contains(self, v: dict) -> bool:
         free, _ = self.reduce(v)
         return not free
 
 
-def minimal_module_generators(F: FreeModule, cols: list[dict]) -> list[int]:
+def minimal_module_generators(F: FreeModule, cols: list[dict], degs: list, lay: PackedLayout) -> list[int]:
     """Indices of a minimal generating subset of the graded submodule of F
-    spanned by the homogeneous elements cols.
+    spanned by homogeneous packed columns (as PolyMatrix.packed_columns
+    gives them in the layout lay) of degrees degs (from column_degrees).
 
     The nonzero columns are scanned by increasing total degree, then degree,
-    then sorted terms, and a column is kept unless the columns kept before it
-    generate it.  By graded Nakayama a column of degree d is generated
-    exactly when its coefficient vector lies in the k-span of the products
-    m*h, where h runs over the kept columns and m over the monomials of
-    degree d - deg(h), m = 1 included.  So each degree takes one
-    linalg.complement_indices call: the products of the kept columns of
-    lower degree span, and the columns of degree d are the candidates in
-    scan order, of which the greedy complement is kept.
+    then sorted (component, exponent) terms, and a column is kept unless the
+    columns kept before it generate it.  By graded Nakayama a column of
+    degree d is generated exactly when its coefficient vector lies in the
+    k-span of the products m*h, where h runs over the kept columns and m
+    over the monomials of degree d - deg(h), m = 1 included.  So each degree
+    takes one linalg.complement_indices call: the products of the kept
+    columns of lower degree span, and the columns of degree d are the
+    candidates in scan order, of which the greedy complement is kept.
     """
-    ring = F.ring
-    K = ring.field
-    degs = []
-    for c in cols:
-        d = mel_degree(ring, F.twists, c)
-        if d is None and c:
-            raise RingError("inhomogeneous module generator")
-        degs.append(d)
+    ring, K = F.ring, F.ring.field
     idx = sorted(
         (i for i in range(len(cols)) if cols[i]),
-        key=lambda i: (sum(degs[i]), degs[i], sorted(cols[i].keys())),
+        key=lambda i: (sum(degs[i]), degs[i], sorted(lex_terms(lay, cols[i]))),
     )
     kept: list[int] = []
     for d, group in groupby(idx, key=degs.__getitem__):
         group = list(group)
         # each vector as (coordinate, value) pairs; coordinates number the
-        # terms (component, monomial) in order of first appearance
+        # packed terms in order of first appearance.  A product P + m of
+        # valid terms may reach a guard bit but never carries out of a field,
+        # so distinct products stay distinct ints.
         index: dict = {}
         sparse = []
         for h in kept:
             terms = cols[h].items()
-            for m in ring.monomials(sub_deg(d, degs[h])):
-                sparse.append([
-                    (index.setdefault((r, tuple(map(add, m, hm))), len(index)), v)
-                    for (r, hm), v in terms
-                ])
+            for m in map(lay.pack, ring.monomials(sub_deg(d, degs[h]))):
+                sparse.append([(index.setdefault(P + m, len(index)), v) for P, v in terms])
         n_products = len(sparse)
         for i in group:
-            sparse.append([(index.setdefault(key, len(index)), v) for key, v in cols[i].items()])
+            sparse.append([(index.setdefault(P, len(index)), v) for P, v in cols[i].items()])
         zero = K.zero()
         rows = []
         for pairs in sparse:
@@ -475,28 +492,23 @@ def minimal_module_generators(F: FreeModule, cols: list[dict]) -> list[int]:
     return kept
 
 
-def syzygy_matrix(
-    M: PolyMatrix, order: MonomialOrder = DEGREVLEX, *, minimalize: bool = True
-) -> PolyMatrix:
-    """Matrix whose columns generate ker(M); target module is M.source.
+def syzygy_matrix(M: PolyMatrix, order: MonomialOrder = DEGREVLEX) -> PolyMatrix:
+    """Matrix whose columns minimally generate ker(M); target module is M.source.
 
-    By default the columns are a minimal generating set of the kernel, so
-    iterating syzygy_matrix yields minimal resolutions directly.
+    Iterating it yields minimal resolutions directly.  The syzygies stay
+    packed from the Groebner basis through generator selection and are
+    unpacked once, into the result, which keeps them for the next call.
     """
-    tm = TaggedModule(M.target, M.columns(), order)
-    syz = tm.syzygies()
-    ring = M.ring
-    if minimalize and syz:
-        kept = minimal_module_generators(M.source, syz)
-        syz = [syz[i] for i in kept]
-    degs = []
-    for s in syz:
-        d = mel_degree(ring, M.source.twists, s)
-        if d is None:
-            raise RingError("inhomogeneous syzygy from a homogeneous matrix")
-        degs.append(d)
-    # deterministic column order: by degree, then by printed form
-    packed = sorted(zip(syz, degs), key=lambda p: (sum(p[1]), p[1], sorted(p[0].keys())))
-    cols = [p[0] for p in packed]
-    degs = [p[1] for p in packed]
-    return PolyMatrix.from_columns(M.source, cols, degs)
+    base = order.for_ring(M.ring)
+    lay = base.layout
+    syz = TaggedModule.from_packed(M.target, M.packed_columns(lay), base).syzygies()
+    degs = column_degrees(M.source, lay, syz)
+    kept = minimal_module_generators(M.source, syz, degs, lay) if syz else []
+    ring, unpack = M.ring, lay.unpack
+    entries = [[ring.zero() for _ in kept] for _ in range(M.source.rank)]
+    for c, i in enumerate(kept):
+        for P, v in syz[i].items():
+            entries[P & FIELD_MASK][c].terms[unpack(P)] = v
+    S = PolyMatrix(M.source, FreeModule(ring, [degs[i] for i in kept]), entries, check=False)
+    S._packed = (lay, [syz[i] for i in kept])
+    return S

@@ -205,20 +205,13 @@ def minimal_resolution(
     ring = I.ring
     if not I.is_homogeneous():
         raise GroebnerError("minimal resolutions need homogeneous input")
-    if I.is_zero():
-        cx = FreeComplex([FreeModule(ring, [ring.zero_deg])], [])
-        return cx, cx.betti()
-    if max_steps is None:
-        max_steps = ring.n + 1
     F0 = FreeModule(ring, [ring.zero_deg])
-    gens = I.gens
-    d1 = PolyMatrix(
-        F0,
-        FreeModule(ring, [g.degree() for g in gens]),
-        [list(gens)],
-    )
-    maps = [d1]
-    for _ in range(max_steps):
+    if I.is_zero():
+        cx = FreeComplex([F0], [])
+        return cx, cx.betti()
+    maps = [PolyMatrix(F0, FreeModule(ring, [g.degree() for g in I.gens]), [list(I.gens)])]
+    # each level starts from the packed columns the previous one kept
+    for _ in range(ring.n + 1 if max_steps is None else max_steps):
         S = syzygy_matrix(maps[-1], order)
         if S.ncols == 0:
             break

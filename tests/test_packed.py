@@ -110,7 +110,7 @@ class TestOrderKeys:
         mons = monomials_of(ring, rng, k=60, top=4)
         leads = [rng.choice(mons) for _ in range(3)]
         for base in orders_of(ring, rng):
-            order = ModuleOrder(base, 2, leads)
+            order = ModuleOrder(base, 2, [base.layout.pack(m) for m in leads])
             terms = [(c, m) for c in range(5) for m in rng.sample(mons, 25)]
             assert sorted(terms, key=lambda cm: order.lay.key(order.pack(cm))) == sorted(
                 terms, key=lambda cm: tuple_module_key(order, leads, cm)

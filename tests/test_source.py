@@ -1,6 +1,7 @@
 """Source guards: runtime invariants of the library raise typed errors, never
 `assert` statements (which `python -O` strips) or bare AssertionError, no
-module imports a name it does not use, and only linalg imports numpy."""
+module imports a name it does not use, only linalg imports numpy, and no
+function, class or method goes unreferenced."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import koszulkit
 
 SRC = Path(koszulkit.__file__).parent
+ROOT = SRC.parent.parent
 
 
 def test_library_has_no_assert_or_assertion_error():
@@ -62,3 +64,48 @@ def test_only_linalg_imports_numpy():
             if any(m.split(".")[0] == "numpy" for m in modules):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, "numpy imported outside linalg:\n" + "\n".join(found)
+
+
+def _references(paths) -> tuple[set[str], set[str]]:
+    """(names, attributes) referenced in the files.  Names are identifiers
+    used as names, imported names (the package's re-exports) and
+    attributes; attributes are the identifiers after a dot, in code or in a
+    dotted string constant (the tracer's span lists).  Both take the parts
+    of dotted string constants."""
+    names, attrs = set(), set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.split(".")[-1])
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                attrs.update(part for part in node.value.split(".") if part.isidentifier())
+    return names | attrs, attrs
+
+
+def test_every_function_class_and_method_is_referenced():
+    """Each top-level function and class of the package is referenced by
+    name, and each non-dunder method as an attribute, somewhere in src/,
+    tests/ or bench/."""
+    paths = [p for d in ("src", "tests", "bench") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert (ROOT / "bench").is_dir() and (ROOT / "tests").is_dir()
+    names, attrs = _references(paths)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name not in names:
+                found.append(f"{path.name}:{node.lineno}: {node.name}")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            found += [
+                f"{path.name}:{m.lineno}: {node.name}.{m.name}"
+                for m in node.body
+                if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (m.name.startswith("__") and m.name.endswith("__"))
+                and m.name not in attrs
+            ]
+    assert not found, "defined but never referenced:\n" + "\n".join(found)

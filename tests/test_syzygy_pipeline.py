@@ -1,0 +1,233 @@
+"""The packed syzygy pipeline against the tuple pipeline it replaced.
+
+The reference below is the former tuple boundary of modules.py, kept here:
+syzygies unpacked to {(component, monomial): c} dicts, every term's degree
+recomputed, the Nakayama products built on exponent tuples, the kept
+columns sorted by (total degree, degree, sorted terms) and the matrix built
+by PolyMatrix.from_columns from M.columns() at every level.  It runs on the
+same Groebner engine, so a difference can only come from the boundary.
+Differentials are compared as ordered term lists, entry by entry.
+"""
+
+from itertools import groupby
+from operator import add
+
+import pytest
+
+from koszulkit import GF, QQ, FreeModule, PolyMatrix, parse_poly, parse_ring
+from koszulkit.forms import FORMS, generate_ideal
+from koszulkit.groebner import lead_term
+from koszulkit.linalg import complement_indices
+from koszulkit.modules import ModuleGB, ModuleOrder, column_degrees, syzygy_matrix
+from koszulkit.resolution import FreeComplex, minimal_resolution, minimalize_complex
+from koszulkit.ring import DEGLEX, DEGREVLEX, MonomialOrder, RingError, add_deg, elimination_order, sub_deg
+
+# -- the tuple pipeline, kept as the reference --------------------------------
+
+
+def ref_degree(ring, twists, el):
+    deg = None
+    for (c, m), _ in el.items():
+        d = add_deg(twists[c], ring.mon_degree(m))
+        if deg is None:
+            deg = d
+        elif deg != d:
+            return None
+    return deg
+
+
+def ref_syzygies(F, gens, order):
+    ring, K = F.ring, F.ring.field
+    base = order.for_ring(ring)
+    lay = base.layout
+    plain = ModuleOrder(base, F.rank)
+    packed, leads = [], []
+    for g in gens:
+        if g and ref_degree(ring, F.twists, g) is None:
+            raise RingError("inhomogeneous module generator")
+        el = plain.pack_element(g)
+        packed.append(el)
+        leads.append(lay.unpack(lead_term(el, lay)) if el else (0,) * ring.n)
+    tagged = ModuleOrder(base, F.rank, [lay.pack(m) for m in leads])
+    gb = ModuleGB(tagged, K)
+    for i, el in enumerate(packed):
+        gb.add({**el, tagged.pack((F.rank + i, (0,) * ring.n)): K.one()})
+    gb.complete()
+    out = []
+    for lead, _, el in gb.basis:
+        if lead & lay.flag:
+            continue
+        tag = {}
+        for P, v in el.items():
+            c, m = tagged.unpack(P)
+            tag[(c - F.rank, m)] = v
+        out.append(tag)
+    return out
+
+
+def ref_minimal_generators(F, cols):
+    ring = F.ring
+    K = ring.field
+    degs = [ref_degree(ring, F.twists, c) for c in cols]
+    idx = sorted(
+        (i for i in range(len(cols)) if cols[i]),
+        key=lambda i: (sum(degs[i]), degs[i], sorted(cols[i].keys())),
+    )
+    kept = []
+    for d, group in groupby(idx, key=degs.__getitem__):
+        group = list(group)
+        index = {}
+        sparse = []
+        for h in kept:
+            terms = cols[h].items()
+            for m in ring.monomials(sub_deg(d, degs[h])):
+                sparse.append([
+                    (index.setdefault((r, tuple(map(add, m, hm))), len(index)), v)
+                    for (r, hm), v in terms
+                ])
+        n_products = len(sparse)
+        for i in group:
+            sparse.append([(index.setdefault(key, len(index)), v) for key, v in cols[i].items()])
+        rows = []
+        for pairs in sparse:
+            row = [K.zero()] * len(index)
+            for j, v in pairs:
+                row[j] = v
+            rows.append(row)
+        chosen = complement_indices(K, rows[:n_products], rows[n_products:])
+        kept.extend(group[j] for j in chosen)
+    return kept
+
+
+def ref_syzygy_matrix(M, order=DEGREVLEX):
+    syz = ref_syzygies(M.target, M.columns(), order)
+    if syz:
+        syz = [syz[i] for i in ref_minimal_generators(M.source, syz)]
+    degs = []
+    for s in syz:
+        d = ref_degree(M.ring, M.source.twists, s)
+        if d is None:
+            raise RingError("inhomogeneous syzygy from a homogeneous matrix")
+        degs.append(d)
+    cols = sorted(zip(syz, degs), key=lambda p: (sum(p[1]), p[1], sorted(p[0].keys())))
+    return PolyMatrix.from_columns(M.source, [c for c, _ in cols], [d for _, d in cols])
+
+
+def ref_minimal_resolution(I, max_steps=None, order=DEGREVLEX):
+    ring = I.ring
+    F0 = FreeModule(ring, [ring.zero_deg])
+    maps = [PolyMatrix(F0, FreeModule(ring, [g.degree() for g in I.gens]), [list(I.gens)])]
+    for _ in range(ring.n + 1 if max_steps is None else max_steps):
+        S = ref_syzygy_matrix(maps[-1], order)
+        if S.ncols == 0:
+            break
+        maps.append(S)
+    modules = [maps[0].target] + [d.source for d in maps]
+    return minimalize_complex(FreeComplex(modules, maps, check=False))
+
+
+# -- comparisons ---------------------------------------------------------------
+
+
+def as_terms(M):
+    """A matrix as its twists and the ordered term list of every entry."""
+    return (
+        M.target.twists,
+        M.source.twists,
+        [[list(f.terms.items()) for f in row] for row in M.entries],
+    )
+
+
+def check_resolution(I, max_steps=None, order=DEGREVLEX):
+    cx, betti = minimal_resolution(I, max_steps, order)
+    ref = ref_minimal_resolution(I, max_steps, order)
+    assert [as_terms(d) for d in cx.maps] == [as_terms(d) for d in ref.maps]
+    assert betti == ref.betti()
+    return cx
+
+
+def check_levels(M, order, levels):
+    """syzygy_matrix iterated from M against the reference; each level
+    starts from the packed columns the previous call kept.  Returns None
+    once a level is zero."""
+    ref = M
+    for _ in range(levels):
+        M, ref = syzygy_matrix(M, order), ref_syzygy_matrix(ref, order)
+        assert as_terms(M) == as_terms(ref)
+        if not M.ncols:
+            return None
+    return M
+
+
+CASES = sorted(FORMS)
+
+
+@pytest.mark.parametrize("K", [GF(2), GF(7), GF(32003)], ids=lambda K: K.name)
+def test_resolutions_of_every_form_match_the_tuple_pipeline(K):
+    for case in CASES:
+        cx = check_resolution(generate_ideal(case, K, 0)["ideal"])
+        assert cx.length >= 2, case
+
+
+def test_resolutions_under_other_orders_match_the_tuple_pipeline():
+    # deglex, a permuted degrevlex, and a block order, whose layout has two
+    # degree fields
+    K = GF(32003)
+    for case in ("2iii", "2iv-d"):
+        I = generate_ideal(case, K, 2)["ideal"]
+        n = I.ring.n
+        for order in (DEGLEX, MonomialOrder("degrevlex", perm=list(range(n))[::-1]),
+                      elimination_order(I.ring, I.ring.names[:2])):
+            check_resolution(I, order=order)
+
+
+# ht3-i and ht4-CI take minutes over QQ on both pipelines: their first
+# minimal-generator eliminations are large Fraction matrices
+@pytest.mark.parametrize("case", [c for c in CASES if c not in ("ht3-i", "ht4-CI")])
+def test_resolutions_over_the_rationals_match_the_tuple_pipeline(case):
+    check_resolution(generate_ideal(case, QQ, 0)["ideal"])
+
+
+def test_syzygy_matrix_levels_on_a_bigraded_module():
+    R = parse_ring("ring F32003 [x:(1,0),y:(1,0),a:(0,1),b:(0,1)]")
+    P = lambda s: parse_poly(R, s)
+    F = FreeModule(R, [(0, 0), (1, 0)])
+    entries = [
+        [P("x*a"), P("y*b"), P("x^2+y^2"), P("a^2"), P("x*y*a")],
+        [P("a"), R.zero(), P("x+y"), R.zero(), P("y*a+x*b")],
+    ]
+    M = PolyMatrix(F, FreeModule(R, [(1, 1), (1, 1), (2, 0), (0, 2), (2, 1)]), entries)
+    for order in (DEGREVLEX, DEGLEX, MonomialOrder("degrevlex", perm=[2, 0, 3, 1])):
+        assert check_levels(M, order, 5) is None  # the kernel ends within five levels
+    S = syzygy_matrix(M)
+    assert S.ncols == 6 and syzygy_matrix(S).ncols == 3
+    # a level made under one order, continued under another, repacks
+    assert as_terms(syzygy_matrix(S, DEGLEX)) == as_terms(ref_syzygy_matrix(S, DEGLEX))
+
+
+def test_bigraded_column_of_one_total_degree_is_inhomogeneous():
+    R = parse_ring("ring F32003 [x:(1,0),y:(1,0),a:(0,1),b:(0,1)]")
+    F = FreeModule(R, [(0, 0)])
+    lay = DEGREVLEX.for_ring(R).layout
+    col = {lay.pack((1, 0, 0, 0)) + lay.flag: 1, lay.pack((0, 0, 1, 0)) + lay.flag: 1}  # x + a
+    with pytest.raises(RingError):
+        column_degrees(F, lay, [col])
+    assert column_degrees(F, lay, [{}, {lay.pack((1, 0, 0, 0)) + lay.flag: 1}]) == [None, (1, 0)]
+
+
+def test_inhomogeneous_packed_column_raises():
+    R = parse_ring("ring F32003 [x,y]")
+    P = lambda s: parse_poly(R, s)
+    F = FreeModule(R, [(0,)])
+    lay = DEGREVLEX.for_ring(R).layout
+    # an unchecked matrix with the inhomogeneous column x^2 + y
+    M = PolyMatrix(F, FreeModule(R, [(2,), (1,)]), [[P("x^2+y"), P("x")]], check=False)
+    with pytest.raises(RingError):
+        M.packed_columns(lay)
+    with pytest.raises(RingError):
+        syzygy_matrix(M)
+    # a twist makes a column inhomogeneous across components
+    G = FreeModule(R, [(0,), (1,)])
+    col = {lay.pack((1, 0)) + lay.flag: 1, lay.pack((1, 0)) + 1 + lay.flag: 1}  # (x, x)
+    with pytest.raises(RingError):
+        column_degrees(G, lay, [col])
