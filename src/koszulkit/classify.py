@@ -184,21 +184,11 @@ def linear_syzygy_matrix(I: Ideal) -> PolyMatrix:
     ker = linalg.kernel(K, rows, len(cols))
     two = ring.mon_degree(tuple([2] + [0] * (ring.n - 1)))
     three = ring.mon_degree(tuple([3] + [0] * (ring.n - 1)))
-    F1 = FreeModule(ring, [two] * g)
-    out_cols = []
-    for v in ker:
-        col = {}
-        for cidx, ((i, j), _) in enumerate(cols):
-            c = v[cidx]
-            if not K.is_zero(c):
-                m = [0] * ring.n
-                m[j] = 1
-                key = (i, tuple(m))
-                col[key] = K.add(col.get(key, K.zero()), c)
-        col = {k: c for k, c in col.items() if not K.is_zero(c)}
-        if col:
-            out_cols.append(col)
-    return PolyMatrix.from_columns(F1, out_cols, [three] * len(out_cols))
+    n = ring.n
+    # the kernel vector v, in the coordinates (i, j) of gens[i]*x_j, is the
+    # column of linear forms sum_j v[i*n + j]*x_j
+    entries = [[ring.linear_form(v[i * n:(i + 1) * n]) for v in ker] for i in range(g)]
+    return PolyMatrix(FreeModule(ring, [two] * g), FreeModule(ring, [three] * len(ker)), entries)
 
 
 def generalized_zero_row(M: PolyMatrix) -> list | None:
@@ -797,6 +787,13 @@ def _extract_table_i(I: Ideal, seed: int = 0):
     return None, None
 
 
+def _first_common_factor(quadrics: list[Polynomial]) -> Polynomial | None:
+    """The first linear common factor of a pair of the quadrics, over pairs
+    i < j in lexicographic order; None when no pair has one."""
+    factors = (quadric_common_factor(f, g) for f, g in combinations(quadrics, 2))
+    return next((x for x in factors if x is not None), None)
+
+
 def _extract_table_ii(I: Ideal, seed: int = 0):
     ring = I.ring
     K = ring.field
@@ -809,14 +806,7 @@ def _extract_table_ii(I: Ideal, seed: int = 0):
     ker = linalg.kernel(K, [u], len(gens))
     jgens = [sum((gens[i].scale(v[i]) for i in range(len(gens))), ring.zero()) for v in ker]
     jgens = [g for g in jgens if g]
-    x = None
-    for i in range(len(jgens)):
-        for j in range(i + 1, len(jgens)):
-            x = quadric_common_factor(jgens[i], jgens[j])
-            if x is not None:
-                break
-        if x is not None:
-            break
+    x = _first_common_factor(jgens)
     if x is None:
         return None
     cof = cofactor_space(qs, x)
@@ -836,14 +826,7 @@ def _extract_table_ii(I: Ideal, seed: int = 0):
 
 def _extract_ht1(I: Ideal):
     gens = minimal_quadric_generators(I)
-    x = None
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            x = quadric_common_factor(gens[i], gens[j])
-            if x is not None:
-                break
-        if x is not None:
-            break
+    x = _first_common_factor(gens)
     if x is None:
         return None
     try:
@@ -915,7 +898,7 @@ def _extract_ht3(I: Ideal):
 # certificates
 
 
-def lg_quadratic_certificate(I: Ideal, case: str, witnesses: dict, *, verify_iso: bool = True) -> dict | None:
+def lg_quadratic_certificate(I: Ideal, case: str, witnesses: dict) -> dict | None:
     """Machine-checkable certificate that the witnessed ideal is a quotient of
     a quadratic-Groebner-basis algebra by a Hilbert-verified regular sequence
     of linear forms."""
@@ -940,16 +923,14 @@ def lg_quadratic_certificate(I: Ideal, case: str, witnesses: dict, *, verify_iso
         "specializing_forms": [str(f) for f in lift.specializing],
         "regular_sequence_verified": True,
     }
-    if verify_iso:
-        big = Ideal(list(lifted.gens) + list(lift.specializing), lift.ring)
-        lhs = hilbert_of_quotient(big).numerator
-        rhs = hilbert_of_quotient(I).numerator
-        extra = lift.ring.n - I.ring.n
-        for _ in range(extra):
-            rhs = zp_mul(rhs, (1, -1))
-        cert["specialization_matches_input"] = lhs == rhs
-        if not cert["specialization_matches_input"]:
-            return None
+    big = Ideal(list(lifted.gens) + list(lift.specializing), lift.ring)
+    lhs = hilbert_of_quotient(big).numerator
+    rhs = hilbert_of_quotient(I).numerator
+    for _ in range(lift.ring.n - I.ring.n):
+        rhs = zp_mul(rhs, (1, -1))
+    cert["specialization_matches_input"] = lhs == rhs
+    if not cert["specialization_matches_input"]:
+        return None
     return cert
 
 

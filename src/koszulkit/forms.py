@@ -21,7 +21,7 @@ from .groebner import (
     minimal_quadric_generators,
 )
 from .hilbert import hilbert_of_quotient
-from .modules import FreeModule, TaggedModule
+from .modules import FreeModule, PolyMatrix, TaggedModule
 from .ring import MonomialOrder, Polynomial, RingContext
 
 CASE_IDS = [
@@ -122,15 +122,15 @@ def quadrics_regular_sequence_on(I: Ideal, qs: list[Polynomial]) -> bool:
 
 
 def ideal_cofactors(f: Polynomial, gens: list[Polynomial]) -> list[Polynomial] | None:
-    """Write f = sum(c_i * gens_i) if possible; None otherwise."""
+    """Write a homogeneous f = sum(c_i * gens_i) if possible; None otherwise."""
     ring = f.ring
     F = FreeModule(ring, [ring.zero_deg])
-    cols = [{(0, m): c for m, c in g.terms.items()} for g in gens]
-    tm = TaggedModule(F, cols)
-    rem, rep = tm.reduce({(0, m): c for m, c in f.terms.items()})
-    if rem:
+    twist = lambda g: g.degree() or ring.zero_deg  # a zero column takes any twist
+    M = PolyMatrix(F, FreeModule(ring, [twist(g) for g in gens]), [list(gens)])
+    R, X = TaggedModule(M).reduce(PolyMatrix(F, FreeModule(ring, [twist(f)]), [[f]]))
+    if not R.is_zero():
         return None
-    return rep
+    return [row[0] for row in X.entries]
 
 
 def pair_decomposition(q: Polynomial) -> list[tuple[Polynomial, Polynomial]]:

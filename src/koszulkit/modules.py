@@ -1,16 +1,18 @@
 """Graded free modules, polynomial matrices, and module Groebner machinery.
 
-Module elements are dicts {(component, monomial): coefficient}.  Syzygies and
-membership-with-representation both go through one augmented construction:
-generators g_i of a submodule of F are tagged as (g_i, e_i) in F (+) S^s with
-a block order in which F dominates, so Groebner elements with vanishing
-F-part carry syzygies in their tags, and normal forms of (v, 0) carry
-representations.  S-pairs are pruned by the strict chain criterion, and by
-the coprime criterion with injected Koszul tags when F has one component
-(see ModuleGB).  Inside the engine elements are packed dicts {int: coeff}
-(see ModuleOrder), reduced by the loop groebner.py shares with Buchberger's
-algorithm.  syzygy_matrix keeps its columns packed from one call to the next
-(PolyMatrix.packed_columns) and unpacks them once, into the matrix it returns.
+Module elements enter and leave this module as the columns of a PolyMatrix.
+Syzygies and membership-with-representation both go through one augmented
+construction: the columns g_i of a matrix M, generators of a submodule of
+F = M.target, are tagged as (g_i, e_i) in F (+) S^s with a block order in
+which F dominates, so Groebner elements with vanishing F-part carry
+syzygies in their tags, and normal forms of (v, 0) carry representations
+(TaggedModule.reduce: N = R + M*X).  S-pairs are pruned by the strict chain
+criterion, and by the coprime criterion with injected Koszul tags when F has
+one component (see ModuleGB).  Inside, elements are packed dicts
+{int: coeff} (see ModuleOrder): PolyMatrix.packed_columns packs a matrix
+once, and the engine reduces by the loop groebner.py shares with
+Buchberger's algorithm.  syzygy_matrix keeps its columns packed from one
+call to the next and unpacks them once, into the matrix it returns.
 """
 
 from __future__ import annotations
@@ -96,17 +98,6 @@ class PolyMatrix:
     def ncols(self) -> int:
         return self.source.rank
 
-    def column(self, c: int) -> dict:
-        out = {}
-        for r in range(self.nrows):
-            f = self.entries[r][c]
-            for m, v in f.terms.items():
-                out[(r, m)] = v
-        return out
-
-    def columns(self) -> list[dict]:
-        return [self.column(c) for c in range(self.ncols)]
-
     def packed_columns(self, lay: PackedLayout) -> list[dict]:
         """The columns as packed elements {pack(m) + row + flag: c} of the
         layout lay, checked homogeneous.  A matrix made by syzygy_matrix
@@ -163,18 +154,6 @@ class PolyMatrix:
         return PolyMatrix(self.source.dual(), self.target.dual(), ent)
 
     @staticmethod
-    def from_columns(target: FreeModule, cols: list[dict], col_degrees: list[Deg]) -> "PolyMatrix":
-        ring = target.ring
-        entries = [[ring.zero() for _ in cols] for _ in range(target.rank)]
-        for c, col in enumerate(cols):
-            per_row: dict[int, dict] = {}
-            for (r, m), v in col.items():
-                per_row.setdefault(r, {})[m] = v
-            for r, terms in per_row.items():
-                entries[r][c] = Polynomial(ring, terms)
-        return PolyMatrix(target, FreeModule(ring, col_degrees), entries)
-
-    @staticmethod
     def zero(target: FreeModule, source: FreeModule) -> "PolyMatrix":
         z = target.ring.zero()
         return PolyMatrix(target, source, [[z] * source.rank for _ in range(target.rank)], check=False)
@@ -225,7 +204,7 @@ def lex_terms(lay: PackedLayout, col: dict) -> list[int]:
 
 
 class ModuleOrder:
-    """Order on F (+) tag block, and the packing of its terms.
+    """Order on F (+) tag block, through the packing of its terms.
 
     Terms pack into the base order's layout: a free term (c, m) as
     m + c + flag, a tag term (c, m) as m*lead + c, where lead is the packed
@@ -242,22 +221,6 @@ class ModuleOrder:
         self.packed_leads = list(packed_leads)
         if n_free + len(self.packed_leads) >= LIMIT:
             raise MonomialOverflow("too many module components for the packed component field")
-
-    def pack(self, cm) -> int:
-        c, m = cm
-        if c < self.n_free:
-            return self.lay.pack(m) + c + self.lay.flag
-        return self.lay.check(self.lay.pack(m) + self.packed_leads[c - self.n_free]) + c
-
-    def unpack(self, P: int):
-        c = P & FIELD_MASK
-        if P & self.lay.flag:
-            return c, self.lay.unpack(P)
-        return c, self.lay.unpack(P - self.packed_leads[c - self.n_free])
-
-    def pack_element(self, el: dict) -> dict:
-        pack = self.pack
-        return {pack(cm): v for cm, v in el.items()}
 
 
 class ModuleGB:
@@ -380,37 +343,26 @@ class ModuleGB:
 
 
 class TaggedModule:
-    """Generators g_1..g_s of a submodule of F, tagged in F (+) S^s."""
+    """The columns g_1..g_s of M, generators of a submodule of M.target,
+    tagged in M.target (+) S^s."""
 
-    def __init__(self, F: FreeModule, gens: list[dict], order: MonomialOrder = DEGREVLEX):
-        base = order.for_ring(F.ring)
-        pack = ModuleOrder(base, F.rank).pack_element  # free terms pack alike in every order of F
-        packed = [pack(g) for g in gens]
-        column_degrees(F, base.layout, packed)
-        self._setup(F, base, packed)
-
-    @classmethod
-    def from_packed(cls, F: FreeModule, cols: list[dict], base: MonomialOrder) -> "TaggedModule":
-        """The tagged module of homogeneous packed columns of F, as
-        PolyMatrix.packed_columns gives them in base's layout."""
-        tm = cls.__new__(cls)
-        tm._setup(F, base, cols)
-        return tm
-
-    def _setup(self, F: FreeModule, base: MonomialOrder, packed: list[dict]):
-        self.ring, self.K, self.n_free = F.ring, F.ring.field, F.rank
-        self._packed = packed
-        lay = base.layout  # tags carry the lead monomials, without component and flag
-        self.order = ModuleOrder(base, F.rank, [lead_term(el, lay) & ~lay.frame if el else 0 for el in packed])
+    def __init__(self, M: PolyMatrix, order: MonomialOrder = DEGREVLEX):
+        base = order.for_ring(M.ring)
+        lay = base.layout
+        self.M, self.K, self.n_free = M, M.ring.field, M.nrows
+        self._packed = M.packed_columns(lay)
+        # tags carry the lead monomials, without component and flag
+        self.order = ModuleOrder(base, M.nrows, [lead_term(el, lay) & ~lay.frame if el else 0 for el in self._packed])
         self._gb: ModuleGB | None = None
 
     def gb(self) -> ModuleGB:
-        """The completed Groebner basis of the augmented generators (g_i, e_i)."""
+        """The completed Groebner basis of the augmented generators (g_i, e_i);
+        the tag term of e_i is lead_i + n_free + i."""
         if self._gb is None:
             gb = ModuleGB(self.order, self.K)
-            one, unit = self.K.one(), (0,) * self.ring.n
-            for i, el in enumerate(self._packed):
-                gb.add({**el, self.order.pack((self.n_free + i, unit)): one})
+            one, n = self.K.one(), self.n_free
+            for i, (el, lead) in enumerate(zip(self._packed, self.order.packed_leads)):
+                gb.add({**el, lead + n + i: one})
             gb.complete()
             self._gb = gb
         return self._gb
@@ -425,23 +377,30 @@ class TaggedModule:
         return [{P - shift[(P & FIELD_MASK) - n]: v for P, v in el.items()}
                 for lead, _, el in self.gb().basis if not lead & lay.flag]
 
-    def reduce(self, v: dict) -> tuple[dict, list[Polynomial]]:
-        """(normal form of v, representation): v = nf + sum(rep_i * g_i)."""
+    def reduce(self, N: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
+        """(R, X) with N = R + M*X column by column: the columns of R are the
+        normal forms of those of N, zero exactly for the columns of N in the
+        span of the g_i."""
+        M = self.M
+        if N.target != M.target:
+            raise RingError("reduced matrix does not share the module's target")
         gb = self.gb()
-        rem = reduce_terms(self.order.pack_element(v), gb.reducers, gb.lay, self.K)
-        free, per = {}, [{} for _ in self._packed]
-        unpack, flag = self.order.unpack, self.order.lay.flag
-        for P, val in rem.items():
-            c, m = unpack(P)
-            if P & flag:
-                free[(c, m)] = val
-            else:
-                per[c - self.n_free][m] = self.K.neg(val)
-        return free, [Polynomial(self.ring, terms) for terms in per]
+        lay, n, K, leads = gb.lay, self.n_free, self.K, self.order.packed_leads
+        zero = M.ring.zero
+        R = [[zero() for _ in range(N.ncols)] for _ in range(n)]
+        X = [[zero() for _ in range(N.ncols)] for _ in leads]
+        for c, col in enumerate(N.packed_columns(lay)):
+            for P, v in reduce_terms(col, gb.reducers, lay, K).items():
+                i = P & FIELD_MASK
+                if P & lay.flag:
+                    R[i][c].terms[lay.unpack(P)] = v
+                else:
+                    X[i - n][c].terms[lay.unpack(P - leads[i - n])] = K.neg(v)
+        return PolyMatrix(M.target, N.source, R, check=False), PolyMatrix(M.source, N.source, X)
 
-    def contains(self, v: dict) -> bool:
-        free, _ = self.reduce(v)
-        return not free
+    def contains(self, N: PolyMatrix) -> bool:
+        """Every column of N lies in the span of the g_i."""
+        return self.reduce(N)[0].is_zero()
 
 
 def minimal_module_generators(F: FreeModule, cols: list[dict], degs: list, lay: PackedLayout) -> list[int]:
@@ -501,7 +460,7 @@ def syzygy_matrix(M: PolyMatrix, order: MonomialOrder = DEGREVLEX) -> PolyMatrix
     """
     base = order.for_ring(M.ring)
     lay = base.layout
-    syz = TaggedModule.from_packed(M.target, M.packed_columns(lay), base).syzygies()
+    syz = TaggedModule(M, base).syzygies()
     degs = column_degrees(M.source, lay, syz)
     kept = minimal_module_generators(M.source, syz, degs, lay) if syz else []
     ring, unpack = M.ring, lay.unpack

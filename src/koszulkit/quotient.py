@@ -19,7 +19,7 @@ from itertools import groupby
 from . import linalg
 from .groebner import GroebnerError, Ideal, minimal_quadric_generators, normal_form
 from .hilbert import is_regular_sequence_mod
-from .modules import FreeModule, TaggedModule
+from .modules import FreeModule, PolyMatrix, TaggedModule
 from .resolution import minimal_resolution
 from .ring import (
     DEGREVLEX,
@@ -522,39 +522,34 @@ def first_syzygy_criterion(I: Ideal) -> dict:
     ring = I.ring
     gens = minimal_quadric_generators(I)
     g = len(gens)
-    two = ring.mon_degree(tuple([2] + [0] * (ring.n - 1)))
-    F1 = FreeModule(ring, [two] * g)
     cx, _ = minimal_resolution(Ideal(gens, ring))
     if cx.length < 2:
         return {"passes": True, "witness": None, "n_min_syzygies": 0, "note": "no first syzygies"}
     d2 = cx.maps[1]
 
-    lin_cols = [d2.column(c) for c in range(d2.ncols) if total(d2.source.twists[c]) == 3]
-    K = ring.field
-    kos_cols = []
-    for i in range(g):
-        for j in range(i + 1, g):
-            col = {}
-            for m, c in gens[j].terms.items():
-                col[(i, m)] = c
-            for m, c in gens[i].terms.items():
-                col[(j, m)] = K.neg(c)
-            kos_cols.append(col)
-    span = TaggedModule(F1, lin_cols + kos_cols)
+    # the linear columns of d2 and the Koszul syzygies e_i*g_j - e_j*g_i
+    lin = [c for c in range(d2.ncols) if total(d2.source.twists[c]) == 3]
+    kos = [(i, j) for i in range(g) for j in range(i + 1, g)]
+    zero = ring.zero()
+    entries = [
+        [row[c] for c in lin] + [gens[j] if r == i else -gens[i] if r == j else zero for i, j in kos]
+        for r, row in enumerate(d2.entries)
+    ]
+    twists = [d2.source.twists[c] for c in lin] + [add_deg(gens[i].degree(), gens[j].degree()) for i, j in kos]
+    R, _ = TaggedModule(PolyMatrix(d2.target, FreeModule(ring, twists), entries)).reduce(d2)
     witness = None
     for c in range(d2.ncols):
-        if not span.contains(d2.column(c)):
-            wit_entries = [d2.entries[r][c] for r in range(d2.nrows)]
+        if any(row[c] for row in R.entries):
             witness = {
                 "column": c,
                 "degree": list(d2.source.twists[c]),
-                "vector": wit_entries,
+                "vector": [row[c] for row in d2.entries],
             }
             break
     return {
         "passes": witness is None,
         "witness": witness,
         "n_min_syzygies": d2.ncols,
-        "n_linear": len(lin_cols),
-        "n_koszul": len(kos_cols),
+        "n_linear": len(lin),
+        "n_koszul": len(kos),
     }

@@ -245,9 +245,9 @@ def shift_complex(cx: FreeComplex, d) -> FreeComplex:
 def lift_chain_map(L0: PolyMatrix, top: FreeComplex, bottom: FreeComplex) -> list[PolyMatrix]:
     """Lift L0: top_0 -> bottom_0 to a chain map; returns [L0, L1, ...].
 
-    Each lift solves bottom.d_i * L_i = L_{i-1} * top.d_i columnwise via
-    module membership with representation; an unsolvable step raises with
-    the failing index.
+    Each lift solves bottom.d_i * L_i = L_{i-1} * top.d_i: L_i is the X of
+    TaggedModule(bottom.d_i).reduce(L_{i-1} * top.d_i).  An unsolvable step
+    raises GroebnerError naming the index and the first failing column.
     """
     if L0.target.twists != bottom.modules[0].twists or L0.source.twists != top.modules[0].twists:
         raise RingError("augmentation map does not match the complexes")
@@ -260,16 +260,11 @@ def lift_chain_map(L0: PolyMatrix, top: FreeComplex, bottom: FreeComplex) -> lis
                 raise GroebnerError(f"chain map cannot be lifted at index {i}: target complex ended")
             L.append(PolyMatrix.zero(FreeModule(ring, []), top.modules[i]))
             continue
-        bd = bottom.maps[i - 1]
-        tm = TaggedModule(bd.target, bd.columns())
-        cols = []
-        for c in range(need.ncols):
-            rem, rep = tm.reduce(need.column(c))
-            if rem:
+        R, X = TaggedModule(bottom.maps[i - 1]).reduce(need)
+        for c in range(R.ncols):
+            if any(row[c] for row in R.entries):
                 raise GroebnerError(f"chain map cannot be lifted at index {i}, column {c}")
-            cols.append(rep)
-        entries = [[cols[c][r] for c in range(need.ncols)] for r in range(bd.ncols)]
-        L.append(PolyMatrix(bottom.modules[i], top.modules[i], entries))
+        L.append(X)
     return L
 
 
@@ -400,11 +395,11 @@ def buchsbaum_eisenbud_check(cx: FreeComplex) -> tuple[bool, dict]:
 # annihilators of Ext modules
 
 
-def _colon_into_submodule(ambient: FreeModule, b_cols: list[dict], b_degs, k_col: dict, k_deg) -> Ideal:
-    ring = ambient.ring
-    if not k_col:
+def _colon_into_submodule(W: PolyMatrix) -> Ideal:
+    """The ideal of a with a*k in the span of the other columns of W = [k | B]."""
+    ring = W.ring
+    if not any(row[0] for row in W.entries):
         return Ideal([ring.one()], ring)
-    W = PolyMatrix.from_columns(ambient, [k_col] + b_cols, [k_deg] + list(b_degs))
     S = syzygy_matrix(W)
     gens = [S.entries[0][c] for c in range(S.ncols) if S.entries[0][c]]
     return Ideal(gens, ring)
@@ -430,17 +425,19 @@ def ann_ext(I: Ideal, i: int, resolution: FreeComplex | None = None) -> Ideal:
         return Ideal([ring.one()], ring)
     if i >= 1:
         T_prev = cx.maps[i - 1].transpose()  # F_{i-1}^* -> F_i^*
-        b_cols = T_prev.columns()
-        b_degs = list(T_prev.source.twists)
+        B, b_degs = T_prev.entries, list(T_prev.source.twists)
     else:
-        b_cols, b_degs = [], []
-    ambient = cx.modules[i].dual()
-    # elements of ker not already in the image give the actual conditions
+        B, b_degs = [[]] * Kmat.nrows, []
+    # elements of ker not already in the image give the actual conditions:
+    # a column k of Kmat gives the colon ideal of W = [k | T_prev]
     out = None
     for c in range(Kmat.ncols):
-        part = _colon_into_submodule(
-            ambient, b_cols, b_degs, Kmat.column(c), Kmat.source.twists[c]
+        W = PolyMatrix(
+            Kmat.target,
+            FreeModule(ring, [Kmat.source.twists[c]] + b_degs),
+            [[k_row[c]] + b_row for k_row, b_row in zip(Kmat.entries, B)],
         )
+        part = _colon_into_submodule(W)
         out = part if out is None else _ideal_meet(out, part)
     return out
 

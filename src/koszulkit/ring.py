@@ -329,10 +329,6 @@ class MonomialOrder:
         lay = self.layout or _layout(self.kind, self._perm, self.front, len(m))
         return lay.key_of(m)
 
-    def nkey(self, m: Mon) -> int:
-        """Order-reversing key: min-heap on nkey pops the largest monomial."""
-        return -self.key(m)
-
     def compare(self, m: Mon, n: Mon) -> int:
         a, b = self.key(m), self.key(n)
         return 0 if a == b else (1 if a > b else -1)
@@ -384,9 +380,6 @@ class Polynomial:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def num_terms(self) -> int:
-        return len(self.terms)
 
     def total_degree(self) -> int:
         """Max total degree of a term; -1 for the zero polynomial."""

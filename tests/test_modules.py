@@ -1,68 +1,79 @@
-"""Minimal module generators: the degreewise linear-algebra scan against the
-Groebner-basis greedy scan it replaced, and the generation property."""
+"""Module machinery on PolyMatrix columns: the degreewise linear-algebra
+scan of minimal generators against the Groebner-basis greedy scan it
+replaced, the generation property, and TaggedModule.reduce against
+degreewise linear algebra."""
 
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koszulkit import GF, QQ, FreeModule, parse_ring
+from koszulkit import GF, QQ, FreeModule, PolyMatrix, parse_poly, parse_ring
 from koszulkit.forms import generate_ideal
+from koszulkit.linalg import in_row_space
 from koszulkit.modules import ModuleGB, ModuleOrder, TaggedModule, column_degrees, minimal_module_generators
-from koszulkit.ring import DEGREVLEX, RingContext, add_deg, mon_mul, sub_deg
+from koszulkit.ring import DEGREVLEX, FIELD_MASK, Polynomial, RingContext, add_deg, mon_mul, sub_deg
+
+# A column is a list of polynomials, one entry per component of F.
 
 
-def mel_degree(ring, twists, el):
-    """Common degree of a homogeneous {(component, monomial): c} element,
-    None if mixed."""
-    degs = {add_deg(twists[c], ring.mon_degree(m)) for c, m in el}
+def col_degree(F, col):
+    """Common degree of a homogeneous column, None if zero or mixed."""
+    ring = F.ring
+    degs = {add_deg(F.twists[r], ring.mon_degree(m)) for r, f in enumerate(col) for m in f.terms}
     return degs.pop() if len(degs) == 1 else None
 
 
+def matrix(F, cols):
+    """The PolyMatrix with the given columns; a zero column gets twist 0."""
+    twists = [col_degree(F, c) or F.ring.zero_deg for c in cols]
+    return PolyMatrix(F, FreeModule(F.ring, twists), [[c[r] for c in cols] for r in range(F.rank)])
+
+
+def column_terms(col):
+    """The sorted (component, exponent) terms of a column: the scan key."""
+    return sorted((r, m) for r, f in enumerate(col) for m in f.terms)
+
+
 def mingens(F, cols):
-    """minimal_module_generators on {(component, monomial): c} columns,
-    packed as PolyMatrix.packed_columns packs them."""
-    base = DEGREVLEX.for_ring(F.ring)
-    packed = [ModuleOrder(base, F.rank).pack_element(c) for c in cols]
-    return minimal_module_generators(F, packed, column_degrees(F, base.layout, packed), base.layout)
+    """minimal_module_generators on the columns, packed as
+    PolyMatrix.packed_columns packs them."""
+    lay = DEGREVLEX.for_ring(F.ring).layout
+    packed = matrix(F, cols).packed_columns(lay)
+    return minimal_module_generators(F, packed, column_degrees(F, lay, packed), lay)
 
 
 def gb_greedy(F, cols):
     """The reference scan: same order, and a column is kept when it does not
     reduce to zero modulo a completed Groebner basis of the kept ones."""
     ring = F.ring
-    degs = [mel_degree(ring, F.twists, c) for c in cols]
-    gb = ModuleGB(ModuleOrder(DEGREVLEX.for_ring(ring), F.rank), ring.field)
+    degs = [col_degree(F, c) for c in cols]
+    base = DEGREVLEX.for_ring(ring)
+    packed = matrix(F, cols).packed_columns(base.layout)
+    gb = ModuleGB(ModuleOrder(base, F.rank), ring.field)
     idx = sorted(
-        (i for i in range(len(cols)) if cols[i]),
-        key=lambda i: (sum(degs[i]), degs[i], sorted(cols[i].keys())),
+        (i for i in range(len(cols)) if any(cols[i])),
+        key=lambda i: (sum(degs[i]), degs[i], column_terms(cols[i])),
     )
     kept = []
     for i in idx:
-        if gb.add(gb.order.pack_element(cols[i])):
+        if gb.add(packed[i]):
             kept.append(i)
             gb.complete()
     return kept
 
 
-def add_into(K, acc, col):
-    for k, v in col.items():
-        s = K.add(acc.get(k, K.zero()), v)
-        if K.is_zero(s):
-            acc.pop(k, None)
-        else:
-            acc[k] = s
-
-
 def random_column(F, d, rng, density=0.5):
     """A random homogeneous element of F of degree d (possibly zero)."""
     R, K = F.ring, F.ring.field
-    col = {}
-    for r, t in enumerate(F.twists):
+    col = []
+    for t in F.twists:
+        terms = {}
         for m in R.monomials(sub_deg(d, t)):
             c = K.random(rng)
             if rng.random() < density and not K.is_zero(c):
-                col[(r, m)] = c
+                terms[m] = c
+        col.append(Polynomial(R, terms))
     return col
 
 
@@ -75,19 +86,19 @@ def random_columns(F, base_degrees, steps, rng):
     cols = [random_column(F, rng.choice(base_degrees), rng) for _ in range(rng.randint(1, 4))]
     for _ in range(rng.randint(2, 7)):
         d = add_deg(rng.choice(base_degrees), rng.choice(steps))
-        combo = {}
+        combo = [R.zero()] * F.rank
         for h in rng.sample(cols, min(len(cols), rng.randint(1, 3))):
-            e = sub_deg(d, mel_degree(R, F.twists, h)) if h else None
+            e = sub_deg(d, col_degree(F, h)) if any(h) else None
             mons = R.monomials(e) if e is not None else ()
             if mons:
                 m = rng.choice(mons)
                 c = K.random(rng)
-                add_into(K, combo, {(r, mon_mul(m, hm)): K.mul(c, v) for (r, hm), v in h.items()})
+                combo = [a + f.mul_term(m, c) for a, f in zip(combo, h)]
         if rng.random() < 0.4:
-            add_into(K, combo, random_column(F, d, rng, 0.3))
+            combo = [a + f for a, f in zip(combo, random_column(F, d, rng, 0.3))]
         cols.append(combo)
-    cols.append({})
-    cols.extend(dict(rng.choice(cols)) for _ in range(rng.randint(1, 2)))
+    cols.append([R.zero()] * F.rank)
+    cols.extend(list(rng.choice(cols)) for _ in range(rng.randint(1, 2)))
     rng.shuffle(cols)
     return cols
 
@@ -128,17 +139,17 @@ class TestAgainstGroebnerScan:
             cols = random_columns(F, [(1,)], [(2,), (3,)], rng)
             kept = mingens(F, cols)
             assert kept == gb_greedy(F, cols)
-            low = min(sum(mel_degree(R, F.twists, cols[i])) for i in kept)
-            seen_gap |= any(sum(mel_degree(R, F.twists, c)) - low >= 2 for c in cols if c)
+            low = min(sum(col_degree(F, cols[i])) for i in kept)
+            seen_gap |= any(sum(col_degree(F, c)) - low >= 2 for c in cols if any(c))
         assert seen_gap
 
     def test_zero_and_duplicate_columns(self):
         R = parse_ring("ring F32003 [x,y]")
         F = FreeModule(R, [(0,), (0,)])
-        x2, xy = (2, 0), (1, 1)
-        cols = [{}, {(0, x2): 1}, {(0, x2): 1}, {}, {(0, x2): 3, (1, xy): 1}, {(1, xy): 5}]
+        cols = [["0", "0"], ["x^2", "0"], ["x^2", "0"], ["0", "0"], ["3*x^2", "x*y"], ["0", "5*x*y"]]
+        cols = [[parse_poly(R, e) for e in c] for c in cols]
         assert mingens(F, cols) == gb_greedy(F, cols) == [1, 4]
-        assert mingens(F, [{}, {}]) == []
+        assert mingens(F, [cols[0], cols[3]]) == []
 
     def test_rings_of_different_sizes_in_one_process(self):
         # fresh rings of alternating size, each dropped before the next is
@@ -153,10 +164,8 @@ class TestAgainstGroebnerScan:
             first, last = (tuple(2 * (i == j) for j in range(n)) for i in (0, n - 1))
             x_last = tuple(int(j == n - 1) for j in range(n))
             cols = [
-                {(0, first): 1},
-                {(0, mon_mul(first, x_last)): 1},
-                {(0, last): 1},
-                {(0, mon_mul(first, last)): 1},
+                [Polynomial(R, {m: 1})]
+                for m in (first, mon_mul(first, x_last), last, mon_mul(first, last))
             ]
             kept = mingens(F, cols)
             assert kept == gb_greedy(F, cols) and sorted(kept) == [0, 2]
@@ -172,12 +181,20 @@ class TestAgainstGroebnerScan:
 def test_kept_columns_generate_every_column(K, n, seed):
     F, cols = standard_case(K, n, random.Random(seed))
     kept = mingens(F, cols)
-    span = TaggedModule(F, [cols[i] for i in kept])
-    assert all(span.contains(c) for c in cols)
+    assert TaggedModule(matrix(F, [cols[i] for i in kept])).contains(matrix(F, cols))
     # and no kept column is generated by the others
     for i in kept:
-        others = TaggedModule(F, [cols[j] for j in kept if j != i])
-        assert not others.contains(cols[i])
+        others = TaggedModule(matrix(F, [cols[j] for j in kept if j != i]))
+        assert not others.contains(matrix(F, [cols[i]]))
+
+
+def unpack(order: ModuleOrder, P: int):
+    """A packed term of the module order as (component, monomial): a free
+    term is m + c + flag, a tag term m*lead + c."""
+    c, lay = P & FIELD_MASK, order.lay
+    if P & lay.flag:
+        return c, lay.unpack(P)
+    return c, lay.unpack(P - order.packed_leads[c - order.n_free])
 
 
 def full_product_koszul_tag(gb: ModuleGB, i: int, j: int) -> dict:
@@ -185,8 +202,8 @@ def full_product_koszul_tag(gb: ModuleGB, i: int, j: int) -> dict:
     of j, minus every term of j times the free part of i, with the free
     block thrown away afterwards; on unpacked {(component, monomial): c}."""
     K, order = gb.K, gb.order
-    ei = dict((order.unpack(P), v) for P, v in gb.basis[i][2].items())
-    ej = dict((order.unpack(P), v) for P, v in gb.basis[j][2].items())
+    ei = dict((unpack(order, P), v) for P, v in gb.basis[i][2].items())
+    ej = dict((unpack(order, P), v) for P, v in gb.basis[j][2].items())
     gi = {m: c for (c0, m), c in ei.items() if c0 < gb.n_free}
     gj = {m: c for (c0, m), c in ej.items() if c0 < gb.n_free}
     out: dict = {}
@@ -215,7 +232,7 @@ def test_koszul_tag_is_the_tag_part_of_the_full_product(monkeypatch):
 
     def checked(self, i, j):
         tau = original(self, i, j)
-        unpacked = [(self.order.unpack(P), v) for P, v in tau.items()]
+        unpacked = [(unpack(self.order, P), v) for P, v in tau.items()]
         assert unpacked == list(full_product_koszul_tag(self, i, j).items())
         seen.append(len(tau))
         return tau
@@ -224,6 +241,57 @@ def test_koszul_tag_is_the_tag_part_of_the_full_product(monkeypatch):
     for case, field in (("2iii", GF(32003)), ("2iv-d", GF(32003)), ("2ii", GF(7))):
         I = generate_ideal(case, field, 3)["ideal"]
         F = FreeModule(I.ring, [I.ring.zero_deg])
-        TaggedModule(F, [{(0, m): c for m, c in g.terms.items()} for g in I.gens]).syzygies()
+        TaggedModule(PolyMatrix(F, FreeModule(I.ring, [g.degree() for g in I.gens]), [list(I.gens)])).syzygies()
     # the injections happened, and had tag terms of more than one generator
     assert len(seen) >= 3 and max(seen) > 2
+
+
+def in_span(F, gens, col):
+    """Degreewise linear algebra: a homogeneous column of degree d lies in
+    the span of the columns gens exactly when its coefficient vector lies
+    in the k-span of the products m*g, with deg m = d - deg g."""
+    R, K = F.ring, F.ring.field
+    d = col_degree(F, col)
+    if d is None:
+        return not any(col)
+    products = []
+    for g in gens:
+        e = col_degree(F, g)
+        for m in R.monomials(sub_deg(d, e)) if e is not None else ():
+            products.append({(r, mon_mul(m, t)): c for r, f in enumerate(g) for t, c in f.terms.items()})
+    target = {(r, t): c for r, f in enumerate(col) for t, c in f.terms.items()}
+    coords = sorted(set(target).union(*products))
+    vector = lambda v: [v.get(k, K.zero()) for k in coords]
+    return in_row_space(K, [vector(p) for p in products], vector(target))
+
+
+BIGRADED = parse_ring("ring F7 [x:(1,0),y:(1,0),a:(0,1),b:(0,1)]")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    K=st.sampled_from([GF(2), GF(7), GF(32003), QQ, None]),
+    seed=st.integers(0, 10**6),
+)
+def test_reduce_writes_each_column_as_normal_form_plus_combination(K, seed):
+    """N = R + M*X entry for entry, and a column of R is zero exactly when
+    that column of N lies in the span of the columns of M.  N holds random
+    columns and combinations of them; M takes some of those columns."""
+    rng = random.Random(seed)
+    if K is None:
+        steps = [(0, 0), (1, 0), (0, 1), (1, 1)]
+        F = FreeModule(BIGRADED, [(0, 0), (1, 0), (0, 1)][: rng.randint(1, 2)])
+        cols = random_columns(F, [(1, 0), (0, 1)], steps, rng)
+    else:
+        F, cols = standard_case(K, rng.randint(2, 3), rng)
+    gens = rng.sample(cols, rng.randint(0, min(4, len(cols))))
+    M, N = matrix(F, gens), matrix(F, cols)
+    R, X = TaggedModule(M).reduce(N)
+    assert (R.target, R.source, X.target, X.source) == (F, N.source, M.source, N.source)
+    MX = M.compose(X)
+    assert all(
+        N.entries[r][c] == R.entries[r][c] + MX.entries[r][c] for r in range(F.rank) for c in range(N.ncols)
+    )
+    members = [in_span(F, gens, col) for col in cols]
+    assert [not any(row[c] for row in R.entries) for c in range(N.ncols)] == members
+    assert TaggedModule(M).contains(N) == all(members)

@@ -5,11 +5,12 @@ import random
 
 import pytest
 
-from koszulkit import FreeModule, parse_poly, parse_ring
+from koszulkit import FreeModule, PolyMatrix, parse_poly, parse_ring
 from koszulkit.groebner import buchberger, normal_form, reduce_terms
 from koszulkit.modules import ModuleOrder, TaggedModule
 from koszulkit.ring import (
     DEGREVLEX,
+    FIELD_MASK,
     MonomialOrder,
     MonomialOverflow,
     RingError,
@@ -32,16 +33,6 @@ def tuple_key(order: MonomialOrder, m):
         (sum(f), tuple(-x for x in reversed(f))),
         (sum(b), tuple(-x for x in reversed(b))),
     )
-
-
-def tuple_nkey(order: MonomialOrder, m):
-    e = m if order.perm is None else tuple(m[i] for i in order.perm)
-    if order.kind == "degrevlex":
-        return (-sum(e), tuple(reversed(e)))
-    if order.kind == "deglex":
-        return (-sum(e), tuple(-x for x in e))
-    f, b = e[: order.front], e[order.front:]
-    return ((-sum(f), tuple(reversed(f))), (-sum(b), tuple(reversed(b))))
 
 
 def tuple_module_key(order: ModuleOrder, tag_leads, cm):
@@ -85,7 +76,6 @@ class TestOrderKeys:
         mons = monomials_of(ring, rng)
         for order in orders_of(ring, rng):
             assert sorted(mons, key=order.key) == sorted(mons, key=lambda m: tuple_key(order, m)), order
-            assert sorted(mons, key=order.nkey) == sorted(mons, key=lambda m: tuple_nkey(order, m)), order
 
     def test_packed_key_is_linear_and_unpacks(self):
         ring = parse_ring(STANDARD)
@@ -110,12 +100,24 @@ class TestOrderKeys:
         mons = monomials_of(ring, rng, k=60, top=4)
         leads = [rng.choice(mons) for _ in range(3)]
         for base in orders_of(ring, rng):
-            order = ModuleOrder(base, 2, [base.layout.pack(m) for m in leads])
+            lay = base.layout
+            order = ModuleOrder(base, 2, [lay.pack(m) for m in leads])
+
+            def pack(cm):
+                # a free term as m + c + flag, a tag term as m*lead + c
+                c, m = cm
+                if c < order.n_free:
+                    return lay.pack(m) + c + lay.flag
+                return lay.pack(m) + order.packed_leads[c - order.n_free] + c
+
             terms = [(c, m) for c in range(5) for m in rng.sample(mons, 25)]
-            assert sorted(terms, key=lambda cm: order.lay.key(order.pack(cm))) == sorted(
+            assert sorted(terms, key=lambda cm: lay.key(pack(cm))) == sorted(
                 terms, key=lambda cm: tuple_module_key(order, leads, cm)
             ), base
-            assert all(order.unpack(order.pack(cm)) == cm for cm in terms)
+            for c, m in terms:  # the component field and the monomial decode
+                P = pack((c, m))
+                tag_lead = 0 if P & lay.flag else order.packed_leads[c - order.n_free]
+                assert (P & FIELD_MASK, lay.unpack(P - tag_lead)) == (c, m)
 
     def test_for_ring_returns_one_order_per_ring_size(self):
         a, b = parse_ring("ring F7 [x,y,z]"), parse_ring("ring QQ [p,q,r]")
@@ -164,11 +166,14 @@ class TestOverflow:
         # the S-pair of h and g3 has lcm degree 13001, and its tags 33001
         ring = parse_ring("ring F32003 [x,y]")
         F = FreeModule(ring, [(0,), (20000,)])
-        g1 = {(0, (20001, 0)): 1, (1, (1, 0)): 1}
-        g2 = {(0, (20001, 0)): 1, (1, (0, 1)): 1}
-        g3 = {(1, (0, 13000)): 1}
+        P = lambda s: parse_poly(ring, s)
+        M = PolyMatrix(
+            F,
+            FreeModule(ring, [(20001,), (20001,), (33000,)]),
+            [[P("x^20001"), P("x^20001"), ring.zero()], [P("x"), P("y"), P("y^13000")]],
+        )
         with pytest.raises(MonomialOverflow):
-            TaggedModule(F, [g1, g2, g3]).syzygies()
+            TaggedModule(M).syzygies()
 
     def test_tag_terms_are_checked_past_the_first(self):
         # under an elimination order a tag term of lower front degree sorts

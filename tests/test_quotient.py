@@ -216,3 +216,11 @@ class TestFirstSyzygyCriterion:
         R = parse_ring("ring F32003 [x,y,a3,b3,a4,b4]")
         I = ideal(R, "b3*x", "b4*x", "a3*x+b3*y", "a4*x+b4*y")
         assert first_syzygy_criterion(I)["passes"]
+
+    def test_generators_of_different_bidegrees(self):
+        # bidegrees (1,1), (1,1), (2,0), (0,2): the two linear syzygies
+        # (x e1 - a e3, a e1 - x e4) also give the Koszul syzygy of x^2, a^2,
+        # and y*b is coprime to the rest, so all five are spanned
+        R = parse_ring("ring F32003 [x:(1,0),y:(1,0),a:(0,1),b:(0,1)]")
+        out = first_syzygy_criterion(ideal(R, "x*a", "y*b", "x^2", "a^2"))
+        assert out == {"passes": True, "witness": None, "n_min_syzygies": 5, "n_linear": 2, "n_koszul": 6}

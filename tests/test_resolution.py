@@ -25,7 +25,7 @@ from koszulkit import (
     syzygy_matrix,
 )
 from koszulkit.forms import KNOWN_HEIGHT2_TABLES, generate_ideal, random_quadric
-from koszulkit.groebner import colon
+from koszulkit.groebner import GroebnerError, colon
 from koszulkit.resolution import FreeComplex
 from koszulkit.ring import DEGLEX, MonomialOrder, RingError
 
@@ -79,10 +79,8 @@ class TestSyzygies:
         from koszulkit.modules import TaggedModule
 
         assert cx.maps[0].compose(displayed).is_zero()
-        engine_span = TaggedModule(cx.modules[1], d2.columns())
-        disp_span = TaggedModule(cx.modules[1], displayed.columns())
-        assert all(engine_span.contains(c) for c in displayed.columns())
-        assert all(disp_span.contains(c) for c in d2.columns())
+        assert TaggedModule(d2).contains(displayed)
+        assert TaggedModule(displayed).contains(d2)
 
 
 class TestMinimalResolutions:
@@ -206,6 +204,29 @@ class TestChainMapsAndCones:
         # composing with differentials commutes by construction
         for i, Li in enumerate(L):
             assert Li.nrows == Li.ncols == cx.ranks()[i]
+
+    def test_unliftable_map_names_index_and_first_failing_column(self):
+        R = parse_ring("ring F32003 [x,y,z]")
+        # index 1: S/(x*y, y^2, x*z, z^2) -> S/(x) does not exist, and the
+        # first column of d_1 outside (x) is the one reported
+        top, _ = minimal_resolution(ideal(R, "x*y", "y^2", "x*z", "z^2"))
+        bottom, _ = minimal_resolution(ideal(R, "x"))
+        d1 = top.maps[0]
+        first = next(c for c in range(d1.ncols) if any(m[0] == 0 for m in d1.entries[0][c].terms))
+        assert first > 0
+        L0 = PolyMatrix.identity(top.modules[0])
+        with pytest.raises(GroebnerError, match=rf"at index 1, column {first}$"):
+            lift_chain_map(L0, top, bottom)
+        # index 2: a bottom complex that is not exact in homological degree 1
+        # (its d_2 is x times the Koszul syzygy of x^2, x*y) lifts at index 1
+        # and fails at 2
+        top, _ = minimal_resolution(ideal(R, "x^2", "x*y"))
+        assert top.ranks() == [1, 2, 1]
+        F0, F1, F2 = top.modules[0], top.modules[1], FreeModule(R, [(4,)])
+        d2 = PolyMatrix(F1, F2, [[P(R, "x") * row[0]] for row in top.maps[1].entries])
+        bottom = FreeComplex([F0, F1, F2], [top.maps[0], d2])
+        with pytest.raises(GroebnerError, match=r"at index 2, column 0$"):
+            lift_chain_map(PolyMatrix.identity(F0), top, bottom)
 
 
 class TestAcyclicityCheck:

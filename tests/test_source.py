@@ -1,7 +1,8 @@
 """Source guards: runtime invariants of the library raise typed errors, never
 `assert` statements (which `python -O` strips) or bare AssertionError, no
-module imports a name it does not use, only linalg imports numpy, and no
-function, class or method goes unreferenced."""
+module imports a name it does not use, only linalg imports numpy, only ring,
+groebner and modules touch packed terms, and no function, class or method
+goes unreferenced."""
 
 import ast
 from pathlib import Path
@@ -64,6 +65,30 @@ def test_only_linalg_imports_numpy():
             if any(m.split(".")[0] == "numpy" for m in modules):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, "numpy imported outside linalg:\n" + "\n".join(found)
+
+
+PACKED_NAMES = {
+    "PackedLayout", "FIELD_BITS", "FIELD_MASK", "LIMIT", "ModuleOrder", "ModuleGB",
+    "lead_term", "reduce_terms", "s_element", "scaled", "column_degrees", "lex_terms",
+}
+PACKING_CALLS = {"packed_columns", "pack_terms"}
+
+
+def test_only_the_engines_touch_packed_terms():
+    """Packed terms are the engine format of ring, groebner and modules;
+    every other module works on Polynomial and PolyMatrix.  So no other
+    module imports a packed-term name or reaches one as an attribute, and
+    none packs a matrix or a polynomial itself."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("ring.py", "groebner.py", "modules.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                found += [f"{path.name}:{node.lineno}: imports {a.name}" for a in node.names if a.name in PACKED_NAMES]
+            elif isinstance(node, ast.Attribute) and node.attr in PACKED_NAMES | PACKING_CALLS:
+                found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert not found, "packed terms outside the engines:\n" + "\n".join(found)
 
 
 def _references(paths) -> tuple[set[str], set[str]]:

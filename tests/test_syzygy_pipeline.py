@@ -4,9 +4,10 @@ The reference below is the former tuple boundary of modules.py, kept here:
 syzygies unpacked to {(component, monomial): c} dicts, every term's degree
 recomputed, the Nakayama products built on exponent tuples, the kept
 columns sorted by (total degree, degree, sorted terms) and the matrix built
-by PolyMatrix.from_columns from M.columns() at every level.  It runs on the
-same Groebner engine, so a difference can only come from the boundary.
-Differentials are compared as ordered term lists, entry by entry.
+by from_columns from columns(M) at every level; columns, from_columns,
+pack and unpack were PolyMatrix and ModuleOrder methods.  It runs on the same Groebner engine, so a difference can only come from
+the boundary.  Differentials are compared as ordered term lists, entry by
+entry.
 """
 
 from itertools import groupby
@@ -20,9 +21,56 @@ from koszulkit.groebner import lead_term
 from koszulkit.linalg import complement_indices
 from koszulkit.modules import ModuleGB, ModuleOrder, column_degrees, syzygy_matrix
 from koszulkit.resolution import FreeComplex, minimal_resolution, minimalize_complex
-from koszulkit.ring import DEGLEX, DEGREVLEX, MonomialOrder, RingError, add_deg, elimination_order, sub_deg
+from koszulkit.ring import (
+    DEGLEX,
+    DEGREVLEX,
+    FIELD_MASK,
+    MonomialOrder,
+    Polynomial,
+    RingError,
+    add_deg,
+    elimination_order,
+    sub_deg,
+)
 
 # -- the tuple pipeline, kept as the reference --------------------------------
+
+
+def columns(M):
+    """The columns of M as {(component, monomial): c} dicts."""
+    return [
+        {(r, m): v for r in range(M.nrows) for m, v in M.entries[r][c].terms.items()}
+        for c in range(M.ncols)
+    ]
+
+
+def from_columns(target, cols, col_degrees):
+    ring = target.ring
+    entries = [[ring.zero() for _ in cols] for _ in range(target.rank)]
+    for c, col in enumerate(cols):
+        per_row = {}
+        for (r, m), v in col.items():
+            per_row.setdefault(r, {})[m] = v
+        for r, terms in per_row.items():
+            entries[r][c] = Polynomial(ring, terms)
+    return PolyMatrix(target, FreeModule(ring, col_degrees), entries)
+
+
+def pack(order, cm):
+    """A term (c, m) of the module order: a free term as m + c + flag, a tag
+    term as m*lead + c."""
+    c, m = cm
+    lay = order.lay
+    if c < order.n_free:
+        return lay.pack(m) + c + lay.flag
+    return lay.check(lay.pack(m) + order.packed_leads[c - order.n_free]) + c
+
+
+def unpack(order, P):
+    c, lay = P & FIELD_MASK, order.lay
+    if P & lay.flag:
+        return c, lay.unpack(P)
+    return c, lay.unpack(P - order.packed_leads[c - order.n_free])
 
 
 def ref_degree(ring, twists, el):
@@ -45,13 +93,13 @@ def ref_syzygies(F, gens, order):
     for g in gens:
         if g and ref_degree(ring, F.twists, g) is None:
             raise RingError("inhomogeneous module generator")
-        el = plain.pack_element(g)
+        el = {pack(plain, cm): v for cm, v in g.items()}
         packed.append(el)
         leads.append(lay.unpack(lead_term(el, lay)) if el else (0,) * ring.n)
     tagged = ModuleOrder(base, F.rank, [lay.pack(m) for m in leads])
     gb = ModuleGB(tagged, K)
     for i, el in enumerate(packed):
-        gb.add({**el, tagged.pack((F.rank + i, (0,) * ring.n)): K.one()})
+        gb.add({**el, pack(tagged, (F.rank + i, (0,) * ring.n)): K.one()})
     gb.complete()
     out = []
     for lead, _, el in gb.basis:
@@ -59,7 +107,7 @@ def ref_syzygies(F, gens, order):
             continue
         tag = {}
         for P, v in el.items():
-            c, m = tagged.unpack(P)
+            c, m = unpack(tagged, P)
             tag[(c - F.rank, m)] = v
         out.append(tag)
     return out
@@ -100,7 +148,7 @@ def ref_minimal_generators(F, cols):
 
 
 def ref_syzygy_matrix(M, order=DEGREVLEX):
-    syz = ref_syzygies(M.target, M.columns(), order)
+    syz = ref_syzygies(M.target, columns(M), order)
     if syz:
         syz = [syz[i] for i in ref_minimal_generators(M.source, syz)]
     degs = []
@@ -110,7 +158,7 @@ def ref_syzygy_matrix(M, order=DEGREVLEX):
             raise RingError("inhomogeneous syzygy from a homogeneous matrix")
         degs.append(d)
     cols = sorted(zip(syz, degs), key=lambda p: (sum(p[1]), p[1], sorted(p[0].keys())))
-    return PolyMatrix.from_columns(M.source, [c for c, _ in cols], [d for _, d in cols])
+    return from_columns(M.source, [c for c, _ in cols], [d for _, d in cols])
 
 
 def ref_minimal_resolution(I, max_steps=None, order=DEGREVLEX):
