@@ -25,7 +25,6 @@ class AppendixInstance:
     quotient: QuotientRing
     module_gens: list[Polynomial]
     differentials: list[PolyMatrix]
-    stage_twists: list[list[Deg]]
 
 
 _STAGE_TWISTS = [
@@ -99,7 +98,7 @@ def make_instance(field: Field) -> AppendixInstance:
         src = FreeModule(ring, _STAGE_TWISTS[si])
         entries = [[parse_entry(s) for s in row] for row in rows]
         mats.append(PolyMatrix(tgt, src, entries))
-    return AppendixInstance(field, ring, I, Q, [a, b], mats, _STAGE_TWISTS)
+    return AppendixInstance(field, ring, I, Q, [a, b], mats)
 
 
 def reference_basis_count(d: Deg) -> int:

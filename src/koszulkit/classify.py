@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import linalg
+from .appendix import find_obstruction, make_instance
 from .field import PrimeField
 from .forms import (
     FORMS,
@@ -33,11 +34,11 @@ from .groebner import (
     is_quadratic_gb,
     minimal_quadric_generators,
 )
-from .hilbert import hilbert_of_quotient, is_regular_sequence_mod, zp_mul
+from .hilbert import hilbert_of_quotient, is_regular_sequence_mod
 from .modules import FreeModule, PolyMatrix
 from .quotient import QuotientRing, first_syzygy_criterion, is_koszul_up_to, resolve_over_quotient
 from .resolution import BettiTable, _det, ann_ext, minimal_resolution
-from .ring import DEGREVLEX, LinearChange, Polynomial, RingContext, total
+from .ring import DEGREVLEX, LinearChange, Polynomial, RingContext, RingError, add_deg, total
 from .zerodim import _u_gcd, _u_trim, solve_system_points, univariate_roots
 
 
@@ -182,13 +183,17 @@ def linear_syzygy_matrix(I: Ideal) -> PolyMatrix:
         for m, c in prod.terms.items():
             rows[mons3[m]][cidx] = c
     ker = linalg.kernel(K, rows, len(cols))
-    two = ring.mon_degree(tuple([2] + [0] * (ring.n - 1)))
-    three = ring.mon_degree(tuple([3] + [0] * (ring.n - 1)))
     n = ring.n
     # the kernel vector v, in the coordinates (i, j) of gens[i]*x_j, is the
-    # column of linear forms sum_j v[i*n + j]*x_j
+    # column of linear forms sum_j v[i*n + j]*x_j.  Products of one degree
+    # share no monomial with products of another, so each RREF kernel vector
+    # is homogeneous: its degree is that of its first nonzero coordinate.
     entries = [[ring.linear_form(v[i * n:(i + 1) * n]) for v in ker] for i in range(g)]
-    return PolyMatrix(FreeModule(ring, [two] * g), FreeModule(ring, [three] * len(ker)), entries)
+    twists = []
+    for v in ker:
+        i, j = divmod(next(c for c, x in enumerate(v) if not K.is_zero(x)), n)
+        twists.append(add_deg(gens[i].degree(), ring.weights[j]))
+    return PolyMatrix(FreeModule(ring, [f.degree() for f in gens]), FreeModule(ring, twists), entries)
 
 
 def generalized_zero_row(M: PolyMatrix) -> list | None:
@@ -316,8 +321,6 @@ class SplitPair:
 
     factor: Polynomial          # f
     cofactors: list[Polynomial]  # echelon basis (z, w) of the entry span
-    pair: list[Polynomial]       # the two generators f*z', f*w' (span x*W)
-    sigma: list[Polynomial]      # the syzygy entries
 
 
 def _split_from_sigma(ring: RingContext, gens: list[Polynomial], sigma: list[Polynomial]) -> SplitPair | None:
@@ -349,7 +352,7 @@ def _split_from_sigma(ring: RingContext, gens: list[Polynomial], sigma: list[Pol
         return None
     if exact_div(p2, w) != f:
         return None
-    return SplitPair(f, [z, w], [p1, p2], sigma)
+    return SplitPair(f, [z, w])
 
 
 def split_pairs(I: Ideal, M: PolyMatrix | None = None) -> list[SplitPair]:
@@ -510,11 +513,13 @@ def _solve_quadric_with_y_cofactor(qs: _QuadricSpace, x: Polynomial, y: Polynomi
     return q if q else None
 
 
-def _regenerates(I: Ideal, gens: list[Polynomial]) -> bool:
-    J = Ideal([g for g in gens if g], I.ring)
-    if J.is_zero():
+def _confirms(case: str, w: dict, I: Ideal) -> bool:
+    """The witnesses meet the case's conditions and regenerate I."""
+    spec = FORMS[case]
+    if spec.check(w, I):
         return False
-    return ideal_equal(I, J)
+    J = Ideal([g for g in spec.build(w) if g], I.ring)
+    return not J.is_zero() and ideal_equal(I, J)
 
 
 def _attempt_2iv_a(I, qs, P, splits):
@@ -549,9 +554,7 @@ def _attempt_2iv_a(I, qs, P, splits):
             continue
         a4, b4 = cof
         w = {"x": x, "y": y, "a3": a3, "b3": b3, "a4": a4, "b4": b4}
-        if FORMS["2iv-a"].check(w, I):
-            continue
-        if _regenerates(I, FORMS["2iv-a"].build(w)):
+        if _confirms("2iv-a", w, I):
             return w
     return None
 
@@ -585,9 +588,7 @@ def _attempt_2iv_b(I, qs, P, splits):
             continue
         a4, b4 = cof
         w = {"x": x, "y": y, "a2": a2, "b3": b3, "a4": a4, "b4": b4}
-        if FORMS["2iv-b"].check(w, I):
-            continue
-        if _regenerates(I, FORMS["2iv-b"].build(w)):
+        if _confirms("2iv-b", w, I):
             return w
     return None
 
@@ -616,9 +617,7 @@ def _attempt_2iv_c(I, qs, P, splits):
         except GroebnerError:
             continue
         w = {"x": x, "y": y, "a3": a3, "b3": b3, "a4": a4, "b4": b4}
-        if FORMS["2iv-c"].check(w, I):
-            continue
-        if _regenerates(I, FORMS["2iv-c"].build(w)):
+        if _confirms("2iv-c", w, I):
             return w
     return None
 
@@ -637,9 +636,7 @@ def _attempt_2iv_d(I, qs, P, splits):
             a1, a2 = s1.cofactors
             b3, b4 = s2.cofactors
             w = {"x": x, "y": y, "a1": a1, "a2": a2, "b3": b3, "b4": b4}
-            if FORMS["2iv-d"].check(w, I):
-                continue
-            if _regenerates(I, FORMS["2iv-d"].build(w)):
+            if _confirms("2iv-d", w, I):
                 return w
     return None
 
@@ -713,9 +710,7 @@ def _extract_2iii(I: Ideal, resolution):
         if c3 is None or c4 is None:
             continue
         w = {"x": x, "y": y, "z": z, "a3": c3[0], "b3": c3[1], "a4": c4[0], "b4": c4[1]}
-        if FORMS["2iii"].check(w, I):
-            continue
-        if _regenerates(I, FORMS["2iii"].build(w)):
+        if _confirms("2iii", w, I):
             return w
     return None
 
@@ -742,7 +737,7 @@ def _extract_table_i(I: Ideal, seed: int = 0):
         if len(rest) != 1:
             return None
         w = {"x": x, "y": y, "z": z, "w": wv, "q": rest[0]}
-        if not FORMS["2i-c"].check(w, I) and _regenerates(I, FORMS["2i-c"].build(w)):
+        if _confirms("2i-c", w, I):
             return w
         return None
 
@@ -771,7 +766,7 @@ def _extract_table_i(I: Ideal, seed: int = 0):
                 continue
             z, wv = cz
             w = {"x": x, "y": y, "z": z, "w": wv}
-            if not FORMS["2i-b"].check(w, I) and _regenerates(I, FORMS["2i-b"].build(w)):
+            if _confirms("2i-b", w, I):
                 return "b", w
             continue
         V2 = _echelon_forms(ring, cof)
@@ -782,7 +777,7 @@ def _extract_table_i(I: Ideal, seed: int = 0):
         x, y = V1
         z, wv = V2
         w = {"x": x, "y": y, "z": z, "w": wv}
-        if not FORMS["2i-a"].check(w, I) and _regenerates(I, FORMS["2i-a"].build(w)):
+        if _confirms("2i-a", w, I):
             return "a", w
     return None, None
 
@@ -819,7 +814,7 @@ def _extract_table_ii(I: Ideal, seed: int = 0):
         return None
     q = rest[0]
     w = {"x": x, "y": y, "z": z, "w": wv, "q": q}
-    if not FORMS["2ii"].check(w, I) and _regenerates(I, FORMS["2ii"].build(w)):
+    if _confirms("2ii", w, I):
         return w
     return None
 
@@ -834,7 +829,7 @@ def _extract_ht1(I: Ideal):
     except GroebnerError:
         return None
     w = {"x": x, "a1": avals[0], "a2": avals[1], "a3": avals[2], "a4": avals[3]}
-    if not FORMS["ht1"].check(w, I) and _regenerates(I, FORMS["ht1"].build(w)):
+    if _confirms("ht1", w, I):
         return w
     return None
 
@@ -857,7 +852,7 @@ def _extract_ht3(I: Ideal):
         if len(rest) != 2:
             return None, None
         w = {"x": x, "z": z, "w": wv, "q3": rest[0], "q4": rest[1]}
-        if not FORMS["ht3-i"].check(w, I) and _regenerates(I, FORMS["ht3-i"].build(w)):
+        if _confirms("ht3-i", w, I):
             return "ht3-i", w
         return None, None
     if M.ncols == 2:
@@ -876,20 +871,15 @@ def _extract_ht3(I: Ideal):
         MJ = linear_syzygy_matrix(Jideal)
         if MJ.ncols != 2:
             return None, None
-        N = [[MJ.entries[r][c] for c in range(2)] for r in range(3)]
-        minors = [
-            N[0][0] * N[1][1] - N[0][1] * N[1][0],
-            N[0][0] * N[2][1] - N[0][1] * N[2][0],
-            N[1][0] * N[2][1] - N[1][1] * N[2][0],
-        ]
-        if not ideal_equal(Ideal([m for m in minors if m], ring), Jideal):
-            # a Hilbert-Burch scalar may intervene; fall back to span check
-            return None, None
         rest = qs.complement_of(jgens)
         if len(rest) != 1:
             return None, None
-        w = {"M": N, "q4": rest[0]}
-        if not FORMS["ht3-ii"].check(w, I) and _regenerates(I, FORMS["ht3-ii"].build(w)):
+        w = {"M": [[MJ.entries[r][c] for c in range(2)] for r in range(3)], "q4": rest[0]}
+        minors = FORMS["ht3-ii"].build(w)[:3]
+        if not ideal_equal(Ideal([m for m in minors if m], ring), Jideal):
+            # a Hilbert-Burch scalar may intervene
+            return None, None
+        if _confirms("ht3-ii", w, I):
             return "ht3-ii", w
     return None, None
 
@@ -898,23 +888,35 @@ def _extract_ht3(I: Ideal):
 # certificates
 
 
+def _verified_lift(I: Ideal, lift: GenericLift) -> Ideal | None:
+    """The lifted ideal, when the specializing forms L are a regular sequence
+    on it and S'/(lifted, L) has the Hilbert series of S/I.  With L regular
+    and one linear form per fresh variable, that series is the numerator of
+    S'/lifted over (1-t)^n, so the numerators of S'/lifted and S/I agree."""
+    if len(lift.specializing) != lift.ring.n - I.ring.n:
+        raise ClassificationError("a generic lift needs one specializing form per fresh variable")
+    lifted = Ideal(lift.ideal_gens, lift.ring)
+    if not is_regular_sequence_mod(lifted, lift.specializing):
+        return None
+    if hilbert_of_quotient(lifted).numerator != hilbert_of_quotient(I).numerator:
+        return None
+    return lifted
+
+
 def lg_quadratic_certificate(I: Ideal, case: str, witnesses: dict) -> dict | None:
     """Machine-checkable certificate that the witnessed ideal is a quotient of
     a quadratic-Groebner-basis algebra by a Hilbert-verified regular sequence
     of linear forms."""
     spec = FORMS[case]
-    if spec.lift is None:
+    if not spec.koszul:
         return None
-    lift: GenericLift | None = spec.lift(I.ring, witnesses)
+    lift = spec.lift(I.ring, witnesses)
     if lift is None:
         return None
     gb = buchberger(lift.ideal_gens, lift.order)
-    if not is_quadratic_gb(gb):
+    if not is_quadratic_gb(gb) or _verified_lift(I, lift) is None:
         return None
-    lifted = Ideal(lift.ideal_gens, lift.ring)
-    if not is_regular_sequence_mod(lifted, lift.specializing):
-        return None
-    cert = {
+    return {
         "type": "lg-quadratic",
         "generic_ring": lift.ring.decl(),
         "generic_ideal": [str(g) for g in lift.ideal_gens],
@@ -922,16 +924,8 @@ def lg_quadratic_certificate(I: Ideal, case: str, witnesses: dict) -> dict | Non
         "quadratic_basis": [str(g) for g in gb.elements],
         "specializing_forms": [str(f) for f in lift.specializing],
         "regular_sequence_verified": True,
+        "specialization_matches_input": True,
     }
-    big = Ideal(list(lifted.gens) + list(lift.specializing), lift.ring)
-    lhs = hilbert_of_quotient(big).numerator
-    rhs = hilbert_of_quotient(I).numerator
-    for _ in range(lift.ring.n - I.ring.n):
-        rhs = zp_mul(rhs, (1, -1))
-    cert["specialization_matches_input"] = lhs == rhs
-    if not cert["specialization_matches_input"]:
-        return None
-    return cert
 
 
 def _retract_obstruction_certificate(I: Ideal, witnesses: dict, bound: int = 5) -> dict | None:
@@ -953,13 +947,12 @@ def _retract_obstruction_certificate(I: Ideal, witnesses: dict, bound: int = 5) 
     # invert: old variable -> combination of new basis forms
     try:
         change = LinearChange(ring, mat)
-    except Exception:
+    except RingError:
         return None
     inv = change.inverse()
     weights = [(1, 0)] * 2 + [(0, 1)] * (n - 2)
     names = [f"p{i}" for i in range(2)] + [f"u{i}" for i in range(n - 2)]
     bigr = RingContext(K, names, weights)
-    # old var j = sum_i inv[j][i] * basis_i: wait, map old coords through inverse
     images = []
     for j in range(n):
         col = [inv.matrix[i][j] for i in range(n)]
@@ -988,66 +981,24 @@ def _retract_obstruction_certificate(I: Ideal, witnesses: dict, bound: int = 5) 
     }
 
 
-def _appendix_instance_obstruction(K, bound: int = 6) -> dict | None:
-    """Nonlinear syzygy position for the canonical bad algebra
-    k[x,y,a,b]/(bx, xy, ax-by, x^2-y^2) over the field K, computed through
-    the degree-(0,1) module resolution."""
-    bigr = RingContext(K, ["x", "y", "a", "b"], [(1, 0), (1, 0), (0, 1), (0, 1)])
-    x, y, a, b = (bigr.var(i) for i in range(4))
-    I = Ideal([b * x, x * y, a * x - b * y, x * x - y * y], bigr)
-    Q = QuotientRing(I)
-    res = resolve_over_quotient(Q, ("module", [a, b]), bound, bound + 2)
-    pos = res.first_nonlinear(offset=1)
-    if pos is None:
-        return None
-    return {
-        "defining_ideal": [str(g) for g in I.gens],
-        "nonlinear_position": {
-            "hom_degree": pos[0],
-            "internal_degree": list(pos[1]),
-            "total_degree": total(pos[1]),
-        },
-        "betti_ranks": res.ranks(),
-    }
-
-
 def _form_c_chain_certificate(I: Ideal, w: dict, bound: int = 6) -> dict | None:
     """Certificate that a matched two-factor-pair sub-form (c) ideal is not
     Koszul: ascend to the generic form by a Hilbert-verified regular linear
     sequence, specialize to the canonical bad algebra by another, and exhibit
     that algebra's nonlinear syzygy position.  Koszulness transfers both ways
     along regular linear quotients, so the obstruction applies to the input."""
-    ring = I.ring
-    K = ring.field
-    from .forms import make_generic_lift
-
-    lift = make_generic_lift(
-        ring,
-        [
-            ("A3", w["a3"]), ("B3", w["b3"]), ("B4", w["b4"]), ("A4", w["a4"]),
-            ("X", w["x"]), ("Y", w["y"]),
-        ],
-        lambda v, _: [
-            v[1] * v[4], v[2] * v[4],
-            v[0] * v[4] + v[1] * v[5], v[3] * v[4] + v[2] * v[5],
-        ],
-    )
-    lifted = Ideal(lift.ideal_gens, lift.ring)
-    if not is_regular_sequence_mod(lifted, lift.specializing):
-        return None
-    big = Ideal(list(lifted.gens) + list(lift.specializing), lift.ring)
-    rhs = hilbert_of_quotient(I).numerator
-    for _ in range(lift.ring.n - ring.n):
-        rhs = zp_mul(rhs, (1, -1))
-    if hilbert_of_quotient(big).numerator != rhs:
+    lift = FORMS["2iv-c"].lift(I.ring, w)
+    lifted = _verified_lift(I, lift)
+    if lifted is None:
         return None
     # specialize the generic form to the canonical bad algebra: A4 -> X, B4 -> -Y
     A3, B3, B4, A4, X, Y = (lift.ring.var(i) for i in range(6))
     L2 = [A4 - X, B4 + Y]
     if not is_regular_sequence_mod(lifted, L2):
         return None
-    obstruction = _appendix_instance_obstruction(K, bound)
-    if obstruction is None:
+    inst = make_instance(I.ring.field)
+    obs = find_obstruction(inst, bound)
+    if not obs["found"]:
         return None
     return {
         "type": "specialization-chain-obstruction",
@@ -1056,7 +1007,15 @@ def _form_c_chain_certificate(I: Ideal, w: dict, bound: int = 6) -> dict | None:
         "input_specializing_forms": [str(f) for f in lift.specializing],
         "bad_algebra_specializing_forms": [str(f) for f in L2],
         "regular_sequences_verified": True,
-        "bad_algebra": obstruction,
+        "bad_algebra": {
+            "defining_ideal": [str(g) for g in inst.ideal.gens],
+            "nonlinear_position": {
+                "hom_degree": obs["hom_degree"],
+                "internal_degree": obs["bidegree"],
+                "total_degree": obs["total_degree"],
+            },
+            "betti_ranks": obs["ranks"],
+        },
     }
 
 

@@ -1,10 +1,11 @@
 """Templates for the structure cases of ideals generated by four quadrics.
 
 Each case knows how to build its ideal from named witness forms, how to
-verify the side conditions attached to the case, how to sample random valid
-witnesses, and how to produce the generic lift used by G-quadratic
-certificates (fresh variables for the witness forms plus the specializing
-linear sequence).
+verify the side conditions attached to the case, and how to sample random
+valid witnesses.  Its `build` is the one place where the case's generators
+are written: the generic lift used by G-quadratic certificates is `build`
+evaluated on fresh variables that stand for the witnesses, and the
+specializing linear sequence sets each fresh variable back to its witness.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .groebner import (
     intersect,
     minimal_quadric_generators,
 )
-from .hilbert import hilbert_of_quotient
+from .hilbert import hilbert_of_quotient, is_regular_sequence_mod
 from .modules import FreeModule, PolyMatrix, TaggedModule
 from .ring import MonomialOrder, Polynomial, RingContext
 
@@ -102,25 +103,6 @@ def random_sparse_quadric(ring: RingContext, rng, max_terms: int = 4) -> Polynom
     return f if f else random_sparse_quadric(ring, rng, max_terms)
 
 
-def quadric_regular_on(I: Ideal, q: Polynomial) -> bool:
-    """Hilbert-series test that the quadric q is a nonzerodivisor mod I."""
-    from .hilbert import zp_mul
-
-    big = Ideal(list(I.gens) + [q], I.ring)
-    lhs = hilbert_of_quotient(big).numerator
-    rhs = hilbert_of_quotient(I).numerator
-    return lhs == zp_mul(rhs, (1, 0, -1))
-
-
-def quadrics_regular_sequence_on(I: Ideal, qs: list[Polynomial]) -> bool:
-    cur = I
-    for q in qs:
-        if not quadric_regular_on(cur, q):
-            return False
-        cur = Ideal(list(cur.gens) + [q], I.ring)
-    return True
-
-
 def ideal_cofactors(f: Polynomial, gens: list[Polynomial]) -> list[Polynomial] | None:
     """Write a homogeneous f = sum(c_i * gens_i) if possible; None otherwise."""
     ring = f.ring
@@ -170,67 +152,57 @@ class GenericLift:
     ideal_gens: list[Polynomial]
     order: MonomialOrder
     specializing: list[Polynomial]
-    fresh_names: list[str]
-
-    def to_json(self) -> dict:
-        return {
-            "ring": self.ring.decl(),
-            "generators": [str(g) for g in self.ideal_gens],
-            "order": self.order.spec(),
-            "specializing_forms": [str(f) for f in self.specializing],
-        }
 
 
-def _lift_ring(ring: RingContext, fresh: list[str]) -> tuple[RingContext, list[Polynomial]]:
-    """Extended ring with fresh variables in front; returns (ext, old_images)."""
-    names = []
-    for nm in fresh:
-        cand = nm
-        while cand in ring.names or cand in names:
-            cand += "_"
-        names.append(cand)
-    ext = RingContext(ring.field, names + ring.names)
-    k = len(names)
-    old_images = [ext.var(k + i) for i in range(ring.n)]
-    return ext, old_images
+def _fresh(ring: RingContext, names: list[str], values: list[Polynomial]):
+    """The ring with one fresh variable per name in front (renamed away from
+    the old variables), the fresh variables, and the specializing forms
+    fresh - value."""
+    taken = []
+    for nm in names:
+        while nm in ring.names or nm in taken:
+            nm += "_"
+        taken.append(nm)
+    ext = RingContext(ring.field, taken + ring.names)
+    fresh = [ext.var(i) for i in range(len(names))]
+    return ext, fresh, [v - _inject(ext, f) for v, f in zip(fresh, values)]
 
 
-def _inject(ext: RingContext, k: int, f: Polynomial) -> Polynomial:
+def _inject(ext: RingContext, f: Polynomial) -> Polynomial:
+    """f, a polynomial of the old ring, as an element of the extended ring."""
+    k = ext.n - f.ring.n
     return Polynomial(ext, {(0,) * k + m: c for m, c in f.terms.items()})
 
 
-def make_generic_lift(
-    ring: RingContext,
-    witness_linears: list[tuple[str, Polynomial]],
-    template,
-    quadric_pairs: list[tuple[Polynomial, Polynomial]] | None = None,
-    order_kind: str = "degrevlex",
-) -> GenericLift:
-    """Build the lift: one fresh variable per witness linear form (plus fresh
-    pairs for free quadrics), the template applied to the fresh variables, and
-    the specializing forms fresh - witness."""
-    fresh_names = [nm for nm, _ in witness_linears]
-    pair_names = []
-    if quadric_pairs:
-        for idx in range(len(quadric_pairs)):
-            pair_names += [f"u{idx}", f"v{idx}"]
-    ext, _ = _lift_ring(ring, fresh_names + pair_names)
-    k = len(fresh_names) + len(pair_names)
-    fresh_vars = [ext.var(i) for i in range(len(fresh_names))]
-    pair_vars = [ext.var(len(fresh_names) + i) for i in range(len(pair_names))]
-    lifted_pairs = [
-        (pair_vars[2 * i], pair_vars[2 * i + 1]) for i in range(len(pair_names) // 2)
-    ]
-    gens = template(fresh_vars, lifted_pairs)
-    specializing = []
-    for var, (_, w) in zip(fresh_vars, witness_linears):
-        specializing.append(var - _inject(ext, k, w))
-    if quadric_pairs:
-        for (uv, vv), (a, b) in zip(lifted_pairs, quadric_pairs):
-            specializing.append(uv - _inject(ext, k, a))
-            specializing.append(vv - _inject(ext, k, b))
-    order = MonomialOrder(order_kind, n=ext.n)
-    return GenericLift(ext, gens, order, specializing, fresh_names + pair_names)
+def substitution_lift(ring: RingContext, spec: FormSpec, w: dict) -> GenericLift:
+    """`spec.build` evaluated on fresh variables.  Each linear witness becomes
+    the fresh variable `spec.fresh` names for it, in the listed position (a
+    matrix witness M becomes M00, M01, ..., row-major).  Every other witness
+    is a quadric and becomes sum u_k*v_k over fresh pairs from its pair
+    decomposition, numbered across the quadrics in the order of their names."""
+    names, values = [], []
+    for nm, key in spec.fresh.items():
+        if isinstance(w[key], list):
+            for i, row in enumerate(w[key]):
+                names += [f"{nm}{i}{j}" for j in range(len(row))]
+                values += row
+        else:
+            names.append(nm)
+            values.append(w[key])
+    quadrics = sorted(key for key in w if key not in spec.fresh.values())
+    pairs = [pair_decomposition(w[key]) for key in quadrics]
+    for k, pair in enumerate(p for ps in pairs for p in ps):
+        names += [f"u{k}", f"v{k}"]
+        values += pair
+    ext, fresh, specializing = _fresh(ring, names, values)
+    it = iter(fresh)
+    generic = {
+        key: [[next(it) for _ in row] for row in w[key]] if isinstance(w[key], list) else next(it)
+        for key in spec.fresh.values()
+    }
+    for key, ps in zip(quadrics, pairs):
+        generic[key] = sum((next(it) * next(it) for _ in ps), ext.zero())
+    return GenericLift(ext, spec.build(generic), MonomialOrder(spec.order, n=ext.n), specializing)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +270,7 @@ def check_2ii(w: dict, I: Ideal) -> list[str]:
         fails.append("x = 0")
     x = w["x"]
     J = Ideal([x * w["y"], x * w["z"], x * w["w"]], x.ring)
-    if not quadric_regular_on(J, w["q"]):
+    if not is_regular_sequence_mod(J, [w["q"]]):
         fails.append("q is a zerodivisor mod (xy,xz,xw)")
     return fails
 
@@ -312,8 +284,7 @@ def check_2iii(w: dict, I: Ideal) -> list[str]:
     fails = []
     ring = w["x"].ring
     x, y, z = w["x"], w["y"], w["z"]
-    q3 = w["a3"] * x + w["b3"] * y
-    q4 = w["a4"] * x + w["b4"] * y
+    _, _, q3, q4 = build_2iii(w)
     delta = w["a3"] * w["b4"] - w["a4"] * w["b3"]
     if span_dim([x, y]) != 2:
         fails.append("hgt(x,y) != 2")
@@ -373,8 +344,7 @@ def check_2iv_c(w: dict, I: Ideal) -> list[str]:
         fails.append("hgt(x,b3,b4) != 3")
     if span_dim([w["a3"], w["a4"], w["b3"], w["b4"]]) != 4:
         fails.append("hgt(a3,a4,b3,b4) != 4")
-    q3 = w["a3"] * w["x"] + w["b3"] * w["y"]
-    q4 = w["a4"] * w["x"] + w["b4"] * w["y"]
+    _, _, q3, q4 = build_2iv_c(w)
     if (not q3) or (not q4) or hilbert_of_quotient(Ideal([q3, q4], ring)).codim != 2:
         fails.append("hgt(q3,q4) != 2")
     return fails
@@ -414,7 +384,7 @@ def check_ht3_i(w: dict, I: Ideal) -> list[str]:
     if not w["x"]:
         fails.append("x = 0")
     J = Ideal([w["x"] * w["z"], w["x"] * w["w"]], ring)
-    if not quadrics_regular_sequence_on(J, [w["q3"], w["q4"]]):
+    if not is_regular_sequence_mod(J, [w["q3"], w["q4"]]):
         fails.append("q3,q4 not a regular sequence mod (xz,xw)")
     return fails
 
@@ -437,7 +407,7 @@ def check_ht3_ii(w: dict, I: Ideal) -> list[str]:
     J = Ideal([g for g in minors if g], ring)
     if J.is_zero() or hilbert_of_quotient(J).codim != 2:
         fails.append("hgt I2(M) != 2")
-    elif not quadric_regular_on(J, w["q4"]):
+    elif not is_regular_sequence_mod(J, [w["q4"]]):
         fails.append("q4 not regular mod I2(M)")
     return fails
 
@@ -508,148 +478,40 @@ def _rl(ring, rng, k):
 
 @dataclass
 class FormSpec:
-    case: str
-    witness_names: list[str]
+    """A structure case: its generators from named witnesses, its side
+    conditions, a witness sampler, and the naming of its generic lift."""
+
     build: callable
     check: callable
     random_witnesses: callable
-    lift: callable  # (ring, witnesses) -> GenericLift | None
     koszul: bool
+    fresh: dict[str, str]       # lift variable -> linear or matrix witness, in ring order
+    order: str = "degrevlex"    # an order giving the lift a quadratic basis
+    own_lift: callable | None = None  # a lift that is not a substitution
 
-
-def _lift_ht1(ring, w):
-    return make_generic_lift(
-        ring,
-        [("X", w["x"]), ("A1", w["a1"]), ("A2", w["a2"]), ("A3", w["a3"]), ("A4", w["a4"])],
-        lambda v, _: [v[1] * v[0], v[2] * v[0], v[3] * v[0], v[4] * v[0]],
-    )
-
-
-def _lift_2i_a(ring, w):
-    return make_generic_lift(
-        ring,
-        [("X", w["x"]), ("Y", w["y"]), ("Z", w["z"]), ("W", w["w"])],
-        lambda v, _: [v[0] * v[2], v[0] * v[3], v[1] * v[2], v[1] * v[3]],
-    )
-
-
-def _lift_2i_b(ring, w):
-    return make_generic_lift(
-        ring,
-        [("X", w["x"]), ("Y", w["y"]), ("Z", w["z"]), ("W", w["w"])],
-        lambda v, _: [v[0] * v[0], v[0] * v[1], v[1] * v[1], v[0] * v[2] + v[1] * v[3]],
-    )
+    def lift(self, ring: RingContext, w: dict) -> GenericLift | None:
+        if self.own_lift is not None:
+            return self.own_lift(ring, w)
+        return substitution_lift(ring, self, w)
 
 
 def _lift_2i_c(ring, w):
+    """q lifts as Y*U + Z*V + W*T, from its cofactors on (y, z, w)."""
     cof = ideal_cofactors(w["q"], [w["y"], w["z"], w["w"]])
     if cof is None:
         return None
-    return make_generic_lift(
-        ring,
-        [
-            ("X", w["x"]), ("Y", w["y"]), ("Z", w["z"]), ("W", w["w"]),
-            ("U", cof[0]), ("V", cof[1]), ("T", cof[2]),
-        ],
-        lambda v, _: [
-            v[0] * v[1], v[0] * v[2], v[0] * v[3],
-            v[1] * v[4] + v[2] * v[5] + v[3] * v[6],
-        ],
-    )
-
-
-def _lift_2ii(ring, w):
-    pairs = pair_decomposition(w["q"])
-    return make_generic_lift(
-        ring,
-        [("X", w["x"]), ("Y", w["y"]), ("Z", w["z"]), ("W", w["w"])],
-        lambda v, ps: [
-            v[0] * v[1], v[0] * v[2], v[0] * v[3],
-            sum((a * b for a, b in ps), ring_zero(v)),
-        ],
-        quadric_pairs=pairs,
-    )
-
-
-def ring_zero(vs):
-    return vs[0].ring.zero()
-
-
-def _lift_2iii(ring, w):
-    return make_generic_lift(
-        ring,
-        [
-            ("A3", w["a3"]), ("B3", w["b3"]), ("B4", w["b4"]), ("A4", w["a4"]),
-            ("X", w["x"]), ("Y", w["y"]), ("Z", w["z"]),
-        ],
-        lambda v, _: [
-            v[4] * v[6], v[5] * v[6],
-            v[0] * v[4] + v[1] * v[5], v[3] * v[4] + v[2] * v[5],
-        ],
-        order_kind="deglex",
-    )
-
-
-def _lift_2iv_d(ring, w):
-    return make_generic_lift(
-        ring,
-        [
-            ("Z", w["x"]), ("W", w["y"]), ("U1", w["a1"]), ("U2", w["a2"]),
-            ("V1", w["b3"]), ("V2", w["b4"]),
-        ],
-        lambda v, _: [v[2] * v[0], v[3] * v[0], v[4] * v[1], v[5] * v[1]],
-    )
-
-
-def _lift_ht3_i(ring, w):
-    p3 = pair_decomposition(w["q3"])
-    p4 = pair_decomposition(w["q4"])
-    n3 = len(p3)
-
-    def template(v, ps):
-        z = ring_zero(v)
-        q3t = sum((a * b for a, b in ps[:n3]), z)
-        q4t = sum((a * b for a, b in ps[n3:]), z)
-        return [v[0] * v[1], v[0] * v[2], q3t, q4t]
-
-    return make_generic_lift(
-        ring,
-        [("X", w["x"]), ("Z", w["z"]), ("W", w["w"])],
-        template,
-        quadric_pairs=p3 + p4,
-    )
-
-
-def _lift_ht3_ii(ring, w):
-    m = w["M"]
-    p4 = pair_decomposition(w["q4"])
-
-    def template(v, ps):
-        z = ring_zero(v)
-        mm = [[v[0], v[1]], [v[2], v[3]], [v[4], v[5]]]
-        minors = [
-            mm[0][0] * mm[1][1] - mm[0][1] * mm[1][0],
-            mm[0][0] * mm[2][1] - mm[0][1] * mm[2][0],
-            mm[1][0] * mm[2][1] - mm[1][1] * mm[2][0],
-        ]
-        return minors + [sum((a * b for a, b in ps), z)]
-
-    names = [(f"M{i}{j}", m[i][j]) for i in range(3) for j in range(2)]
-    return make_generic_lift(ring, names, template, quadric_pairs=p4)
+    names = list(_XYZW) + ["U", "V", "T"]
+    ext, v, specializing = _fresh(ring, names, [w[k] for k in _XYZW.values()] + cof)
+    X, Y, Z, W, U, V, T = v
+    gens = build_2i_c({"x": X, "y": Y, "z": Z, "w": W, "q": Y * U + Z * V + W * T})
+    return GenericLift(ext, gens, MonomialOrder("degrevlex", n=ext.n), specializing)
 
 
 def _lift_ht4(ring, w):
-    qs = [w["q1"], w["q2"], w["q3"], w["q4"]]
-    ext, old_images = _lift_ring(ring, ["Z1", "Z2", "Z3", "Z4"])
-    zvars = [ext.var(i) for i in range(4)]
-    lifted = [zvars[i] * zvars[i] - _inject(ext, 4, qs[i]) for i in range(4)]
-    return GenericLift(
-        ext,
-        lifted,
-        MonomialOrder("degrevlex", n=ext.n),
-        [zvars[i] for i in range(4)],
-        ["Z1", "Z2", "Z3", "Z4"],
-    )
+    """q_i lifts as Z_i^2 - q_i, specialized by Z_i -> 0."""
+    ext, Z, specializing = _fresh(ring, ["Z1", "Z2", "Z3", "Z4"], [ring.zero()] * 4)
+    gens = build_ht4({f"q{i + 1}": z * z - _inject(ext, w[f"q{i + 1}"]) for i, z in enumerate(Z)})
+    return GenericLift(ext, gens, MonomialOrder("degrevlex", n=ext.n), specializing)
 
 
 def _rw_ht1(ring, rng):
@@ -712,20 +574,25 @@ def _rw_ht4(ring, rng):
     return {f"q{i}": random_quadric(ring, rng) for i in range(1, 5)}
 
 
+_XYZW = {"X": "x", "Y": "y", "Z": "z", "W": "w"}
+_TWO_FACTOR = {"A3": "a3", "B3": "b3", "B4": "b4", "A4": "a4", "X": "x", "Y": "y"}
+
 FORMS: dict[str, FormSpec] = {
-    "ht1": FormSpec("ht1", ["x", "a1", "a2", "a3", "a4"], build_ht1, check_ht1, _rw_ht1, _lift_ht1, True),
-    "2i-a": FormSpec("2i-a", ["x", "y", "z", "w"], build_2i_a, check_2i_a, _rw_xyzw, _lift_2i_a, True),
-    "2i-b": FormSpec("2i-b", ["x", "y", "z", "w"], build_2i_b, check_2i_b, _rw_xyzw, _lift_2i_b, True),
-    "2i-c": FormSpec("2i-c", ["x", "y", "z", "w", "q"], build_2i_c, check_2i_c, _rw_2i_c, _lift_2i_c, True),
-    "2ii": FormSpec("2ii", ["x", "y", "z", "w", "q"], build_2ii, check_2ii, _rw_2ii, _lift_2ii, True),
-    "2iii": FormSpec("2iii", ["x", "y", "z", "a3", "b3", "a4", "b4"], build_2iii, check_2iii, _rw_2iii, _lift_2iii, True),
-    "2iv-a": FormSpec("2iv-a", ["x", "y", "a3", "b3", "a4", "b4"], build_2iv_a, check_2iv_a, _rw_2iv_a, None, False),
-    "2iv-b": FormSpec("2iv-b", ["x", "y", "a2", "b3", "a4", "b4"], build_2iv_b, check_2iv_b, _rw_2iv_b, None, False),
-    "2iv-c": FormSpec("2iv-c", ["x", "y", "a3", "b3", "a4", "b4"], build_2iv_c, check_2iv_c, _rw_2iv_c, None, False),
-    "2iv-d": FormSpec("2iv-d", ["x", "y", "a1", "a2", "b3", "b4"], build_2iv_d, check_2iv_d, _rw_2iv_d, _lift_2iv_d, True),
-    "ht3-i": FormSpec("ht3-i", ["x", "z", "w", "q3", "q4"], build_ht3_i, check_ht3_i, _rw_ht3_i, _lift_ht3_i, True),
-    "ht3-ii": FormSpec("ht3-ii", ["M", "q4"], build_ht3_ii, check_ht3_ii, _rw_ht3_ii, _lift_ht3_ii, True),
-    "ht4-CI": FormSpec("ht4-CI", ["q1", "q2", "q3", "q4"], build_ht4, check_ht4, _rw_ht4, _lift_ht4, True),
+    "ht1": FormSpec(build_ht1, check_ht1, _rw_ht1, True, {"X": "x", "A1": "a1", "A2": "a2", "A3": "a3", "A4": "a4"}),
+    "2i-a": FormSpec(build_2i_a, check_2i_a, _rw_xyzw, True, _XYZW),
+    "2i-b": FormSpec(build_2i_b, check_2i_b, _rw_xyzw, True, _XYZW),
+    "2i-c": FormSpec(build_2i_c, check_2i_c, _rw_2i_c, True, {}, own_lift=_lift_2i_c),
+    "2ii": FormSpec(build_2ii, check_2ii, _rw_2ii, True, _XYZW),
+    "2iii": FormSpec(build_2iii, check_2iii, _rw_2iii, True, {**_TWO_FACTOR, "Z": "z"}, order="deglex"),
+    "2iv-a": FormSpec(build_2iv_a, check_2iv_a, _rw_2iv_a, False, _TWO_FACTOR),
+    "2iv-b": FormSpec(build_2iv_b, check_2iv_b, _rw_2iv_b, False,
+                      {"A2": "a2", "B3": "b3", "B4": "b4", "A4": "a4", "X": "x", "Y": "y"}),
+    "2iv-c": FormSpec(build_2iv_c, check_2iv_c, _rw_2iv_c, False, _TWO_FACTOR),
+    "2iv-d": FormSpec(build_2iv_d, check_2iv_d, _rw_2iv_d, True,
+                      {"Z": "x", "W": "y", "U1": "a1", "U2": "a2", "V1": "b3", "V2": "b4"}),
+    "ht3-i": FormSpec(build_ht3_i, check_ht3_i, _rw_ht3_i, True, {"X": "x", "Z": "z", "W": "w"}),
+    "ht3-ii": FormSpec(build_ht3_ii, check_ht3_ii, _rw_ht3_ii, True, {"M": "M"}),
+    "ht4-CI": FormSpec(build_ht4, check_ht4, _rw_ht4, True, {}, own_lift=_lift_ht4),
 }
 
 _2I_ROTATION = ["2i-a", "2i-b", "2i-c"]

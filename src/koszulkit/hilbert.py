@@ -46,7 +46,9 @@ def zp_eval1(a: ZPoly) -> int:
     return sum(a)
 
 
-ONE_MINUS_T: ZPoly = (1, -1)
+def _one_minus_t_to(d: int) -> ZPoly:
+    """1 - t^d."""
+    return zp_trim([1] + [0] * (d - 1) + [-1])
 
 
 def zp_div_1mt(a: ZPoly) -> ZPoly | None:
@@ -105,7 +107,7 @@ def kpoly(mons: tuple[Mon, ...]) -> ZPoly:
     if pairwise_coprime:
         out: ZPoly = (1,)
         for m in mons:
-            out = zp_mul(out, zp_trim([1] + [0] * (sum(m) - 1) + [-1]))
+            out = zp_mul(out, _one_minus_t_to(sum(m)))
     else:
         n = len(mons[0])
         counts = [sum(1 for m in mons if m[i] > 0 and sum(m) > m[i]) for i in range(n)]
@@ -205,23 +207,25 @@ def multiplicity(I: Ideal) -> int:
 
 
 def is_regular_sequence_mod(I: Ideal, L: list[Polynomial]) -> bool:
-    """True iff H_{S/(I,L)}(t) = (1-t)^{|L|} H_{S/I}(t) exactly.
+    """True iff H_{S/(I,L)}(t) = H_{S/I}(t) * prod_f (1 - t^deg f) exactly.
 
-    Equality holds precisely when L is a regular sequence mod I; I may be
+    By Stanley's criterion equality holds precisely when the homogeneous
+    forms L, of any positive degrees, are a regular sequence mod I; I may be
     zero (then the test is plain regularity of L in S).
     """
     if not L:
         return True
     ring = I.ring
+    rhs = hilbert_of_quotient(I).numerator
     for f in L:
         if not f.ring.same(ring):
             raise GroebnerError("regular-sequence test in mixed rings")
+        degs = {sum(m) for m in f.terms}
+        if len(degs) != 1 or 0 in degs:
+            raise GroebnerError(f"regular-sequence test needs homogeneous forms of positive degree, got {f}")
+        rhs = zp_mul(rhs, _one_minus_t_to(degs.pop()))
     big = Ideal(list(I.gens) + list(L), ring)
-    lhs = hilbert_of_quotient(big).numerator
-    rhs = hilbert_of_quotient(I).numerator
-    for _ in range(len(L)):
-        rhs = zp_mul(rhs, ONE_MINUS_T)
-    return lhs == rhs
+    return hilbert_of_quotient(big).numerator == rhs
 
 
 def regularity(table) -> int:

@@ -139,8 +139,6 @@ class TruncatedResolution:
     """
 
     quotient: QuotientRing
-    hom_bound: int
-    degree_bound: int
     gen_degrees: list[list[Deg]]
     complete: bool
     notes: list[str] = field(default_factory=list)
@@ -381,11 +379,11 @@ def resolve_over_quotient(
 
     if kind == "quotient":
         gen_lists, complete = res.run([ring.zero_deg], seeds, hom_bound)
-        return TruncatedResolution(Q, hom_bound, degree_bound, gen_lists, complete)
+        return TruncatedResolution(Q, gen_lists, complete)
     if kind == "module":
         # resolve the submodule itself: its minimal generators become F_0
         gen_lists, complete = res.run([ring.zero_deg], seeds, hom_bound + 1)
-        return TruncatedResolution(Q, hom_bound, degree_bound, gen_lists[1:], complete)
+        return TruncatedResolution(Q, gen_lists[1:], complete)
     raise GroebnerError(f"unknown resolution target kind {kind!r}")
 
 

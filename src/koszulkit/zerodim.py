@@ -210,10 +210,7 @@ def solve_system_points(
         # the whole space: return the origin
         return [tuple(K.zero() for _ in range(ring.n))]
     I = Ideal(gens, ring)
-    try:
-        gb = I.gb()
-    except Exception:
-        return []
+    gb = I.gb()
     if any(g.is_constant() for g in gb.elements):
         return []
     if ring.n == 1:

@@ -25,6 +25,7 @@ from koszulkit import (
 )
 from koszulkit.classify import ClassificationError
 from koszulkit.forms import FORMS, generate_ideal
+from koszulkit.groebner import minimal_quadric_generators
 
 
 def P(R, s):
@@ -133,10 +134,19 @@ class TestLinearSyzygyMatrix:
         g = generate_ideal("ht4-CI", GF(32003), seed=1)
         assert linear_syzygy_matrix(g["ideal"]).ncols == 0
 
+    def test_bigraded_twists_follow_the_generators(self):
+        # quadrics of three bidegrees: the row twists are the generators'
+        # degrees and each column's twist is its syzygy's degree
+        R = parse_ring("ring F32003 [x:(1,0),y:(1,0),a:(0,1),b:(0,1)]")
+        I = ideal(R, "x*a", "y*b", "x^2", "a^2")
+        M = linear_syzygy_matrix(I)
+        assert list(M.target.twists) == [g.degree() for g in minimal_quadric_generators(I)]
+        assert sorted(M.source.twists) == [(1, 2), (2, 1)]
+        rep = classify(I)
+        assert (rep.matched_case, rep.verdict) == ("ht3-ii", "certified-Koszul")
+
     def test_columns_are_syzygies(self):
         g = generate_ideal("2iv-a", GF(32003), seed=3)
-        from koszulkit.groebner import minimal_quadric_generators
-
         gens = minimal_quadric_generators(g["ideal"])
         M = linear_syzygy_matrix(g["ideal"])
         for c in range(M.ncols):
@@ -237,6 +247,15 @@ class TestCertificates:
         assert is_quadratic_gb(gb)
         L = [parse_poly(ext, s) for s in cert["specializing_forms"]]
         assert is_regular_sequence_mod(Ideal(gens, ext), L)
+
+    def test_lift_needs_one_specializing_form_per_fresh_variable(self):
+        from koszulkit.classify import _verified_lift
+
+        g = generate_ideal("2iii", GF(32003), seed=2)
+        lift = FORMS["2iii"].lift(g["ring"], g["witnesses"])
+        lift.specializing.pop()
+        with pytest.raises(ClassificationError, match="one specializing form per fresh variable"):
+            _verified_lift(g["ideal"], lift)
 
     def test_report_json_schema(self):
         g = generate_ideal("2iii", GF(32003), seed=2)

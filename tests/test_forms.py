@@ -4,7 +4,7 @@ import pytest
 
 from koszulkit import GF, QQ, Ideal, hilbert_of_quotient, minimal_resolution, parse_poly, parse_ring
 from koszulkit.forms import FORMS, KNOWN_HEIGHT2_TABLES, generate_ideal, pair_decomposition, resolve_case_id
-from koszulkit.groebner import GroebnerError, minimal_quadric_generators
+from koszulkit.groebner import GroebnerError, ideal_equal, minimal_quadric_generators
 
 
 @pytest.mark.parametrize("form", sorted(FORMS))
@@ -54,3 +54,20 @@ def test_pair_decomposition_rejects_constant_term():
     assert len(pair_decomposition(parse_poly(R, "x^2+x*y"))) == 1
     with pytest.raises(GroebnerError, match="constant term"):
         pair_decomposition(parse_poly(R, "x*y+1"))
+
+
+@pytest.mark.parametrize("form", sorted(FORMS))
+@pytest.mark.parametrize("field", [GF(7), GF(32003), QQ], ids=lambda K: K.name)
+def test_lift_specializes_to_the_built_ideal(form, field):
+    """Setting each fresh variable of the lift to its witness value (the
+    variable minus its specializing form) gives back Ideal(build(w))."""
+    g = generate_ideal(form, field, seed=3)
+    ring, w = g["ring"], g["witnesses"]
+    lift = FORMS[form].lift(ring, w)
+    k = lift.ring.n - ring.n
+    assert len(lift.specializing) == k
+    drop_fresh = [ring.zero()] * k + [ring.var(i) for i in range(ring.n)]
+    values = [(lift.ring.var(i) - f).substitute(drop_fresh) for i, f in enumerate(lift.specializing)]
+    images = values + [ring.var(i) for i in range(ring.n)]
+    specialized = Ideal([f.substitute(images) for f in lift.ideal_gens], ring)
+    assert ideal_equal(specialized, Ideal(FORMS[form].build(w), ring))

@@ -15,7 +15,9 @@ from koszulkit import (
     parse_ring,
     regularity,
 )
-from koszulkit.forms import KNOWN_HEIGHT2_TABLES, random_quadric
+from koszulkit.forms import KNOWN_HEIGHT2_TABLES, random_linear, random_quadric
+from koszulkit.groebner import GroebnerError
+from koszulkit.hilbert import zp_mul
 
 
 def P(R, s):
@@ -112,6 +114,48 @@ class TestRegularSequences:
         lifted = Ideal(lift.ideal_gens, lift.ring)
         assert len(lift.specializing) == 7
         assert is_regular_sequence_mod(lifted, lift.specializing)
+
+
+def _sequentially_regular(I, qs):
+    """Reference: each quadric is a nonzerodivisor modulo I and the quadrics
+    before it, one Hilbert identity H_{S/(J,q)} = (1 - t^2) H_{S/J} a step."""
+    cur = I
+    for q in qs:
+        big = Ideal(list(cur.gens) + [q], I.ring)
+        if hilbert_of_quotient(big).numerator != zp_mul(hilbert_of_quotient(cur).numerator, (1, 0, -1)):
+            return False
+        cur = big
+    return True
+
+
+class TestRegularQuadricSequences:
+    @pytest.mark.parametrize("field", ["F2", "F7", "F32003"])
+    def test_agrees_with_the_sequential_test(self, field):
+        # I = (x0*x1, ...); the second quadric is random or x0*ell, which
+        # x1 kills modulo I, so both verdicts occur
+        R = parse_ring(f"ring {field} [x0,x1,x2,x3]")
+        rng = random.Random(f"regular:{field}")
+        x0, x1 = R.var(0), R.var(1)
+        verdicts = []
+        for trial in range(120):
+            I = Ideal([x0 * x1] + [random_quadric(R, rng) for _ in range(trial % 2)], R)
+            q1 = random_quadric(R, rng)
+            q2 = x0 * random_linear(R, rng) if trial % 3 == 0 else random_quadric(R, rng)
+            want = _sequentially_regular(I, [q1, q2])
+            assert is_regular_sequence_mod(I, [q1, q2]) == want
+            verdicts.append(want)
+        assert True in verdicts and False in verdicts
+
+    def test_mixed_degrees(self):
+        R = parse_ring("ring QQ [x,y,z]")
+        assert is_regular_sequence_mod(ideal(R, "x*y"), [P(R, "z^2"), P(R, "x+y")])
+        assert not is_regular_sequence_mod(ideal(R, "x*y"), [P(R, "z^3"), P(R, "x^2")])
+
+    @pytest.mark.parametrize("form", ["1", "x^2+y", "0"])
+    def test_rejects_constant_or_inhomogeneous_forms(self, form):
+        R = parse_ring("ring QQ [x,y,z]")
+        with pytest.raises(GroebnerError, match="homogeneous forms of positive degree"):
+            is_regular_sequence_mod(ideal(R, "x*y"), [P(R, form)])
 
 
 class TestRegularity:

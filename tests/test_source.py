@@ -134,3 +134,29 @@ def test_every_function_class_and_method_is_referenced():
                 and m.name not in attrs
             ]
     assert not found, "defined but never referenced:\n" + "\n".join(found)
+
+
+def test_every_dataclass_field_is_read():
+    """Each field of a package dataclass is read as an attribute somewhere in
+    src/, tests/ or bench/; a field only ever written is dead state."""
+    paths = [p for d in ("src", "tests", "bench") for p in sorted((ROOT / d).rglob("*.py"))]
+    reads = {
+        node.attr
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(node, ast.ClassDef) or not any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                for d in node.decorator_list
+            ):
+                continue
+            found += [
+                f"{path.name}:{f.lineno}: {node.name}.{f.target.id}"
+                for f in node.body
+                if isinstance(f, ast.AnnAssign) and f.target.id not in reads
+            ]
+    assert not found, "dataclass fields never read:\n" + "\n".join(found)
