@@ -304,7 +304,7 @@ class Ideal:
     def gb(self, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
         if self.is_zero():
             raise GroebnerError("Groebner basis of the zero ideal")
-        key = (order.kind, tuple(order.perm) if order.perm else None, order.front)
+        key = _gb_key(order)
         if key not in self._gb_cache:
             self._gb_cache[key] = buchberger(self.gens, order)
         return self._gb_cache[key]
@@ -318,6 +318,36 @@ class Ideal:
 
     def __repr__(self):
         return f"Ideal({self.gens})"
+
+
+def _gb_key(order: MonomialOrder) -> tuple:
+    return (order.kind, tuple(order.perm) if order.perm else None, order.front)
+
+
+def cut_last_variable(I: Ideal, small: RingContext) -> Ideal | None:
+    """The image of I under x = 0, x the last variable, as an ideal of
+    `small` (the ring of the other variables) that carries its reduced
+    degrevlex basis, when x is regular on S/I; None when x is a
+    zero-divisor.  I must be homogeneous and nonzero.
+
+    Bayer and Stillman (Invent. Math. 87, 1987, Lemma 2.2): for degrevlex,
+    in(I : x) = in(I) : x, so x is regular on S/I exactly when no lead
+    monomial of the reduced basis G of I involves it.  Then G and x form a
+    Groebner basis of I + (x), since every new S-pair has coprime leads, and
+    setting x = 0 in G keeps each lead, each monic coefficient and each tail
+    term that no lead divides: it is the reduced basis of the image, in the
+    same order, and no Buchberger runs.
+    """
+    gb = I.gb()
+    if any(m[-1] for m in gb.lead_mons):
+        return None
+
+    def cut(f: Polynomial) -> Polynomial:
+        return Polynomial(small, {m[:-1]: c for m, c in f.terms.items() if not m[-1]})
+
+    J = Ideal([cut(g) for g in I.gens], small)
+    J._gb_cache[_gb_key(DEGREVLEX)] = GroebnerBasis(small, DEGREVLEX.for_ring(small), [cut(g) for g in gb])
+    return J
 
 
 def ideal_equal(I: Ideal, J: Ideal) -> bool:

@@ -5,6 +5,12 @@ p < _NP_LIMIT store them as int64 in [0, p); every other field (QQ, larger
 primes) stores them in object arrays and runs the same vectorized code with
 exact Python arithmetic.  The list-of-rows functions (rref, rank, kernel,
 solve, ...) convert at their boundary.
+
+Reduction mod p is delayed, as in FFLAS-FFPACK (Dumas, Giorgi & Pernet, ACM
+TOMS 35, 2008), under one overflow rule: an int64 holds the sum of
+_reduce_every(K, A) products of two reduced entries.  matmul sums that many
+products per chunk, and _eliminate applies that many row updates between
+reductions of the whole matrix.  Every function returns reduced entries.
 """
 
 from __future__ import annotations
@@ -13,16 +19,23 @@ import numpy as np
 
 from .field import Field, PrimeField
 
-# Below this bound a product of two reduced entries is < 2**62, so a row
-# update a - f*b cannot overflow int64.  A matrix product of inner dimension
-# k sums k such products before reducing; matmul splits k into chunks of at
-# most (2**63 - 1) // (p - 1)**2 terms.
+# Below this bound a product of two reduced entries is < 2**62, so an int64
+# holds the sum of at least two of them: _reduce_every is at least 2.
 _NP_LIMIT = 2 ** 31
 _INT64_MAX = 2 ** 63 - 1
 
 
 def _use_numpy(K: Field) -> bool:
     return isinstance(K, PrimeField) and K.p < _NP_LIMIT
+
+
+def _reduce_every(K: Field, A: np.ndarray) -> int:
+    """How many products of two reduced entries, each at most (p - 1)**2, an
+    entry of A may gain or lose before it has to be reduced: an int64 holds
+    _INT64_MAX // (p - 1)**2 of them; object arrays never overflow."""
+    if A.dtype == object:
+        return _INT64_MAX
+    return _INT64_MAX // (K.p - 1) ** 2
 
 
 def _reducer(K: Field):
@@ -53,7 +66,7 @@ def matmul(K: Field, A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None
     `out` given, the product is written there."""
     reduce = _reducer(K)
     k = A.shape[-1]
-    step = max(1, k if A.dtype == object else _INT64_MAX // (K.p - 1) ** 2)
+    step = _reduce_every(K, A)
     C = reduce(np.matmul(A[..., :step], B[..., :step, :], out=out))
     if k == 0:  # an empty sum is the int 0, not the field's zero
         C[...] = K.zero()
@@ -70,34 +83,45 @@ def _eliminate(K: Field, A: np.ndarray, full: bool = True) -> list[int]:
     rows below each pivot are cleared: A ends in row echelon form, which
     is enough for the pivot columns.  Each step touches only the rows that
     are nonzero in the pivot column, and only the columns from it onward.
+
+    Reduction is lazy: a step reduces only its column, for the zero test
+    and the multipliers, and the pivot row, before scaling it.  An update
+    subtracts from each entry at most one product of two reduced entries,
+    so the whole matrix is reduced only after _reduce_every updates, and
+    once at the end.
     """
     reduce = _reducer(K)
+    budget = _reduce_every(K, A)
     nrows, ncols = A.shape
     pivots: list[int] = []
+    updates = 0  # since the last reduction of the whole matrix
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        nz = A[r:, c].nonzero()[0]
-        if not nz.size:
+        nz = reduce(A[:, c]).nonzero()[0]
+        k = nz.searchsorted(r)
+        if k == nz.size:
             continue
-        pr = r + int(nz[0])
+        pr = int(nz[k])
         if pr != r:
             A[[r, pr]] = A[[pr, r]]
-        prow = A[r, c:]
+        prow = reduce(A[r, c:])
         prow *= K.inv(A.item(r, c))
         reduce(prow)
-        if full:
-            tgt = A[:, c].nonzero()[0]
-            tgt = tgt[tgt != r]
-        else:
-            tgt = r + 1 + A[r + 1:, c].nonzero()[0]
+        # the rows to clear: the swap only moved row r's zero to row pr
+        tgt = nz[nz != pr] if full else nz[k + 1:]
         if tgt.size:
+            if updates == budget:
+                reduce(A)
+                updates = 0
             sub = A[tgt, c:]
             sub -= np.multiply.outer(sub[:, 0], prow)
-            A[tgt, c:] = reduce(sub)
+            A[tgt, c:] = sub
+            updates += 1
         pivots.append(c)
         r += 1
+    reduce(A)
     return pivots
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 
 from . import linalg
-from .groebner import GroebnerError, Ideal, minimal_quadric_generators, normal_form
+from .groebner import GroebnerError, Ideal, cut_last_variable, minimal_quadric_generators, normal_form
 from .hilbert import is_regular_sequence_mod
 from .modules import FreeModule, PolyMatrix, TaggedModule
 from .resolution import minimal_resolution
@@ -391,53 +391,106 @@ def resolve_over_quotient(
 # Koszulness testing
 
 
-def _find_regular_linear_reduction(I: Ideal, tries: int = 25, seed: int = 11):
+_TRIES = 25  # candidate forms per round: the variables, from the last, then random forms
+_SEED = 11  # one Random(_SEED) draws the random forms of the whole search
+
+
+def _socle_element(Q: QuotientRing, bound: int) -> Polynomial | None:
+    """A nonzero form f of R = S/I, of total degree at most bound, that every
+    variable kills (x_i f = 0 in R), or None when there is none.  Such an f
+    proves depth R = 0: every linear form kills it, so none is regular."""
+    ring, K = Q.ring, Q.field
+    for d in _degrees_upto(ring, bound):
+        basis = Q.std_basis(d)
+        if not basis:
+            continue
+        maps = [Q.mul_var(i, d) for i in range(ring.n)]
+        A = linalg.zeros(K, (sum(M.shape[0] for M in maps), len(basis)))
+        off = 0
+        for M in maps:
+            A[off:off + M.shape[0]] = M
+            off += M.shape[0]
+        B, free = linalg.kernel_basis(K, A)
+        if free:
+            return Polynomial(ring, {m: c for m, c in zip(basis, B[:, 0].tolist()) if not K.is_zero(c)})
+    return None
+
+
+def _other_regular_form(I: Ideal, rng: random.Random):
+    """Coefficients of the first regular linear form among the candidates
+    after the last variable, by Hilbert series, or None."""
+    ring = I.ring
+    K = ring.field
+    for t in range(1, _TRIES):
+        if t < ring.n:
+            coeffs = [K.one() if i == ring.n - 1 - t else K.zero() for i in range(ring.n)]
+        else:
+            coeffs = [K.random(rng) for _ in range(ring.n)]
+        ell = ring.linear_form(coeffs)
+        if ell and is_regular_sequence_mod(I, [ell]):
+            return coeffs
+    return None
+
+
+def _cut(I: Ideal, coeffs) -> Ideal:
+    """I modulo the linear form with these coefficients, in the ring without
+    its last variable with a nonzero coefficient, solved for that variable."""
+    ring = I.ring
+    K = ring.field
+    piv = max(i for i, c in enumerate(coeffs) if not K.is_zero(c))
+    small = RingContext(K, [nm for i, nm in enumerate(ring.names) if i != piv])
+    inv = K.neg(K.inv(coeffs[piv]))
+    image_terms = {}
+    for i, c in enumerate(coeffs):
+        if i != piv and not K.is_zero(c):
+            m = [0] * small.n
+            m[i if i < piv else i - 1] = 1
+            image_terms[tuple(m)] = K.mul(c, inv)
+    images = []
+    for i in range(ring.n):
+        if i == piv:
+            images.append(Polynomial(small, dict(image_terms)))
+        else:
+            images.append(small.var(i if i < piv else i - 1))
+    return Ideal([g.substitute(images) for g in I.gens], small)
+
+
+def _find_regular_linear_reduction(I: Ideal):
     """Quotient S/I by regular linear forms, eliminating one variable each
     time, until no regular linear form is found.  Koszulness is unchanged by
-    this reduction; it only shrinks the linear algebra."""
-    rng = random.Random(seed)
+    this reduction; it only shrinks the linear algebra.  Returns the cut
+    ideal, the number of forms, and the QuotientRing of the cut ideal when
+    the last round built one (else None).
+
+    Each round first tries the last variable x by the Bayer-Stillman
+    criterion on the cached degrevlex basis (groebner.cut_last_variable):
+    no Buchberger runs, and when x is regular the cut ideal carries its
+    basis into the next round.  When x is a zero-divisor, a socle element of
+    S/I up to the top degree of its basis proves that no linear form is
+    regular, and the search stops.  Otherwise the other candidates follow
+    in order, each by Hilbert series: the variables from the last, then
+    random forms, _TRIES candidates in all.
+    """
+    if not I.is_homogeneous() or I.contains(I.ring.one()):
+        raise GroebnerError("the regular linear form search needs a proper homogeneous ideal")
+    rng = random.Random(_SEED)
     cur = I
     used = 0
     while cur.ring.n > 2:
-        ring = cur.ring
-        K = ring.field
-        found = None
-        for t in range(tries):
-            if t < ring.n:
-                coeffs = [K.one() if i == ring.n - 1 - t else K.zero() for i in range(ring.n)]
-            else:
-                coeffs = [K.random(rng) for _ in range(ring.n)]
-            ell = ring.linear_form(coeffs)
-            if not ell:
-                continue
-            if is_regular_sequence_mod(cur, [ell]):
-                found = (ell, coeffs)
-                break
-        if found is None:
+        nxt = cut_last_variable(cur, RingContext(cur.ring.field, cur.ring.names[:-1]))
+        if nxt is None:
+            Q = QuotientRing(cur)
+            if _socle_element(Q, max(g.total_degree() for g in Q.gb)) is not None:
+                return cur, used, Q
+            coeffs = _other_regular_form(cur, rng)
+            if coeffs is None:
+                return cur, used, Q
+            nxt = _cut(cur, coeffs)
+        if nxt.is_zero():
             break
-        ell, coeffs = found
-        piv = max(i for i, c in enumerate(coeffs) if not K.is_zero(c))
-        small = RingContext(K, [nm for i, nm in enumerate(ring.names) if i != piv])
-        inv = K.neg(K.inv(coeffs[piv]))
-        image_terms = {}
-        for i, c in enumerate(coeffs):
-            if i != piv and not K.is_zero(c):
-                m = [0] * small.n
-                m[i if i < piv else i - 1] = 1
-                image_terms[tuple(m)] = K.mul(c, inv)
-        images = []
-        for i in range(ring.n):
-            if i == piv:
-                images.append(Polynomial(small, dict(image_terms)))
-            else:
-                images.append(small.var(i if i < piv else i - 1))
-        new_gens = [g.substitute(images) for g in cur.gens]
-        new_gens = [g for g in new_gens if g]
-        if not new_gens:
-            break
-        cur = Ideal(new_gens, small)
+        cur = nxt
         used += 1
-    return cur, used
+    return cur, used, None
 
 
 def is_koszul_up_to(
@@ -452,7 +505,11 @@ def is_koszul_up_to(
     A 'linear-so-far' verdict is inconclusive beyond the bound; 'nonlinear-at'
     certifies non-Koszulness.  When reduce_first is set, the ring is first cut
     down by a regular sequence of linear forms (this preserves Koszulness and
-    the existence of a nonlinear position, though positions may shift).
+    the existence of a nonlinear position, though positions may shift).  The
+    search for those forms runs one Buchberger on I and none on the cut
+    rings while their last variable is regular (the Bayer-Stillman criterion
+    and the carried basis), and stops at once when it finds a socle element;
+    the resolver then reuses its QuotientRing.
     """
     if isinstance(Q_or_I, QuotientRing):
         I = Q_or_I.ideal
@@ -462,10 +519,9 @@ def is_koszul_up_to(
         Q = None
     reduced_by = 0
     if reduce_first and not I.is_zero():
-        I2, reduced_by = _find_regular_linear_reduction(I)
-        if reduced_by:
-            Q = None
-            I = I2
+        I2, reduced_by, Q2 = _find_regular_linear_reduction(I)
+        if reduced_by or Q is None:
+            I, Q = I2, Q2
     if Q is None:
         Q = QuotientRing(I)
     gens = [Q.ring.var(i) for i in range(Q.ring.n)]

@@ -177,6 +177,74 @@ class TestLargePrime:
                 assert all(sum(a * b for a, b in zip(r, v)) % BIG.p == 0 for r in rows)
 
 
+def mod_p_rref(p, rows):
+    """Reference: Gauss-Jordan elimination mod p on Python ints."""
+    A = [[x % p for x in r] for r in rows]
+    pivots = []
+    for c in range(len(A[0])):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if pr is None:
+            continue
+        A[r], A[pr] = A[pr], A[r]
+        inv = pow(A[r][c], -1, p)
+        A[r] = [x * inv % p for x in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][c]:
+                f = A[i][c]
+                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
+        pivots.append(c)
+    return A, pivots
+
+
+def low_rank(p, rng, nrows, ncols, rank, worst):
+    """A dense nrows x ncols matrix L U of the given rank.  With worst set,
+    L is 1 on and p - 1 below its diagonal and U is 1 on and p - 1 right of
+    it, so elimination meets pivots of 1 and every multiplier and pivot row
+    entry is p - 1: each update subtracts the largest product, (p - 1)**2."""
+    if worst:
+        L = [[1 if i == j else p - 1 if i > j else 0 for j in range(rank)] for i in range(nrows)]
+        U = [[1 if i == j else p - 1 if j > i else 0 for j in range(ncols)] for i in range(rank)]
+    else:
+        L = [[rng.randrange(p) for _ in range(rank)] for _ in range(nrows)]
+        U = [[rng.randrange(p) for _ in range(ncols)] for _ in range(rank)]
+    return [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*U)] for row in L]
+
+
+class TestLazyReduction:
+    """_eliminate reduces the whole matrix only every _reduce_every updates.
+    numpy int64 wraps silently, so an update budget that is one too large
+    shows as wrong answers against the Python-int reference, on matrices
+    whose updates all subtract (p - 1)**2."""
+
+    @pytest.mark.parametrize("p,budget", [(1073741789, 8), (2147483647, 2), (2, None), (3, None)])
+    @pytest.mark.parametrize("worst", [True, False], ids=["worst", "random"])
+    def test_against_python_ints(self, p, budget, worst):
+        K = GF(p)
+        assert linalg.zeros(K, (1, 1)).dtype == np.int64
+        if budget is not None:
+            assert linalg._reduce_every(K, linalg.zeros(K, (1, 1))) == budget
+        rng = random.Random(f"lazy:{p}:{worst}")
+        for rank in (30, 39):
+            rows = low_rank(p, rng, 40, 60, rank, worst)
+            R, pivots = mod_p_rref(p, rows)
+            assert linalg.rref(K, rows) == (R, pivots)
+            assert linalg.rank(K, rows) == len(pivots)
+            free = [c for c in range(60) if c not in pivots]
+            want = []
+            for j in free:
+                v = [0] * 60
+                v[j] = 1
+                for k, c in enumerate(pivots):
+                    v[c] = -R[k][j] % p
+                want.append(v)
+            assert linalg.kernel(K, rows) == want
+            # the columns of rows as vectors: complement_indices eliminates rows itself
+            vectors = [list(col) for col in zip(*rows)]
+            assert linalg.complement_indices(K, vectors[:5], vectors[5:]) == greedy(K, vectors[:5], vectors[5:])
+            assert linalg.complement_indices(K, [], vectors) == pivots
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     p=st.sampled_from([2, 7, 32003]),

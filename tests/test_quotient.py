@@ -4,22 +4,27 @@ first-syzygy span criterion."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koszulkit import (
     GF,
+    QQ,
     Ideal,
     QuotientRing,
     first_syzygy_criterion,
     froberg_consistency,
     hilbert_of_quotient,
     is_koszul_up_to,
+    is_regular_sequence_mod,
     parse_poly,
     parse_ring,
     resolve_over_quotient,
 )
-from koszulkit import linalg, quotient
-from koszulkit.forms import generate_ideal, random_quadric
-from koszulkit.ring import DEGLEX, MonomialOrder
+from koszulkit import groebner, linalg, quotient
+from koszulkit.forms import FORMS, generate_ideal, random_quadric
+from koszulkit.groebner import GroebnerError, buchberger, cut_last_variable
+from koszulkit.ring import DEGLEX, MonomialOrder, Polynomial, RingContext
 
 
 def P(R, s):
@@ -224,3 +229,176 @@ class TestFirstSyzygyCriterion:
         R = parse_ring("ring F32003 [x:(1,0),y:(1,0),a:(0,1),b:(0,1)]")
         out = first_syzygy_criterion(ideal(R, "x*a", "y*b", "x^2", "a^2"))
         assert out == {"passes": True, "witness": None, "n_min_syzygies": 5, "n_linear": 2, "n_koszul": 6}
+
+
+def _tries_only_reduction(I, tries=25, seed=11):
+    """Reference: the regular-form search that tests every candidate by
+    Hilbert series, the last variable included, and runs one Buchberger per
+    candidate plus one per cut ring."""
+    rng = random.Random(seed)
+    cur = I
+    used = 0
+    while cur.ring.n > 2:
+        ring = cur.ring
+        K = ring.field
+        found = None
+        for t in range(tries):
+            if t < ring.n:
+                coeffs = [K.one() if i == ring.n - 1 - t else K.zero() for i in range(ring.n)]
+            else:
+                coeffs = [K.random(rng) for _ in range(ring.n)]
+            ell = ring.linear_form(coeffs)
+            if not ell:
+                continue
+            if is_regular_sequence_mod(cur, [ell]):
+                found = (ell, coeffs)
+                break
+        if found is None:
+            break
+        ell, coeffs = found
+        piv = max(i for i, c in enumerate(coeffs) if not K.is_zero(c))
+        small = RingContext(K, [nm for i, nm in enumerate(ring.names) if i != piv])
+        inv = K.neg(K.inv(coeffs[piv]))
+        image_terms = {}
+        for i, c in enumerate(coeffs):
+            if i != piv and not K.is_zero(c):
+                m = [0] * small.n
+                m[i if i < piv else i - 1] = 1
+                image_terms[tuple(m)] = K.mul(c, inv)
+        images = []
+        for i in range(ring.n):
+            if i == piv:
+                images.append(Polynomial(small, dict(image_terms)))
+            else:
+                images.append(small.var(i if i < piv else i - 1))
+        new_gens = [g.substitute(images) for g in cur.gens]
+        new_gens = [g for g in new_gens if g]
+        if not new_gens:
+            break
+        cur = Ideal(new_gens, small)
+        used += 1
+    return cur, used
+
+
+def _bihomogeneous_quadric(R, rng, d):
+    K = R.field
+    return Polynomial(R, {m: c for m in R.monomials(d) for c in [K.random(rng)] if not K.is_zero(c)})
+
+
+EXTRA_SEARCH_INPUTS = {
+    # x is a socle element: depth 0 before any cut
+    "depth-zero": ("ring F32003 [x,y,z]", "x^2, x*y, x*z"),
+    # z is regular, then the search stops at two variables
+    "one-cut": ("ring F32003 [x,y,z]", "x^2, x*y"),
+    "complete-intersection": ("ring F7 [x,y,z,w,v]", "x^2+y*z, y^2-z*w+x*v"),
+    # b kills y, and no socle element lives in bidegrees of total degree
+    # at most 2; a random form is regular, and the cut ring has depth 0
+    "bigraded": ("ring F32003 [x:(1,0),y:(1,0),a:(0,1),b:(0,1)]", "x*a, y*b, x^2, a^2"),
+    # w kills x and y, z is regular; on k[x,y,w]/(x*w, y*w) only a random
+    # form is regular
+    "last-variable-zero-divisor": ("ring F32003 [x,y,z,w]", "x*w, y*w"),
+}
+
+
+class TestRegularFormSearch:
+    """The search answers as the tries-only reference does: the same number
+    of forms, ring and generators, and the carried basis is the reduced
+    basis of the cut ideal."""
+
+    def same_as_reference(self, I):
+        fresh = Ideal(list(I.gens), I.ring)
+        want, used = _tries_only_reduction(fresh)
+        got, got_used, Q = quotient._find_regular_linear_reduction(I)
+        assert (got_used, got.ring.names, got.gens) == (used, want.ring.names, want.gens)
+        assert got.ring.weights == want.ring.weights
+        assert [g.terms for g in got.gb()] == [g.terms for g in buchberger(got.gens)]
+        assert Q is None or Q.ideal is got
+        return got_used, Q
+
+    @pytest.mark.parametrize("K", [GF(2), GF(3), GF(7), GF(32003), QQ], ids=str)
+    def test_forms_match_the_reference(self, K):
+        for case in FORMS:
+            for seed in range(3):
+                self.same_as_reference(generate_ideal(case, K, seed)["ideal"])
+
+    @pytest.mark.parametrize("name", sorted(EXTRA_SEARCH_INPUTS))
+    def test_extra_inputs_match_the_reference(self, name):
+        decl, gens = EXTRA_SEARCH_INPUTS[name]
+        R = parse_ring(decl)
+        used, Q = self.same_as_reference(ideal(R, *gens.split(", ")))
+        assert used == {"depth-zero": 0, "one-cut": 1, "complete-intersection": 3,
+                        "bigraded": 1, "last-variable-zero-divisor": 2}[name]
+
+    def test_cutting_a_witness_runs_one_buchberger(self, monkeypatch):
+        """A 2iii witness over F32003 is cut from 7 to 3 variables by the
+        last-variable test alone; the socle exit then ends the search."""
+        g = generate_ideal("2iii", GF(32003), seed=3)["ideal"]
+        calls = []
+        run = groebner.buchberger
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(groebner, "buchberger", counting)
+        cur, used, Q = quotient._find_regular_linear_reduction(Ideal(list(g.gens), g.ring))
+        assert (g.ring.n, cur.ring.n, used) == (7, 3, 4)
+        assert len(calls) == 1 and Q is not None
+        r = is_koszul_up_to(Ideal(list(g.gens), g.ring), 4)
+        assert len(calls) == 2 and r["verdict"] == "linear-so-far"
+
+    def test_rejects_inhomogeneous_and_unit_ideals(self):
+        R = parse_ring("ring F7 [x,y,z]")
+        for gens in (["x^2+y"], ["x^2", "1"]):
+            with pytest.raises(GroebnerError, match="proper homogeneous ideal"):
+                is_koszul_up_to(ideal(R, *gens), 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([2, 7, 32003]), bigraded=st.booleans(), ngens=st.integers(1, 4), seed=st.integers(0, 10**6))
+def test_last_variable_test_agrees_with_hilbert(p, bigraded, ngens, seed):
+    """cut_last_variable finds the last variable regular exactly when the
+    Hilbert test does, and then carries the reduced basis of the cut ideal."""
+    rng = random.Random(seed)
+    if bigraded:
+        R = parse_ring(f"ring F{p} [x:(1,0),y:(1,0),z:(1,0),a:(0,1),b:(0,1)]")
+        gens = [_bihomogeneous_quadric(R, rng, rng.choice([(2, 0), (1, 1), (0, 2)])) for _ in range(ngens)]
+    else:
+        R = parse_ring(f"ring F{p} [x,y,z,w]")
+        gens = [random_quadric(R, rng) for _ in range(ngens)]
+    # a zero-divisor last variable now and then: one generator times it
+    if rng.random() < 0.4:
+        gens[0] = gens[0] * R.var(R.n - 1) * R.var(0)
+    I = Ideal([g for g in gens if g] or [R.var(0) ** 2], R)
+    small = RingContext(R.field, R.names[:-1])
+    cut = cut_last_variable(I, small)
+    assert (cut is not None) == is_regular_sequence_mod(I, [R.var(R.n - 1)])
+    if cut is not None:
+        assert [g.terms for g in cut.gb()] == [g.terms for g in buchberger(cut.gens)]
+
+
+class TestSocleElement:
+    CASES = [
+        ("ring F32003 [x,y,z]", "x^2, x*y, x*z"),
+        ("ring F7 [x,y,z]", "x^2, y^2, z^2"),
+        ("ring F2 [x,y,z,w]", "x^2, y^2, z^2, w^2, x*y+z*w"),
+        ("ring QQ [x,y,z]", "x^2-y*z, y^2, z^2, x*y"),
+        ("ring F32003 [x:(1,0),y:(1,0),a:(0,1),b:(0,1)]", "x^2, x*y, y^2, a^2, a*b, b^2"),
+    ]
+
+    @pytest.mark.parametrize("decl,gens", CASES)
+    def test_witness_is_killed_by_every_variable(self, decl, gens):
+        R = parse_ring(decl)
+        I = ideal(R, *gens.split(", "))
+        f = quotient._socle_element(QuotientRing(I), 4)
+        assert f is not None and f and not I.contains(f)
+        assert all(I.contains(R.var(i) * f) for i in range(R.n))
+
+    @pytest.mark.parametrize("decl,gens", [
+        ("ring F32003 [x,y,z]", "x^2, y^2"),
+        ("ring F7 [x,y,z,w]", "x*y, z*w"),
+        ("ring QQ [x,y,z]", "x^2+y^2+z^2"),
+    ])
+    def test_none_on_a_regular_sequence(self, decl, gens):
+        R = parse_ring(decl)
+        assert quotient._socle_element(QuotientRing(ideal(R, *gens.split(", "))), 6) is None
