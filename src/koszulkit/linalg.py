@@ -2,22 +2,35 @@
 
 Matrices are 2-D numpy arrays of raw field values.  Prime fields with
 p < _NP_LIMIT store them as int64 in [0, p); every other field (QQ, larger
-primes) stores them in object arrays and runs the same vectorized code with
-exact Python arithmetic.  The list-of-rows functions (rref, rank, kernel,
-solve, ...) convert at their boundary.
+primes) stores them in object arrays.  The list-of-rows functions (rref,
+rank, kernel, solve, ...) convert at their boundary.
 
 Reduction mod p is delayed, as in FFLAS-FFPACK (Dumas, Giorgi & Pernet, ACM
 TOMS 35, 2008), under one overflow rule: an int64 holds the sum of
 _reduce_every(K, A) products of two reduced entries.  matmul sums that many
 products per chunk, and _eliminate applies that many row updates between
 reductions of the whole matrix.  Every function returns reduced entries.
+Primes p >= _NP_LIMIT run the same code on object arrays of Python ints.
+
+Over QQ, matrices hold normalized Fractions at the boundary, but matmul and
+_eliminate compute on integers: _integral(X) writes X as Z / d with Z an
+integer matrix.  matmul multiplies the integer matrices, in int64 when
+k * max|Za| * max|Zb| <= 2**63 - 1 (k the inner dimension, which bounds
+every partial sum) and in Python ints otherwise, and divides by da * db
+once.  _eliminate is fraction-free: every step is an integer row operation
+followed by division by the row's content, so it is exact by construction
+(Bareiss, Math. Comp. 22, 1968, keeps entries integral the same way), and
+Fractions are formed only for the final RREF.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
-from .field import Field, PrimeField
+from .field import Field, PrimeField, RationalField
 
 # Below this bound a product of two reduced entries is < 2**62, so an int64
 # holds the sum of at least two of them: _reduce_every is at least 2.
@@ -61,9 +74,44 @@ def array(K: Field, rows, ncols: int) -> np.ndarray:
     return A
 
 
+def _integral(X: np.ndarray):
+    """(Z, d) with X == Z / d: Z is an object array of Python ints of X's
+    shape and d the lcm of the denominators of the rational entries of X."""
+    vals = X.ravel().tolist()
+    d = math.lcm(*[x.denominator for x in vals])
+    Z = np.empty(len(vals), dtype=object)
+    Z[:] = [x.numerator * (d // x.denominator) for x in vals]
+    return Z.reshape(X.shape), d
+
+
+def _fractions(Z: np.ndarray, d: int = 1) -> np.ndarray:
+    """The object array Z / d of normalized Fractions; Z holds ints.  Each
+    distinct value is converted once."""
+    vals = Z.ravel().tolist()
+    frac = {z: Fraction(z, d) for z in set(vals)}
+    F = np.empty(len(vals), dtype=object)
+    F[:] = [frac[z] for z in vals]
+    return F.reshape(Z.shape)
+
+
+def _max_abs(Z: np.ndarray) -> int:
+    return max(Z.max(), -Z.min()) if Z.size else 0
+
+
 def matmul(K: Field, A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """A @ B over K; B may be a stack of matrices, as for np.matmul.  With
     `out` given, the product is written there."""
+    if isinstance(K, RationalField):
+        (Za, da), (Zb, db) = _integral(A), _integral(B)
+        # every partial sum of k products is at most k * max|Za| * max|Zb|;
+        # the max(..., 1) also keeps a zero operand from admitting a huge one
+        if A.shape[-1] * max(_max_abs(Za), 1) * max(_max_abs(Zb), 1) <= _INT64_MAX:
+            Za, Zb = Za.astype(np.int64), Zb.astype(np.int64)
+        C = _fractions(np.matmul(Za, Zb), da * db)
+        if out is None:
+            return C
+        out[...] = C
+        return out
     reduce = _reducer(K)
     k = A.shape[-1]
     step = _reduce_every(K, A)
@@ -80,16 +128,20 @@ def _eliminate(K: Field, A: np.ndarray, full: bool = True) -> list[int]:
     """Gaussian elimination of A in place; returns the pivot columns.
 
     With full set, A ends in reduced row echelon form.  Otherwise only the
-    rows below each pivot are cleared: A ends in row echelon form, which
-    is enough for the pivot columns.  Each step touches only the rows that
-    are nonzero in the pivot column, and only the columns from it onward.
+    pivot columns are defined: over F_p A ends in row echelon form, over QQ
+    it is left as it was, and no caller reads A afterwards.  Each step
+    touches only the rows that are nonzero in the pivot column.
 
-    Reduction is lazy: a step reduces only its column, for the zero test
-    and the multipliers, and the pivot row, before scaling it.  An update
-    subtracts from each entry at most one product of two reduced entries,
-    so the whole matrix is reduced only after _reduce_every updates, and
-    once at the end.
+    Over QQ the elimination is fraction-free (_eliminate_qq).  Over F_p a
+    step touches only the columns from the pivot onward, and reduction is
+    lazy: a step reduces only its column, for the zero test and the
+    multipliers, and the pivot row, before scaling it.  An update subtracts
+    from each entry at most one product of two reduced entries, so the
+    whole matrix is reduced only after _reduce_every updates, and once at
+    the end.
     """
+    if isinstance(K, RationalField):
+        return _eliminate_qq(A, full)
     reduce = _reducer(K)
     budget = _reduce_every(K, A)
     nrows, ncols = A.shape
@@ -122,6 +174,63 @@ def _eliminate(K: Field, A: np.ndarray, full: bool = True) -> list[int]:
         pivots.append(c)
         r += 1
     reduce(A)
+    return pivots
+
+
+def _divide_content(S: np.ndarray) -> None:
+    """Divides each row of the integer object array S in place by the gcd
+    of its entries."""
+    for row, g in zip(S, [math.gcd(*r) for r in S.tolist()]):
+        if g > 1:
+            row //= g
+
+
+def _eliminate_qq(A: np.ndarray, full: bool) -> list[int]:
+    """_eliminate over QQ on the integer rows of A.
+
+    Scaling a row keeps the pivot columns and the RREF, so each row is
+    cleared of denominators and divided by its content.  The pivot row is
+    the one of least absolute value in the pivot column, which keeps the
+    entries small; the pivot columns do not depend on that choice.  At
+    pivot v in row r, each other row t that is nonzero there becomes
+    (v*row_t - a_t*row_r) / gcd(v, a_t), divided by its content.  With full
+    set, the rows above the pivot are scaled too, so whole rows are
+    updated, and A gets row k / (its entry at pivot k) as Fractions.
+    """
+    Z, _ = _integral(A)
+    _divide_content(Z)
+    nrows, ncols = Z.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = Z[:, c].nonzero()[0]
+        cand = nz[nz >= r]
+        if not cand.size:
+            continue
+        pr = int(cand[np.abs(Z[cand, c]).argmin()])
+        if pr != r:
+            Z[[r, pr]] = Z[[pr, r]]
+            nz = np.where(nz == pr, r, np.where(nz == r, pr, nz))
+        tgt = nz[nz != r] if full else nz[nz > r]
+        if tgt.size:
+            lo = 0 if full else c
+            v = Z[r, c]
+            sub = Z[tgt, lo:]
+            a = sub[:, c - lo]
+            g = np.gcd(a, v)
+            scale, mult = v // g, a // g
+            sub *= scale[:, None]
+            sub -= np.multiply.outer(mult, Z[r, lo:])
+            _divide_content(sub)
+            Z[tgt, lo:] = sub
+        pivots.append(c)
+        r += 1
+    if full:
+        for i, c in enumerate(pivots):
+            A[i] = _fractions(Z[i], Z[i, c])
+        A[len(pivots):] = Fraction(0)
     return pivots
 
 

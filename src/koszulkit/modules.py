@@ -30,7 +30,6 @@ from .ring import (
     MonomialOrder,
     MonomialOverflow,
     PackedLayout,
-    Polynomial,
     RingContext,
     RingError,
     add_deg,
@@ -117,37 +116,32 @@ class PolyMatrix:
     def compose(self, other: "PolyMatrix") -> "PolyMatrix":
         """self composed after other: self * other.
 
-        Entries are packed once.  Each output entry sums its products in one
-        dict, unreduced (raw values of both fields are Python numbers), and
-        is reduced once; only the terms that survive are unpacked."""
+        Works on packed columns, so a matrix from syzygy_matrix is not
+        packed again: a term m*e_k of a column of other adds m times column
+        k of self.  Each output column sums its products in one dict,
+        unreduced (raw values of both fields are Python numbers), and is
+        reduced once; only the terms that survive are unpacked."""
         if other.target != self.source:
             if other.target.twists != self.source.twists:
                 raise RingError("composition with mismatched modules")
         ring = self.ring
         K = ring.field
         lay = DEGREVLEX.for_ring(ring).layout
-        A = [[lay.pack_terms(f.terms) for f in row] for row in self.entries]
-        B = [[lay.pack_terms(f.terms) for f in row] for row in other.entries]
-        prod = []
-        for a_row in A:
-            row = []
-            for c in range(other.ncols):
-                acc: dict = {}
-                get = acc.get
-                for a, b_row in zip(a_row, B):
-                    b = b_row[c]
-                    if a and b:
-                        for P, x in a.items():
-                            for Q, y in b.items():
-                                acc[P + Q] = get(P + Q, 0) + x * y
-                terms = {}
-                for P, v in acc.items():
-                    v = K.coerce(v)
-                    if not K.is_zero(v):
-                        terms[lay.unpack(P)] = v
-                row.append(Polynomial(ring, terms))
-            prod.append(row)
-        return PolyMatrix(self.target, other.source, prod, check=False)
+        A = self.packed_columns(lay)
+        unpack, frame = lay.unpack, lay.frame
+        entries = [[ring.zero() for _ in range(other.ncols)] for _ in range(self.nrows)]
+        for c, col in enumerate(other.packed_columns(lay)):
+            acc: dict = {}
+            get = acc.get
+            for P, y in col.items():
+                m = P & ~frame
+                for Q, x in A[P & FIELD_MASK].items():
+                    acc[Q + m] = get(Q + m, 0) + x * y
+            for R, v in acc.items():
+                v = K.coerce(v)
+                if not K.is_zero(v):
+                    entries[R & FIELD_MASK][c].terms[unpack(R)] = v
+        return PolyMatrix(self.target, other.source, entries, check=False)
 
     def transpose(self) -> "PolyMatrix":
         ent = [[self.entries[r][c] for r in range(self.nrows)] for c in range(self.ncols)]

@@ -465,11 +465,13 @@ def _find_regular_linear_reduction(I: Ideal):
     Each round first tries the last variable x by the Bayer-Stillman
     criterion on the cached degrevlex basis (groebner.cut_last_variable):
     no Buchberger runs, and when x is regular the cut ideal carries its
-    basis into the next round.  When x is a zero-divisor, a socle element of
-    S/I up to the top degree of its basis proves that no linear form is
-    regular, and the search stops.  Otherwise the other candidates follow
-    in order, each by Hilbert series: the variables from the last, then
-    random forms, _TRIES candidates in all.
+    basis into the next round.  When x is a zero-divisor, S/I may have
+    depth 0, and then no linear form is regular and the search stops: when
+    S/I is Artinian (a pure power of every variable among the leads), or
+    when it has a socle element up to the top degree of its basis.
+    Otherwise the other candidates follow in order, each by Hilbert series:
+    the variables from the last, then random forms, _TRIES candidates in
+    all.
     """
     if not I.is_homogeneous() or I.contains(I.ring.one()):
         raise GroebnerError("the regular linear form search needs a proper homogeneous ideal")
@@ -480,7 +482,8 @@ def _find_regular_linear_reduction(I: Ideal):
         nxt = cut_last_variable(cur, RingContext(cur.ring.field, cur.ring.names[:-1]))
         if nxt is None:
             Q = QuotientRing(cur)
-            if _socle_element(Q, max(g.total_degree() for g in Q.gb)) is not None:
+            artinian = all(any(m[i] == sum(m) for m in Q._lead) for i in range(cur.ring.n))
+            if artinian or _socle_element(Q, max(g.total_degree() for g in Q.gb)) is not None:
                 return cur, used, Q
             coeffs = _other_regular_form(cur, rng)
             if coeffs is None:
@@ -508,8 +511,8 @@ def is_koszul_up_to(
     the existence of a nonlinear position, though positions may shift).  The
     search for those forms runs one Buchberger on I and none on the cut
     rings while their last variable is regular (the Bayer-Stillman criterion
-    and the carried basis), and stops at once when it finds a socle element;
-    the resolver then reuses its QuotientRing.
+    and the carried basis), and stops at once when the ring is Artinian or
+    it finds a socle element; the resolver then reuses its QuotientRing.
     """
     if isinstance(Q_or_I, QuotientRing):
         I = Q_or_I.ideal

@@ -182,7 +182,10 @@ def _prune_units(modules: list[list], maps: list[list[list]], ring: RingContext)
 def minimalize_complex(cx: FreeComplex) -> FreeComplex:
     """Minimal complex homotopy-equivalent to cx (prunes constant entries).
 
-    The result is validated (d o d = 0), whether or not cx was."""
+    The result is validated (d o d = 0), whether or not cx was.  A complex
+    that is already minimal keeps its maps, and so their packed columns."""
+    if cx.is_minimal() and cx.modules[-1].rank:
+        return FreeComplex(list(cx.modules), list(cx.maps))
     modules = [list(m.twists) for m in cx.modules]
     maps = [[row[:] for row in d.entries] for d in cx.maps]
     _prune_units(modules, maps, cx.ring)

@@ -1,6 +1,7 @@
 """Dense linear algebra: the vectorized kernels against plain references."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -260,3 +261,178 @@ def test_kernel_vectors_are_annihilated(p, shape, data):
     assert len(ker) == ncols - linalg.rank(K, rows)
     for v in ker:
         assert all(sum(a * b for a, b in zip(r, v)) % p == 0 for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# QQ: the integer kernels against the Fraction reference
+
+
+def fraction_matmul(K, A, B, out=None):
+    """Reference: the object-array product, summing Fraction products."""
+    C = np.matmul(A, B, out=out)
+    if A.shape[-1] == 0:
+        C[...] = K.zero()
+    return C
+
+
+def fraction_eliminate(K, A, full=True):
+    """Reference: elimination on the object array of Fractions, each pivot
+    row scaled to 1, the first nonzero row from r on as the pivot row."""
+    nrows, ncols = A.shape
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = A[:, c].nonzero()[0]
+        k = nz.searchsorted(r)
+        if k == nz.size:
+            continue
+        pr = int(nz[k])
+        if pr != r:
+            A[[r, pr]] = A[[pr, r]]
+        prow = A[r, c:]
+        prow *= K.inv(A.item(r, c))
+        tgt = nz[nz != pr] if full else nz[k + 1:]
+        if tgt.size:
+            sub = A[tgt, c:]
+            sub -= np.multiply.outer(sub[:, 0], prow)
+            A[tgt, c:] = sub
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def with_reference(fn):
+    """fn() with linalg's matmul and _eliminate replaced by the references."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(linalg, "matmul", fraction_matmul)
+        m.setattr(linalg, "_eliminate", fraction_eliminate)
+        return fn()
+
+
+def all_fractions(values) -> bool:
+    values = np.asarray(values, dtype=object).ravel().tolist()
+    return all(type(x) is Fraction for x in values)
+
+
+@st.composite
+def qq_rows(draw, nrows, ncols):
+    """nrows x ncols rationals, numerators and denominators up to 80 digits:
+    dense with zeros, or a rank-deficient L U product; then some zero rows
+    and columns, and maybe one row times a large content."""
+    bound = 10 ** draw(st.sampled_from([1, 6, 80]))
+    entry = st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-bound, bound), st.integers(1, bound)))
+
+    def block(r, c):
+        return [[draw(entry) for _ in range(c)] for _ in range(r)]
+
+    if draw(st.booleans()):
+        rank = draw(st.integers(0, min(nrows, ncols)))
+        L, U = block(nrows, rank), block(rank, ncols)
+        rows = [[sum((row[t] * U[t][j] for t in range(rank)), Fraction(0)) for j in range(ncols)] for row in L]
+    else:
+        rows = block(nrows, ncols)
+    for i in draw(st.sets(st.integers(0, nrows - 1), max_size=2)) if nrows else ():
+        rows[i] = [Fraction(0)] * ncols
+    for j in draw(st.sets(st.integers(0, ncols - 1), max_size=2)) if ncols else ():
+        for row in rows:
+            row[j] = Fraction(0)
+    if nrows and draw(st.booleans()):
+        i = draw(st.integers(0, nrows - 1))
+        content = Fraction(draw(st.integers(1, 10 ** 80)), draw(st.integers(1, 10 ** 20)))
+        rows[i] = [x * content for x in rows[i]]
+    return rows
+
+
+dims = st.integers(0, 6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), m=dims, k=dims, n=dims, stack=st.integers(1, 3))
+def test_qq_matmul_matches_fraction_reference(data, m, k, n, stack):
+    A = linalg.array(QQ, data.draw(qq_rows(m, k)), k)
+    B = linalg.array(QQ, data.draw(qq_rows(k, n)), n)
+    got = linalg.matmul(QQ, A, B)
+    assert got.tolist() == fraction_matmul(QQ, A, B).tolist() and all_fractions(got)
+    # a stack of matrices, written into a view of a larger array
+    X = np.stack([linalg.array(QQ, data.draw(qq_rows(k, n)), n) for _ in range(stack)])
+    out = linalg.zeros(QQ, (stack + 1, m, n))
+    got = linalg.matmul(QQ, A, X, out=out[1:])
+    assert got.base is out
+    assert out[1:].tolist() == fraction_matmul(QQ, A, X).tolist() and all_fractions(out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), m=dims, n=dims)
+def test_qq_eliminations_match_fraction_reference(data, m, n):
+    rows = data.draw(qq_rows(m, n))
+    R, pivots = linalg.rref(QQ, rows)
+    assert (R, pivots) == with_reference(lambda: linalg.rref(QQ, rows)) and all_fractions(R)
+    ker = linalg.kernel(QQ, rows, n)
+    assert ker == with_reference(lambda: linalg.kernel(QQ, rows, n)) and all_fractions(ker)
+    assert linalg.rank(QQ, rows) == with_reference(lambda: linalg.rank(QQ, rows))
+    V = linalg.array(QQ, rows, n)
+    B, pivots = linalg.span_basis(QQ, V)
+    want_B, want_pivots = with_reference(lambda: linalg.span_basis(QQ, V))
+    assert (B.tolist(), pivots) == (want_B.tolist(), want_pivots) and all_fractions(B)
+    if m and n:
+        j = data.draw(st.integers(0, m - 1))
+        got = linalg.complement_indices(QQ, rows[:j], rows[j:])
+        assert got == with_reference(lambda: linalg.complement_indices(QQ, rows[:j], rows[j:]))
+    B, free = linalg.kernel_basis(QQ, V)
+    assert all_fractions(B)
+    k = data.draw(st.integers(0, 4))
+    old = [fraction_matmul(QQ, B, linalg.array(QQ, data.draw(qq_rows(len(free), k)), k))]
+    got = linalg.complement_in_basis(QQ, free, old)
+    assert got == with_reference(lambda: linalg.complement_in_basis(QQ, free, old))
+
+
+# 2**63 - 1 = 7**2 * 73 * 127 * 337 * 92737 * 649657
+INT64_K, INT64_A = 7, 7 * 73 * 127
+INT64_B = (2 ** 63 - 1) // (INT64_K * INT64_A)
+
+
+@pytest.mark.parametrize("den_a,den_b", [(1, 1), (3, 5)])
+def test_qq_matmul_int64_bound(monkeypatch, den_a, den_b):
+    """k * max|Za| * max|Zb| equal to 2**63 - 1 runs in int64, one more in
+    Python ints; the products reach the bound, so a wrong route wraps."""
+    assert INT64_K * INT64_A * INT64_B == 2 ** 63 - 1
+    routes = []
+    fractions = linalg._fractions
+
+    def recorded(Z, d=1):
+        routes.append(Z.dtype)
+        return fractions(Z, d)
+
+    monkeypatch.setattr(linalg, "_fractions", recorded)
+    A = linalg.array(QQ, [[Fraction(INT64_A, den_a)] * INT64_K, [Fraction(-INT64_A, den_a)] * INT64_K], INT64_K)
+    for b, route in ((INT64_B, np.int64), (INT64_B + 1, object)):
+        B = linalg.array(QQ, [[Fraction(b, den_b), Fraction(-b, den_b), Fraction(1, den_b)]] * INT64_K, 3)
+        got = linalg.matmul(QQ, A, B)
+        assert routes.pop() == np.dtype(route)
+        assert got.tolist() == fraction_matmul(QQ, A, B).tolist() and all_fractions(got)
+        assert got[0, 0] == Fraction(INT64_K * INT64_A * b, den_a * den_b)
+
+
+def test_qq_integer_route_makes_no_fraction_arithmetic(monkeypatch):
+    """A QQ matmul of 0/±1 operands and a QQ rank run on integers: Fraction
+    products and sums would show that a call fell back to the object path."""
+    rng = random.Random(7)
+    signs = [[Fraction(rng.choice((-1, 0, 1))) for _ in range(9)] for _ in range(8)]
+    A = linalg.array(QQ, signs, 9)
+    X = np.stack([linalg.array(QQ, [[Fraction(rng.choice((-1, 0, 1))) for _ in range(5)]
+                                    for _ in range(9)], 5) for _ in range(3)])
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        op = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name, lambda a, b, _op=op, _name=name: calls.append(_name) or _op(a, b))
+    want = fraction_matmul(QQ, A, X)
+    assert calls  # the counter sees the Fraction path
+    calls.clear()
+    got = linalg.matmul(QQ, A, X)
+    rank = linalg.rank(QQ, signs)
+    assert calls == []
+    monkeypatch.undo()
+    assert got.tolist() == want.tolist() and all_fractions(got)
+    assert rank == with_reference(lambda: linalg.rank(QQ, signs))

@@ -347,6 +347,24 @@ class TestRegularFormSearch:
         r = is_koszul_up_to(Ideal(list(g.gens), g.ring), 4)
         assert len(calls) == 2 and r["verdict"] == "linear-so-far"
 
+    def test_artinian_ring_stops_after_one_buchberger(self, monkeypatch):
+        """z is a zero-divisor on S/(x^2, y^2, z^2), and x, y, z all have
+        pure powers among the leads: depth 0 without a socle search, whose
+        witness x*y*z lies above the top degree of the basis."""
+        R = parse_ring("ring F32003 [x,y,z]")
+        calls = []
+        run = groebner.buchberger
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(groebner, "buchberger", counting)
+        cur, used, Q = quotient._find_regular_linear_reduction(ideal(R, "x^2", "y^2", "z^2"))
+        assert len(calls) == 1 and used == 0 and Q is not None and Q.ideal is cur
+        monkeypatch.undo()
+        self.same_as_reference(ideal(R, "x^2", "y^2", "z^2"))
+
     def test_rejects_inhomogeneous_and_unit_ideals(self):
         R = parse_ring("ring F7 [x,y,z]")
         for gens in (["x^2+y"], ["x^2", "1"]):

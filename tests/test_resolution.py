@@ -27,7 +27,7 @@ from koszulkit import (
 from koszulkit.forms import KNOWN_HEIGHT2_TABLES, generate_ideal, random_quadric
 from koszulkit.groebner import GroebnerError, colon
 from koszulkit.resolution import FreeComplex
-from koszulkit.ring import DEGLEX, MonomialOrder, RingError
+from koszulkit.ring import DEGLEX, MonomialOrder, PackedLayout, RingError
 
 
 def P(R, s):
@@ -312,6 +312,28 @@ class TestValidation:
         monkeypatch.setattr(FreeComplex, "validate", counted)
         cx, _ = minimal_resolution(conca_ideal)
         assert len(seen) == 1 and seen[0] is cx
+
+    def test_validation_packs_only_the_first_map(self, monkeypatch):
+        """minimal_resolution keeps the packed columns of syzygy_matrix on
+        its maps, so validating it packs only the generators of I; the
+        compositions equal those of copies that pack every entry."""
+        I = generate_ideal("2iii", GF(32003), 1)["ideal"]
+        cx, _ = minimal_resolution(I)
+        packed = []
+        pack_terms = PackedLayout.pack_terms
+
+        def counted(lay, terms, frame=0):
+            packed.append(terms)
+            return pack_terms(lay, terms, frame)
+
+        monkeypatch.setattr(PackedLayout, "pack_terms", counted)
+        cx.validate()
+        assert len(packed) == cx.maps[0].nrows * cx.maps[0].ncols == len(I.gens)
+        monkeypatch.undo()
+        fresh = [PolyMatrix(d.target, d.source, d.entries) for d in cx.maps]
+        for i in range(1, len(cx.maps)):
+            lhs = [row[:] for row in cx.maps[i - 1].compose(cx.maps[i]).entries]
+            assert lhs == fresh[i - 1].compose(fresh[i]).entries
 
     def test_minimalize_complex_rejects_nonzero_composition(self, qq_xy):
         R = qq_xy
