@@ -1,4 +1,4 @@
-"""Structure classification for ideals generated by up to four quadrics:
+"""Structure classification for ideals minimally generated by four quadrics:
 height, multiplicity, Betti table, the matched structure case with explicit
 witness forms, and a Koszulness verdict with a machine-checkable certificate.
 
@@ -1072,8 +1072,8 @@ def _dynamic_non_koszul_verdict(I: Ideal, bound: int, notes: list[str]):
 
 
 def classify(I: Ideal, bound: int = 5, seed: int = 0) -> ClassificationReport:
-    """Full structure classification of an ideal generated by at most four
-    quadrics; see the module docstring for the verdict semantics."""
+    """Full structure classification of an ideal minimally generated by four
+    quadrics, else ClassificationError; the module docstring has the verdicts."""
     ring = I.ring
     for g in I.gens:
         if not g.is_homogeneous() or g.total_degree() != 2:
@@ -1083,9 +1083,9 @@ def classify(I: Ideal, bound: int = 5, seed: int = 0) -> ClassificationReport:
             )
     gens = minimal_quadric_generators(I)
     g = len(gens)
-    if g > 4:
+    if g != 4:
         raise ClassificationError(
-            f"classification covers at most four quadrics; this ideal needs {g} generators"
+            f"classification covers ideals minimally generated by four quadrics; this ideal needs {g} generators"
         )
     h = hilbert_of_quotient(I)
     cx, B = minimal_resolution(I)

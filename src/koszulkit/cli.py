@@ -252,6 +252,13 @@ def cmd_repro(args) -> int:
     return 0 if report["ok"] else 1
 
 
+def nonnegative(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="koszulkit",
@@ -278,19 +285,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("res", help="minimal free resolution and Betti table")
     add_ideal_args(sp)
-    sp.add_argument("--maxdeg", type=int, default=None)
+    sp.add_argument("--maxdeg", type=nonnegative, default=None)
     sp.add_argument("--matrices", action="store_true")
     sp.set_defaults(fn=cmd_res)
 
     sp = sub.add_parser("koszul", help="Koszulness test up to a homological bound")
     add_ideal_args(sp)
-    sp.add_argument("--bound", type=int, default=5)
+    sp.add_argument("--bound", type=nonnegative, default=5)
     sp.add_argument("--module", help="resolve this module instead of the residue field")
     sp.set_defaults(fn=cmd_koszul)
 
     sp = sub.add_parser("classify", help="four-quadric structure classification")
     add_ideal_args(sp)
-    sp.add_argument("--bound", type=int, default=5)
+    sp.add_argument("--bound", type=nonnegative, default=5)
     sp.set_defaults(fn=cmd_classify)
 
     sp = sub.add_parser("gq-search", help="randomized search for a quadratic basis witness")
@@ -329,7 +336,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, GroebnerError, ClassificationError) as exc:
+    except (ParseError, GroebnerError, ClassificationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,7 +8,8 @@ which F dominates, so Groebner elements with vanishing F-part carry
 syzygies in their tags, and normal forms of (v, 0) carry representations
 (TaggedModule.reduce: N = R + M*X).  S-pairs are pruned by the strict chain
 criterion, and by the coprime criterion with injected Koszul tags when F has
-one component (see ModuleGB).  Inside, elements are packed dicts
+one component (see ModuleGB).  Minimal generators are picked by normal forms
+too (minimal_module_generators).  Inside, elements are packed dicts
 {int: coeff} (see ModuleOrder): PolyMatrix.packed_columns packs a matrix
 once, and the engine reduces by the loop groebner.py shares with
 Buchberger's algorithm.  syzygy_matrix keeps its columns packed from one
@@ -17,10 +18,7 @@ call to the next and unpacks them once, into the matrix it returns.
 
 from __future__ import annotations
 
-from itertools import groupby
-
 from .groebner import lead_term, reduce_terms, s_element, scaled
-from .linalg import complement_indices
 from .ring import (
     DEGREVLEX,
     FIELD_BITS,
@@ -231,11 +229,12 @@ class ModuleGB:
     directly injected Koszul tag element.
     """
 
-    def __init__(self, order: ModuleOrder, K):
+    def __init__(self, order: ModuleOrder, K, twists=()):
         self.order = order
         self.lay = order.lay
         self.K = K
         self.n_free = order.n_free
+        self.shifts = [sum(t) for t in twists] or [0] * order.n_free
         self.use_coprime = order.n_free == 1
         self.basis: list[tuple] = []
         self.reducers: list[list] = [[] for _ in range(order.n_free)]
@@ -312,18 +311,24 @@ class ModuleGB:
 
     def add(self, el: dict) -> bool:
         """Reduce and, if nonzero, insert a packed element; True when inserted."""
-        if not el:
-            return False
         rem = reduce_terms(el, self.reducers, self.lay, self.K)
         if not rem:
             return False
         self._add_reduced(rem)
         return True
 
-    def complete(self):
-        basis, lay, K = self.basis, self.lay, self.K
+    def complete(self, through: int | None = None):
+        """Process the pending pairs, least _pair_key first; with a bound,
+        only those of total degree (twist, as given to __init__, plus lcm
+        degree) at most through, after which every element of the module of
+        degree at most through reduces to zero.  The rest stay pending."""
+        basis, lay, K, key = self.basis, self.lay, self.K, self._pair_key.__getitem__
         while self.pairs:
-            p = min(self.pairs, key=self._pair_key.__getitem__)
+            due = self.pairs if through is None else [
+                p for p in self.pairs if self.shifts[basis[p[0]][0] & FIELD_MASK] + key(p)[0] <= through]
+            if not due:
+                return
+            p = min(due, key=key)
             self.pairs.discard(p)
             i, j = p
             lcm = self._pair_lcm[p] + (basis[i][0] & lay.frame)
@@ -397,51 +402,38 @@ class TaggedModule:
         return self.reduce(N)[0].is_zero()
 
 
-def minimal_module_generators(F: FreeModule, cols: list[dict], degs: list, lay: PackedLayout) -> list[int]:
+def minimal_module_generators(F: FreeModule, cols: list[dict], degs: list, order: MonomialOrder) -> list[int]:
     """Indices of a minimal generating subset of the graded submodule of F
     spanned by homogeneous packed columns (as PolyMatrix.packed_columns
-    gives them in the layout lay) of degrees degs (from column_degrees).
+    gives them in the layout of order, a MonomialOrder for F.ring) of
+    degrees degs (from column_degrees).
 
     The nonzero columns are scanned by increasing total degree, then degree,
-    then sorted (component, exponent) terms, and a column is kept unless the
-    columns kept before it generate it.  By graded Nakayama a column of
-    degree d is generated exactly when its coefficient vector lies in the
-    k-span of the products m*h, where h runs over the kept columns and m
-    over the monomials of degree d - deg(h), m = 1 included.  So each degree
-    takes one linalg.complement_indices call: the products of the kept
-    columns of lower degree span, and the columns of degree d are the
-    candidates in scan order, of which the greedy complement is kept.
+    then sorted (component, exponent) terms, and a column is kept unless it
+    reduces to zero modulo an untagged Groebner basis of the columns kept
+    before it, which generate it exactly then.  The basis is completed only
+    when a column of total degree d leaves a remainder, through d and once
+    per degree; a remainder left after that proves the column is not
+    generated, and inserting it keeps the basis complete through d, since
+    its lead is irreducible and so every new pair has a higher degree.
     """
-    ring, K = F.ring, F.ring.field
+    K, lay = F.ring.field, order.layout
     idx = sorted(
         (i for i in range(len(cols)) if cols[i]),
         key=lambda i: (sum(degs[i]), degs[i], sorted(lex_terms(lay, cols[i]))),
     )
+    gb = ModuleGB(ModuleOrder(order, F.rank), K, F.twists)
     kept: list[int] = []
-    for d, group in groupby(idx, key=degs.__getitem__):
-        group = list(group)
-        # each vector as (coordinate, value) pairs; coordinates number the
-        # packed terms in order of first appearance.  A product P + m of
-        # valid terms may reach a guard bit but never carries out of a field,
-        # so distinct products stay distinct ints.
-        index: dict = {}
-        sparse = []
-        for h in kept:
-            terms = cols[h].items()
-            for m in map(lay.pack, ring.monomials(sub_deg(d, degs[h]))):
-                sparse.append([(index.setdefault(P + m, len(index)), v) for P, v in terms])
-        n_products = len(sparse)
-        for i in group:
-            sparse.append([(index.setdefault(P, len(index)), v) for P, v in cols[i].items()])
-        zero = K.zero()
-        rows = []
-        for pairs in sparse:
-            row = [zero] * len(index)
-            for j, v in pairs:
-                row[j] = v
-            rows.append(row)
-        chosen = complement_indices(K, rows[:n_products], rows[n_products:])
-        kept.extend(group[j] for j in chosen)
+    done = None  # the total degree the basis is complete through; unset, as degrees may be negative
+    for i in idx:
+        rem = reduce_terms(cols[i], gb.reducers, lay, K)
+        if rem and sum(degs[i]) != done:
+            done = sum(degs[i])
+            gb.complete(done)
+            rem = reduce_terms(rem, gb.reducers, lay, K)
+        if rem:
+            kept.append(i)
+            gb._add_reduced(rem)
     return kept
 
 
@@ -456,7 +448,7 @@ def syzygy_matrix(M: PolyMatrix, order: MonomialOrder = DEGREVLEX) -> PolyMatrix
     lay = base.layout
     syz = TaggedModule(M, base).syzygies()
     degs = column_degrees(M.source, lay, syz)
-    kept = minimal_module_generators(M.source, syz, degs, lay) if syz else []
+    kept = minimal_module_generators(M.source, syz, degs, base) if syz else []
     ring, unpack = M.ring, lay.unpack
     entries = [[ring.zero() for _ in kept] for _ in range(M.source.rank)]
     for c, i in enumerate(kept):

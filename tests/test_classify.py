@@ -264,3 +264,21 @@ class TestCertificates:
         assert js["schema"] == 1
         assert js["matched_case"] == "2iii"
         assert set(js) >= {"betti", "witnesses", "verdict", "certificate", "hgt", "g"}
+
+
+# Koszul ideals with fewer than four minimal quadrics (quadratic monomial
+# ideals and complete intersections).  The reference tables and the ht1 form
+# describe four quadrics, so these were misreported as table mismatches or
+# crashed in the height-one extraction; they are out of scope and rejected.
+FEWER_THAN_FOUR = [
+    ("x^2", "y^2"), ("x*y", "z*w"), ("x^2", "x*y", "y^2"), ("x*y", "x*z", "y*z"), ("x*y", "y*z", "z*w"),
+    ("x^2", "x*y"), ("x*y", "x*z"), ("x*z", "y*z"), ("x^2", "x*y", "x*z"), ("x*y", "x*z", "x*w"),
+    ("x*y", "z*w", "2*x*y"),
+]
+
+
+@pytest.mark.parametrize("gens", FEWER_THAN_FOUR, ids=",".join)
+def test_fewer_than_four_minimal_quadrics_rejected(gens):
+    R = parse_ring("ring F32003 [x,y,z,w]")
+    with pytest.raises(ClassificationError, match="needs [23] generators"):
+        classify(ideal(R, *gens))

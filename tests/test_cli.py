@@ -112,3 +112,25 @@ def test_repro_single_check(capsys):
     code, out, _ = run_cli(capsys, "repro-paper", "--only", "five-quadric-example-betti")
     assert code == 0
     assert "[PASS]" in out and "1/1" in out
+
+
+def test_unreadable_ideal_file_is_an_error(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "res", "--ideal", str(tmp_path / "missing.ideal"))
+    assert code == 2 and err.startswith("error: ") and "missing.ideal" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("koszul", "--bound", "-1"),
+    ("classify", "--bound", "-1"),
+    ("res", "--maxdeg", "-2"),
+])
+def test_negative_bounds_are_rejected(capsys, ideal_file, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--ideal", ideal_file])
+    assert exc.value.code == 2
+    assert f"error: argument {argv[1]}: must be nonnegative" in capsys.readouterr().err
+
+
+def test_zero_maxdeg_is_accepted(capsys, ideal_file):
+    code, out, _ = run_cli(capsys, "res", "--ideal", ideal_file, "--maxdeg", "0", "--format", "json")
+    assert code == 0 and json.loads(out)["ranks"] == [1, 4]

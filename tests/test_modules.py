@@ -1,7 +1,9 @@
-"""Module machinery on PolyMatrix columns: the degreewise linear-algebra
-scan of minimal generators against the Groebner-basis greedy scan it
-replaced, the generation property, and TaggedModule.reduce against
-degreewise linear algebra."""
+"""Module machinery on PolyMatrix columns: the minimal-generator scan, which
+decides membership by normal forms against a Groebner basis completed
+lazily by degree, against two references (the same scan with the basis
+completed in full after every kept column, and the dense graded-Nakayama
+scan it replaced), the degree bound of ModuleGB.complete, the generation
+property, and TaggedModule.reduce against degreewise linear algebra."""
 
 import random
 
@@ -10,9 +12,22 @@ from hypothesis import strategies as st
 
 from koszulkit import GF, QQ, FreeModule, PolyMatrix, parse_poly, parse_ring
 from koszulkit.forms import generate_ideal
+from koszulkit.groebner import reduce_terms
 from koszulkit.linalg import in_row_space
 from koszulkit.modules import ModuleGB, ModuleOrder, TaggedModule, column_degrees, minimal_module_generators
-from koszulkit.ring import DEGREVLEX, FIELD_MASK, Polynomial, RingContext, add_deg, mon_mul, sub_deg
+from koszulkit.ring import (
+    DEGLEX,
+    DEGREVLEX,
+    FIELD_MASK,
+    MonomialOrder,
+    Polynomial,
+    RingContext,
+    add_deg,
+    elimination_order,
+    mon_mul,
+    sub_deg,
+)
+from test_syzygy_pipeline import columns, ref_minimal_generators
 
 # A column is a list of polynomials, one entry per component of F.
 
@@ -35,20 +50,21 @@ def column_terms(col):
     return sorted((r, m) for r, f in enumerate(col) for m in f.terms)
 
 
-def mingens(F, cols):
+def mingens(F, cols, order=DEGREVLEX):
     """minimal_module_generators on the columns, packed as
-    PolyMatrix.packed_columns packs them."""
-    lay = DEGREVLEX.for_ring(F.ring).layout
-    packed = matrix(F, cols).packed_columns(lay)
-    return minimal_module_generators(F, packed, column_degrees(F, lay, packed), lay)
+    PolyMatrix.packed_columns packs them in the layout of order."""
+    base = order.for_ring(F.ring)
+    packed = matrix(F, cols).packed_columns(base.layout)
+    return minimal_module_generators(F, packed, column_degrees(F, base.layout, packed), base)
 
 
-def gb_greedy(F, cols):
-    """The reference scan: same order, and a column is kept when it does not
-    reduce to zero modulo a completed Groebner basis of the kept ones."""
+def gb_greedy(F, cols, order=DEGREVLEX):
+    """The first reference scan: same order, and a column is kept when it
+    does not reduce to zero modulo a completed Groebner basis of the kept
+    ones, completed in full after every kept column."""
     ring = F.ring
     degs = [col_degree(F, c) for c in cols]
-    base = DEGREVLEX.for_ring(ring)
+    base = order.for_ring(ring)
     packed = matrix(F, cols).packed_columns(base.layout)
     gb = ModuleGB(ModuleOrder(base, F.rank), ring.field)
     idx = sorted(
@@ -112,9 +128,18 @@ def standard_case(K, n, rng):
     return F, random_columns(F, [(1,), (2,)], STANDARD_STEPS, rng)
 
 
+def nakayama_greedy(F, cols):
+    """The second reference scan: same order, and a column of degree d is
+    kept when its coefficient vector is not in the k-span of the products
+    m*h of the kept columns h with deg m = d - deg h (graded Nakayama)."""
+    return ref_minimal_generators(F, columns(matrix(F, cols)))
+
+
 class TestAgainstGroebnerScan:
-    def check(self, F, cols):
-        assert mingens(F, cols) == gb_greedy(F, cols)
+    def check(self, F, cols, order=DEGREVLEX):
+        kept = mingens(F, cols, order)
+        assert kept == gb_greedy(F, cols, order) == nakayama_greedy(F, cols)
+        return kept
 
     def test_prime_fields_and_rationals(self):
         for K, seeds in ((GF(2), 12), (GF(32003), 12), (QQ, 6)):
@@ -137,8 +162,7 @@ class TestAgainstGroebnerScan:
             R = parse_ring("ring F32003 [x,y,z]")
             F = FreeModule(R, [(0,)])
             cols = random_columns(F, [(1,)], [(2,), (3,)], rng)
-            kept = mingens(F, cols)
-            assert kept == gb_greedy(F, cols)
+            kept = self.check(F, cols)
             low = min(sum(col_degree(F, cols[i])) for i in kept)
             seen_gap |= any(sum(col_degree(F, c)) - low >= 2 for c in cols if any(c))
         assert seen_gap
@@ -148,8 +172,8 @@ class TestAgainstGroebnerScan:
         F = FreeModule(R, [(0,), (0,)])
         cols = [["0", "0"], ["x^2", "0"], ["x^2", "0"], ["0", "0"], ["3*x^2", "x*y"], ["0", "5*x*y"]]
         cols = [[parse_poly(R, e) for e in c] for c in cols]
-        assert mingens(F, cols) == gb_greedy(F, cols) == [1, 4]
-        assert mingens(F, [cols[0], cols[3]]) == []
+        assert self.check(F, cols) == [1, 4]
+        assert self.check(F, [cols[0], cols[3]]) == []
 
     def test_rings_of_different_sizes_in_one_process(self):
         # fresh rings of alternating size, each dropped before the next is
@@ -167,9 +191,87 @@ class TestAgainstGroebnerScan:
                 [Polynomial(R, {m: 1})]
                 for m in (first, mon_mul(first, x_last), last, mon_mul(first, last))
             ]
-            kept = mingens(F, cols)
-            assert kept == gb_greedy(F, cols) and sorted(kept) == [0, 2]
+            kept = self.check(F, cols)
+            assert sorted(kept) == [0, 2]
             del R, F
+
+    def test_negative_twists(self):
+        # dual modules, as ann_ext resolves them, have negative twists; the
+        # scan then starts below degree -1, where the basis must still be
+        # completed before the first column of each degree is kept
+        rng = random.Random(13)
+        kept_below = 0
+        for K in (GF(32003), GF(2), QQ):
+            for _ in range(8):
+                R = parse_ring(f"ring {K.name} [x,y,z]")
+                F = FreeModule(R, [(-4,), (-3,), (-3,)][: rng.randint(1, 3)])
+                cols = random_columns(F, [(-3,), (-2,)], STANDARD_STEPS, rng)
+                kept_below += sum(sum(col_degree(F, cols[i])) < -1 for i in self.check(F, cols))
+        assert kept_below
+
+    def test_other_orders(self):
+        # the selection basis works in the caller's order, whose layout the
+        # columns are packed in: deglex, a permuted degrevlex, and a block
+        # order with two degree fields
+        rng = random.Random(17)
+        for _ in range(12):
+            F, cols = standard_case(GF(32003), rng.randint(3, 4), rng)
+            n = F.ring.n
+            for order in (DEGLEX, MonomialOrder("degrevlex", perm=list(range(n))[::-1]),
+                          elimination_order(F.ring, F.ring.names[:2])):
+                self.check(F, cols, order)
+
+    def test_bigraded_ring_under_other_orders(self):
+        R = parse_ring("ring F7 [x:(1,0),y:(1,0),a:(0,1),b:(0,1)]")
+        steps = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)]
+        rng = random.Random(19)
+        for _ in range(8):
+            F = FreeModule(R, [(0, 0), (-1, 0), (0, -1)][: rng.randint(1, 3)])
+            cols = random_columns(F, [(1, 0), (0, 1), (1, 1)], steps, rng)
+            for order in (DEGLEX, elimination_order(R, ["a", "b"])):
+                self.check(F, cols, order)
+
+
+def test_complete_through_a_degree_leaves_only_higher_pairs():
+    """complete(d) processes the pairs of total degree (twist plus lcm
+    degree) at most d and leaves the others pending; afterwards every
+    element of the module of degree at most d reduces to zero, and a later
+    complete() reaches the lead module a full completion gives."""
+    rng = random.Random(23)
+    pending = 0
+    for _ in range(10):
+        R = parse_ring("ring F32003 [x,y,z]")
+        F = FreeModule(R, [(-1,), (0,), (0,)][: rng.randint(2, 3)])
+        cols = [c for c in random_columns(F, [(1,), (2,)], STANDARD_STEPS, rng) if any(c)]
+        base = DEGREVLEX.for_ring(R)
+        lay = base.layout
+        packed = matrix(F, cols).packed_columns(lay)
+        degs = column_degrees(F, lay, packed)
+        lazy, full = (ModuleGB(ModuleOrder(base, F.rank), R.field, F.twists) for _ in range(2))
+        for el in packed:
+            lazy.add(el)
+            full.add(el)
+        d = min(sum(e) for e in degs) + 1
+        lazy.complete(d)
+        shifts = [sum(t) for t in F.twists]
+        for i, j in lazy.pairs:
+            assert shifts[lazy.basis[i][0] & FIELD_MASK] + lay.degree(lazy._pair_lcm[(i, j)]) > d
+        pending += len(lazy.pairs)
+        for el, e in zip(packed, degs):
+            for m in map(lay.pack, R.monomials((d - sum(e),)) if d >= sum(e) else ()):
+                assert not reduce_terms({P + m: v for P, v in el.items()}, lazy.reducers, lay, R.field)
+        lazy.complete()
+        full.complete()
+        assert not lazy.pairs
+        assert minimal_leads(lazy) == minimal_leads(full)
+    assert pending
+
+
+def minimal_leads(gb: ModuleGB) -> set[int]:
+    """The leads of a basis that no other lead divides: the minimal
+    generators of its lead module, the same for every Groebner basis."""
+    leads, lay = {lead for lead, _, _ in gb.basis}, gb.lay
+    return {L for L in leads if not any(M != L and lay.divides(M, L) for M in leads)}
 
 
 @settings(max_examples=25, deadline=None)

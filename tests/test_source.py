@@ -1,8 +1,8 @@
 """Source guards: runtime invariants of the library raise typed errors, never
 `assert` statements (which `python -O` strips) or bare AssertionError, no
-module imports a name it does not use, only linalg imports numpy, only ring,
-groebner and modules touch packed terms, and no function, class or method
-goes unreferenced."""
+module imports a name it does not use, only linalg imports numpy, modules
+imports nothing from linalg, only ring, groebner and modules touch packed
+terms, and no function, class or method goes unreferenced."""
 
 import ast
 from pathlib import Path
@@ -65,6 +65,24 @@ def test_only_linalg_imports_numpy():
             if any(m.split(".")[0] == "numpy" for m in modules):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, "numpy imported outside linalg:\n" + "\n".join(found)
+
+
+def test_modules_imports_nothing_from_linalg():
+    """Minimal module generators are chosen by module normal forms; with no
+    linalg import, a dense graded-Nakayama selection cannot come back into
+    modules as a second path."""
+    path = SRC / "modules.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(name.split(".")[-1] == "linalg" for name in names):
+            found.append(f"modules.py:{node.lineno}")
+    assert not found, "modules imports linalg:\n" + "\n".join(found)
 
 
 PACKED_NAMES = {
