@@ -5,7 +5,9 @@ witness forms, and a Koszulness verdict with a machine-checkable certificate.
 Verdict vocabulary is three-valued: certified-Koszul verdicts carry a lifted
 quadratic Groebner basis plus a Hilbert-verified regular specializing
 sequence; certified-non-Koszul verdicts carry a failed first-syzygy span
-witness, a nonlinear Tor position, or a reference Betti-table mismatch.
+witness, a nonlinear Tor position, a reference Betti-table mismatch, or, for
+sub-form 2iv-(c), the bad algebra's nonlinear syzygy position reached from
+the input by a chain of Hilbert-verified regular linear specializations.
 Everything else is inconclusive at the stated bound.
 """
 
@@ -36,9 +38,9 @@ from .groebner import (
 )
 from .hilbert import hilbert_of_quotient, is_regular_sequence_mod
 from .modules import FreeModule, PolyMatrix
-from .quotient import QuotientRing, first_syzygy_criterion, is_koszul_up_to, resolve_over_quotient
+from .quotient import first_syzygy_criterion, is_koszul_up_to
 from .resolution import BettiTable, _det, ann_ext, minimal_resolution
-from .ring import DEGREVLEX, LinearChange, Polynomial, RingContext, RingError, add_deg, total
+from .ring import DEGREVLEX, Polynomial, RingContext, add_deg
 from .zerodim import _u_gcd, _u_trim, solve_system_points, univariate_roots
 
 
@@ -263,7 +265,11 @@ def find_generalized_zero(M: PolyMatrix, seed: int = 0) -> tuple[list, list] | N
 # split syzygies and common factors
 
 
-def _column_combination_candidates(M: PolyMatrix, extra: int = 4):
+# chart points v = (1, t), t = 0, 1, ..., sampled when the minors leave t free
+_CHART_SAMPLES = 4
+
+
+def _column_combination_candidates(M: PolyMatrix):
     """Candidate v in k^2 (projective) with dim span(entries of M.v) <= 2,
     via the vanishing of the 3x3 minors of the coefficient matrix."""
     ring = M.ring
@@ -290,8 +296,7 @@ def _column_combination_candidates(M: PolyMatrix, extra: int = 4):
     cands: list[tuple] = []
     if not minors:
         # every combination works: sample a few chart points
-        vals = [K.zero(), K.one()] + [K.from_int(i) for i in range(2, extra)]
-        cands = [(K.one(), val) for val in vals]
+        cands = [(K.one(), K.from_int(i)) for i in range(_CHART_SAMPLES)]
     else:
         gcd = None
         for mnr in minors:
@@ -307,8 +312,7 @@ def _column_combination_candidates(M: PolyMatrix, extra: int = 4):
             for root in univariate_roots(K, gcd):
                 cands.append((K.one(), root))
         elif gcd == [] or gcd is None:
-            vals = [K.zero(), K.one()] + [K.from_int(i) for i in range(2, extra)]
-            cands = [(K.one(), val) for val in vals]
+            cands = [(K.one(), K.from_int(i)) for i in range(_CHART_SAMPLES)]
     # the point at infinity v = (0, 1)
     cands.append((K.zero(), K.one()))
     return cands
@@ -663,7 +667,7 @@ def _space_intersection(ring, A: list[Polynomial], B: list[Polynomial]) -> list[
     return _echelon_forms(ring, out)
 
 
-def match_form_2iv(I: Ideal, resolution=None, seed: int = 0):
+def match_form_2iv(I: Ideal, resolution=None):
     """Dispatch a table-(iv) ideal to its structural sub-form (a)-(d) with
     verified witnesses; sub-forms are attempted in order and each match is
     confirmed by height conditions plus ideal regeneration."""
@@ -789,7 +793,7 @@ def _first_common_factor(quadrics: list[Polynomial]) -> Polynomial | None:
     return next((x for x in factors if x is not None), None)
 
 
-def _extract_table_ii(I: Ideal, seed: int = 0):
+def _extract_table_ii(I: Ideal):
     ring = I.ring
     K = ring.field
     gens = minimal_quadric_generators(I)
@@ -928,60 +932,7 @@ def lg_quadratic_certificate(I: Ideal, case: str, witnesses: dict) -> dict | Non
     }
 
 
-def _retract_obstruction_certificate(I: Ideal, witnesses: dict, bound: int = 5) -> dict | None:
-    """For the two-by-two-factor sub-form with a bihomogeneous presentation,
-    resolve the degree-(0,1) variable ideal over the quotient and report the
-    nonlinear syzygy position (which certifies non-Koszulness through the
-    algebra retract)."""
-    ring = I.ring
-    K = ring.field
-    P = [witnesses["x"], witnesses["y"]]
-    all_forms = [witnesses[k] for k in ("x", "y", "a3", "b3", "a4", "b4")]
-    T = _extend(ring, P, all_forms[2:] + [ring.var(i) for i in range(ring.n)])
-    # coordinates: new variables u1, u2 (grade (1,0)) and t's (grade (0,1))
-    basis = P + T
-    n = ring.n
-    if len(basis) != n:
-        return None
-    mat = [[_lin_vec(ring, b)[j] for j in range(n)] for b in basis]
-    # invert: old variable -> combination of new basis forms
-    try:
-        change = LinearChange(ring, mat)
-    except RingError:
-        return None
-    inv = change.inverse()
-    weights = [(1, 0)] * 2 + [(0, 1)] * (n - 2)
-    names = [f"p{i}" for i in range(2)] + [f"u{i}" for i in range(n - 2)]
-    bigr = RingContext(K, names, weights)
-    images = []
-    for j in range(n):
-        col = [inv.matrix[i][j] for i in range(n)]
-        images.append(bigr.linear_form(col))
-    new_gens = []
-    for g in I.gens:
-        gg = g.substitute(images)
-        if gg.degree() is None:
-            return None  # not bihomogeneous under this splitting
-        new_gens.append(gg)
-    Q = QuotientRing(Ideal(new_gens, bigr))
-    ugens = [bigr.var(2 + i) for i in range(n - 2)]
-    res = resolve_over_quotient(Q, ("module", ugens), bound, bound + 2)
-    pos = res.first_nonlinear(offset=1)
-    if pos is None:
-        return None
-    return {
-        "type": "retract-obstruction",
-        "quotient_module_variables": [str(u) for u in ugens],
-        "nonlinear_position": {
-            "hom_degree": pos[0],
-            "internal_degree": list(pos[1]),
-            "total_degree": total(pos[1]),
-        },
-        "betti_ranks": res.ranks(),
-    }
-
-
-def _form_c_chain_certificate(I: Ideal, w: dict, bound: int = 6) -> dict | None:
+def _form_c_chain_certificate(I: Ideal, w: dict) -> dict | None:
     """Certificate that a matched two-factor-pair sub-form (c) ideal is not
     Koszul: ascend to the generic form by a Hilbert-verified regular linear
     sequence, specialize to the canonical bad algebra by another, and exhibit
@@ -997,7 +948,7 @@ def _form_c_chain_certificate(I: Ideal, w: dict, bound: int = 6) -> dict | None:
     if not is_regular_sequence_mod(lifted, L2):
         return None
     inst = make_instance(I.ring.field)
-    obs = find_obstruction(inst, bound)
+    obs = find_obstruction(inst)
     if not obs["found"]:
         return None
     return {
@@ -1164,7 +1115,7 @@ def classify(I: Ideal, bound: int = 5, seed: int = 0) -> ClassificationReport:
         verdict, cert = _dynamic_non_koszul_verdict(I, bound, notes)
         return done("2i-unmatched", None, {}, verdict, cert)
     if tname == "ii":
-        w = _extract_table_ii(I, seed)
+        w = _extract_table_ii(I)
         if w is not None:
             return koszul_done("2ii", None, w)
         notes.append("table (ii) but witness extraction failed over this field")
@@ -1178,7 +1129,7 @@ def classify(I: Ideal, bound: int = 5, seed: int = 0) -> ClassificationReport:
         verdict, cert = _dynamic_non_koszul_verdict(I, bound, notes)
         return done("2iii-unmatched", None, {}, verdict, cert)
     # table (iv)
-    sub, w = match_form_2iv(I, cx, seed)
+    sub, w = match_form_2iv(I, cx)
     if sub is None:
         notes.append(w.get("note", "no sub-form matched"))
         verdict, cert = _dynamic_non_koszul_verdict(I, bound, notes)
@@ -1187,12 +1138,9 @@ def classify(I: Ideal, bound: int = 5, seed: int = 0) -> ClassificationReport:
     if sub == "d":
         return koszul_done(case_key, sub, w)
     if sub == "c":
-        cert = _retract_obstruction_certificate(I, w, bound)
+        cert = _form_c_chain_certificate(I, w)
         if cert is not None:
             return done(case_key, sub, w, "certified-non-Koszul", cert)
-        cert = _form_c_chain_certificate(I, w, max(bound, 6))
-        if cert is not None:
-            return done(case_key, sub, w, "certified-non-Koszul", cert)
-        notes.append("no retract or specialization-chain certificate; using direct Tor computation")
+        notes.append("no specialization-chain certificate; using direct Tor computation")
     verdict, cert = _dynamic_non_koszul_verdict(I, bound, notes)
     return done(case_key, sub, w, verdict, cert)

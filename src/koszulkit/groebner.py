@@ -405,11 +405,12 @@ def _fresh_name(ring: RingContext, stem: str) -> str:
     return name
 
 
-def _to_extended(ring_ext: RingContext, f: Polynomial, extra: int) -> Polynomial:
-    return Polynomial(ring_ext, {m + (0,) * extra: c for m, c in f.terms.items()})
+def _to_extended(ring_ext: RingContext, f: Polynomial) -> Polynomial:
+    """f in the ring with one auxiliary variable appended."""
+    return Polynomial(ring_ext, {m + (0,): c for m, c in f.terms.items()})
 
 
-def _from_extended(ring: RingContext, f: Polynomial, extra: int) -> Polynomial:
+def _from_extended(ring: RingContext, f: Polynomial) -> Polynomial:
     out = {}
     for m, c in f.terms.items():
         if any(m[ring.n:]):
@@ -426,13 +427,13 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     t_name = _fresh_name(ring, "t_")
     ext = ring.extend([t_name], [ring.weights[0]]) if ring.bigraded else ring.extend([t_name])
     t = ext.var(ext.n - 1)
-    gens = [t * _to_extended(ext, f, 1) for f in I.gens]
+    gens = [t * _to_extended(ext, f) for f in I.gens]
     one_minus_t = ext.one() - t
-    gens += [one_minus_t * _to_extended(ext, g, 1) for g in J.gens]
+    gens += [one_minus_t * _to_extended(ext, g) for g in J.gens]
     order = elimination_order(ext, [ext.n - 1])
     gb = buchberger(gens, order)
     out = [
-        _from_extended(ring, g, 1)
+        _from_extended(ring, g)
         for g in gb.elements
         if all(m[ext.n - 1] == 0 for m in g.terms)
     ]

@@ -262,7 +262,7 @@ def chk_classify_bad(params, expect):
     P = lambda s: parse_poly(Rb, s)
     I = Ideal([P("b*x"), P("x*y"), P("a*x-b*y"), P("x^2-y^2")], Rb)
     rep = classify(I)
-    pos = (rep.certificate or {}).get("nonlinear_position", {})
+    pos = (rep.certificate or {}).get("bad_algebra", {}).get("nonlinear_position", {})
     got = {
         "matched_case": rep.matched_case,
         "verdict": rep.verdict,

@@ -89,8 +89,8 @@ class TestSpecificInputs:
         rep = classify(bad_algebra_ideal)
         assert rep.matched_case == "2iv-(c)"
         assert rep.verdict == "certified-non-Koszul"
-        assert rep.certificate["type"] == "retract-obstruction"
-        pos = rep.certificate["nonlinear_position"]
+        assert rep.certificate["type"] == "specialization-chain-obstruction"
+        pos = rep.certificate["bad_algebra"]["nonlinear_position"]
         assert pos["hom_degree"] == 5 and pos["total_degree"] == 7
 
     def test_five_generator_input_rejected(self, conca_ideal):
@@ -103,11 +103,16 @@ class TestSpecificInputs:
             classify(ideal(R, "x", "y*z"))
 
     def test_generic_two_factor_form_chain_certificate(self):
-        g = generate_ideal("2iv-c", GF(32003), seed=7)
-        rep = classify(g["ideal"])
-        assert rep.verdict == "certified-non-Koszul"
-        assert rep.certificate["type"] == "specialization-chain-obstruction"
-        assert rep.certificate["bad_algebra"]["nonlinear_position"]["total_degree"] == 7
+        """The bad algebra's obstruction sits at hom degree 4, total 6 in
+        characteristic 2 and at hom degree 5, total 7 otherwise."""
+        for p, seed in ((2, 0), (3, 0), (7, 0), (32003, 7)):
+            rep = classify(generate_ideal("2iv-c", GF(p), seed=seed)["ideal"])
+            assert rep.matched_case == "2iv-(c)", p
+            assert rep.verdict == "certified-non-Koszul", p
+            assert rep.certificate["type"] == "specialization-chain-obstruction", p
+            pos = rep.certificate["bad_algebra"]["nonlinear_position"]
+            expected = (4, 6) if p == 2 else (5, 7)
+            assert (pos["hom_degree"], pos["total_degree"]) == expected, p
 
     def test_scaling_invariance(self):
         rng = random.Random(55)

@@ -2,7 +2,8 @@
 `assert` statements (which `python -O` strips) or bare AssertionError, no
 module imports a name it does not use, only linalg imports numpy, modules
 imports nothing from linalg, only ring, groebner and modules touch packed
-terms, and no function, class or method goes unreferenced."""
+terms, no function, class or method goes unreferenced, and no function
+takes a parameter it never reads."""
 
 import ast
 from pathlib import Path
@@ -178,3 +179,55 @@ def test_every_dataclass_field_is_read():
                 if isinstance(f, ast.AnnAssign) and f.target.id not in reads
             ]
     assert not found, "dataclass fields never read:\n" + "\n".join(found)
+
+
+# Families of functions called through one signature, so a member may leave a
+# parameter of that signature unread.
+DISPATCH_PROTOCOLS = {
+    ("forms.py", "check_"): "FormSpec.check(w, I): check_ht4 needs only I",
+    ("classify.py", "_attempt_2iv_"): "match_form_2iv calls each sub-form attempt with (I, qs, P, splits)",
+    ("repro.py", "chk_"): "run_manifest calls each check with (params, expect)",
+}
+
+
+def _is_abstract(fn) -> bool:
+    """The body is only `raise NotImplementedError`, after any docstring."""
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    if len(body) != 1 or not isinstance(body[0], ast.Raise) or body[0].exc is None:
+        return False
+    exc = body[0].exc.func if isinstance(body[0].exc, ast.Call) else body[0].exc
+    return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
+
+
+def test_every_parameter_is_read():
+    """Each parameter of each package function or method is read in its
+    body; a parameter nobody reads is a knob that does nothing.  A method's
+    receiver (self, cls), abstract bodies and the dispatch protocols above
+    are exempt."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        receivers = set()
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for m in cls.body:
+                if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)) and m.args.args and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod" for d in m.decorator_list
+                ):
+                    receivers.add((m.lineno, m.args.args[0].arg))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or _is_abstract(fn):
+                continue
+            if any(path.name == f and fn.name.startswith(prefix) for f, prefix in DISPATCH_PROTOCOLS):
+                continue
+            a = fn.args
+            params = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if x]
+            reads = {
+                n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            found += [
+                f"{path.name}:{fn.lineno}: {fn.name}({name})"
+                for name in params
+                if name not in reads and (fn.lineno, name) not in receivers
+            ]
+    assert not found, "parameters never read:\n" + "\n".join(found)
