@@ -258,13 +258,13 @@ def _char2_extra_syzygy(inst: AppendixInstance) -> dict:
     return {"is_syzygy": image_ok, "outside_displayed_span": outside, "confirmed": image_ok and outside}
 
 
-def find_obstruction(inst: AppendixInstance, bound: int | None = None) -> dict:
+def find_obstruction(inst: AppendixInstance) -> dict:
     """First non-linear minimal generator position of the resolution of the
-    ideal (a, b) over R; the generators of the ideal sit at homological
-    degree zero with total degree one."""
+    ideal (a, b) over R, resolved to homological degree 4 in characteristic
+    2 and 5 otherwise; the generators of the ideal sit at homological degree
+    zero with total degree one."""
     char2 = inst.field.char == 2
-    if bound is None:
-        bound = 4 if char2 else 5
+    bound = 4 if char2 else 5
     res = resolve_over_quotient(inst.quotient, ("module", inst.module_gens), bound, bound + 2)
     pos = res.first_nonlinear(offset=1)
     if pos is None:
@@ -279,12 +279,12 @@ def find_obstruction(inst: AppendixInstance, bound: int | None = None) -> dict:
     }
 
 
-def run_characteristic(field_name: str, basis_bound: int = 6) -> dict:
+def run_characteristic(field_name: str) -> dict:
     from .field import field_by_name
 
     field = field_by_name(field_name)
     inst = make_instance(field)
-    basis = check_basis(inst, basis_bound)
+    basis = check_basis(inst)
     diffs = verify_differentials(inst)
     obs = find_obstruction(inst)
     char2 = field.char == 2
@@ -300,6 +300,6 @@ def run_characteristic(field_name: str, basis_bound: int = 6) -> dict:
     }
 
 
-def run_battery(field_names=CHARACTERISTIC_BATTERY) -> dict:
-    runs = [run_characteristic(nm) for nm in field_names]
+def run_battery() -> dict:
+    runs = [run_characteristic(nm) for nm in CHARACTERISTIC_BATTERY]
     return {"runs": runs, "ok": all(r["ok"] for r in runs)}

@@ -41,7 +41,7 @@ from .modules import FreeModule, PolyMatrix
 from .quotient import first_syzygy_criterion, is_koszul_up_to
 from .resolution import BettiTable, _det, ann_ext, minimal_resolution
 from .ring import DEGREVLEX, Polynomial, RingContext, add_deg
-from .zerodim import _u_gcd, _u_trim, solve_system_points, univariate_roots
+from .zerodim import _to_univariate, _u_gcd, _u_trim, solve_system_points, univariate_roots
 
 
 class ClassificationError(ValueError):
@@ -85,17 +85,6 @@ class ClassificationReport:
 # linear algebra over graded pieces
 
 
-def _deg2_monomials(ring: RingContext):
-    out = []
-    for i in range(ring.n):
-        for j in range(i, ring.n):
-            m = [0] * ring.n
-            m[i] += 1
-            m[j] += 1
-            out.append(tuple(m))
-    return out
-
-
 class _QuadricSpace:
     """The degree-two piece of the ideal as a coordinate subspace, held as
     the RREF rows of the generators' coordinate vectors."""
@@ -103,17 +92,13 @@ class _QuadricSpace:
     def __init__(self, ring: RingContext, gens: list[Polynomial]):
         self.ring = ring
         self.K = ring.field
-        self.mons = _deg2_monomials(ring)
-        self.pos = {m: i for i, m in enumerate(self.mons)}
+        self.mons = ring.quadratic_monomials
         self.gens = gens
-        rows, self.pivots = linalg.rref(self.K, [self.vec(g) for g in gens])
+        rows, self.pivots = linalg.rref(self.K, self.coords(gens))
         self.rows = rows[:len(self.pivots)]
 
-    def vec(self, f: Polynomial):
-        v = [self.K.zero()] * len(self.mons)
-        for m, c in f.terms.items():
-            v[self.pos[m]] = c
-        return v
+    def coords(self, forms: list[Polynomial]) -> list[list]:
+        return self.ring.coefficients(forms, self.mons)
 
     def _reduce(self, v) -> list:
         """The representative of v + I_2 that is zero on the pivot columns."""
@@ -126,32 +111,33 @@ class _QuadricSpace:
 
     def complement_of(self, subset: list[Polynomial]) -> list[Polynomial]:
         """Elements of the generator list extending span(subset) to the full space."""
-        keep = linalg.complement_indices(
-            self.K, [self.vec(f) for f in subset], [self.vec(g) for g in self.gens]
-        )
+        keep = linalg.complement_indices(self.K, self.coords(subset), self.coords(self.gens))
         return [self.gens[i] for i in keep]
 
 
-def _lin_vec(ring: RingContext, f: Polynomial):
-    K = ring.field
-    v = [K.zero()] * ring.n
-    for m, c in f.terms.items():
-        v[m.index(1)] = c
-    return v
+def _columns(rows: list[list]) -> list[list]:
+    """The transpose: the matrix whose columns are the given rows."""
+    return [list(col) for col in zip(*rows)]
 
 
 def _echelon_forms(ring: RingContext, forms: list[Polynomial]) -> list[Polynomial]:
-    rows = [_lin_vec(ring, f) for f in forms if f]
+    rows = ring.coefficients([f for f in forms if f], ring.linear_monomials)
     basis = linalg.row_space_basis(ring.field, rows) if rows else []
     return [ring.linear_form(r) for r in basis]
+
+
+def _in_span(forms: list[Polynomial], f: Polynomial) -> bool:
+    """The linear form f lies in the k-span of the linear forms."""
+    ring = f.ring
+    *rows, v = ring.coefficients(forms + [f], ring.linear_monomials)
+    return linalg.in_row_space(ring.field, rows, v)
 
 
 def _extend(ring: RingContext, avoid: list[Polynomial], forms: list[Polynomial]) -> list[Polynomial]:
     """The linear forms a greedy scan keeps when it extends span(avoid) by
     `forms` in order."""
-    keep = linalg.complement_indices(
-        ring.field, [_lin_vec(ring, f) for f in avoid], [_lin_vec(ring, f) for f in forms]
-    )
+    lin = ring.linear_monomials
+    keep = linalg.complement_indices(ring.field, ring.coefficients(avoid, lin), ring.coefficients(forms, lin))
     return [forms[i] for i in keep]
 
 
@@ -160,9 +146,8 @@ def cofactor_space(qs: _QuadricSpace, f: Polynomial) -> list[Polynomial]:
     ring = qs.ring
     # v is in the kernel iff sum v_j * f*x_j lies in I_2: reduce each product
     # modulo I_2, then take the kernel of the reduced column matrix
-    reduced = [qs._reduce(qs.vec(f * ring.var(j))) for j in range(ring.n)]
-    rows = [[reduced[j][r] for j in range(ring.n)] for r in range(len(qs.mons))]
-    return [ring.linear_form(v) for v in linalg.kernel(ring.field, rows, ring.n)]
+    reduced = [qs._reduce(v) for v in qs.coords([f * x for x in ring.gens()])]
+    return [ring.linear_form(v) for v in linalg.kernel(ring.field, _columns(reduced), ring.n)]
 
 
 def linear_syzygy_matrix(I: Ideal) -> PolyMatrix:
@@ -172,19 +157,9 @@ def linear_syzygy_matrix(I: Ideal) -> PolyMatrix:
     K = ring.field
     gens = minimal_quadric_generators(I)
     g = len(gens)
-    mons3: dict[tuple, int] = {}
-    cols = []
-    for i in range(g):
-        for j in range(ring.n):
-            prod = gens[i] * ring.var(j)
-            cols.append(((i, j), prod))
-            for m in prod.terms:
-                mons3.setdefault(m, len(mons3))
-    rows = [[K.zero()] * len(cols) for _ in range(len(mons3))]
-    for cidx, ((i, j), prod) in enumerate(cols):
-        for m, c in prod.terms.items():
-            rows[mons3[m]][cidx] = c
-    ker = linalg.kernel(K, rows, len(cols))
+    prods = [q * x for q in gens for x in ring.gens()]
+    mons3 = list(dict.fromkeys(m for p in prods for m in p.terms))
+    ker = linalg.kernel(K, _columns(ring.coefficients(prods, mons3)), len(prods))
     n = ring.n
     # the kernel vector v, in the coordinates (i, j) of gens[i]*x_j, is the
     # column of linear forms sum_j v[i*n + j]*x_j.  Products of one degree
@@ -200,23 +175,17 @@ def linear_syzygy_matrix(I: Ideal) -> PolyMatrix:
 
 def generalized_zero_row(M: PolyMatrix) -> list | None:
     """Nonzero u over k with u * M = 0 (a generalized row of zeros), or None."""
-    ring = M.ring
-    K = ring.field
-    rows = []
-    for c in range(M.ncols):
-        for j in range(ring.n):
-            rows.append([M.entries[r][c].coeff(_unit_mon(ring, j)) for r in range(M.nrows)])
-    ker = linalg.kernel(K, rows, M.nrows)
+    rows = [row for c in range(M.ncols) for row in _columns(_column_coefficients(M, c))]
+    ker = linalg.kernel(M.ring.field, rows, M.nrows)
     return ker[0] if ker else None
 
 
-def _unit_mon(ring, j):
-    m = [0] * ring.n
-    m[j] = 1
-    return tuple(m)
+def _column_coefficients(M: PolyMatrix, c: int) -> list[list]:
+    """The coefficient rows of the linear forms in column c of M."""
+    return M.ring.coefficients([M.entries[r][c] for r in range(M.nrows)], M.ring.linear_monomials)
 
 
-def find_generalized_zero(M: PolyMatrix, seed: int = 0) -> tuple[list, list] | None:
+def find_generalized_zero(M: PolyMatrix) -> tuple[list, list] | None:
     """Nonzero u, v over k with u.M.v = 0, found by solving the bilinear
     system chartwise over the computation field; None means M is 1-generic
     as far as this field can see."""
@@ -250,7 +219,7 @@ def find_generalized_zero(M: PolyMatrix, seed: int = 0) -> tuple[list, list] | N
                     for m, coef in entry.terms.items():
                         eqs[m] = eqs.get(m, aux.zero()) + uv.scale(coef)
             gens = [gq for gq in eqs.values() if gq]
-            pts = solve_system_points(gens, max_points=3, seed=seed)
+            pts = solve_system_points(gens, max_points=3)
             for pt in pts:
                 u = list(pt[:r])
                 v = list(pt[r:])
@@ -277,16 +246,9 @@ def _column_combination_candidates(M: PolyMatrix):
     if M.ncols != 2:
         raise ClassificationError("column-combination search expects two syzygies")
     aux = RingContext(K, ["t"])
-    t = aux.var(0)
-    # coefficient matrix A(t) of M.(1, t): nrows x n, entries affine in t
-    A = [
-        [
-            aux.const(M.entries[r][0].coeff(_unit_mon(ring, j)))
-            + t.scale(M.entries[r][1].coeff(_unit_mon(ring, j)))
-            for j in range(ring.n)
-        ]
-        for r in range(M.nrows)
-    ]
+    # coefficient matrix A(t) of M.(1, t): nrows x n, entries a + b*t
+    c0, c1 = _column_coefficients(M, 0), _column_coefficients(M, 1)
+    A = [[aux.form(ab, [(0,), (1,)]) for ab in zip(r0, r1)] for r0, r1 in zip(c0, c1)]
     minors = []
     for rows in combinations(range(M.nrows), 3):
         for cols in combinations(range(ring.n), 3):
@@ -300,10 +262,7 @@ def _column_combination_candidates(M: PolyMatrix):
     else:
         gcd = None
         for mnr in minors:
-            coeffs = [K.zero()] * (mnr.total_degree() + 1)
-            for m, c in mnr.terms.items():
-                coeffs[m[0]] = c
-            coeffs = _u_trim(K, coeffs)
+            coeffs = _u_trim(K, _to_univariate(mnr, 0))
             gcd = coeffs if gcd is None else _u_gcd(K, gcd, coeffs)
             if gcd == [K.one()] or (len(gcd) == 1 and not K.is_zero(gcd[0])):
                 gcd = [K.one()]
@@ -334,11 +293,11 @@ def _split_from_sigma(ring: RingContext, gens: list[Polynomial], sigma: list[Pol
     if len(basis) != 2:
         return None
     z, w = basis
-    zv, wv = _lin_vec(ring, z), _lin_vec(ring, w)
+    zv, wv, *svs = ring.coefficients([z, w] + sigma, ring.linear_monomials)
+    zw = _columns([zv, wv])
     alphas, betas = [], []
-    for s in sigma:
-        sv = _lin_vec(ring, s)
-        sol = linalg.solve(K, [[zv[i], wv[i]] for i in range(ring.n)], sv)
+    for sv in svs:
+        sol = linalg.solve(K, zw, sv)
         if sol is None:
             return None
         alphas.append(sol[0])
@@ -412,7 +371,7 @@ def quadric_common_factor(f: Polynomial, g: Polynomial) -> Polynomial | None:
     return cof.monic(DEGREVLEX.for_ring(ring))
 
 
-def common_factors(I: Ideal, seed: int = 0) -> list[tuple[Polynomial, list[Polynomial]]]:
+def common_factors(I: Ideal) -> list[tuple[Polynomial, list[Polynomial]]]:
     """Linear forms f with dim(f*S_1 cap I_2) >= 2, with the cofactor
     bases; pairwise-gcd fast path first, then the rank-variety fallback."""
     ring = I.ring
@@ -443,10 +402,7 @@ def common_factors(I: Ideal, seed: int = 0) -> list[tuple[Polynomial, list[Polyn
     aux = RingContext(K, names)
     tvars = [aux.var(i) for i in range(ring.n)]
     ncoords = len(qs.mons)
-    red_cols = [
-        [qs._reduce(qs.vec(ring.var(i) * ring.var(j))) for i in range(ring.n)]
-        for j in range(ring.n)
-    ]
+    red_cols = [[qs._reduce(v) for v in qs.coords([x * xj for x in ring.gens()])] for xj in ring.gens()]
     # mu(f)[coord][j] = sum_i t_i * red_cols[j][i][coord]
     mu = [
         [
@@ -469,7 +425,7 @@ def common_factors(I: Ideal, seed: int = 0) -> list[tuple[Polynomial, list[Polyn
                 break
         if len(minors) > 120:
             break
-    pts = solve_system_points(minors, max_points=10, seed=seed)
+    pts = solve_system_points(minors, max_points=10)
     for pt in pts:
         if all(K.is_zero(x) for x in pt):
             continue
@@ -498,22 +454,12 @@ def _canonical_complement(ring, inside: list[Polynomial], avoid: list[Polynomial
 def _solve_quadric_with_y_cofactor(qs: _QuadricSpace, x: Polynomial, y: Polynomial, b: Polynomial) -> Polynomial | None:
     """Some q in I_2 with q = a*x + b*y for some linear a (q = b*y mod x*S_1)."""
     ring = qs.ring
-    K = ring.field
-    span_rows = qs.rows
-    nq = len(span_rows)
-    cols = list(span_rows)
-    for j in range(ring.n):
-        cols.append(qs.vec(x * ring.var(j)))
-    rows = [[cols[c][r] for c in range(len(cols))] for r in range(len(qs.mons))]
-    sol = linalg.solve(K, rows, qs.vec(b * y))
+    *cols, by = qs.coords([x * v for v in ring.gens()] + [b * y])
+    sol = linalg.solve(ring.field, _columns(qs.rows + cols), by)
     if sol is None:
         return None
-    q = ring.zero()
-    for c in range(nq):
-        if not K.is_zero(sol[c]):
-            row = span_rows[c]
-            terms = {qs.mons[i]: row[i] for i in range(len(qs.mons)) if not K.is_zero(row[i])}
-            q = q + Polynomial(ring, terms).scale(sol[c])
+    # sol[:len(qs.rows)] are the coordinates of q on the RREF rows of I_2
+    q = sum((ring.form(row, qs.mons).scale(c) for row, c in zip(qs.rows, sol)), ring.zero())
     return q if q else None
 
 
@@ -528,13 +474,12 @@ def _confirms(case: str, w: dict, I: Ideal) -> bool:
 
 def _attempt_2iv_a(I, qs, P, splits):
     ring = I.ring
-    K = ring.field
     for sp in splits:
         W = sp.cofactors
-        if not linalg.in_row_space(K, [_lin_vec(ring, w) for w in W], _lin_vec(ring, sp.factor)):
+        if not _in_span(W, sp.factor):
             continue
         x = sp.factor.monic(DEGREVLEX.for_ring(ring))
-        if not linalg.in_row_space(K, [_lin_vec(ring, p) for p in P], _lin_vec(ring, x)):
+        if not _in_span(P, x):
             continue
         b3 = _canonical_complement(ring, W, [x])
         if b3 is None:
@@ -565,10 +510,9 @@ def _attempt_2iv_a(I, qs, P, splits):
 
 def _attempt_2iv_b(I, qs, P, splits):
     ring = I.ring
-    K = ring.field
     for sp in splits:
         x = sp.factor.monic(DEGREVLEX.for_ring(ring))
-        if not linalg.in_row_space(K, [_lin_vec(ring, p) for p in P], _lin_vec(ring, x)):
+        if not _in_span(P, x):
             continue
         # need a cofactor direction inside P independent of x
         W = sp.cofactors
@@ -599,13 +543,12 @@ def _attempt_2iv_b(I, qs, P, splits):
 
 def _attempt_2iv_c(I, qs, P, splits):
     ring = I.ring
-    K = ring.field
     for sp in splits:
         x = sp.factor.monic(DEGREVLEX.for_ring(ring))
-        if not linalg.in_row_space(K, [_lin_vec(ring, p) for p in P], _lin_vec(ring, x)):
+        if not _in_span(P, x):
             continue
         W = sp.cofactors
-        if linalg.in_row_space(K, [_lin_vec(ring, w) for w in W], _lin_vec(ring, x)):
+        if _in_span(W, x):
             continue
         y = _canonical_complement(ring, P, [x])
         if y is None:
@@ -647,24 +590,12 @@ def _attempt_2iv_d(I, qs, P, splits):
 
 def _space_intersection(ring, A: list[Polynomial], B: list[Polynomial]) -> list[Polynomial]:
     """Basis of span(A) cap span(B) for lists of linear forms."""
-    K = ring.field
-    ra = [_lin_vec(ring, f) for f in A]
-    rb = [_lin_vec(ring, f) for f in B]
-    if not ra or not rb:
+    if not A or not B:
         return []
     # v in cap iff v = sum a_i A_i = sum b_j B_j: kernel trick on stacked system
-    cols = [[ra[i][j] for i in range(len(ra))] + [K.neg(rb[i][j]) for i in range(len(rb))] for j in range(ring.n)]
-    ker = linalg.kernel(K, cols, len(ra) + len(rb))
-    out = []
-    for v in ker:
-        vec = [K.zero()] * ring.n
-        for i in range(len(ra)):
-            if not K.is_zero(v[i]):
-                vec = [K.add(x, K.mul(v[i], y)) for x, y in zip(vec, ra[i])]
-        f = ring.linear_form(vec)
-        if f:
-            out.append(f)
-    return _echelon_forms(ring, out)
+    rows = _columns(ring.coefficients(A + [-f for f in B], ring.linear_monomials))
+    ker = linalg.kernel(ring.field, rows, len(A) + len(B))
+    return _echelon_forms(ring, [sum((f.scale(c) for f, c in zip(A, v)), ring.zero()) for v in ker])
 
 
 def match_form_2iv(I: Ideal, resolution=None):
@@ -719,7 +650,23 @@ def _extract_2iii(I: Ideal, resolution):
     return None
 
 
-def _extract_table_i(I: Ideal, seed: int = 0):
+def _extract_three_products(I: Ideal, qs: _QuadricSpace, x: Polynomial, cof: list[Polynomial], case: str):
+    """Witnesses (x, y, z, w, q) of a form with generators x*(y, z, w) and q,
+    2i-c or 2ii: y, z, w extend x to a basis of the cofactor span, and q
+    completes their products to I_2."""
+    ring = I.ring
+    yzw = _extend(ring, [x], _echelon_forms(ring, cof))
+    if len(yzw) < 3:
+        return None
+    y, z, wv = yzw[:3]
+    rest = qs.complement_of([x * y, x * z, x * wv])
+    if len(rest) != 1:
+        return None
+    w = {"x": x, "y": y, "z": z, "w": wv, "q": rest[0]}
+    return w if _confirms(case, w, I) else None
+
+
+def _extract_table_i(I: Ideal):
     """Sub-forms of the product-type table: returns (subcase, witnesses).
 
     Signatures: a factor with a three-dimensional cofactor space marks the
@@ -727,34 +674,17 @@ def _extract_table_i(I: Ideal, seed: int = 0):
     cofactor space marks the squared form; two-dimensional cofactor spaces
     with two-dimensional back-cofactors mark the two-plane intersection."""
     ring = I.ring
-    K = ring.field
-    gens = minimal_quadric_generators(I)
-    qs = _QuadricSpace(ring, gens)
-    factors = common_factors(I, seed)
-
-    def try_c(x, cof):
-        yzw = _extend(ring, [x], _echelon_forms(ring, cof))
-        if len(yzw) < 3:
-            return None
-        y, z, wv = yzw[:3]
-        rest = qs.complement_of([x * y, x * z, x * wv])
-        if len(rest) != 1:
-            return None
-        w = {"x": x, "y": y, "z": z, "w": wv, "q": rest[0]}
-        if _confirms("2i-c", w, I):
-            return w
-        return None
-
+    qs = _QuadricSpace(ring, minimal_quadric_generators(I))
+    factors = common_factors(I)
     for f, cof in factors:
         if len(cof) >= 3:
-            w = try_c(f, cof)
+            w = _extract_three_products(I, qs, f, cof, "2i-c")
             if w is not None:
                 return "c", w
     for f, cof in factors:
         if len(cof) != 2:
             continue
-        fv = _lin_vec(ring, f)
-        if linalg.in_row_space(K, [_lin_vec(ring, c) for c in cof], fv):
+        if _in_span(cof, f):
             # pair f*(f, y): the squared sub-form
             Pspan = _echelon_forms(ring, cof)
             x = f
@@ -795,32 +725,19 @@ def _first_common_factor(quadrics: list[Polynomial]) -> Polynomial | None:
 
 def _extract_table_ii(I: Ideal):
     ring = I.ring
-    K = ring.field
     gens = minimal_quadric_generators(I)
     qs = _QuadricSpace(ring, gens)
     M = linear_syzygy_matrix(I)
     u = generalized_zero_row(M)
     if u is None:
         return None
-    ker = linalg.kernel(K, [u], len(gens))
+    ker = linalg.kernel(ring.field, [u], len(gens))
     jgens = [sum((gens[i].scale(v[i]) for i in range(len(gens))), ring.zero()) for v in ker]
     jgens = [g for g in jgens if g]
     x = _first_common_factor(jgens)
     if x is None:
         return None
-    cof = cofactor_space(qs, x)
-    yzw = _extend(ring, [x], _echelon_forms(ring, cof))
-    if len(yzw) < 3:
-        return None
-    y, z, wv = yzw[:3]
-    rest = qs.complement_of([x * y, x * z, x * wv])
-    if len(rest) != 1:
-        return None
-    q = rest[0]
-    w = {"x": x, "y": y, "z": z, "w": wv, "q": q}
-    if _confirms("2ii", w, I):
-        return w
-    return None
+    return _extract_three_products(I, qs, x, cofactor_space(qs, x), "2ii")
 
 
 def _extract_ht1(I: Ideal):
@@ -1022,7 +939,7 @@ def _dynamic_non_koszul_verdict(I: Ideal, bound: int, notes: list[str]):
     return "inconclusive-at-bound", {"type": "inconclusive", "bound": bound}
 
 
-def classify(I: Ideal, bound: int = 5, seed: int = 0) -> ClassificationReport:
+def classify(I: Ideal, bound: int = 5) -> ClassificationReport:
     """Full structure classification of an ideal minimally generated by four
     quadrics, else ClassificationError; the module docstring has the verdicts."""
     ring = I.ring
@@ -1073,6 +990,11 @@ def classify(I: Ideal, bound: int = 5, seed: int = 0) -> ClassificationReport:
             return done(case_key, subcase, witnesses, verdict, cert2)
         return done(case_key, subcase, witnesses, "certified-Koszul", cert)
 
+    def unmatched(case_key, note):
+        notes.append(note)
+        verdict, cert = _dynamic_non_koszul_verdict(I, bound, notes)
+        return done(case_key, None, {}, verdict, cert)
+
     if h.codim == 4:
         w = {f"q{i+1}": gens[i] for i in range(4)}
         return koszul_done("ht4-CI", None, w)
@@ -1081,17 +1003,13 @@ def classify(I: Ideal, bound: int = 5, seed: int = 0) -> ClassificationReport:
         w = _extract_ht1(I)
         if w is not None:
             return koszul_done("ht1", None, w)
-        notes.append("height one but no common linear factor extraction succeeded")
-        verdict, cert = _dynamic_non_koszul_verdict(I, bound, notes)
-        return done("ht1-unmatched", None, {}, verdict, cert)
+        return unmatched("ht1-unmatched", "height one but no common linear factor extraction succeeded")
 
     if h.codim == 3:
         case, w = _extract_ht3(I)
         if case is not None:
             return koszul_done(case, None, w)
-        notes.append("height three but neither structure case matched")
-        verdict, cert = _dynamic_non_koszul_verdict(I, bound, notes)
-        return done("ht3-unmatched", None, {}, verdict, cert)
+        return unmatched("ht3-unmatched", "height three but neither structure case matched")
 
     # height 2: dispatch on the Betti table
     tname = _table_name(B)
@@ -1108,32 +1026,24 @@ def classify(I: Ideal, bound: int = 5, seed: int = 0) -> ClassificationReport:
             },
         )
     if tname == "i":
-        sub, w = _extract_table_i(I, seed)
+        sub, w = _extract_table_i(I)
         if sub is not None:
             return koszul_done(f"2i-{sub}", sub, w)
-        notes.append("table (i) but no sub-form extraction succeeded over this field")
-        verdict, cert = _dynamic_non_koszul_verdict(I, bound, notes)
-        return done("2i-unmatched", None, {}, verdict, cert)
+        return unmatched("2i-unmatched", "table (i) but no sub-form extraction succeeded over this field")
     if tname == "ii":
         w = _extract_table_ii(I)
         if w is not None:
             return koszul_done("2ii", None, w)
-        notes.append("table (ii) but witness extraction failed over this field")
-        verdict, cert = _dynamic_non_koszul_verdict(I, bound, notes)
-        return done("2ii-unmatched", None, {}, verdict, cert)
+        return unmatched("2ii-unmatched", "table (ii) but witness extraction failed over this field")
     if tname == "iii":
         w = _extract_2iii(I, cx)
         if w is not None:
             return koszul_done("2iii", None, w)
-        notes.append("table (iii) but witness extraction failed over this field")
-        verdict, cert = _dynamic_non_koszul_verdict(I, bound, notes)
-        return done("2iii-unmatched", None, {}, verdict, cert)
+        return unmatched("2iii-unmatched", "table (iii) but witness extraction failed over this field")
     # table (iv)
     sub, w = match_form_2iv(I, cx)
     if sub is None:
-        notes.append(w.get("note", "no sub-form matched"))
-        verdict, cert = _dynamic_non_koszul_verdict(I, bound, notes)
-        return done("2iv-unmatched", None, {}, verdict, cert)
+        return unmatched("2iv-unmatched", w.get("note", "no sub-form matched"))
     case_key = f"2iv-{sub}"
     if sub == "d":
         return koszul_done(case_key, sub, w)

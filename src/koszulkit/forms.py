@@ -54,14 +54,7 @@ def span_dim(forms: list[Polynomial]) -> int:
     if not forms:
         return 0
     ring = forms[0].ring
-    K = ring.field
-    rows = []
-    for f in forms:
-        row = [K.zero()] * ring.n
-        for m, c in f.terms.items():
-            row[m.index(1)] = c
-        rows.append(row)
-    return linalg.rank(K, rows)
+    return linalg.rank(ring.field, ring.coefficients(forms, ring.linear_monomials))
 
 
 def random_linear(ring: RingContext, rng) -> Polynomial:
@@ -72,17 +65,8 @@ def random_linear(ring: RingContext, rng) -> Polynomial:
 
 
 def random_quadric(ring: RingContext, rng) -> Polynomial:
-    K = ring.field
-    terms = {}
-    for i in range(ring.n):
-        for j in range(i, ring.n):
-            c = K.random(rng)
-            if not K.is_zero(c):
-                m = [0] * ring.n
-                m[i] += 1
-                m[j] += 1
-                terms[tuple(m)] = c
-    f = Polynomial(ring, terms)
+    mons = ring.quadratic_monomials
+    f = ring.form([ring.field.random(rng) for _ in mons], mons)
     return f if f else random_quadric(ring, rng)
 
 
@@ -448,11 +432,12 @@ def default_ring(field, case: str, nvars: int | None = None) -> RingContext:
     return RingContext(field, [f"x{i}" for i in range(n)])
 
 
-def sample_witnesses(case: str, ring: RingContext, seed: int, max_tries: int = 200):
-    """Random witness forms satisfying the case conditions (rejection sampling)."""
+def sample_witnesses(case: str, ring: RingContext, seed: int):
+    """Random witness forms satisfying the case conditions (rejection sampling,
+    at most 200 draws)."""
     rng = random.Random(f"gen:{case}:{seed}")
     spec = FORMS[case]
-    for _ in range(max_tries):
+    for _ in range(200):
         w = spec.random_witnesses(ring, rng)
         gens = spec.build(w)
         if any(not g for g in gens):

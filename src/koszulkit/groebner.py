@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import random
 
+from . import linalg
 from .ring import (
     DEGREVLEX,
     FIELD_MASK,
@@ -489,28 +490,13 @@ def saturate(I: Ideal, J: Ideal) -> Ideal:
 
 def minimal_quadric_generators(I: Ideal) -> list[Polynomial]:
     """Reduced-echelon basis of the degree-2 piece of an ideal generated by quadrics."""
-    from . import linalg
-
     ring = I.ring
-    K = ring.field
     for g in I.gens:
-        if g.degree() != ring.mon_degree(tuple([2] + [0] * (ring.n - 1))):
-            if g.total_degree() != 2 or not g.is_homogeneous():
-                raise GroebnerError("expected homogeneous quadric generators")
+        if g.total_degree() != 2 or not g.is_homogeneous():
+            raise GroebnerError("expected homogeneous quadric generators")
     mons = sorted({m for g in I.gens for m in g.terms}, key=DEGREVLEX.for_ring(ring).key, reverse=True)
-    pos = {m: i for i, m in enumerate(mons)}
-    rows = []
-    for g in I.gens:
-        row = [K.zero()] * len(mons)
-        for m, c in g.terms.items():
-            row[pos[m]] = c
-        rows.append(row)
-    basis = linalg.row_space_basis(K, rows)
-    out = []
-    for row in basis:
-        terms = {mons[i]: c for i, c in enumerate(row) if not K.is_zero(c)}
-        out.append(Polynomial(ring, terms))
-    return out
+    basis = linalg.row_space_basis(ring.field, ring.coefficients(I.gens, mons))
+    return [ring.form(row, mons) for row in basis]
 
 
 def is_quadratic_gb(gb: GroebnerBasis) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groebner import GroebnerError, Ideal
-from .ring import DEGREVLEX, Mon, MonomialOrder, Polynomial, RingContext
+from .ring import Mon, Polynomial, RingContext
 
 ZPoly = tuple  # integer polynomial in t as a coefficient tuple, index = degree
 
@@ -190,11 +190,11 @@ def hilbert_from_monomials(ring: RingContext, mons) -> HilbertData:
     return HilbertData(num, ring.n, dim, codim, e, reduced)
 
 
-def hilbert_of_quotient(I: Ideal, order: MonomialOrder = DEGREVLEX) -> HilbertData:
-    """Hilbert data of S/I via the initial ideal of a Groebner basis."""
+def hilbert_of_quotient(I: Ideal) -> HilbertData:
+    """Hilbert data of S/I via the initial ideal of its degrevlex Groebner basis."""
     if I.is_zero():
         return HilbertData((1,), I.ring.n, I.ring.n, 0, 1, (1,))
-    gb = I.gb(order)
+    gb = I.gb()
     return hilbert_from_monomials(I.ring, gb.initial_monomials())
 
 

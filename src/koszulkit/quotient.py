@@ -143,13 +143,6 @@ class TruncatedResolution:
     complete: bool
     notes: list[str] = field(default_factory=list)
 
-    def betti(self, i: int, d: Deg | None = None) -> int:
-        if i >= len(self.gen_degrees):
-            return 0
-        if d is None:
-            return len(self.gen_degrees[i])
-        return sum(1 for x in self.gen_degrees[i] if x == d)
-
     def betti_total(self, i: int, t: int) -> int:
         if i >= len(self.gen_degrees):
             return 0
@@ -412,7 +405,7 @@ def _socle_element(Q: QuotientRing, bound: int) -> Polynomial | None:
             off += M.shape[0]
         B, free = linalg.kernel_basis(K, A)
         if free:
-            return Polynomial(ring, {m: c for m, c in zip(basis, B[:, 0].tolist()) if not K.is_zero(c)})
+            return ring.form(B[:, 0].tolist(), basis)
     return None
 
 

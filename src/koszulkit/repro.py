@@ -41,8 +41,8 @@ def _betti_json(B) -> dict:
     return B.to_json()
 
 
-def _conca_ideal(field_name="F32003"):
-    R = parse_ring(f"ring {field_name} [x,y,z,w]")
+def _conca_ideal():
+    R = parse_ring("ring F32003 [x,y,z,w]")
     gens = [parse_poly(R, s) for s in ["x*y", "x*w", "(x-y)*z", "z^2", "x^2+z*w"]]
     return Ideal(gens, R)
 

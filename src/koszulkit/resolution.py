@@ -227,8 +227,8 @@ def minimal_resolution(
     return cx, cx.betti()
 
 
-def betti_numbers(I: Ideal, order: MonomialOrder = DEGREVLEX) -> BettiTable:
-    return minimal_resolution(I, order=order)[1]
+def betti_numbers(I: Ideal) -> BettiTable:
+    return minimal_resolution(I)[1]
 
 
 # ---------------------------------------------------------------------------

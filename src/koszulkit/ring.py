@@ -11,7 +11,7 @@ degree one.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from operator import mul
 
@@ -104,16 +104,46 @@ class RingContext:
         c = self.field.coerce(c)
         return Polynomial(self, {self._one_mon: c} if not self.field.is_zero(c) else {})
 
+    # -- the coefficient map between forms and vectors ------------------
+    @cached_property
+    def linear_monomials(self) -> tuple[Mon, ...]:
+        """The variables, in index order."""
+        return tuple(tuple(int(i == j) for j in range(self.n)) for i in range(self.n))
+
+    @cached_property
+    def quadratic_monomials(self) -> tuple[Mon, ...]:
+        """The degree-two monomials x_i*x_j, pairs i <= j in lexicographic order."""
+        v = self.linear_monomials
+        return tuple(mon_mul(v[i], v[j]) for i in range(self.n) for j in range(i, self.n))
+
+    def coefficients(self, forms, mons) -> list[list]:
+        """One row per form: its raw coefficients on the monomials `mons`, in
+        that order; a term on any other monomial raises RingError."""
+        pos = {m: i for i, m in enumerate(mons)}
+        zero = self.field.zero()
+        rows = []
+        for f in forms:
+            row = [zero] * len(mons)
+            for m, c in f.terms.items():
+                if m not in pos:
+                    raise RingError(f"{poly_str(f)} has a term outside the given monomials")
+                row[pos[m]] = c
+            rows.append(row)
+        return rows
+
+    def form(self, row, mons) -> "Polynomial":
+        """sum(row[i] * mons[i]), the inverse of coefficients."""
+        K = self.field
+        terms = {}
+        for m, c in zip(mons, row, strict=True):
+            c = K.coerce(c)
+            if not K.is_zero(c):
+                terms[m] = c
+        return Polynomial(self, terms)
+
     def linear_form(self, coeffs) -> "Polynomial":
         """Build sum(c_i * x_i) from a raw coefficient vector."""
-        terms = {}
-        for i, c in enumerate(coeffs):
-            c = self.field.coerce(c)
-            if not self.field.is_zero(c):
-                m = [0] * self.n
-                m[i] = 1
-                terms[tuple(m)] = c
-        return Polynomial(self, terms)
+        return self.form(coeffs, self.linear_monomials)
 
     def same(self, other: "RingContext") -> bool:
         return (
@@ -571,12 +601,12 @@ def primitive_scale(K: Field, coeffs, lc):
     return -scale if lc < 0 else scale
 
 
-def poly_str(f: Polynomial, order: MonomialOrder = DEGREVLEX) -> str:
+def poly_str(f: Polynomial) -> str:
     if not f.terms:
         return "0"
     K = f.ring.field
     parts = []
-    for m, c in f.sorted_terms(order.for_ring(f.ring)):
+    for m, c in f.sorted_terms(DEGREVLEX.for_ring(f.ring)):
         factors = [
             f"{f.ring.names[i]}^{e}" if e > 1 else f.ring.names[i]
             for i, e in enumerate(m)

@@ -177,10 +177,15 @@ def _gcd_int(a, b):
     return a
 
 
-def _bounded_divisors(n: int, limit: int = 4000) -> list[int]:
+# the rational-root search tries divisors up to this cap only, so it misses
+# a root whose numerator or denominator needs a larger one
+_DIVISOR_LIMIT = 4000
+
+
+def _bounded_divisors(n: int) -> list[int]:
     out = []
     d = 1
-    while d * d <= n and d <= limit:
+    while d * d <= n and d <= _DIVISOR_LIMIT:
         if n % d == 0:
             out.append(d)
             if d != n // d:
@@ -195,7 +200,6 @@ def _bounded_divisors(n: int, limit: int = 4000) -> list[int]:
 def solve_system_points(
     gens: list[Polynomial],
     max_points: int = 8,
-    seed: int = 0,
     _depth: int = 0,
 ) -> list[tuple]:
     """Some K-rational points of V(gens) in affine space, by elimination and
@@ -219,14 +223,14 @@ def solve_system_points(
     # eliminate all but the last variable
     elim = eliminate(I, list(range(ring.n - 1)))
     last_var_polys = [g for g in elim.gens if g]
-    rng = random.Random(f"solve:{seed}:{_depth}")
+    rng = random.Random(f"solve:0:{_depth}")
     if not last_var_polys:
         if _depth > ring.n + 2:
             return []
         # positive-dimensional in the last variable: slice it
         for attempt in range(6):
             c = K.random(rng) if attempt else K.zero()
-            pts = _substitute_last_and_solve(I, c, max_points, seed, _depth)
+            pts = _substitute_last_and_solve(I, c, max_points, _depth)
             if pts:
                 return pts
         return []
@@ -234,7 +238,7 @@ def solve_system_points(
     roots = univariate_roots(K, uni)
     out: list[tuple] = []
     for r in roots:
-        pts = _substitute_last_and_solve(I, r, max_points - len(out), seed, _depth)
+        pts = _substitute_last_and_solve(I, r, max_points - len(out), _depth)
         out.extend(pts)
         if len(out) >= max_points:
             break
@@ -242,17 +246,14 @@ def solve_system_points(
 
 
 def _to_univariate(g: Polynomial, var: int) -> list:
-    K = g.ring.field
+    """Coefficients of g in increasing powers of the variable; RingError when
+    g involves another variable."""
+    x = g.ring.linear_monomials[var]
     deg = max((m[var] for m in g.terms), default=0)
-    coeffs = [K.zero()] * (deg + 1)
-    for m, c in g.terms.items():
-        if any(e and i != var for i, e in enumerate(m)):
-            raise ValueError("polynomial is not univariate in the expected variable")
-        coeffs[m[var]] = c
-    return coeffs
+    return g.ring.coefficients([g], [tuple(k * e for e in x) for k in range(deg + 1)])[0]
 
 
-def _substitute_last_and_solve(I: Ideal, value, max_points: int, seed: int, depth: int) -> list[tuple]:
+def _substitute_last_and_solve(I: Ideal, value, max_points: int, depth: int) -> list[tuple]:
     ring = I.ring
     K = ring.field
     small = RingContext(K, ring.names[:-1])
@@ -262,5 +263,5 @@ def _substitute_last_and_solve(I: Ideal, value, max_points: int, seed: int, dept
     if not new_gens:
         zero_pt = tuple(K.zero() for _ in range(small.n))
         return [zero_pt + (value,)]
-    sub = solve_system_points(new_gens, max_points, seed, depth + 1)
+    sub = solve_system_points(new_gens, max_points, depth + 1)
     return [pt + (value,) for pt in sub]

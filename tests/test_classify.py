@@ -1,7 +1,9 @@
 """The four-quadric classifier: closed-loop generation, witness soundness,
 sub-form dispatch, generalized zeros, and certificates."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,7 @@ from koszulkit import (
     parse_ring,
 )
 from koszulkit.classify import ClassificationError
+from koszulkit.field import field_by_name
 from koszulkit.forms import FORMS, generate_ideal
 from koszulkit.groebner import minimal_quadric_generators
 
@@ -287,3 +290,31 @@ def test_fewer_than_four_minimal_quadrics_rejected(gens):
     R = parse_ring("ring F32003 [x,y,z,w]")
     with pytest.raises(ClassificationError, match="needs [23] generators"):
         classify(ideal(R, *gens))
+
+
+PINNED_REPORTS = Path(__file__).parent / "data" / "classify_reports.jsonl"
+PINNED_FIELDS = ("F2", "F3", "F7", "F32003")
+
+
+def pinned_reports() -> list[tuple[str, str]]:
+    """(label, report JSON) for every form in FORMS, sorted, over F2, F3, F7
+    and F32003 at seeds 0 and 1; the pinned file holds the JSON, one line
+    each, in this order."""
+    out = []
+    for case in sorted(FORMS):
+        for name in PINNED_FIELDS:
+            for seed in (0, 1):
+                rep = classify(generate_ideal(case, field_by_name(name), seed)["ideal"])
+                out.append((f"{case} {name} seed {seed}", json.dumps(rep.to_json(), sort_keys=True)))
+    return out
+
+
+def test_reports_match_the_pinned_file():
+    """The reports (witnesses, verdicts and certificates) are byte-identical
+    to the pinned ones.  A change that means to alter a report rewrites the
+    file from pinned_reports() and says so in CHANGES.md."""
+    want = PINNED_REPORTS.read_text().splitlines()
+    got = pinned_reports()
+    assert len(got) == len(want) == 104
+    differ = [label for (label, line), pinned in zip(got, want) if line != pinned]
+    assert not differ, "reports differ from the pinned file: " + ", ".join(differ)

@@ -1,4 +1,5 @@
-"""Monomial orders, polynomial arithmetic, linear changes, parsing."""
+"""Monomial orders, polynomial arithmetic, the coefficient map, linear
+changes, parsing."""
 
 import random
 from itertools import combinations_with_replacement
@@ -146,6 +147,54 @@ class TestArithmetic:
                 assert fg.bidegree() == tuple(
                     a + b for a, b in zip(f.bidegree(), g.bidegree())
                 )
+
+
+class TestCoefficientMap:
+    RINGS = {
+        "standard": (["x", "y", "z", "w"], None),
+        "bigraded": (["a", "b", "u", "v"], [(1, 0), (1, 0), (0, 1), (0, 1)]),
+    }
+
+    @pytest.mark.parametrize("K", [GF(2), GF(7), QQ], ids=str)
+    @pytest.mark.parametrize("grading", sorted(RINGS))
+    def test_form_inverts_coefficients(self, K, grading):
+        names, weights = self.RINGS[grading]
+        R = RingContext(K, names, weights)
+        rng = random.Random(f"coefficients:{K}:{grading}")
+        degrees = [R.zero_deg] + [R.mon_degree(m) for m in R.linear_monomials + R.quadratic_monomials]
+        for _ in range(40):
+            mons = [m for d in rng.sample(sorted(set(degrees)), 2) for m in R.monomials(d)]
+            forms = [R.form([K.random(rng) for _ in mons], mons) for _ in range(3)]
+            rows = R.coefficients(forms, mons)
+            assert [R.form(row, mons) for row in rows] == forms
+            assert all(f.coeff(m) == c for f, row in zip(forms, rows) for m, c in zip(mons, row))
+
+    def test_named_monomial_lists(self):
+        R = parse_ring("ring F7 [x,y,z]")
+        assert R.linear_monomials == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        pairs = combinations_with_replacement(range(3), 2)
+        assert R.quadratic_monomials == tuple(
+            tuple(sum(k == i for k in pair) for i in range(3)) for pair in pairs
+        )
+
+    def test_a_stray_monomial_raises(self):
+        R = parse_ring("ring QQ [x,y,z]")
+        with pytest.raises(RingError):
+            R.coefficients([P(R, "x"), P(R, "x + y*z")], R.linear_monomials)
+        with pytest.raises(RingError):
+            R.coefficients([P(R, "x^2 + 1")], R.quadratic_monomials)
+
+    def test_linear_form_of_int_coefficients(self):
+        from fractions import Fraction
+
+        R = parse_ring("ring QQ [x,y,z]")
+        f = R.linear_form([1, 0, -2])
+        assert f == P(R, "x - 2*z")
+        assert f.terms == {(1, 0, 0): Fraction(1), (0, 0, 1): Fraction(-2)}
+        S = parse_ring("ring F7 [x,y,z]")
+        g = S.linear_form([8, 7, -1])
+        assert g == P(S, "x - z")
+        assert g.terms == {(1, 0, 0): 1, (0, 0, 1): 6}
 
 
 class TestLinearChange:

@@ -2,8 +2,9 @@
 `assert` statements (which `python -O` strips) or bare AssertionError, no
 module imports a name it does not use, only linalg imports numpy, modules
 imports nothing from linalg, only ring, groebner and modules touch packed
-terms, no function, class or method goes unreferenced, and no function
-takes a parameter it never reads."""
+terms, no function, class or method goes unreferenced, no function
+takes a parameter it never reads, and every defaulted parameter is passed
+by some call."""
 
 import ast
 from pathlib import Path
@@ -231,3 +232,59 @@ def test_every_parameter_is_read():
                 if name not in reads and (fn.lineno, name) not in receivers
             ]
     assert not found, "parameters never read:\n" + "\n".join(found)
+
+
+def _calls_by_name(paths) -> dict[str, list[tuple[int, set[str] | None]]]:
+    """For each called name, one (positional count, keyword names) per call
+    in the files; keyword names are None when the call unpacks `*` or `**`.
+    A call is named by its function or its attribute, so `Cls(...)` is a
+    call of `Cls` and `obj.meth(...)` one of `meth`."""
+    calls: dict[str, list] = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            if name is None:
+                continue
+            unpacks = any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords)
+            keywords = None if unpacks else {k.arg for k in node.keywords}
+            calls.setdefault(name, []).append((len(node.args), keywords))
+    return calls
+
+
+def test_every_defaulted_parameter_is_passed():
+    """Each defaulted parameter of a package function or method is passed
+    by some call in src/, tests/ or bench/; one that only its default ever
+    sets is a constant, not a knob.  Calls match by name: `Cls(...)` calls
+    `Cls.__init__`, a method's bound receiver counts as one positional
+    argument, and a call that unpacks `*` or `**` passes every parameter.
+    Matching by name can only over-count calls, so a parameter this flags
+    is never passed."""
+    paths = [p for d in ("src", "tests", "bench") for p in sorted((ROOT / d).rglob("*.py"))]
+    calls = _calls_by_name(paths)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        methods = {}
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for m in cls.body:
+                if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in m.decorator_list)
+                    methods[m] = (cls.name if m.name == "__init__" else m.name, 0 if static else 1)
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name, receiver = methods.get(fn, (fn.name, 0))
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            defaulted = [(i, x.arg) for i, x in enumerate(positional) if i >= len(positional) - len(a.defaults)]
+            defaulted += [(None, x.arg) for x, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            for i, param in defaulted:
+                if not any(
+                    kws is None or param in kws or (i is not None and i < npos + receiver)
+                    for npos, kws in calls.get(name, [])
+                ):
+                    found.append(f"{path.name}:{fn.lineno}: {name}({param})")
+    assert not found, "defaulted parameters no call passes:\n" + "\n".join(found)
