@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .field import Field
+from .field import Field, field_by_name
 from .groebner import Ideal
 from .modules import FreeModule, PolyMatrix
 from .quotient import QuotientRing, resolve_over_quotient
@@ -280,8 +280,6 @@ def find_obstruction(inst: AppendixInstance) -> dict:
 
 
 def run_characteristic(field_name: str) -> dict:
-    from .field import field_by_name
-
     field = field_by_name(field_name)
     inst = make_instance(field)
     basis = check_basis(inst)

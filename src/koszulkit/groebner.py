@@ -1,11 +1,13 @@
 """Buchberger's algorithm, normal forms, and the ideal-arithmetic layer.
 
-The reduction engine works on packed term dicts (see ring.PackedLayout) and
-is shared with the module engine in modules.py: reduce_terms and s_element
-are its one reduction loop and one S-element builder, and a polynomial is
-the one-component, tagless case of a module element.  Pair management uses
-the normal selection strategy (smallest lcm degree first) with the product
-and chain criteria.
+The Groebner engine works on packed term dicts (see ring.PackedLayout) and
+serves ideals and modules alike: reduce_terms is its one reduction loop,
+s_element its one S-element builder and ModuleGB its one S-pair manager,
+with the chain, equal-lcm, strict lcm divisibility and coprime (Koszul tag)
+criteria.  A polynomial is the one-component, tagless case of a module
+element, so buchberger is a ModuleGB over one free component followed by
+the reduction to the canonical basis (_reduce_final); modules.py builds its
+tagged constructions on the same ModuleGB.
 """
 
 from __future__ import annotations
@@ -17,15 +19,16 @@ from . import linalg
 from .ring import (
     DEGREVLEX,
     FIELD_MASK,
+    LIMIT,
     LinearChange,
     Mon,
     MonomialOrder,
+    MonomialOverflow,
     PackedLayout,
     Polynomial,
     RingContext,
     RingError,
     elimination_order,
-    primitive_scale,
 )
 
 
@@ -139,6 +142,167 @@ def scaled(el: dict, factor, K) -> dict:
     return {P: K.mul(c, factor) for P, c in el.items()}
 
 
+class ModuleOrder:
+    """Order on F (+) tag block, through the packing of its terms.
+
+    Terms pack into the base order's layout: a free term (c, m) as
+    m + c + flag, a tag term (c, m) as m*lead + c, where lead is the packed
+    lead monomial of the c-th tagged generator.  The layout's key then orders
+    free terms above tag terms, then by the base key of m (of m*lead for
+    tags: the Schreyer key induced from the tagged generators), then by
+    decreasing component.
+    """
+
+    def __init__(self, base: MonomialOrder, n_free: int, packed_leads: list[int] = ()):
+        self.base = base
+        self.lay = base.layout
+        self.n_free = n_free
+        self.packed_leads = list(packed_leads)
+        if n_free + len(self.packed_leads) >= LIMIT:
+            raise MonomialOverflow("too many module components for the packed component field")
+
+
+class ModuleGB:
+    """Incremental Groebner basis of the free-block part of a module, with
+    tag parts carried along: the package's one S-pair manager, which
+    buchberger runs with one free component and no tags.
+
+    Elements are packed dicts (see ModuleOrder); basis entries are monic
+    reducers (lead, lc, element), and self.reducers[c] lists the ones with
+    lead in free component c, in basis order.  S-pairs are only formed
+    within one free component: pairs of pure-tag elements would compute
+    syzygies among syzygies, which no caller needs.  complete() takes the
+    pair of least lcm degree first (the normal strategy), and pairs are
+    pruned by the criteria of Gebauer and Moeller (J. Symbolic Comput. 6,
+    1988) as each element is added:
+
+    - chain: a pending pair whose lcm the new lead divides is dropped,
+      unless that lcm is also the lcm of the new lead with one of its two
+      elements;
+    - equal lcm, without tags: of the new pairs with one lcm, only the
+      first is kept.  A tagged basis keeps them all: the pairs kept decide
+      which syzygies its zero reductions give, and with them the minimal
+      syzygy generators and the first-syzygy certificates built on them;
+    - strict lcm divisibility: a new pair is dropped when the lcm of
+      another new pair strictly divides its own;
+    - coprime, with a Koszul tag: when the free block has one component (the
+      ideal case), a new pair with coprime leads is dropped and its syzygy,
+      the Koszul tag element, is inserted instead when the basis has tags.
+
+    The syzygy of each dropped pair is a combination of those of the pairs
+    kept and the Koszul tags, so by Schreyer's theorem (Eisenbud,
+    Commutative Algebra, Thm 15.10) the tag parts of the zero reductions
+    still generate the syzygy module.
+    """
+
+    def __init__(self, order: ModuleOrder, K, twists=()):
+        self.order = order
+        self.lay = order.lay
+        self.K = K
+        self.n_free = order.n_free
+        self.shifts = [sum(t) for t in twists] or [0] * order.n_free
+        self.use_coprime = order.n_free == 1
+        self.tagged = bool(order.packed_leads)
+        self.basis: list[tuple] = []
+        self.reducers: list[list] = [[] for _ in range(order.n_free)]
+        self.pairs: set[tuple[int, int]] = set()
+        self._pair_lcm: dict[tuple[int, int], int] = {}  # monomial lcm of the leads
+        self._pair_key: dict[tuple[int, int], tuple] = {}
+
+    def _koszul_tag(self, i: int, j: int) -> dict:
+        """g_j * w_i - g_i * w_j for single-component free parts: pure tag.
+
+        Only tag terms times free terms are formed; the free-by-free products
+        cancel in the Koszul syzygy and are never needed."""
+        K, flag = self.K, self.lay.flag
+        ei, ej = self.basis[i][2], self.basis[j][2]
+        out: dict = {}
+        for el, other, sign in ((ei, ej, K.add), (ej, ei, K.sub)):
+            free = [(P - flag, c) for P, c in other.items() if P & flag]
+            for T, v in el.items():
+                if T & flag:
+                    continue
+                for m, c in free:
+                    key = self.lay.check(T + m)
+                    s = sign(out.get(key, K.zero()), K.mul(v, c))
+                    if K.is_zero(s):
+                        out.pop(key, None)
+                    else:
+                        out[key] = s
+        return out
+
+    def _insert(self, el: dict) -> int:
+        """Append el, made monic, to the basis; returns its lead."""
+        lead = lead_term(el, self.lay)
+        el = scaled(el, self.K.inv(el[lead]), self.K)
+        self.basis.append((lead, el[lead], el))
+        return lead
+
+    def _add_reduced(self, el: dict):
+        lay = self.lay
+        k = len(self.basis)
+        lead = self._insert(el)
+        if not lead & lay.flag:
+            return
+        comp = lead & FIELD_MASK
+        self.reducers[comp].append(self.basis[k])
+        mono = lead - (lead & lay.frame)
+        same = [i for i in range(k) if self.basis[i][0] & lay.frame == lead & lay.frame]
+        lcms = {i: lay.lcm(self.basis[i][0], lead) for i in same}
+        # strict chain criterion on pending pairs
+        drop = set()
+        for p in self.pairs:
+            i, j = p
+            if i not in lcms:
+                continue
+            l = self._pair_lcm[p]
+            if lay.divides(mono, l) and lcms[i] != l and lcms[j] != l:
+                drop.add(p)
+        self.pairs.difference_update(drop)
+        new: dict[int, int] = {}  # keyed by lcm without tags: the first pair with each lcm stays
+        for i in same:
+            if self.use_coprime and lay.degree(lcms[i]) == lay.degree(self.basis[i][0]) + lay.degree(lead):
+                tau = self._koszul_tag(i, k) if self.tagged else None
+                if tau:
+                    self._insert(tau)
+                continue
+            new.setdefault(i if self.tagged else lcms[i], i)
+        for i in new.values():
+            l = lcms[i]
+            if any(lcms[j] != l and lay.divides(lcms[j], l) for j in new.values()):
+                continue
+            self.pairs.add((i, k))
+            self._pair_lcm[(i, k)] = l
+            self._pair_key[(i, k)] = (lay.degree(l), lay.key(l))
+
+    def add(self, el: dict) -> bool:
+        """Reduce and, if nonzero, insert a packed element; True when inserted."""
+        rem = reduce_terms(el, self.reducers, self.lay, self.K)
+        if not rem:
+            return False
+        self._add_reduced(rem)
+        return True
+
+    def complete(self, through: int | None = None):
+        """Process the pending pairs, least _pair_key first; with a bound,
+        only those of total degree (twist, as given to __init__, plus lcm
+        degree) at most through, after which every element of the module of
+        degree at most through reduces to zero.  The rest stay pending."""
+        basis, lay, K, key = self.basis, self.lay, self.K, self._pair_key.__getitem__
+        while self.pairs:
+            due = self.pairs if through is None else [
+                p for p in self.pairs if self.shifts[basis[p[0]][0] & FIELD_MASK] + key(p)[0] <= through]
+            if not due:
+                return
+            p = min(due, key=key)
+            self.pairs.discard(p)
+            i, j = p
+            lcm = self._pair_lcm[p] + (basis[i][0] & lay.frame)
+            rem = reduce_terms(s_element(basis[i], basis[j], lcm, K), self.reducers, lay, K)
+            if rem:
+                self._add_reduced(rem)
+
+
 class GroebnerBasis:
     """A reduced Groebner basis together with its monomial order."""
 
@@ -182,69 +346,19 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
 
 
 def buchberger(gens: list[Polynomial], order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by `gens`."""
+    """Reduced Groebner basis of the ideal generated by `gens`: a ModuleGB
+    over one free component, fed in increasing lead order and completed."""
     gens = [g for g in gens if g]
     if not gens:
         raise GroebnerError("Groebner basis of the zero ideal")
     ring = gens[0].ring
     order = order.for_ring(ring)
     lay = order.layout
-    K = ring.field
-    flag = lay.flag
-
-    basis: list[tuple] = []  # reducers (lead, lc, terms), all in component 0
-    pairs: set[tuple[int, int]] = set()
-    pair_lcm: dict[tuple[int, int], int] = {}  # monomial lcm of the leads
-    pair_key: dict[tuple[int, int], tuple] = {}
-
-    def add_element(h: dict):
-        lead = lead_term(h, lay)
-        h = scaled(h, primitive_scale(K, h.values(), h[lead]), K)
-        k = len(basis)
-        mono = lead - flag
-        lcms = [lay.lcm(basis[i][0], lead) for i in range(k)]
-        # chain criterion on existing pairs
-        drop = set()
-        for (i, j) in pairs:
-            l = pair_lcm[(i, j)]
-            if lay.divides(mono, l) and lcms[i] != l and lcms[j] != l:
-                drop.add((i, j))
-        pairs.difference_update(drop)
-        # new pairs, pruned among themselves
-        cand = {}
-        for i in range(k):
-            cand.setdefault(lcms[i], []).append(i)
-        kept = []
-        for l in cand:
-            if any(l2 != l and lay.divides(l2, l) for l2 in cand):
-                continue
-            kept.append(cand[l][0])
-        # product criterion: no pair for coprime leads
-        new = [i for i in kept if lay.degree(lcms[i]) != lay.degree(basis[i][0]) + lay.degree(lead)]
-        for i in new:
-            l = lcms[i]
-            pairs.add((i, k))
-            pair_lcm[(i, k)] = l
-            pair_key[(i, k)] = (lay.degree(l), lay.key(l))
-        basis.append((lead, h[lead], h))
-
-    reducers = [basis]  # indexed by component: one
-    packed = [lay.pack_terms(g.terms, flag) for g in gens]
-    for g in sorted(packed, key=lambda el: lay.key(lead_term(el, lay))):
-        rem = reduce_terms(g, reducers, lay, K)
-        if rem:
-            add_element(rem)
-
-    while pairs:
-        p = min(pairs, key=pair_key.__getitem__)
-        pairs.discard(p)
-        i, j = p
-        s = s_element(basis[i], basis[j], pair_lcm[p] + flag, K)
-        rem = reduce_terms(s, reducers, lay, K)
-        if rem:
-            add_element(rem)
-
-    return _reduce_final(ring, order, basis)
+    gb = ModuleGB(ModuleOrder(order, 1), ring.field)
+    for g in sorted((lay.pack_terms(g.terms, lay.flag) for g in gens), key=lambda el: lay.key(lead_term(el, lay))):
+        gb.add(g)
+    gb.complete()
+    return _reduce_final(ring, order, gb.basis)
 
 
 def _reduce_final(ring, order, basis: list[tuple]) -> GroebnerBasis:

@@ -6,27 +6,25 @@ construction: the columns g_i of a matrix M, generators of a submodule of
 F = M.target, are tagged as (g_i, e_i) in F (+) S^s with a block order in
 which F dominates, so Groebner elements with vanishing F-part carry
 syzygies in their tags, and normal forms of (v, 0) carry representations
-(TaggedModule.reduce: N = R + M*X).  S-pairs are pruned by the strict chain
-criterion, and by the coprime criterion with injected Koszul tags when F has
-one component (see ModuleGB).  Minimal generators are picked by normal forms
-too (minimal_module_generators).  Inside, elements are packed dicts
-{int: coeff} (see ModuleOrder): PolyMatrix.packed_columns packs a matrix
-once, and the engine reduces by the loop groebner.py shares with
-Buchberger's algorithm.  syzygy_matrix keeps its columns packed from one
-call to the next and unpacks them once, into the matrix it returns.
+(TaggedModule.reduce: N = R + M*X).  The Groebner bases are
+groebner.ModuleGB, the one S-pair manager, which Buchberger's algorithm for
+ideals runs on too; its docstring lists the pair criteria.  Minimal
+generators are picked by normal forms too (minimal_module_generators).
+Inside, elements are packed dicts {int: coeff} (see groebner.ModuleOrder):
+PolyMatrix.packed_columns packs a matrix once, and groebner's one reduction
+loop reduces them.  syzygy_matrix keeps its columns packed from one call to
+the next and unpacks them once, into the matrix it returns.
 """
 
 from __future__ import annotations
 
-from .groebner import lead_term, reduce_terms, s_element, scaled
+from .groebner import ModuleGB, ModuleOrder, lead_term, reduce_terms
 from .ring import (
     DEGREVLEX,
     FIELD_BITS,
     FIELD_MASK,
-    LIMIT,
     Deg,
     MonomialOrder,
-    MonomialOverflow,
     PackedLayout,
     RingContext,
     RingError,
@@ -193,148 +191,6 @@ def lex_terms(lay: PackedLayout, col: dict) -> list[int]:
     for s in lay.shifts:
         keys = [(k << FIELD_BITS) | ((P >> s) & FIELD_MASK) for k, P in zip(keys, col)]
     return keys
-
-
-class ModuleOrder:
-    """Order on F (+) tag block, through the packing of its terms.
-
-    Terms pack into the base order's layout: a free term (c, m) as
-    m + c + flag, a tag term (c, m) as m*lead + c, where lead is the packed
-    lead monomial of the c-th tagged generator.  The layout's key then orders
-    free terms above tag terms, then by the base key of m (of m*lead for
-    tags: the Schreyer key induced from the tagged generators), then by
-    decreasing component.
-    """
-
-    def __init__(self, base: MonomialOrder, n_free: int, packed_leads: list[int] = ()):
-        self.base = base
-        self.lay = base.layout
-        self.n_free = n_free
-        self.packed_leads = list(packed_leads)
-        if n_free + len(self.packed_leads) >= LIMIT:
-            raise MonomialOverflow("too many module components for the packed component field")
-
-
-class ModuleGB:
-    """Incremental Groebner basis of the free-block part of a module, with
-    tag parts carried along.
-
-    Elements are packed dicts (see ModuleOrder); basis entries are reducers
-    (lead, lc, element), and self.reducers[c] lists the ones with lead in
-    free component c, in basis order.  S-pairs are only formed inside the
-    free block: pairs of pure-tag elements would compute syzygies among
-    syzygies, which no caller needs.  The strict chain criterion is always
-    safe; the coprime criterion applies only when the free block has one
-    component (the ideal case), where the dropped pair's syzygy is the
-    directly injected Koszul tag element.
-    """
-
-    def __init__(self, order: ModuleOrder, K, twists=()):
-        self.order = order
-        self.lay = order.lay
-        self.K = K
-        self.n_free = order.n_free
-        self.shifts = [sum(t) for t in twists] or [0] * order.n_free
-        self.use_coprime = order.n_free == 1
-        self.basis: list[tuple] = []
-        self.reducers: list[list] = [[] for _ in range(order.n_free)]
-        self.pairs: set[tuple[int, int]] = set()
-        self._pair_lcm: dict[tuple[int, int], int] = {}  # monomial lcm of the leads
-        self._pair_key: dict[tuple[int, int], tuple] = {}
-
-    def _koszul_tag(self, i: int, j: int) -> dict:
-        """g_j * w_i - g_i * w_j for single-component free parts: pure tag.
-
-        Only tag terms times free terms are formed; the free-by-free products
-        cancel in the Koszul syzygy and are never needed."""
-        K, flag = self.K, self.lay.flag
-        ei, ej = self.basis[i][2], self.basis[j][2]
-        out: dict = {}
-        for el, other, sign in ((ei, ej, K.add), (ej, ei, K.sub)):
-            free = [(P - flag, c) for P, c in other.items() if P & flag]
-            for T, v in el.items():
-                if T & flag:
-                    continue
-                for m, c in free:
-                    key = self.lay.check(T + m)
-                    s = sign(out.get(key, K.zero()), K.mul(v, c))
-                    if K.is_zero(s):
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
-        return out
-
-    def _insert(self, el: dict) -> int:
-        """Append el, made monic, to the basis; returns its lead."""
-        lead = lead_term(el, self.lay)
-        el = scaled(el, self.K.inv(el[lead]), self.K)
-        self.basis.append((lead, el[lead], el))
-        return lead
-
-    def _add_reduced(self, el: dict):
-        lay = self.lay
-        k = len(self.basis)
-        lead = self._insert(el)
-        if not lead & lay.flag:
-            return
-        comp = lead & FIELD_MASK
-        self.reducers[comp].append(self.basis[k])
-        mono = lead - (lead & lay.frame)
-        same = [i for i in range(k) if self.basis[i][0] & lay.frame == lead & lay.frame]
-        lcms = {i: lay.lcm(self.basis[i][0], lead) for i in same}
-        # strict chain criterion on pending pairs
-        drop = set()
-        for p in self.pairs:
-            i, j = p
-            if i not in lcms:
-                continue
-            l = self._pair_lcm[p]
-            if lay.divides(mono, l) and lcms[i] != l and lcms[j] != l:
-                drop.add(p)
-        self.pairs.difference_update(drop)
-        new_pairs = []
-        for i in same:
-            if self.use_coprime and lay.degree(lcms[i]) == lay.degree(self.basis[i][0]) + lay.degree(lead):
-                tau = self._koszul_tag(i, k)
-                if tau:
-                    self._insert(tau)
-                continue
-            new_pairs.append(i)
-        # strict mutual-divisibility pruning among the new pairs
-        for i in new_pairs:
-            l = lcms[i]
-            if any(lcms[j] != l and lay.divides(lcms[j], l) for j in new_pairs if j != i):
-                continue
-            self.pairs.add((i, k))
-            self._pair_lcm[(i, k)] = l
-            self._pair_key[(i, k)] = (lay.degree(l), lay.key(l))
-
-    def add(self, el: dict) -> bool:
-        """Reduce and, if nonzero, insert a packed element; True when inserted."""
-        rem = reduce_terms(el, self.reducers, self.lay, self.K)
-        if not rem:
-            return False
-        self._add_reduced(rem)
-        return True
-
-    def complete(self, through: int | None = None):
-        """Process the pending pairs, least _pair_key first; with a bound,
-        only those of total degree (twist, as given to __init__, plus lcm
-        degree) at most through, after which every element of the module of
-        degree at most through reduces to zero.  The rest stay pending."""
-        basis, lay, K, key = self.basis, self.lay, self.K, self._pair_key.__getitem__
-        while self.pairs:
-            due = self.pairs if through is None else [
-                p for p in self.pairs if self.shifts[basis[p[0]][0] & FIELD_MASK] + key(p)[0] <= through]
-            if not due:
-                return
-            p = min(due, key=key)
-            self.pairs.discard(p)
-            i, j = p
-            lcm = self._pair_lcm[p] + (basis[i][0] & lay.frame)
-            rem = reduce_terms(s_element(basis[i], basis[j], lcm, K), self.reducers, lay, K)
-            if rem:
-                self._add_reduced(rem)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .groebner import GroebnerError, Ideal
+from .groebner import GroebnerError, Ideal, intersect
 from .hilbert import hilbert_of_quotient, zp_add, zp_shift, zp_trim
 from .modules import FreeModule, PolyMatrix, TaggedModule, syzygy_matrix
 from .ring import DEGREVLEX, MonomialOrder, Polynomial, RingContext, RingError, total
@@ -446,8 +446,6 @@ def ann_ext(I: Ideal, i: int, resolution: FreeComplex | None = None) -> Ideal:
 
 
 def _ideal_meet(a: Ideal, b: Ideal) -> Ideal:
-    from .groebner import intersect
-
     if any(g.is_constant() for g in a.gens):
         return b
     if any(g.is_constant() for g in b.gens):

@@ -8,6 +8,7 @@ callers must treat an empty answer as 'none over this field'.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -120,7 +121,6 @@ def _roots_prime(K: PrimeField, f: list) -> list:
                 continue
             g1 = _u_gcd(K, h, probe)
             if 0 < len(g1) - 1 < len(h) - 1:
-                g2 = [x for x in h]
                 # h / g1 via repeated remainder-free division
                 g2 = _u_quotient(K, h, g1)
                 split(g1)
@@ -149,19 +149,16 @@ def _u_quotient(K, a, b):
 def _roots_rational(a: list) -> list:
     den = 1
     for c in a:
-        den = den * c.denominator // _gcd_int(den, c.denominator)
+        den = den * c.denominator // math.gcd(den, c.denominator)
     zz = [int(c * den) for c in a]
-    # strip zero roots
-    out = []
-    while zz and zz[0] == 0:
-        out.append(Fraction(0))
+    # 0 is a root exactly when the constant term vanishes; dividing out every
+    # power of x leaves the other roots with a nonzero constant term
+    out = [Fraction(0)] if zz[0] == 0 else []
+    while zz[0] == 0:
         zz = zz[1:]
-        break
-    if not zz or len(zz) == 1:
+    if len(zz) == 1:
         return out
     a0, an = abs(zz[0]), abs(zz[-1])
-    if a0 == 0:
-        return out
     for p in _bounded_divisors(a0):
         for q in _bounded_divisors(an):
             for s in (1, -1):
@@ -169,12 +166,6 @@ def _roots_rational(a: list) -> list:
                 if _u_eval(QQ, [Fraction(c) for c in zz], r) == 0 and r not in out:
                     out.append(r)
     return out
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # the rational-root search tries divisors up to this cap only, so it misses

@@ -27,7 +27,9 @@ from koszulkit import (
     saturate,
     verify_basis,
 )
-from koszulkit.groebner import GroebnerError
+from koszulkit import groebner
+from koszulkit.groebner import GroebnerError, lead_term, reduce_terms, scaled
+from koszulkit.ring import elimination_order, primitive_scale
 
 
 def P(R, s):
@@ -295,3 +297,121 @@ class TestAgainstSympy:
             ours = buchberger(gens).elements
             theirs = self.sympy_basis(R, gens)
             assert [g.terms for g in ours] == [g.terms for g in theirs]
+
+
+def reference_buchberger(gens, order=DEGREVLEX):
+    """Buchberger's algorithm with a pair loop of its own, as buchberger ran
+    before it moved onto ModuleGB: a reference for the shared manager.
+
+    Elements are kept primitive, not monic.  New pairs are grouped by lcm
+    with the coprime ones among them; the first pair of each group is kept
+    unless another group's lcm strictly divides its own, and the product
+    criterion then drops the kept pairs with coprime leads.  The chain
+    criterion prunes the pending pairs.  S-elements are formed through
+    groebner.s_element, so a test can count them."""
+    ring = gens[0].ring
+    order = order.for_ring(ring)
+    lay = order.layout
+    K = ring.field
+    flag = lay.flag
+    basis, pairs, pair_lcm, pair_key = [], set(), {}, {}
+
+    def add_element(h):
+        lead = lead_term(h, lay)
+        h = scaled(h, primitive_scale(K, h.values(), h[lead]), K)
+        k = len(basis)
+        mono = lead - flag
+        lcms = [lay.lcm(basis[i][0], lead) for i in range(k)]
+        drop = set()
+        for (i, j) in pairs:
+            l = pair_lcm[(i, j)]
+            if lay.divides(mono, l) and lcms[i] != l and lcms[j] != l:
+                drop.add((i, j))
+        pairs.difference_update(drop)
+        cand = {}
+        for i in range(k):
+            cand.setdefault(lcms[i], []).append(i)
+        kept = [cand[l][0] for l in cand if not any(l2 != l and lay.divides(l2, l) for l2 in cand)]
+        for i in kept:
+            l = lcms[i]
+            if lay.degree(l) != lay.degree(basis[i][0]) + lay.degree(lead):
+                pairs.add((i, k))
+                pair_lcm[(i, k)] = l
+                pair_key[(i, k)] = (lay.degree(l), lay.key(l))
+        basis.append((lead, h[lead], h))
+
+    packed = [lay.pack_terms(g.terms, flag) for g in gens]
+    for g in sorted(packed, key=lambda el: lay.key(lead_term(el, lay))):
+        rem = reduce_terms(g, [basis], lay, K)
+        if rem:
+            add_element(rem)
+    while pairs:
+        p = min(pairs, key=pair_key.__getitem__)
+        pairs.discard(p)
+        i, j = p
+        s = groebner.s_element(basis[i], basis[j], pair_lcm[p] + flag, K)
+        rem = reduce_terms(s, [basis], lay, K)
+        if rem:
+            add_element(rem)
+    return groebner._reduce_final(ring, order, basis)
+
+
+class TestSharedPairManager:
+    """buchberger runs on ModuleGB, the one S-pair manager; on random ideals
+    its reduced bases equal the reference pair loop's term for term, and it
+    forms no more S-pairs, under several orders and gradings."""
+
+    @staticmethod
+    def rings_and_orders(field, rng):
+        R = parse_ring(f"ring {field} [x0,x1,x2,x3]")
+        perm = list(range(R.n))
+        rng.shuffle(perm)
+        B = parse_ring(f"ring {field} [x:(1,0),y:(1,0),z:(1,0),a:(0,1),b:(0,1)]")
+        return [
+            (R, DEGREVLEX),
+            (R, DEGLEX),
+            (R, MonomialOrder("degrevlex", perm=perm, n=R.n)),
+            (R, elimination_order(R, [0])),
+            (B, DEGREVLEX),
+        ]
+
+    @staticmethod
+    def random_gens(R, rng):
+        """Two to four polynomials of total degree 2 or 3, a few random
+        terms each, some with a lower-degree tail."""
+        K = R.field
+        out = []
+        while len(out) < rng.randint(2, 4):
+            terms = {}
+            for _ in range(rng.randint(2, 5)):
+                d = rng.choice((2, 2, 3)) - (rng.random() < 0.15)
+                m = [0] * R.n
+                for _ in range(d):
+                    m[rng.randrange(R.n)] += 1
+                c = K.coerce(rng.choice([x for x in range(-5, 6) if x]))
+                if not K.is_zero(c):
+                    terms[tuple(m)] = c
+            if terms:
+                out.append(Polynomial(R, terms))
+        return out
+
+    @pytest.mark.parametrize("field", ["F2", "F3", "F7", "F32003", "QQ"])
+    def test_bases_and_pair_counts_match_the_reference(self, field, monkeypatch):
+        made = [0]
+        s_element = groebner.s_element
+
+        def counting(*args):
+            made[0] += 1
+            return s_element(*args)
+
+        monkeypatch.setattr(groebner, "s_element", counting)
+        rng = random.Random(f"pairs:{field}")
+        for R, order in self.rings_and_orders(field, rng):
+            for _ in range(4):
+                gens = self.random_gens(R, rng)
+                made[0] = 0
+                want = reference_buchberger(gens, order)
+                ref_pairs, made[0] = made[0], 0
+                got = buchberger(gens, order)
+                assert [g.terms for g in got] == [g.terms for g in want], (R, order, gens)
+                assert made[0] <= ref_pairs, (R, order, gens)

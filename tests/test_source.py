@@ -3,8 +3,8 @@
 module imports a name it does not use, only linalg imports numpy, modules
 imports nothing from linalg, only ring, groebner and modules touch packed
 terms, no function, class or method goes unreferenced, no function
-takes a parameter it never reads, and every defaulted parameter is passed
-by some call."""
+takes a parameter it never reads, every defaulted parameter is passed
+by some call, and only ModuleGB manages S-pairs."""
 
 import ast
 from pathlib import Path
@@ -109,6 +109,30 @@ def test_only_the_engines_touch_packed_terms():
             elif isinstance(node, ast.Attribute) and node.attr in PACKED_NAMES | PACKING_CALLS:
                 found.append(f"{path.name}:{node.lineno}: .{node.attr}")
     assert not found, "packed terms outside the engines:\n" + "\n".join(found)
+
+
+def test_one_pair_manager():
+    """S-elements are formed only by ModuleGB.complete, the one S-pair
+    manager (buchberger runs on it), and by verify_basis, the independent
+    check of Buchberger's criterion, so a second pair loop cannot come
+    back."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+
+        def visit(node, scope):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scope = scope + (node.name,)
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "s_element":
+                    found.add(f"{path.stem}.{'.'.join(scope)}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(tree, ())
+    assert found == {"groebner.ModuleGB.complete", "groebner.verify_basis"}, sorted(found)
 
 
 def _references(paths) -> tuple[set[str], set[str]]:
