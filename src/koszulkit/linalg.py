@@ -259,29 +259,24 @@ def span_basis(K: Field, V: np.ndarray):
     return R[:len(pivots)].T, pivots
 
 
-def complement_in_basis(K: Field, unit, old) -> list[int]:
-    """The greedy complement of span(old) in span(B), by columns of B.
+def complement_in_basis(K: Field, unit, V: np.ndarray) -> list[int]:
+    """The greedy complement of span(V) in span(B), by columns of B.
 
     B is a basis (as columns) that is the identity on the rows `unit`, as
-    from kernel_basis or span_basis; `old` is an iterable of matrices whose
-    columns lie in span(B), each read once.  Returns the indices i, in
-    increasing order, for which column i of B is outside span(old) +
-    span(columns < i): the choice complement_indices makes with `old` as
-    the spanning set.
+    from kernel_basis or span_basis; the columns of V lie in span(B).
+    Returns the indices i, in increasing order, for which column i of B is
+    outside span(V) + span(columns < i): the choice complement_indices
+    makes with the columns of V as the spanning set.
 
-    The coordinates of an old vector in B are its entries at `unit`.  Column
-    i is left out exactly when some vector of span(old) has its last nonzero
-    coordinate at i, i.e. when i is a pivot of the old coordinates read in
-    reverse; one forward elimination finds those pivots.
+    The coordinates of a column of V in B are its entries at `unit`.  Column
+    i is left out exactly when some vector of span(V) has its last nonzero
+    coordinate at i, i.e. when i is a pivot of the coordinates read in
+    reverse; one forward elimination finds those pivots.  The quotient
+    resolver calls this only where exactness shows that generators appear,
+    or at its last level, where it takes no kernel.
     """
     m = len(unit)
-    rev = list(unit)[::-1]
-    coords = [X[rev] for X in old]
-    if not coords:
-        return list(range(m))
-    C = np.concatenate(coords, axis=1).T
-    del coords  # freed before the elimination, which is the peak
-    trailing = {m - 1 - c for c in _eliminate(K, C, full=False)}
+    trailing = {m - 1 - c for c in _eliminate(K, V[list(unit)[::-1]].T, full=False)}
     return [i for i in range(m) if i not in trailing]
 
 

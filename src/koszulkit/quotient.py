@@ -4,7 +4,9 @@ the first-syzygy span criterion, and numeric series consistency checks.
 
 Coordinates are taken in the standard-monomial bases of the graded (or
 bigraded) pieces of R, so every resolution step reduces to kernels of
-field-linear maps.  Coordinate vectors are the columns of linalg matrices:
+field-linear maps, one kernel per level and degree; exactness counts the
+new generators, so a complement picks them only where some appear (see
+_Resolver).  Coordinate vectors are the columns of linalg matrices:
 int64 arrays with entries in [0, p) for primes below linalg's int64 bound,
 object arrays of exact field values for QQ and larger primes.  The resolver
 only calls linalg, which makes that choice.
@@ -169,11 +171,23 @@ class TruncatedResolution:
 
 
 class _Resolver:
-    """Degreewise kernel computation for one module over a QuotientRing.
+    """Degreewise minimal resolution of one module over a QuotientRing.
 
     levels[i] holds the generator degrees of F_i, in increasing order, and
     for i >= 1 "cols": degree -> matrix whose columns are the differentials
     of the generators of that degree, in coordinates of F_{i-1}.
+
+    Level lev is resolved degree by degree, and its generators are found on
+    the way.  In degree d, A_old is the differential on the generators of
+    lower degree.  d_lev maps onto ker(d_{lev-1})_d (for lev = 1, the seeded
+    piece), whose basis the previous level left, so by exactness there are
+    dim ker(d_{lev-1})_d - rank(A_old) new generators.  The kernel of A_old
+    gives that rank, and the next level needs it anyway.  A greedy
+    complement (linalg.complement_in_basis) picks the new generators only
+    when some appear and A_old is not zero, and at the last level, which
+    takes no kernel.  On a linear resolution that is the last level alone.
+    The new columns are independent of A_old's and come last, so the kernel
+    of the whole differential is ker(A_old) with zero rows added.
     """
 
     def __init__(self, Q: QuotientRing, degree_bound: int):
@@ -183,24 +197,28 @@ class _Resolver:
         self.bound = degree_bound
         self.degrees = _degrees_upto(self.ring, degree_bound)
         self.levels: list[dict] = []
-        self._layouts: dict[tuple[int, Deg], tuple[list, int]] = {}
+        self._layouts: dict[tuple[int, Deg, int], tuple[list, int]] = {}
         self._splits: dict[Deg, dict[int, tuple[list[int], list[int]]]] = {}
 
-    def _add_level(self, degrees: list[Deg], cols) -> None:
+    def _add_level(self, degrees: list[Deg], cols) -> dict:
         groups = [(g, len(list(run))) for g, run in groupby(degrees)]
-        self.levels.append({"degrees": degrees, "groups": groups, "cols": cols})
+        level = {"degrees": degrees, "groups": groups, "cols": cols}
+        self.levels.append(level)
+        return level
 
     # ---- layouts ------------------------------------------------------
     def layout(self, level: int, d: Deg):
         """Blocks (piece degree e, offset, generator count, piece size) of
-        (F_level)_d, one per generator degree, and the total size.  A block
-        holds `count` consecutive copies of R_e, one per generator."""
-        key = (level, d)
+        (F_level)_d, one per generator degree found so far, and the total
+        size.  A block holds `count` consecutive copies of R_e, one per
+        generator."""
+        groups = self.levels[level]["groups"]
+        key = (level, d, len(groups))
         out = self._layouts.get(key)
         if out is None:
             blocks = []
             off = 0
-            for gdeg, cnt in self.levels[level]["groups"]:
+            for gdeg, cnt in groups:
                 e = tuple(a - b for a, b in zip(d, gdeg))
                 sz = 0 if any(x < 0 for x in e) else self.Q.dim_piece(e)
                 blocks.append((e, off, cnt, sz))
@@ -271,21 +289,6 @@ class _Resolver:
         return A
 
     # ---- main loop ------------------------------------------------------
-    def _add_generators(self, lev: int, d: Deg, B, unit, bases: dict, degrees: list, cols: dict):
-        """Append to (degrees, cols) the columns of B, a basis of the degree-d
-        piece that is the identity on the rows `unit`, that are not generated
-        by the lower-degree pieces in bases."""
-        if not unit:
-            return
-        below = [(var, tuple(a - b for a, b in zip(d, w))) for var, w in enumerate(self.ring.weights)]
-        # a generator, so that each product is dropped once its coordinates are read
-        old = (self._mul_var_level(lev, bases[dp], dp, var) for var, dp in below
-               if dp in bases and bases[dp].shape[1])
-        chosen = linalg.complement_in_basis(self.K, unit, old)
-        if chosen:
-            degrees.extend([d] * len(chosen))
-            cols[d] = B[:, chosen]
-
     def run(self, f0_degrees: list[Deg], seeds: dict, hom_bound: int):
         """Resolve given level-0 generator degrees and the level-1 seeds.
 
@@ -294,42 +297,58 @@ class _Resolver:
         Returns gen_degrees per level.
         """
         self._add_level(list(f0_degrees), None)
-
-        # level 1: minimal generators of the seeded submodule
-        bases: dict = {}
-        degrees: list[Deg] = []
-        cols: dict = {}
-        for d in self.degrees:
-            if d in seeds:
-                B, pivots = linalg.span_basis(self.K, seeds[d])
-                self._add_generators(0, d, B, pivots, bases, degrees, cols)
-                bases[d] = B
-        self._add_level(degrees, cols)
-
-        for lev in range(1, hom_bound):
-            degrees, cols = self._kernel_step(lev)
-            self._add_level(degrees, cols)
-            if not degrees:
+        below = {d: linalg.span_basis(self.K, V) for d, V in seeds.items()}
+        # level 1, the minimal generators of the seeded submodule, is always
+        # found; an empty level from 2 on ends the resolution
+        top = max(hom_bound, 1)
+        for lev in range(1, top + 1):
+            below = self._resolve_level(lev, below, last=lev == top)
+            if lev > 1 and not self.levels[lev]["degrees"]:
                 break
         gen_degree_lists = [list(level["degrees"]) for level in self.levels]
         # complete means the resolution actually terminated inside the window
         complete = not gen_degree_lists[-1]
         return gen_degree_lists, complete
 
-    def _kernel_step(self, lev: int):
-        """Minimal generators of ker((F_lev)_d -> (F_{lev-1})_d) over all d."""
+    def _resolve_level(self, lev: int, below: dict, last: bool) -> dict:
+        """Find the minimal generators of F_lev, degree by degree: below[d]
+        is a basis (B, unit) of the degree-d piece of the image of d_lev, as
+        from kernel_basis or span_basis.  Returns the same for the image of
+        d_{lev+1}, the kernels of d_lev, except at the last level."""
+        K = self.K
+        level = self._add_level([], {})
         diffs: dict = {}
         kernels: dict = {}
-        degrees: list[Deg] = []
-        cols: dict = {}
         for d in self.degrees:
-            if not self._amb_dim(lev, d):
-                continue
-            A = diffs[d] = self._differential(lev, d, diffs)
-            B, free = linalg.kernel_basis(self.K, A)
-            self._add_generators(lev, d, B, free, kernels, degrees, cols)
-            kernels[d] = B
-        return degrees, cols
+            B, unit = below.pop(d, (None, []))
+            A = self._differential(lev, d, diffs)
+            old = A.shape[1]
+            if last:
+                chosen = linalg.complement_in_basis(K, unit, A)
+            else:
+                ker, free = linalg.kernel_basis(K, A)
+                # d_lev maps onto span(B), and by exactness the generators
+                # found so far cover rank(A) of its len(unit) dimensions
+                rank = old - len(free)
+                if rank == 0:
+                    chosen = list(range(len(unit)))
+                elif rank < len(unit):
+                    chosen = linalg.complement_in_basis(K, unit, A)
+                else:
+                    chosen = []
+            if chosen:
+                new = level["cols"][d] = B[:, chosen]
+                level["degrees"].extend([d] * len(chosen))
+                level["groups"].append((d, len(chosen)))
+                A_old, A = A, linalg.zeros(K, (A.shape[0], old + len(chosen)))
+                A[:, :old], A[:, old:] = A_old, new
+                if not last:
+                    ker_old, ker = ker, linalg.zeros(K, (A.shape[1], len(free)))
+                    ker[:old] = ker_old
+            diffs[d] = A
+            if not last:
+                kernels[d] = (ker, free)
+        return kernels
 
 
 def resolve_over_quotient(

@@ -36,16 +36,32 @@ from koszulkit.forms import (
     KNOWN_HEIGHT2_TABLES,
     generate_ideal,
     random_quadric,
-    random_sparse_quadric,
 )
 from koszulkit.resolution import FreeComplex
-from koszulkit.ring import MonomialOrder
+from koszulkit.ring import MonomialOrder, Polynomial, RingContext
 
 F = GF(32003)
 
 
 def _ok(n, msg):
     print(f"ACCEPTANCE {n}: PASS - {msg}")
+
+
+def random_sparse_quadric(ring: RingContext, rng, max_terms: int = 4) -> Polynomial:
+    """Random quadric supported on a few monomials (kinder to slow orders)."""
+    K = ring.field
+    terms = {}
+    for _ in range(max_terms):
+        i = rng.randrange(ring.n)
+        j = rng.randrange(ring.n)
+        m = [0] * ring.n
+        m[i] += 1
+        m[j] += 1
+        c = K.random(rng)
+        if not K.is_zero(c):
+            terms[tuple(m)] = c
+    f = Polynomial(ring, terms)
+    return f if f else random_sparse_quadric(ring, rng, max_terms)
 
 
 def P(R, s):

@@ -1,10 +1,21 @@
 """Witness sampling: every emitted ideal satisfies its case conditions."""
 
+import random
+
 import pytest
 
 from koszulkit import GF, QQ, Ideal, hilbert_of_quotient, minimal_resolution, parse_poly, parse_ring
-from koszulkit.forms import FORMS, KNOWN_HEIGHT2_TABLES, generate_ideal, pair_decomposition, resolve_case_id
-from koszulkit.groebner import GroebnerError, ideal_equal, minimal_quadric_generators
+from koszulkit.forms import (
+    FORMS,
+    KNOWN_HEIGHT2_TABLES,
+    check_2iv_d,
+    generate_ideal,
+    pair_decomposition,
+    random_linear,
+    resolve_case_id,
+)
+from koszulkit.groebner import GroebnerError, ideal_equal, intersect, minimal_quadric_generators
+from koszulkit.ring import RingContext
 
 
 @pytest.mark.parametrize("form", sorted(FORMS))
@@ -71,3 +82,27 @@ def test_lift_specializes_to_the_built_ideal(form, field):
     images = values + [ring.var(i) for i in range(ring.n)]
     specialized = Ideal([f.substitute(images) for f in lift.ideal_gens], ring)
     assert ideal_equal(specialized, Ideal(FORMS[form].build(w), ring))
+
+
+@pytest.mark.parametrize("K", [GF(2), GF(3), GF(7), GF(32003), QQ], ids=str)
+def test_2iv_d_transversality_by_hilbert_series_matches_intersection(K):
+    """check_2iv_d tests I1 ∩ I2 = I1*I2 by Hilbert series; the reference
+    computes the intersection.  Every third pair shares the factor a1 and
+    every third the factor x, so both answers occur."""
+    ring = RingContext(K, [f"x{i}" for i in range(6)])
+    rng = random.Random(f"2iv-d:{K}")
+    seen = set()
+    for trial in range(9):
+        w = dict(zip(["x", "y", "a1", "a2", "b3", "b4"], [random_linear(ring, rng) for _ in range(6)]))
+        if trial % 3 == 1:
+            w["b3"] = w["a1"]
+        elif trial % 3 == 2:
+            w["y"] = w["x"]
+        I1 = Ideal([w["a1"] * w["x"], w["a2"] * w["x"]], ring)
+        I2 = Ideal([w["b3"] * w["y"], w["b4"] * w["y"]], ring)
+        prod = Ideal([f * g for f in I1.gens for g in I2.gens], ring)
+        transversal = ideal_equal(intersect(I1, I2), prod)
+        I = Ideal(FORMS["2iv-d"].build(w), ring)
+        assert ("summands are not transversal" not in check_2iv_d(w, I)) == transversal
+        seen.add(transversal)
+    assert seen == {True, False}

@@ -77,7 +77,8 @@ class TestComplement:
                 coeffs = linalg.array(K, rand_rows(K, rng, len(free), k, rng.random()), k)
                 old.append(linalg.matmul(K, B, coeffs))
             spanning = [v for X in old for v in columns(X)]
-            assert linalg.complement_in_basis(K, free, old) == greedy(K, spanning, columns(B))
+            V = np.concatenate(old, axis=1) if old else B[:, :0]
+            assert linalg.complement_in_basis(K, free, V) == greedy(K, spanning, columns(B))
 
     def test_span_basis_against_greedy_scan(self, K):
         rng = random.Random(f"span:{K}")
@@ -88,8 +89,8 @@ class TestComplement:
             assert linalg.array(K, columns(B), dim)[:, pivots].tolist() == (
                 np.eye(len(pivots), dtype=int).tolist())
             k = rng.randint(0, 6)
-            old = [linalg.matmul(K, B, linalg.array(K, rand_rows(K, rng, len(pivots), k), k))]
-            assert linalg.complement_in_basis(K, pivots, old) == greedy(K, columns(old[0]), columns(B))
+            old = linalg.matmul(K, B, linalg.array(K, rand_rows(K, rng, len(pivots), k), k))
+            assert linalg.complement_in_basis(K, pivots, old) == greedy(K, columns(old), columns(B))
 
     def test_complement_indices_against_greedy_scan(self, K):
         rng = random.Random(f"complement:{K}")
@@ -383,7 +384,7 @@ def test_qq_eliminations_match_fraction_reference(data, m, n):
     B, free = linalg.kernel_basis(QQ, V)
     assert all_fractions(B)
     k = data.draw(st.integers(0, 4))
-    old = [fraction_matmul(QQ, B, linalg.array(QQ, data.draw(qq_rows(len(free), k)), k))]
+    old = fraction_matmul(QQ, B, linalg.array(QQ, data.draw(qq_rows(len(free), k)), k))
     got = linalg.complement_in_basis(QQ, free, old)
     assert got == with_reference(lambda: linalg.complement_in_basis(QQ, free, old))
 

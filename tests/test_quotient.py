@@ -3,6 +3,7 @@ first-syzygy span criterion."""
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -152,6 +153,160 @@ class TestResolverPaths:
         I = generate_ideal("2iv-d", GF(32003), seed=8)["ideal"]
         res = self.both_paths(monkeypatch, lambda: is_koszul_up_to(I, 4)["resolution"])
         assert res.first_nonlinear() is None
+
+
+class ReferenceResolver(quotient._Resolver):
+    """Reference: the resolver that picks each level's generators after the
+    level is resolved, as the greedy complement, in the basis of
+    ker(d_lev)_d, of the products x_i * ker(d_lev)_{d - w_i}.  It takes a
+    complement in every degree that has a kernel."""
+
+    def run(self, f0_degrees, seeds, hom_bound):
+        self._add_level(list(f0_degrees), None)
+        bases, degrees, cols = {}, [], {}
+        for d in self.degrees:
+            if d in seeds:
+                B, pivots = linalg.span_basis(self.K, seeds[d])
+                self._add_generators(0, d, B, pivots, bases, degrees, cols)
+                bases[d] = B
+        self._add_level(degrees, cols)
+        for lev in range(1, hom_bound):
+            degrees, cols = self._kernel_step(lev)
+            self._add_level(degrees, cols)
+            if not degrees:
+                break
+        gen_degree_lists = [list(level["degrees"]) for level in self.levels]
+        return gen_degree_lists, not gen_degree_lists[-1]
+
+    def _kernel_step(self, lev):
+        diffs, kernels, degrees, cols = {}, {}, [], {}
+        for d in self.degrees:
+            if not self._amb_dim(lev, d):
+                continue
+            A = diffs[d] = self._differential(lev, d, diffs)
+            B, free = linalg.kernel_basis(self.K, A)
+            self._add_generators(lev, d, B, free, kernels, degrees, cols)
+            kernels[d] = B
+        return degrees, cols
+
+    def _add_generators(self, lev, d, B, unit, bases, degrees, cols):
+        if not unit:
+            return
+        products = [self._mul_var_level(lev, bases[dp], dp, var)
+                    for var, w in enumerate(self.ring.weights)
+                    for dp in [tuple(a - b for a, b in zip(d, w))]
+                    if dp in bases and bases[dp].shape[1]]
+        V = np.concatenate(products, axis=1) if products else B[:, :0]
+        chosen = linalg.complement_in_basis(self.K, unit, V)
+        if chosen:
+            degrees.extend([d] * len(chosen))
+            cols[d] = B[:, chosen]
+
+
+def reference_run(monkeypatch, resolve):
+    """resolve() with the resolver of this module and with ReferenceResolver;
+    returns both results and the resolver instances each one made."""
+    out = []
+    for cls in (quotient._Resolver, ReferenceResolver):
+        made = []
+
+        class Spy(cls):
+            def run(self, *args):
+                made.append(self)
+                return super().run(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(quotient, "_Resolver", Spy)
+            out.append((resolve(), made))
+    return out
+
+
+def _bigraded_bad_algebra():
+    R = parse_ring("ring F32003 [x:(1,0), y:(1,0), a:(0,1), b:(0,1)]")
+    return R, ideal(R, "b*x", "x*y", "a*x-b*y", "x^2-y^2")
+
+
+class TestExactnessCount:
+    """Counting each level's new generators by exactness, and taking a
+    complement only where some appear, picks the same generators as the
+    reference: the same degrees, completeness and differential columns."""
+
+    def same_as_reference(self, monkeypatch, resolve):
+        (new, made), (ref, ref_made) = reference_run(monkeypatch, resolve)
+        assert new.gen_degrees == ref.gen_degrees
+        assert new.complete == ref.complete
+        assert len(made) == len(ref_made) == 1
+        levels, ref_levels = made[0].levels, ref_made[0].levels
+        assert len(levels) == len(ref_levels)
+        for level, ref_level in zip(levels[1:], ref_levels[1:]):
+            assert level["degrees"] == ref_level["degrees"]
+            assert list(level["cols"]) == list(ref_level["cols"])
+            for d, M in level["cols"].items():
+                assert M.dtype == ref_level["cols"][d].dtype
+                assert M.tolist() == ref_level["cols"][d].tolist()
+        return new
+
+    @pytest.mark.parametrize("K", [GF(2), GF(3), GF(7), GF(32003), QQ], ids=str)
+    def test_witnesses(self, monkeypatch, K):
+        for case in FORMS:
+            I = generate_ideal(case, K, seed=1)["ideal"]
+            self.same_as_reference(monkeypatch, lambda: is_koszul_up_to(I, 4)["resolution"])
+
+    def test_bigraded_module(self, monkeypatch):
+        R, I = _bigraded_bad_algebra()
+        res = self.same_as_reference(monkeypatch, lambda: resolve_over_quotient(
+            QuotientRing(I), ("module", [R.var(2), R.var(3)]), 4, 6))
+        assert res.ranks() == [2, 3, 6, 11, 20]
+
+    def test_off_the_linear_strand(self, monkeypatch, bad_algebra_ideal, conca_ideal):
+        # the nonlinear generator, at level 6 in degree 7, is at an inner level
+        res = self.same_as_reference(monkeypatch, lambda: is_koszul_up_to(bad_algebra_ideal, 7)["resolution"])
+        assert res.first_nonlinear() == (6, (7,))
+        for I in (bad_algebra_ideal, conca_ideal):
+            gens = [I.ring.var(i) for i in range(I.ring.n)]
+            self.same_as_reference(monkeypatch, lambda: resolve_over_quotient(
+                QuotientRing(I), ("quotient", gens), 5, 6))
+
+    @pytest.mark.parametrize("hom_bound", [0, 1, 2])
+    @pytest.mark.parametrize("degree_bound", [0, 1, 2, 3])
+    def test_small_windows(self, monkeypatch, conca_ideal, hom_bound, degree_bound):
+        gens = [conca_ideal.ring.var(i) for i in range(4)]
+        self.same_as_reference(monkeypatch, lambda: resolve_over_quotient(
+            QuotientRing(conca_ideal), ("quotient", gens), hom_bound, degree_bound))
+        R, I = _bigraded_bad_algebra()
+        self.same_as_reference(monkeypatch, lambda: resolve_over_quotient(
+            QuotientRing(I), ("module", [R.var(2), R.var(3)]), hom_bound, degree_bound))
+
+
+def complement_levels(monkeypatch, resolve):
+    """(level, last) of every linalg.complement_in_basis call in resolve()."""
+    calls, current = [], []
+    resolve_level = quotient._Resolver._resolve_level
+    complement = linalg.complement_in_basis
+
+    def spy_level(self, lev, below, last):
+        current.append((lev, last))
+        return resolve_level(self, lev, below, last)
+
+    def spy_complement(*args):
+        calls.append(current[-1])
+        return complement(*args)
+
+    monkeypatch.setattr(quotient._Resolver, "_resolve_level", spy_level)
+    monkeypatch.setattr(linalg, "complement_in_basis", spy_complement)
+    resolve()
+    return calls
+
+
+class TestComplementOnlyWhereGeneratorsAppear:
+    def test_koszul_witness_takes_complements_at_the_last_level_only(self, monkeypatch):
+        I = generate_ideal("2iv-d", GF(32003), seed=8)["ideal"]
+        calls = complement_levels(monkeypatch, lambda: is_koszul_up_to(I, 6))
+        assert calls and all(last for _, last in calls)
+
+    def test_nonlinear_generators_take_inner_complements(self, monkeypatch, bad_algebra_ideal):
+        calls = complement_levels(monkeypatch, lambda: is_koszul_up_to(bad_algebra_ideal, 7))
+        assert (6, False) in calls
 
 
 class TestKoszulVerdicts:
