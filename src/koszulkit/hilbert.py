@@ -1,8 +1,9 @@
 """Hilbert series, Krull dimension, multiplicity, and regular-sequence tests.
 
 The numerator of H_{S/I}(t) over (1-t)^{dim S} is computed from the initial
-monomial ideal by pivot recursion; dimension comes combinatorially from
-independent variable sets of the initial ideal.
+monomial ideal by pivot recursion.  The codimension is the number of times
+1-t divides it exactly, and the multiplicity is the value at t = 1 of what
+remains.
 """
 
 from __future__ import annotations
@@ -123,25 +124,6 @@ def kpoly(mons: tuple[Mon, ...]) -> ZPoly:
     return out
 
 
-def _min_cover(supports: list[frozenset[int]], memo: dict) -> int:
-    """Minimum number of variables meeting every support set."""
-    supports = [s for s in supports if s]
-    if not supports:
-        return 0
-    key = frozenset(supports)
-    if key in memo:
-        return memo[key]
-    s0 = min(supports, key=len)
-    best = None
-    for v in sorted(s0):
-        rest = [s for s in supports if v not in s]
-        sub = 1 + _min_cover(rest, memo)
-        if best is None or sub < best:
-            best = sub
-    memo[key] = best
-    return best
-
-
 @dataclass
 class HilbertData:
     """Hilbert series data of a graded quotient S/I."""
@@ -173,21 +155,15 @@ def hilbert_from_monomials(ring: RingContext, mons) -> HilbertData:
     num = kpoly(mons)
     if not num:
         raise GroebnerError("unit ideal has no Hilbert data")
-    supports = [frozenset(i for i, e in enumerate(m) if e) for m in mons]
-    codim = _min_cover(supports, {})
-    dim = ring.n - codim
-    reduced = num
-    for _ in range(codim):
-        nxt = zp_div_1mt(reduced)
-        if nxt is None:
-            raise GroebnerError("numerator not divisible by (1-t)^codim")
-        reduced = nxt
-    if zp_div_1mt(reduced) is not None and dim == 0 and zp_eval1(reduced) == 0:
-        raise GroebnerError("inconsistent codimension data")
+    # num = (1-t)^codim * h(t) with h(1) = e > 0: codim is the number of
+    # exact divisions by 1-t, and h is the reduced numerator
+    codim, reduced = 0, num
+    while (nxt := zp_div_1mt(reduced)) is not None:
+        codim, reduced = codim + 1, nxt
     e = zp_eval1(reduced)
     if e < 1:
         raise GroebnerError("multiplicity must be positive")
-    return HilbertData(num, ring.n, dim, codim, e, reduced)
+    return HilbertData(num, ring.n, ring.n - codim, codim, e, reduced)
 
 
 def hilbert_of_quotient(I: Ideal) -> HilbertData:

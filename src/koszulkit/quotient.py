@@ -1,6 +1,13 @@
 """Computations over a quotient ring R = S/I: truncated minimal free
-resolutions by degreewise linear algebra, Koszulness-up-to-bound testing,
-the first-syzygy span criterion, and numeric series consistency checks.
+resolutions by degreewise linear algebra, Koszulness-up-to-bound testing
+after cutting R by regular linear forms, the first-syzygy span criterion,
+and numeric series consistency checks.
+
+A linear form is tested for regularity one way: a change of coordinates
+makes it the last variable, whose regularity the Bayer-Stillman criterion
+reads off the lead monomials of one degrevlex basis
+(groebner.cut_last_variable).  The span criterion resolves one level: the
+first syzygies of the generators (modules.syzygy_matrix).
 
 Coordinates are taken in the standard-monomial bases of the graded (or
 bigraded) pieces of R, so every resolution step reduces to kernels of
@@ -19,10 +26,8 @@ from dataclasses import dataclass, field
 from itertools import groupby
 
 from . import linalg
-from .groebner import GroebnerError, Ideal, cut_last_variable, minimal_quadric_generators, normal_form
-from .hilbert import is_regular_sequence_mod
-from .modules import FreeModule, PolyMatrix, TaggedModule
-from .resolution import minimal_resolution
+from .groebner import GroebnerError, Ideal, _fresh_name, cut_last_variable, minimal_quadric_generators, normal_form
+from .modules import FreeModule, PolyMatrix, TaggedModule, syzygy_matrix
 from .ring import (
     DEGREVLEX,
     Deg,
@@ -428,43 +433,31 @@ def _socle_element(Q: QuotientRing, bound: int) -> Polynomial | None:
     return None
 
 
-def _other_regular_form(I: Ideal, rng: random.Random):
-    """Coefficients of the first regular linear form among the candidates
-    after the last variable, by Hilbert series, or None."""
-    ring = I.ring
-    K = ring.field
-    for t in range(1, _TRIES):
-        if t < ring.n:
-            coeffs = [K.one() if i == ring.n - 1 - t else K.zero() for i in range(ring.n)]
-        else:
-            coeffs = [K.random(rng) for _ in range(ring.n)]
-        ell = ring.linear_form(coeffs)
-        if ell and is_regular_sequence_mod(I, [ell]):
-            return coeffs
-    return None
+def _cut_by_form(I: Ideal, coeffs) -> Ideal | None:
+    """I modulo the linear form l with these coefficients, in the ring
+    without x_p, the last variable with a nonzero coefficient, solved for
+    x_p, when l is regular on S/I; None when l is a zero-divisor.  The cut
+    ideal carries its reduced degrevlex basis.
 
-
-def _cut(I: Ideal, coeffs) -> Ideal:
-    """I modulo the linear form with these coefficients, in the ring without
-    its last variable with a nonzero coefficient, solved for that variable."""
+    The change of coordinates x_p -> (y - sum_{i != p} c_i x_i) / c_p, into
+    the ring of the other variables and a fresh last variable y, takes l to
+    y.  So l is regular exactly when y is, and groebner.cut_last_variable
+    decides that by the Bayer-Stillman criterion; setting y = 0 solves l = 0
+    for x_p.  A multiple of the last variable needs no change, and its test
+    reuses the basis of I.
+    """
     ring = I.ring
     K = ring.field
     piv = max(i for i, c in enumerate(coeffs) if not K.is_zero(c))
-    small = RingContext(K, [nm for i, nm in enumerate(ring.names) if i != piv])
-    inv = K.neg(K.inv(coeffs[piv]))
-    image_terms = {}
-    for i, c in enumerate(coeffs):
-        if i != piv and not K.is_zero(c):
-            m = [0] * small.n
-            m[i if i < piv else i - 1] = 1
-            image_terms[tuple(m)] = K.mul(c, inv)
-    images = []
-    for i in range(ring.n):
-        if i == piv:
-            images.append(Polynomial(small, dict(image_terms)))
-        else:
-            images.append(small.var(i if i < piv else i - 1))
-    return Ideal([g.substitute(images) for g in I.gens], small)
+    names = [nm for i, nm in enumerate(ring.names) if i != piv]
+    small = RingContext(K, names)
+    if piv < ring.n - 1 or any(not K.is_zero(c) for c in coeffs[:piv]):
+        big = RingContext(K, names + [_fresh_name(ring, "y")])
+        inv = K.inv(coeffs[piv])
+        solved = big.linear_form([K.neg(K.mul(c, inv)) for i, c in enumerate(coeffs) if i != piv] + [inv])
+        images = [solved if i == piv else big.var(i - (i > piv)) for i in range(ring.n)]
+        I = Ideal([g.substitute(images) for g in I.gens], big)
+    return cut_last_variable(I, small)
 
 
 def _find_regular_linear_reduction(I: Ideal):
@@ -474,16 +467,16 @@ def _find_regular_linear_reduction(I: Ideal):
     ideal, the number of forms, and the QuotientRing of the cut ideal when
     the last round built one (else None).
 
-    Each round first tries the last variable x by the Bayer-Stillman
-    criterion on the cached degrevlex basis (groebner.cut_last_variable):
-    no Buchberger runs, and when x is regular the cut ideal carries its
-    basis into the next round.  When x is a zero-divisor, S/I may have
-    depth 0, and then no linear form is regular and the search stops: when
-    S/I is Artinian (a pure power of every variable among the leads), or
-    when it has a socle element up to the top degree of its basis.
-    Otherwise the other candidates follow in order, each by Hilbert series:
-    the variables from the last, then random forms, _TRIES candidates in
-    all.
+    Each round tries _TRIES candidates in order: the variables from the
+    last, then random forms.  Every candidate is tested by the
+    Bayer-Stillman criterion after a change of coordinates that makes it the
+    last variable (_cut_by_form), which runs one Buchberger, and a regular
+    candidate's cut ideal carries that basis into the next round.  The last
+    variable comes first and needs no change: it reuses the basis of the
+    round's ideal.  When it is a zero-divisor, S/I may have depth 0, and then
+    no linear form is regular and the search stops: when S/I is Artinian (a
+    pure power of every variable among the leads), or when it has a socle
+    element up to the top degree of its basis.
     """
     if not I.is_homogeneous() or I.contains(I.ring.one()):
         raise GroebnerError("the regular linear form search needs a proper homogeneous ideal")
@@ -491,16 +484,25 @@ def _find_regular_linear_reduction(I: Ideal):
     cur = I
     used = 0
     while cur.ring.n > 2:
-        nxt = cut_last_variable(cur, RingContext(cur.ring.field, cur.ring.names[:-1]))
+        n, K = cur.ring.n, cur.ring.field
+        nxt = None
+        for t in range(_TRIES):
+            if t == 1:
+                # the last variable is a zero-divisor: S/I may have depth 0
+                Q = QuotientRing(cur)
+                artinian = all(any(m[i] == sum(m) for m in Q._lead) for i in range(n))
+                if artinian or _socle_element(Q, max(g.total_degree() for g in Q.gb)) is not None:
+                    return cur, used, Q
+            if t < n:
+                coeffs = [K.one() if i == n - 1 - t else K.zero() for i in range(n)]
+            else:
+                coeffs = [K.random(rng) for _ in range(n)]
+            if any(not K.is_zero(c) for c in coeffs):
+                nxt = _cut_by_form(cur, coeffs)
+                if nxt is not None:
+                    break
         if nxt is None:
-            Q = QuotientRing(cur)
-            artinian = all(any(m[i] == sum(m) for m in Q._lead) for i in range(cur.ring.n))
-            if artinian or _socle_element(Q, max(g.total_degree() for g in Q.gb)) is not None:
-                return cur, used, Q
-            coeffs = _other_regular_form(cur, rng)
-            if coeffs is None:
-                return cur, used, Q
-            nxt = _cut(cur, coeffs)
+            return cur, used, Q
         if nxt.is_zero():
             break
         cur = nxt
@@ -509,34 +511,28 @@ def _find_regular_linear_reduction(I: Ideal):
 
 
 def is_koszul_up_to(
-    Q_or_I,
+    I: Ideal,
     hom_bound: int,
     *,
     reduce_first: bool = True,
 ) -> dict:
-    """Resolve the residue field over R up to hom_bound (internal degree
-    truncated at hom_bound + 1); report the first nonlinear position if any.
+    """Resolve the residue field over R = S/I up to hom_bound (internal
+    degree truncated at hom_bound + 1); report the first nonlinear position
+    if any.
 
     A 'linear-so-far' verdict is inconclusive beyond the bound; 'nonlinear-at'
     certifies non-Koszulness.  When reduce_first is set, the ring is first cut
     down by a regular sequence of linear forms (this preserves Koszulness and
     the existence of a nonlinear position, though positions may shift).  The
-    search for those forms runs one Buchberger on I and none on the cut
-    rings while their last variable is regular (the Bayer-Stillman criterion
-    and the carried basis), and stops at once when the ring is Artinian or
-    it finds a socle element; the resolver then reuses its QuotientRing.
+    search for those forms runs one Buchberger on I and one per candidate
+    it tries after a zero-divisor last variable; a regular last variable
+    costs none (the Bayer-Stillman criterion on the basis every cut ring
+    carries).  It stops at once when the ring is Artinian or it finds a
+    socle element, and the resolver then reuses its QuotientRing.
     """
-    if isinstance(Q_or_I, QuotientRing):
-        I = Q_or_I.ideal
-        Q = Q_or_I
-    else:
-        I = Q_or_I
-        Q = None
-    reduced_by = 0
+    reduced_by, Q = 0, None
     if reduce_first and not I.is_zero():
-        I2, reduced_by, Q2 = _find_regular_linear_reduction(I)
-        if reduced_by or Q is None:
-            I, Q = I2, Q2
+        I, reduced_by, Q = _find_regular_linear_reduction(I)
     if Q is None:
         Q = QuotientRing(I)
     gens = [Q.ring.var(i) for i in range(Q.ring.n)]
@@ -587,14 +583,17 @@ def first_syzygy_criterion(I: Ideal) -> dict:
     are spanned by linear syzygies plus Koszul syzygies.
 
     Failure certifies the quotient is not Koszul; a pass is inconclusive.
+    The minimal first syzygies are one syzygy_matrix of the row of minimal
+    quadric generators, the d2 of a minimal resolution of S/I; no further
+    level is resolved.
     """
     ring = I.ring
     gens = minimal_quadric_generators(I)
     g = len(gens)
-    cx, _ = minimal_resolution(Ideal(gens, ring))
-    if cx.length < 2:
+    row = PolyMatrix(FreeModule(ring, [ring.zero_deg]), FreeModule(ring, [f.degree() for f in gens]), [gens])
+    d2 = syzygy_matrix(row)
+    if not d2.ncols:
         return {"passes": True, "witness": None, "n_min_syzygies": 0, "note": "no first syzygies"}
-    d2 = cx.maps[1]
 
     # the linear columns of d2 and the Koszul syzygies e_i*g_j - e_j*g_i
     lin = [c for c in range(d2.ncols) if total(d2.source.twists[c]) == 3]

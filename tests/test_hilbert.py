@@ -17,7 +17,27 @@ from koszulkit import (
 )
 from koszulkit.forms import KNOWN_HEIGHT2_TABLES, random_linear, random_quadric
 from koszulkit.groebner import GroebnerError
-from koszulkit.hilbert import zp_mul
+from koszulkit.hilbert import zp_div_1mt, zp_mul
+
+
+def _min_cover(supports: list[frozenset[int]], memo: dict) -> int:
+    """Reference: the minimum number of variables meeting every support set,
+    the height of a monomial ideal with these generator supports."""
+    supports = [s for s in supports if s]
+    if not supports:
+        return 0
+    key = frozenset(supports)
+    if key in memo:
+        return memo[key]
+    s0 = min(supports, key=len)
+    best = None
+    for v in sorted(s0):
+        rest = [s for s in supports if v not in s]
+        sub = 1 + _min_cover(rest, memo)
+        if best is None or sub < best:
+            best = sub
+    memo[key] = best
+    return best
 
 
 def P(R, s):
@@ -57,6 +77,23 @@ class TestMonomialRecursion:
                     continue
                 count += 1
             assert h.series(7)[d] == count
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_codim_is_the_minimum_vertex_cover(self, n):
+        """codim, read off the numerator, is the least number of variables
+        meeting the support of every generator, and the reduced numerator
+        is the numerator divided by (1-t)^codim."""
+        R = parse_ring(f"ring QQ [{','.join(f'x{i}' for i in range(n))}]")
+        rng = random.Random(f"cover:{n}")
+        for _ in range(425):
+            mons = [tuple(rng.choice((0, 0, 1, 2)) for _ in range(n)) for _ in range(rng.randint(1, 6))]
+            mons = [m for m in mons if any(m)]
+            h = hilbert_from_monomials(R, mons)
+            codim = _min_cover([frozenset(i for i, e in enumerate(m) if e) for m in mons], {})
+            reduced = h.numerator
+            for _ in range(codim):
+                reduced = zp_div_1mt(reduced)
+            assert (h.codim, h.dim, h.reduced_numerator) == (codim, n - codim, reduced)
 
     def test_five_quadric_example_series(self, conca_ideal):
         h = hilbert_of_quotient(conca_ideal)

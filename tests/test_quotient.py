@@ -22,9 +22,11 @@ from koszulkit import (
     parse_ring,
     resolve_over_quotient,
 )
-from koszulkit import groebner, linalg, quotient
+from koszulkit import groebner, hilbert, linalg, quotient
 from koszulkit.forms import FORMS, generate_ideal, random_quadric
 from koszulkit.groebner import GroebnerError, buchberger, cut_last_variable
+from koszulkit.modules import FreeModule, PolyMatrix
+from koszulkit.resolution import minimal_resolution
 from koszulkit.ring import DEGLEX, MonomialOrder, Polynomial, RingContext
 
 
@@ -385,6 +387,30 @@ class TestFirstSyzygyCriterion:
         out = first_syzygy_criterion(ideal(R, "x*a", "y*b", "x^2", "a^2"))
         assert out == {"passes": True, "witness": None, "n_min_syzygies": 5, "n_linear": 2, "n_koszul": 6}
 
+    @staticmethod
+    def same_as_whole_resolution(monkeypatch, ideals):
+        got = [first_syzygy_criterion(I) for I in ideals]
+        monkeypatch.setattr(quotient, "syzygy_matrix", _resolution_d2)
+        assert [first_syzygy_criterion(I) for I in ideals] == got
+
+    @pytest.mark.parametrize("K", [GF(2), GF(3), GF(7), GF(32003), QQ], ids=str)
+    def test_one_level_matches_the_whole_resolution(self, monkeypatch, K):
+        ideals = [generate_ideal(case, K, seed)["ideal"] for case in FORMS for seed in range(3)]
+        self.same_as_whole_resolution(monkeypatch, ideals)
+
+    def test_one_level_matches_the_whole_resolution_bigraded(self, monkeypatch):
+        R = parse_ring("ring F32003 [x:(1,0),y:(1,0),a:(0,1),b:(0,1)]")
+        self.same_as_whole_resolution(monkeypatch, [ideal(R, "x*a", "y*b", "x^2", "a^2")])
+
+
+def _resolution_d2(row):
+    """Reference for the syzygies of a generator row: d2 of the whole
+    minimal resolution of S/I."""
+    cx, _ = minimal_resolution(Ideal(row.entries[0], row.ring))
+    if cx.length < 2:
+        return PolyMatrix(row.source, FreeModule(row.ring, []), [[] for _ in range(row.ncols)])
+    return cx.maps[1]
+
 
 def _tries_only_reduction(I, tries=25, seed=11):
     """Reference: the regular-form search that tests every candidate by
@@ -502,6 +528,25 @@ class TestRegularFormSearch:
         r = is_koszul_up_to(Ideal(list(g.gens), g.ring), 4)
         assert len(calls) == 2 and r["verdict"] == "linear-so-far"
 
+    def test_small_field_search_runs_no_hilbert_test(self, monkeypatch):
+        """Over F2 a 2iii witness is cut from 7 to 3 variables: one
+        Buchberger on I, and one for each candidate after a zero-divisor
+        last variable, seven in all; no candidate goes through a Hilbert
+        series."""
+        g = generate_ideal("2iii", GF(2), 0)["ideal"]
+        calls = {"buchberger": 0, "is_regular_sequence_mod": 0}
+        for mod, name in ((groebner, "buchberger"), (hilbert, "is_regular_sequence_mod")):
+            run = getattr(mod, name)
+
+            def counting(*args, name=name, run=run, **kwargs):
+                calls[name] += 1
+                return run(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, counting)
+        cur, used, Q = quotient._find_regular_linear_reduction(Ideal(list(g.gens), g.ring))
+        assert (cur.ring.n, used) == (3, 4) and Q is not None
+        assert calls == {"buchberger": 8, "is_regular_sequence_mod": 0}
+
     def test_artinian_ring_stops_after_one_buchberger(self, monkeypatch):
         """z is a zero-divisor on S/(x^2, y^2, z^2), and x, y, z all have
         pure powers among the leads: depth 0 without a socle search, whose
@@ -527,11 +572,27 @@ class TestRegularFormSearch:
                 is_koszul_up_to(ideal(R, *gens), 3)
 
 
+def _solved_cut(I, coeffs):
+    """Reference: I modulo the linear form with these coefficients, by
+    substituting for its last variable with a nonzero coefficient."""
+    ring = I.ring
+    K = ring.field
+    piv = max(i for i, c in enumerate(coeffs) if not K.is_zero(c))
+    small = RingContext(K, [nm for i, nm in enumerate(ring.names) if i != piv])
+    inv = K.neg(K.inv(coeffs[piv]))
+    solved = small.linear_form([K.mul(c, inv) for i, c in enumerate(coeffs) if i != piv])
+    images = [solved if i == piv else small.var(i - (i > piv)) for i in range(ring.n)]
+    return Ideal([g.substitute(images) for g in I.gens], small)
+
+
 @settings(max_examples=40, deadline=None)
 @given(p=st.sampled_from([2, 7, 32003]), bigraded=st.booleans(), ngens=st.integers(1, 4), seed=st.integers(0, 10**6))
 def test_last_variable_test_agrees_with_hilbert(p, bigraded, ngens, seed):
     """cut_last_variable finds the last variable regular exactly when the
-    Hilbert test does, and then carries the reduced basis of the cut ideal."""
+    Hilbert test does, and then carries the reduced basis of the cut ideal;
+    so does the cut by a random linear form after its change of
+    coordinates, whose generators are those of solving the form for its
+    last variable."""
     rng = random.Random(seed)
     if bigraded:
         R = parse_ring(f"ring F{p} [x:(1,0),y:(1,0),z:(1,0),a:(0,1),b:(0,1)]")
@@ -547,6 +608,17 @@ def test_last_variable_test_agrees_with_hilbert(p, bigraded, ngens, seed):
     cut = cut_last_variable(I, small)
     assert (cut is not None) == is_regular_sequence_mod(I, [R.var(R.n - 1)])
     if cut is not None:
+        assert [g.terms for g in cut.gb()] == [g.terms for g in buchberger(cut.gens)]
+    # a sparse form now and then, so some pivots lie before the last variable
+    K = R.field
+    coeffs = [K.random(rng) if rng.random() < 0.6 else K.zero() for _ in range(R.n)]
+    if all(K.is_zero(c) for c in coeffs):
+        coeffs[rng.randrange(R.n)] = K.one()
+    cut = quotient._cut_by_form(Ideal(list(I.gens), R), coeffs)
+    assert (cut is not None) == is_regular_sequence_mod(I, [R.linear_form(coeffs)])
+    if cut is not None:
+        want = _solved_cut(I, coeffs)
+        assert (cut.ring.names, cut.gens) == (want.ring.names, want.gens)
         assert [g.terms for g in cut.gb()] == [g.terms for g in buchberger(cut.gens)]
 
 

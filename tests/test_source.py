@@ -4,9 +4,12 @@ module imports a name it does not use, only linalg imports numpy, modules
 imports nothing from linalg, only ring, groebner and modules touch packed
 terms, no function, class or method goes unreferenced, no function
 takes a parameter it never reads, every defaulted parameter is passed
-by some call, and only ModuleGB manages S-pairs."""
+by some call, only ModuleGB manages S-pairs, and every span the benchmark
+traces names a library function or method."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import koszulkit
@@ -312,3 +315,21 @@ def test_every_defaulted_parameter_is_passed():
                 ):
                     found.append(f"{path.name}:{fn.lineno}: {name}({param})")
     assert not found, "defaulted parameters no call passes:\n" + "\n".join(found)
+
+
+def test_every_benchmark_span_resolves():
+    """The benchmark's tracer looks up every span of bench/spans.py before
+    any item runs, so a name the library lost fails each traced run."""
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for modname, names in spans.SPANS.items():
+        mod = importlib.import_module(f"koszulkit.{modname}")
+        for name in names:
+            obj = mod
+            for part in name.split("."):
+                obj = getattr(obj, part, None)
+            if not callable(obj):
+                missing.append(f"{modname}.{name}")
+    assert not missing, "spans naming nothing in the library:\n" + "\n".join(missing)
