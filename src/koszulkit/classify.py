@@ -32,7 +32,6 @@ from .groebner import (
     buchberger,
     exact_div,
     ideal_equal,
-    intersect,
     is_quadratic_gb,
     minimal_quadric_generators,
 )
@@ -260,18 +259,14 @@ def _column_combination_candidates(M: PolyMatrix):
         # every combination works: sample a few chart points
         cands = [(K.one(), K.from_int(i)) for i in range(_CHART_SAMPLES)]
     else:
-        gcd = None
-        for mnr in minors:
-            coeffs = _u_trim(K, _to_univariate(mnr, 0))
-            gcd = coeffs if gcd is None else _u_gcd(K, gcd, coeffs)
-            if gcd == [K.one()] or (len(gcd) == 1 and not K.is_zero(gcd[0])):
-                gcd = [K.one()]
+        # every minor is nonzero, so the gcd is a nonzero polynomial in t
+        gcd = _u_trim(K, _to_univariate(minors[0], 0))
+        for mnr in minors[1:]:
+            if len(gcd) == 1:
                 break
-        if gcd and len(gcd) > 1:
-            for root in univariate_roots(K, gcd):
-                cands.append((K.one(), root))
-        elif gcd == [] or gcd is None:
-            cands = [(K.one(), K.from_int(i)) for i in range(_CHART_SAMPLES)]
+            gcd = _u_gcd(K, gcd, _u_trim(K, _to_univariate(mnr, 0)))
+        if len(gcd) > 1:
+            cands = [(K.one(), root) for root in univariate_roots(K, gcd)]
     # the point at infinity v = (0, 1)
     cands.append((K.zero(), K.one()))
     return cands
@@ -318,13 +313,12 @@ def _split_from_sigma(ring: RingContext, gens: list[Polynomial], sigma: list[Pol
     return SplitPair(f, [z, w])
 
 
-def split_pairs(I: Ideal, M: PolyMatrix | None = None) -> list[SplitPair]:
-    """All split syzygies found through column combinations of the linear
-    syzygy matrix (two-column case)."""
+def split_pairs(I: Ideal, M: PolyMatrix) -> list[SplitPair]:
+    """All split syzygies found through column combinations of M, the linear
+    syzygy matrix of I: its columns themselves, or in the two-column case
+    the combinations whose entries span at most two dimensions."""
     ring = I.ring
     gens = minimal_quadric_generators(I)
-    if M is None:
-        M = linear_syzygy_matrix(I)
     out = []
     seen = set()
     if M.ncols != 2:
@@ -352,84 +346,29 @@ def split_pairs(I: Ideal, M: PolyMatrix | None = None) -> list[SplitPair]:
 
 
 def quadric_common_factor(f: Polynomial, g: Polynomial) -> Polynomial | None:
-    """Linear common factor of two quadrics via the principal-ideal lcm."""
-    if not f or not g:
+    """The monic linear common factor of two quadrics, or None.  Independent
+    quadrics share a linear factor l exactly when their echelon pair
+    (f', g') has exactly one linear syzygy a*f' + b*g' = 0: with f' = l*p
+    and g' = l*q it is a multiple of (q, -p), so f'/b is l up to scale."""
+    J = Ideal([f, g], f.ring)
+    M = linear_syzygy_matrix(J)
+    if M.ncols != 1:
         return None
-    ring = f.ring
-    meet = intersect(Ideal([f], ring), Ideal([g], ring))
-    if not meet.gens:
-        return None
-    lcm = min(meet.gens, key=lambda h: h.total_degree())
-    if lcm.total_degree() != 3:
-        return None
-    try:
-        cof = exact_div(f * g, lcm)
-    except GroebnerError:
-        return None
-    if cof.total_degree() != 1:
-        return None
-    return cof.monic(DEGREVLEX.for_ring(ring))
+    return exact_div(minimal_quadric_generators(J)[0], M.entries[1][0]).monic(DEGREVLEX.for_ring(f.ring))
 
 
-def common_factors(I: Ideal) -> list[tuple[Polynomial, list[Polynomial]]]:
-    """Linear forms f with dim(f*S_1 cap I_2) >= 2, with the cofactor
-    bases; pairwise-gcd fast path first, then the rank-variety fallback."""
-    ring = I.ring
-    K = ring.field
-    gens = minimal_quadric_generators(I)
-    qs = _QuadricSpace(ring, gens)
+def common_factors(I: Ideal, qs: _QuadricSpace) -> list[tuple[Polynomial, list[Polynomial]]]:
+    """Linear forms f with dim(f*S_1 cap I_2) >= 2, each with its cofactor
+    basis: the common factors of pairs among the minimal generators qs.gens
+    and the given generators of I, in pair order."""
     found: dict[str, tuple[Polynomial, list[Polynomial]]] = {}
-
-    def consider(f: Polynomial | None):
-        if f is None or not f:
-            return
-        f = f.monic(DEGREVLEX.for_ring(ring))
-        key = str(f)
-        if key in found:
-            return
-        cof = cofactor_space(qs, f)
-        if len(cof) >= 2:
-            found[key] = (f, cof)
-
-    pool = list(gens) + [g for g in I.gens if g.total_degree() == 2]
-    for i in range(len(pool)):
-        for j in range(i + 1, len(pool)):
-            consider(quadric_common_factor(pool[i], pool[j]))
-    if found:
-        return list(found.values())
-    # variety fallback: rank(mu_f) <= n - 2 for unknown f
-    names = [f"t{i}" for i in range(ring.n)]
-    aux = RingContext(K, names)
-    tvars = [aux.var(i) for i in range(ring.n)]
-    ncoords = len(qs.mons)
-    red_cols = [[qs._reduce(v) for v in qs.coords([x * xj for x in ring.gens()])] for xj in ring.gens()]
-    # mu(f)[coord][j] = sum_i t_i * red_cols[j][i][coord]
-    mu = [
-        [
-            sum((tvars[i].scale(red_cols[j][i][coord]) for i in range(ring.n)), aux.zero())
-            for j in range(ring.n)
-        ]
-        for coord in range(ncoords)
-    ]
-    live_rows = [r for r in range(ncoords) if any(mu[r][j] for j in range(ring.n))]
-    size = ring.n - 1
-    minors = []
-    if size <= 0:
-        return list(found.values())
-    for rows in combinations(live_rows, size):
-        for cols in combinations(range(ring.n), size):
-            det = _det(aux, mu, list(rows), list(cols))
-            if det:
-                minors.append(det)
-            if len(minors) > 120:
-                break
-        if len(minors) > 120:
-            break
-    pts = solve_system_points(minors, max_points=10)
-    for pt in pts:
-        if all(K.is_zero(x) for x in pt):
+    for f, g in combinations(qs.gens + I.gens, 2):
+        x = quadric_common_factor(f, g)
+        if x is None or str(x) in found:
             continue
-        consider(ring.linear_form(list(pt)))
+        cof = cofactor_space(qs, x)
+        if len(cof) >= 2:
+            found[str(x)] = (x, cof)
     return list(found.values())
 
 
@@ -675,7 +614,7 @@ def _extract_table_i(I: Ideal):
     with two-dimensional back-cofactors mark the two-plane intersection."""
     ring = I.ring
     qs = _QuadricSpace(ring, minimal_quadric_generators(I))
-    factors = common_factors(I)
+    factors = common_factors(I, qs)
     for f, cof in factors:
         if len(cof) >= 3:
             w = _extract_three_products(I, qs, f, cof, "2i-c")

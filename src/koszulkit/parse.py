@@ -36,7 +36,10 @@ def parse_ring(decl: str) -> RingContext:
     m = _RING_RE.match(decl)
     if not m:
         raise ParseError(f"bad ring declaration {decl!r}")
-    field = field_by_name(m.group(1))
+    try:
+        field = field_by_name(m.group(1))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
     body = m.group(2).strip()
     if not body:
         raise ParseError("ring declaration with no variables")
@@ -62,7 +65,10 @@ def parse_ring(decl: str) -> RingContext:
             w = w.strip()
             if not (w.startswith("(") and w.endswith(")")):
                 raise ParseError(f"bad variable weight in {part!r}")
-            weights.append(tuple(int(x) for x in w[1:-1].split(",")))
+            try:
+                weights.append(tuple(int(x) for x in w[1:-1].split(",")))
+            except ValueError as exc:
+                raise ParseError(f"bad variable weight in {part!r}") from exc
         else:
             nm = part
             weights.append(None)
@@ -153,6 +159,8 @@ class _PolyParser:
                 kind2, d, pos2 = self.next()
                 if kind2 != "num":
                     raise ParseError("expected an integer denominator", pos2, self.text)
+                if self.ring.field.is_zero(self.ring.field.from_int(d)):
+                    raise ParseError(f"denominator {d} is zero in {self.ring.field.name}", pos2, self.text)
                 p = p.scale(self.ring.field.coerce(Fraction(1, d)))
             elif kind in ("name", "num") or (kind == "op" and val == "("):
                 # implicit multiplication: 2x, x y, 3(x+y)

@@ -389,8 +389,7 @@ def resolve_over_quotient(
             if any(x < 0 for x in rem):
                 continue
             for m in Q.std_basis(rem):
-                prod = Q.nf(g.mul_term(m, Q.field.one()))
-                vecs.append(Q.coords(prod, d))
+                vecs.append(Q.coords(g.mul_term(m, Q.field.one()), d))
         if vecs:
             seeds[d] = linalg.array(Q.field, vecs, Q.dim_piece(d))
 

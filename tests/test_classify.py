@@ -1,8 +1,10 @@
 """The four-quadric classifier: closed-loop generation, witness soundness,
 sub-form dispatch, generalized zeros, and certificates."""
 
+import importlib
 import json
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -25,10 +27,22 @@ from koszulkit import (
     parse_poly,
     parse_ring,
 )
-from koszulkit.classify import ClassificationError
+from koszulkit import groebner
+from koszulkit.classify import (
+    ClassificationError,
+    _QuadricSpace,
+    cofactor_space,
+    common_factors,
+    quadric_common_factor,
+)
 from koszulkit.field import field_by_name
 from koszulkit.forms import FORMS, generate_ideal
-from koszulkit.groebner import minimal_quadric_generators
+from koszulkit.groebner import GroebnerError, exact_div, intersect, minimal_quadric_generators
+from koszulkit.resolution import _det
+from koszulkit.ring import DEGREVLEX, RingContext
+from koszulkit.zerodim import solve_system_points
+
+classify_module = importlib.import_module("koszulkit.classify")
 
 
 def P(R, s):
@@ -318,3 +332,156 @@ def test_reports_match_the_pinned_file():
     assert len(got) == len(want) == 104
     differ = [label for (label, line), pinned in zip(got, want) if line != pinned]
     assert not differ, "reports differ from the pinned file: " + ", ".join(differ)
+
+
+# ---------------------------------------------------------------------------
+# common factors: the linear-syzygy construction against the earlier
+# elimination-based one, kept here as a reference
+
+
+def reference_quadric_common_factor(f, g):
+    """Linear common factor of two quadrics as f*g / lcm(f, g), with the lcm
+    the least-degree generator of an elimination-order intersection."""
+    if not f or not g:
+        return None
+    ring = f.ring
+    meet = intersect(Ideal([f], ring), Ideal([g], ring))
+    if not meet.gens:
+        return None
+    lcm = min(meet.gens, key=lambda h: h.total_degree())
+    if lcm.total_degree() != 3:
+        return None
+    try:
+        cof = exact_div(f * g, lcm)
+    except GroebnerError:
+        return None
+    if cof.total_degree() != 1:
+        return None
+    return cof.monic(DEGREVLEX.for_ring(ring))
+
+
+def reference_common_factors(I):
+    """The pairwise search by reference_quadric_common_factor, then, when it
+    finds nothing, a search of the rank variety rank(mu_f) <= n - 2 of the
+    multiplication maps mu_f: S_1 -> S_2/I_2 by polynomial-system solving."""
+    ring = I.ring
+    K = ring.field
+    gens = minimal_quadric_generators(I)
+    qs = _QuadricSpace(ring, gens)
+    found = {}
+
+    def consider(f):
+        if f is None or not f:
+            return
+        f = f.monic(DEGREVLEX.for_ring(ring))
+        if str(f) not in found:
+            cof = cofactor_space(qs, f)
+            if len(cof) >= 2:
+                found[str(f)] = (f, cof)
+
+    pool = list(gens) + [g for g in I.gens if g.total_degree() == 2]
+    for f, g in combinations(pool, 2):
+        consider(reference_quadric_common_factor(f, g))
+    if found:
+        return list(found.values())
+    aux = RingContext(K, [f"t{i}" for i in range(ring.n)])
+    tvars = [aux.var(i) for i in range(ring.n)]
+    red_cols = [[qs._reduce(v) for v in qs.coords([x * xj for x in ring.gens()])] for xj in ring.gens()]
+    mu = [
+        [sum((tvars[i].scale(red_cols[j][i][c]) for i in range(ring.n)), aux.zero()) for j in range(ring.n)]
+        for c in range(len(qs.mons))
+    ]
+    live_rows = [r for r in range(len(qs.mons)) if any(mu[r][j] for j in range(ring.n))]
+    minors = []
+    for rows in combinations(live_rows, ring.n - 1):
+        for cols in combinations(range(ring.n), ring.n - 1):
+            det = _det(aux, mu, list(rows), list(cols))
+            if det:
+                minors.append(det)
+            if len(minors) > 120:
+                break
+        if len(minors) > 120:
+            break
+    for pt in solve_system_points(minors, max_points=10):
+        if any(not K.is_zero(x) for x in pt):
+            consider(ring.linear_form(list(pt)))
+    return list(found.values())
+
+
+COMMON_FACTOR_FIELDS = ["F2", "F3", "F7", "F32003", "QQ"]
+
+
+def _random_linear(R, rng):
+    return sum((x.scale(R.field.random(rng)) for x in R.gens()), R.zero())
+
+
+def _random_quadric(R, rng):
+    return sum((R.form([R.field.random(rng)], [m]) for m in R.quadratic_monomials), R.zero())
+
+
+def common_factor_pairs(R, seed):
+    """Quadric pairs with and without a linear common factor: (l*a, l*b),
+    (l*a, c*l*a), (q, l*b), (l^2, l*b) and (a*b, a*b + l^2) for random
+    linear l, a, b, quadric q and scalar c."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(6):
+        l, a, b = (_random_linear(R, rng) for _ in range(3))
+        q, c = _random_quadric(R, rng), R.field.random(rng)
+        out += [(l * a, l * b), (l * a, (l * a).scale(c)), (q, l * b), (l * l, l * b), (a * b, a * b + l * l)]
+    return out
+
+
+@pytest.mark.parametrize("name", COMMON_FACTOR_FIELDS)
+def test_common_factor_matches_the_reference_on_pairs(name):
+    K = field_by_name(name)
+    R = parse_ring(f"ring {name} [x,y,z,w]")
+    pairs = [p for p in common_factor_pairs(R, 5) if p[0] and p[1]]
+    for case in sorted(FORMS):
+        for seed in (0, 1):
+            pairs += combinations(generate_ideal(case, K, seed)["ideal"].gens, 2)
+    with_factor = 0
+    for f, g in pairs:
+        want = reference_quadric_common_factor(f, g)
+        assert quadric_common_factor(f, g) == want, (str(f), str(g))
+        with_factor += want is not None
+    assert 0 < with_factor < len(pairs)
+
+
+def _scrambled(I, rng):
+    """Four random combinations of the generators: the same ideal, for
+    generic coefficients, in a basis whose pairs share no factor."""
+    K = I.ring.field
+    return Ideal([sum((g.scale(K.random(rng)) for g in I.gens), I.ring.zero()) for _ in range(4)], I.ring)
+
+
+@pytest.mark.parametrize("name", ["F7", "F32003", "QQ"])
+def test_common_factors_match_the_reference_on_table_i(name):
+    K = field_by_name(name)
+    rng = random.Random(9)
+    for case in ("2i-a", "2i-b", "2i-c"):
+        for seed in (0, 1):
+            I = generate_ideal(case, K, seed)["ideal"]
+            for J in (I, _scrambled(I, rng)):
+                qs = _QuadricSpace(J.ring, minimal_quadric_generators(J))
+                got = [(str(f), [str(c) for c in cof]) for f, cof in common_factors(J, qs)]
+                want = [(str(f), [str(c) for c in cof]) for f, cof in reference_common_factors(J)]
+                assert got == want, (case, seed)
+
+
+@pytest.mark.parametrize("form", ["2i-a", "2i-b", "2i-c", "2ii", "ht1"])
+def test_common_factors_need_no_elimination(monkeypatch, form):
+    """Extraction finds common factors by linear algebra: classify runs no
+    Buchberger under a block (elimination) order."""
+    I = generate_ideal(form, GF(32003), 0)["ideal"]
+    kinds = []
+
+    def spy(gens, order=DEGREVLEX):
+        kinds.append(order.kind)
+        return buchberger(gens, order)
+
+    monkeypatch.setattr(groebner, "buchberger", spy)
+    monkeypatch.setattr(classify_module, "buchberger", spy)
+    rep = classify(I)
+    assert rep.matched_case == EXPECTED_CASE[form] and rep.verdict == "certified-Koszul"
+    assert kinds and "block" not in kinds

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from koszulkit.cli import main
+from koszulkit.parse import ParseError, parse_polys, parse_ring
 
 
 def run_cli(capsys, *argv):
@@ -134,3 +135,17 @@ def test_negative_bounds_are_rejected(capsys, ideal_file, argv):
 def test_zero_maxdeg_is_accepted(capsys, ideal_file):
     code, out, _ = run_cli(capsys, "res", "--ideal", ideal_file, "--maxdeg", "0", "--format", "json")
     assert code == 0 and json.loads(out)["ranks"] == [1, 4]
+
+
+@pytest.mark.parametrize("decl,gens", [
+    ("ring F4 [x,y]", "x^2"),
+    ("ring Fp101 [x,y]", "x^2"),
+    ("ring F7 [x:(1,a),y:(0,1)]", "x^2"),
+    ("ring QQ [x,y]", "1/0*x^2"),
+    ("ring F7 [x,y]", "1/7*x^2"),
+])
+def test_malformed_text_is_a_parse_error(capsys, decl, gens):
+    with pytest.raises(ParseError):
+        parse_polys(parse_ring(decl), gens)
+    code, _, err = run_cli(capsys, "hilbert", "--ring", decl, "--gens", gens)
+    assert code == 2 and err.startswith("error: ") and "Traceback" not in err

@@ -4,8 +4,9 @@ module imports a name it does not use, only linalg imports numpy, modules
 imports nothing from linalg, only ring, groebner and modules touch packed
 terms, no function, class or method goes unreferenced, no function
 takes a parameter it never reads, every defaulted parameter is passed
-by some call, only ModuleGB manages S-pairs, and every span the benchmark
-traces names a library function or method."""
+by some call, only ModuleGB manages S-pairs, classify calls no
+elimination-order construction, and every span the benchmark traces
+names a library function or method."""
 
 import ast
 import importlib
@@ -88,6 +89,24 @@ def test_modules_imports_nothing_from_linalg():
         if any(name.split(".")[-1] == "linalg" for name in names):
             found.append(f"modules.py:{node.lineno}")
     assert not found, "modules imports linalg:\n" + "\n".join(found)
+
+
+ELIMINATIONS = {"intersect", "eliminate", "colon", "saturate"}
+
+
+def test_classify_calls_no_elimination():
+    """Common factors and witnesses come from linear syzygies and linear
+    algebra over graded pieces; with no call of an elimination-order
+    construction in classify, common factors cannot go back to one."""
+    path = SRC / "classify.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ELIMINATIONS:
+                found.append(f"classify.py:{node.lineno}: {name}")
+    assert not found, "eliminations in classify:\n" + "\n".join(found)
 
 
 PACKED_NAMES = {
