@@ -5,7 +5,7 @@ Betti tables, Hilbert series, quotient-ring resolutions and Koszulness
 tests, and the structure classifier for ideals generated by four quadrics.
 """
 
-from .field import GF, QQ, Field, FieldElement, FieldError, field_by_name
+from .field import GF, QQ, Field, FieldError, field_by_name
 from .ring import (
     DEGLEX,
     DEGREVLEX,
@@ -34,7 +34,7 @@ from .groebner import (
     saturate,
     verify_basis,
 )
-from .hilbert import HilbertData, hilbert_from_monomials, hilbert_of_quotient, height, is_regular_sequence_mod, multiplicity, regularity
+from .hilbert import HilbertData, hilbert_from_monomials, hilbert_of_quotient, is_regular_sequence_mod, regularity
 from .modules import FreeModule, PolyMatrix, syzygy_matrix
 from .resolution import (
     BettiTable,

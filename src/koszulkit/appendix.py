@@ -13,6 +13,7 @@ from . import linalg
 from .field import Field, field_by_name
 from .groebner import Ideal
 from .modules import FreeModule, PolyMatrix
+from .parse import parse_poly
 from .quotient import QuotientRing, resolve_over_quotient
 from .ring import Deg, Polynomial, RingContext, total
 
@@ -76,17 +77,6 @@ def make_instance(field: Field) -> AppendixInstance:
     I = Ideal([b * x, x * y, a * x - b * y, x * x - y * y], ring)
     Q = QuotientRing(I)
 
-    def parse_entry(s: str) -> Polynomial:
-        neg = s.startswith("-")
-        body = s[1:] if neg else s
-        if body == "0":
-            return ring.zero()
-        if body == "2y":
-            f = y.scale(field.from_int(2))
-        else:
-            f = {"x": x, "y": y, "a": a, "b": b}[body]
-        return -f if neg else f
-
     mats = []
     for rows, ti, si in (
         (_D1, 0, 1),
@@ -96,7 +86,7 @@ def make_instance(field: Field) -> AppendixInstance:
     ):
         tgt = FreeModule(ring, _STAGE_TWISTS[ti])
         src = FreeModule(ring, _STAGE_TWISTS[si])
-        entries = [[parse_entry(s) for s in row] for row in rows]
+        entries = [[parse_poly(ring, s) for s in row] for row in rows]
         mats.append(PolyMatrix(tgt, src, entries))
     return AppendixInstance(field, ring, I, Q, [a, b], mats)
 

@@ -10,7 +10,7 @@ import sys
 
 from .appendix import run_battery, run_characteristic
 from .classify import ClassificationError, classify
-from .field import field_by_name
+from .field import FieldError, field_by_name
 from .forms import FORMS, generate_ideal
 from .groebner import (
     GroebnerError,
@@ -23,7 +23,7 @@ from .hilbert import hilbert_of_quotient
 from .parse import ParseError, parse_ideal_file, parse_polys, parse_ring
 from .quotient import QuotientRing, froberg_consistency, is_koszul_up_to, resolve_over_quotient
 from .resolution import minimal_resolution
-from .ring import MonomialOrder
+from .ring import MonomialOrder, RingError
 
 
 def _load_ideal(args) -> Ideal:
@@ -336,7 +336,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, GroebnerError, ClassificationError, OSError) as exc:
+    except (ParseError, GroebnerError, ClassificationError, RingError, FieldError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

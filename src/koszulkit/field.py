@@ -1,8 +1,7 @@
 """Exact coefficient arithmetic: prime fields F_p and arbitrary-precision rationals.
 
 Field objects operate on raw values (ints for F_p residues, Fraction for
-rationals) so that polynomial inner loops stay cheap.  FieldElement is a thin
-operator-overloading wrapper around (field, raw value) for user-facing code.
+rationals) so that polynomial inner loops stay cheap.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from fractions import Fraction
 
 
 class FieldError(ArithmeticError):
-    """Division by zero or an operation mixing elements of different fields."""
+    """Division by zero, or a value that does not coerce into the field."""
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -75,14 +74,11 @@ class Field:
         raise NotImplementedError
 
     def coerce(self, v):
-        """Accept ints, Fractions (exact only), raw values, FieldElement."""
+        """The raw value of an int or a Fraction; FieldError when it has none."""
         raise NotImplementedError
 
     def random(self, rng):
         raise NotImplementedError
-
-    def element(self, v) -> "FieldElement":
-        return FieldElement(self, self.coerce(v))
 
     def __repr__(self):
         return self.name
@@ -136,10 +132,6 @@ class PrimeField(Field):
         return a == 0
 
     def coerce(self, v):
-        if isinstance(v, FieldElement):
-            if v.field != self:
-                raise FieldError(f"cannot coerce {v.field} element into {self.name}")
-            return v.value
         if isinstance(v, int):
             return v % self.p
         if isinstance(v, Fraction):
@@ -194,10 +186,6 @@ class RationalField(Field):
         return not a
 
     def coerce(self, v):
-        if isinstance(v, FieldElement):
-            if v.field != self:
-                raise FieldError(f"cannot coerce {v.field} element into QQ")
-            return v.value
         if isinstance(v, (int, Fraction)):
             return Fraction(v)
         raise FieldError(f"cannot coerce {v!r} into QQ")
@@ -230,74 +218,3 @@ def field_by_name(name: str) -> Field:
     if s.startswith("F") and s[1:].isdigit():
         return GF(int(s[1:]))
     raise ValueError(f"unknown field {name!r}; expected QQ, F<p>, or Fp:<p>")
-
-
-class FieldElement:
-    """Immutable wrapper pairing a raw value with its field."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: Field, value):
-        self.field = field
-        self.value = value
-
-    def _check(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldError(f"mixed fields: {self.field} and {other.field}")
-            return other
-        return FieldElement(self.field, self.field.coerce(other))
-
-    def __add__(self, other):
-        o = self._check(other)
-        return FieldElement(self.field, self.field.add(self.value, o.value))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._check(other)
-        return FieldElement(self.field, self.field.sub(self.value, o.value))
-
-    def __rsub__(self, other):
-        o = self._check(other)
-        return FieldElement(self.field, self.field.sub(o.value, self.value))
-
-    def __mul__(self, other):
-        o = self._check(other)
-        return FieldElement(self.field, self.field.mul(self.value, o.value))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._check(other)
-        return FieldElement(self.field, self.field.div(self.value, o.value))
-
-    def __rtruediv__(self, other):
-        o = self._check(other)
-        return FieldElement(self.field, self.field.div(o.value, self.value))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def is_zero(self) -> bool:
-        return self.field.is_zero(self.value)
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        try:
-            return self.value == self.field.coerce(other)
-        except FieldError:
-            return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __repr__(self):
-        return self.field.fmt(self.value)

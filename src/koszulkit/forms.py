@@ -19,20 +19,6 @@ from .hilbert import hilbert_of_quotient, is_regular_sequence_mod, zp_add
 from .modules import FreeModule, PolyMatrix, TaggedModule
 from .ring import MonomialOrder, Polynomial, RingContext
 
-CASE_IDS = [
-    "ht1",
-    "2i",
-    "2ii",
-    "2iii",
-    "2iv-a",
-    "2iv-b",
-    "2iv-c",
-    "2iv-d",
-    "ht3-i",
-    "ht3-ii",
-    "ht4-CI",
-]
-
 # reference Betti tables for height-two quotients by four quadrics
 TABLE_I = {(0, 0): 1, (1, 2): 4, (2, 3): 4, (3, 4): 1}
 TABLE_II = {(0, 0): 1, (1, 2): 4, (2, 3): 3, (3, 4): 1, (2, 4): 3, (3, 5): 3, (4, 6): 1}
@@ -392,7 +378,6 @@ def check_ht4(w: dict, I: Ideal) -> list[str]:
 
 _DEFAULT_NVARS = {
     "ht1": 5,
-    "2i": 4,
     "2i-a": 4,
     "2i-b": 4,
     "2i-c": 4,

@@ -311,7 +311,6 @@ class GroebnerBasis:
         self.order = order
         self.elements = elements
         self.lead_mons = [g.lm(order) for g in elements]
-        self.is_reduced = True
         self._packed = None
 
     def reducers(self) -> list[tuple]:

@@ -174,14 +174,6 @@ def hilbert_of_quotient(I: Ideal) -> HilbertData:
     return hilbert_from_monomials(I.ring, gb.initial_monomials())
 
 
-def height(I: Ideal) -> int:
-    return hilbert_of_quotient(I).codim
-
-
-def multiplicity(I: Ideal) -> int:
-    return hilbert_of_quotient(I).multiplicity
-
-
 def is_regular_sequence_mod(I: Ideal, L: list[Polynomial]) -> bool:
     """True iff H_{S/(I,L)}(t) = H_{S/I}(t) * prod_f (1 - t^deg f) exactly.
 

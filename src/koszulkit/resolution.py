@@ -43,12 +43,6 @@ class BettiTable:
             out = zp_add(out, zp_shift(((-1) ** i * b,), j))
         return zp_trim(out)
 
-    def rows(self) -> dict[int, dict[int, int]]:
-        out: dict[int, dict[int, int]] = {}
-        for (i, j), b in self.entries.items():
-            out.setdefault(j - i, {})[i] = b
-        return out
-
     def display(self) -> str:
         """Table with column i, row j - i, zero entries shown as --."""
         pd = self.projective_dimension()

@@ -359,10 +359,6 @@ class MonomialOrder:
         lay = self.layout or _layout(self.kind, self._perm, self.front, len(m))
         return lay.key_of(m)
 
-    def compare(self, m: Mon, n: Mon) -> int:
-        a, b = self.key(m), self.key(n)
-        return 0 if a == b else (1 if a > b else -1)
-
     def sorted_desc(self, mons) -> list[Mon]:
         return sorted(mons, key=self.key, reverse=True)
 
@@ -433,19 +429,11 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         return self.is_zero() or self.degree() is not None
 
-    def bidegree(self) -> Deg | None:
-        if not self.ring.bigraded:
-            raise RingError("bidegree requires a bigraded ring")
-        return self.degree()
-
     def constant_term(self):
         return self.terms.get(self.ring._one_mon, self.ring.field.zero())
 
     def is_constant(self) -> bool:
         return all(sum(m) == 0 for m in self.terms)
-
-    def coeff(self, m: Mon):
-        return self.terms.get(m, self.ring.field.zero())
 
     def lt(self, order: MonomialOrder):
         """(monomial, coefficient) of the leading term under order."""

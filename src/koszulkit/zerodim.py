@@ -36,23 +36,25 @@ def _u_mul(K, a, b):
     return _u_trim(K, out)
 
 
-def _u_rem(K, a, b):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv = K.inv(lb)
-    while len(a) - 1 >= db and a:
-        da = len(a) - 1
-        f = K.mul(a[-1], inv)
+def _u_divmod(K, a, b):
+    """(quotient, remainder) of a by b."""
+    r = list(a)
+    q = [K.zero()] * max(len(r) - len(b) + 1, 0)
+    db, inv = len(b) - 1, K.inv(b[-1])
+    while len(r) - 1 >= db and r:
+        dr = len(r) - 1
+        f = K.mul(r[-1], inv)
+        q[dr - db] = f
         for i in range(db + 1):
-            a[da - db + i] = K.sub(a[da - db + i], K.mul(f, b[i]))
-        _u_trim(K, a)
-    return a
+            r[dr - db + i] = K.sub(r[dr - db + i], K.mul(f, b[i]))
+        _u_trim(K, r)
+    return _u_trim(K, q), r
 
 
 def _u_gcd(K, a, b):
     a, b = list(a), list(b)
     while b:
-        a, b = b, _u_rem(K, a, b)
+        a, b = b, _u_divmod(K, a, b)[1]
     if a:
         inv = K.inv(a[-1])
         a = [K.mul(x, inv) for x in a]
@@ -61,11 +63,11 @@ def _u_gcd(K, a, b):
 
 def _u_pow_mod(K, base, e, mod):
     result = [K.one()]
-    base = _u_rem(K, base, mod)
+    base = _u_divmod(K, base, mod)[1]
     while e:
         if e & 1:
-            result = _u_rem(K, _u_mul(K, result, base), mod)
-        base = _u_rem(K, _u_mul(K, base, base), mod)
+            result = _u_divmod(K, _u_mul(K, result, base), mod)[1]
+        base = _u_divmod(K, _u_mul(K, base, base), mod)[1]
         e >>= 1
     return result
 
@@ -77,8 +79,6 @@ def univariate_roots(K: Field, coeffs: list) -> list:
         raise ValueError("root finding on the zero polynomial")
     if len(a) == 1:
         return []
-    if isinstance(K, PrimeField) and K.p <= 2000:
-        return [x for x in range(K.p) if K.is_zero(_u_eval(K, a, x))]
     if isinstance(K, PrimeField):
         return sorted(_roots_prime(K, a))
     if K == QQ:
@@ -121,8 +121,7 @@ def _roots_prime(K: PrimeField, f: list) -> list:
                 continue
             g1 = _u_gcd(K, h, probe)
             if 0 < len(g1) - 1 < len(h) - 1:
-                # h / g1 via repeated remainder-free division
-                g2 = _u_quotient(K, h, g1)
+                g2 = _u_divmod(K, h, g1)[0]
                 split(g1)
                 split(g2)
                 return
@@ -130,20 +129,6 @@ def _roots_prime(K: PrimeField, f: list) -> list:
     if len(g) - 1 >= 1:
         split(g)
     return out
-
-
-def _u_quotient(K, a, b):
-    a = list(a)
-    q = [K.zero()] * (len(a) - len(b) + 1)
-    db, inv = len(b) - 1, K.inv(b[-1])
-    while len(a) - 1 >= db and a:
-        da = len(a) - 1
-        f = K.mul(a[-1], inv)
-        q[da - db] = f
-        for i in range(db + 1):
-            a[da - db + i] = K.sub(a[da - db + i], K.mul(f, b[i]))
-        _u_trim(K, a)
-    return _u_trim(K, q)
 
 
 def _roots_rational(a: list) -> list:

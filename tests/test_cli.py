@@ -149,3 +149,9 @@ def test_malformed_text_is_a_parse_error(capsys, decl, gens):
         parse_polys(parse_ring(decl), gens)
     code, _, err = run_cli(capsys, "hilbert", "--ring", decl, "--gens", gens)
     assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["gb", "hilbert", "res"])
+def test_packed_field_overflow_is_out_of_scope_input(capsys, command):
+    code, _, err = run_cli(capsys, command, "--ring", "ring F7 [x,y]", "--gens", "x^40000")
+    assert code == 2 and err.startswith("error: ") and "Traceback" not in err

@@ -31,7 +31,7 @@ class TestOrders:
         o = DEGREVLEX.for_ring(R)
         y2 = (0, 2, 0)
         xz = (1, 0, 1)
-        assert o.compare(y2, xz) == 1  # y^2 > x*z
+        assert o.key(y2) > o.key(xz)  # y^2 > x*z
 
     def test_degrevlex_matches_exhaustive_degree2_sort(self):
         # oracle: the standard listing of degree-2 monomials in k[x,y,z]
@@ -60,11 +60,11 @@ class TestOrders:
         o = MonomialOrder("deglex", perm=[0, 1, 2, 3, 4, 5, 6], n=7)
         a3x = (1, 0, 0, 0, 1, 0, 0)
         b3y = (0, 1, 0, 0, 0, 1, 0)
-        assert o.compare(a3x, b3y) == 1
+        assert o.key(a3x) > o.key(b3y)
 
     def test_equal_monomials(self):
         o = DEGREVLEX.for_ring(parse_ring("ring QQ [x,y]"))
-        assert o.compare((1, 2), (1, 2)) == 0
+        assert o.key((1, 2)) == o.key((1, 2))
 
     @pytest.mark.parametrize("kind", ["degrevlex", "deglex"])
     def test_order_axioms_random(self, kind):
@@ -74,25 +74,25 @@ class TestOrders:
         one = (0,) * n
         for _ in range(120):
             m, mm, q = (tuple(rng.randrange(4) for _ in range(n)) for _ in range(3))
-            # totality + antisymmetry
-            assert o.compare(m, mm) == -o.compare(mm, m)
+            # totality: distinct monomials have distinct keys
+            assert (o.key(m) == o.key(mm)) == (m == mm)
             # multiplicativity
-            if o.compare(m, mm) == 1:
+            if o.key(m) > o.key(mm):
                 prod_m = tuple(a + b for a, b in zip(m, q))
                 prod_mm = tuple(a + b for a, b in zip(mm, q))
-                assert o.compare(prod_m, prod_mm) == 1
+                assert o.key(prod_m) > o.key(prod_mm)
             # well ordering via 1 <= m
             if m != one:
-                assert o.compare(m, one) == 1
+                assert o.key(m) > o.key(one)
             # divisibility refinement
             div = tuple(a + b for a, b in zip(m, q))
             if div != m:
-                assert o.compare(div, m) == 1
+                assert o.key(div) > o.key(m)
 
     def test_block_order_eliminates(self):
         o = MonomialOrder("block", perm=[0, 1, 2], front=1, n=3)
         # any monomial containing the front variable beats any that does not
-        assert o.compare((1, 0, 0), (0, 5, 5)) == 1
+        assert o.key((1, 0, 0)) > o.key((0, 5, 5))
 
 
 class TestArithmetic:
@@ -144,8 +144,8 @@ class TestArithmetic:
             g = R.var(rng.randrange(4))
             fg = f * g
             if fg:
-                assert fg.bidegree() == tuple(
-                    a + b for a, b in zip(f.bidegree(), g.bidegree())
+                assert fg.degree() == tuple(
+                    a + b for a, b in zip(f.degree(), g.degree())
                 )
 
 
@@ -167,7 +167,7 @@ class TestCoefficientMap:
             forms = [R.form([K.random(rng) for _ in mons], mons) for _ in range(3)]
             rows = R.coefficients(forms, mons)
             assert [R.form(row, mons) for row in rows] == forms
-            assert all(f.coeff(m) == c for f, row in zip(forms, rows) for m, c in zip(mons, row))
+            assert all(f.terms.get(m, K.zero()) == c for f, row in zip(forms, rows) for m, c in zip(mons, row))
 
     def test_named_monomial_lists(self):
         R = parse_ring("ring F7 [x,y,z]")
@@ -267,7 +267,7 @@ class TestParsing:
         g = P(R, "1/2*x^2 - 3*z*w")
         from fractions import Fraction
 
-        assert g.coeff((2, 0, 0)) == Fraction(1, 2)
+        assert g.terms[(2, 0, 0)] == Fraction(1, 2)
 
     def test_parse_errors(self):
         R = parse_ring("ring QQ [x,y]")

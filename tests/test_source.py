@@ -2,7 +2,8 @@
 `assert` statements (which `python -O` strips) or bare AssertionError, no
 module imports a name it does not use, only linalg imports numpy, modules
 imports nothing from linalg, only ring, groebner and modules touch packed
-terms, no function, class or method goes unreferenced, no function
+terms, no function, class or method goes unreferenced, no module-level
+constant or instance attribute goes unread, no function
 takes a parameter it never reads, every defaulted parameter is passed
 by some call, only ModuleGB manages S-pairs, classify calls no
 elimination-order construction, and every span the benchmark traces
@@ -226,6 +227,41 @@ def test_every_dataclass_field_is_read():
                 if isinstance(f, ast.AnnAssign) and f.target.id not in reads
             ]
     assert not found, "dataclass fields never read:\n" + "\n".join(found)
+
+
+def test_every_constant_and_instance_attribute_is_read():
+    """Each module-level name a package module assigns, and each attribute a
+    method sets on self, is read somewhere in src/, tests/ or bench/: as a
+    loaded name or attribute, an imported name (the package's re-exports),
+    or a part of a dotted string constant.  A value only ever written is
+    dead state.  Dunder names are exempt."""
+    paths = [p for d in ("src", "tests", "bench") for p in sorted((ROOT / d).rglob("*.py"))]
+    reads = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id if isinstance(node, ast.Name) else node.attr)
+            elif isinstance(node, ast.alias):
+                reads.add(node.name.split(".")[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                reads.update(part for part in node.value.split(".") if part.isidentifier())
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+            found += [
+                f"{path.name}:{node.lineno}: {n.id}"
+                for t in targets for n in ast.walk(t)
+                if isinstance(n, ast.Name) and not (n.id.startswith("__") and n.id.endswith("__")) and n.id not in reads
+            ]
+        found += [
+            f"{path.name}:{node.lineno}: self.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self" and node.attr not in reads
+        ]
+    assert not found, "assigned but never read:\n" + "\n".join(found)
 
 
 # Families of functions called through one signature, so a member may leave a

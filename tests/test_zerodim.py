@@ -1,5 +1,7 @@
-"""Univariate root finding: 0 as a multiple root keeps every other root."""
+"""Univariate root finding: 0 as a multiple root keeps every other root, and
+the roots over F_p agree with a brute-force evaluation at every residue."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -34,3 +36,30 @@ def test_zero_of_any_multiplicity_keeps_the_other_roots(K, roots, k):
         coeffs = times_linear(K, coeffs, K.coerce(r))
     assert sorted(univariate_roots(K, coeffs)) == sorted([K.zero()] + [K.coerce(r) for r in roots])
 
+
+
+def brute_force_roots(K, coeffs):
+    """Every residue at which sum(coeffs[i] * x^i) vanishes, by evaluation."""
+    def value(x):
+        acc = K.zero()
+        for c in reversed(coeffs):
+            acc = K.add(K.mul(acc, x), c)
+        return acc
+
+    return [x for x in range(K.p) if K.is_zero(value(x))]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 101, 1999])
+def test_prime_field_roots_match_brute_force(p):
+    K = GF(p)
+    rng = random.Random(f"roots:{p}")
+    for _ in range(60):
+        # random polynomials, and products of random linear factors (with
+        # repeats) times a random cofactor, so that most have several roots
+        coeffs = [K.random(rng) for _ in range(rng.randint(1, 9))]
+        if rng.random() < 0.5:
+            for _ in range(rng.randint(1, 6)):
+                coeffs = times_linear(K, coeffs, K.random(rng))
+        if not any(coeffs):
+            continue
+        assert univariate_roots(K, coeffs) == brute_force_roots(K, coeffs)
