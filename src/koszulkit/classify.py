@@ -885,8 +885,8 @@ def classify(I: Ideal, bound: int = 5) -> ClassificationReport:
     for g in I.gens:
         if not g.is_homogeneous() or g.total_degree() != 2:
             raise ClassificationError(
-                "classification expects a nondegenerate ideal generated by quadrics; "
-                f"got a generator of degree {g.total_degree()}"
+                "classification expects a nondegenerate ideal generated by homogeneous quadrics; "
+                f"{g} is not a homogeneous quadric"
             )
     gens = minimal_quadric_generators(I)
     g = len(gens)

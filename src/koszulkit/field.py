@@ -95,7 +95,7 @@ class PrimeField(Field):
 
     def __init__(self, p: int):
         if not _is_probable_prime(p):
-            raise ValueError(f"{p} is not prime")
+            raise FieldError(f"{p} is not prime")
         self.p = p
         self.char = p
         self.name = f"F{p}"
@@ -213,8 +213,10 @@ def field_by_name(name: str) -> Field:
     s = name.strip()
     if s in ("QQ", "Q"):
         return QQ
-    if s.startswith("Fp:"):
-        return GF(int(s[3:]))
-    if s.startswith("F") and s[1:].isdigit():
-        return GF(int(s[1:]))
-    raise ValueError(f"unknown field {name!r}; expected QQ, F<p>, or Fp:<p>")
+    digits = s[3:] if s.startswith("Fp:") else s[1:] if s.startswith("F") else ""
+    if digits.isdecimal():
+        try:
+            return GF(int(digits))
+        except ValueError:  # int() refuses more than sys.get_int_max_str_digits() digits
+            pass
+    raise FieldError(f"unknown field {name!r}; expected QQ, F<p>, or Fp:<p>")

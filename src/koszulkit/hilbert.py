@@ -167,7 +167,9 @@ def hilbert_from_monomials(ring: RingContext, mons) -> HilbertData:
 
 
 def hilbert_of_quotient(I: Ideal) -> HilbertData:
-    """Hilbert data of S/I via the initial ideal of its degrevlex Groebner basis."""
+    """Hilbert data of S/I, I homogeneous, via the initial ideal of its degrevlex Groebner basis."""
+    if any(len({sum(m) for m in g.terms}) > 1 for g in I.gens):
+        raise GroebnerError("Hilbert series need homogeneous input")
     if I.is_zero():
         return HilbertData((1,), I.ring.n, I.ring.n, 0, 1, (1,))
     gb = I.gb()

@@ -272,8 +272,8 @@ def complement_in_basis(K: Field, unit, V: np.ndarray) -> list[int]:
     i is left out exactly when some vector of span(V) has its last nonzero
     coordinate at i, i.e. when i is a pivot of the coordinates read in
     reverse; one forward elimination finds those pivots.  The quotient
-    resolver calls this only where exactness shows that generators appear,
-    or at its last level, where it takes no kernel.
+    resolver calls this only where exactness shows that some, but not all,
+    of the columns of B are new generators.
     """
     m = len(unit)
     trailing = {m - 1 - c for c in _eliminate(K, V[list(unit)[::-1]].T, full=False)}
@@ -293,6 +293,11 @@ def rank(K: Field, rows) -> int:
     if not rows or not len(rows[0]):
         return 0
     return len(_eliminate(K, array(K, rows, len(rows[0])), full=False))
+
+
+def rank_of_rows(K: Field, A: np.ndarray, rows) -> int:
+    """The rank of A[rows], eliminated in its one copy; A is not modified."""
+    return len(_eliminate(K, A[list(rows)], full=False))
 
 
 def kernel(K: Field, rows, ncols: int | None = None):

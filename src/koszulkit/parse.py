@@ -14,8 +14,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .field import field_by_name
-from .ring import Polynomial, RingContext
+from .field import FieldError, field_by_name
+from .ring import Polynomial, RingContext, RingError
 
 
 class ParseError(ValueError):
@@ -36,10 +36,6 @@ def parse_ring(decl: str) -> RingContext:
     m = _RING_RE.match(decl)
     if not m:
         raise ParseError(f"bad ring declaration {decl!r}")
-    try:
-        field = field_by_name(m.group(1))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
     body = m.group(2).strip()
     if not body:
         raise ParseError("ring declaration with no variables")
@@ -75,11 +71,12 @@ def parse_ring(decl: str) -> RingContext:
         if not _VAR_RE.match(nm):
             raise ParseError(f"bad variable name {nm!r}")
         names.append(nm)
-    if all(w is None for w in weights):
-        return RingContext(field, names)
-    if any(w is None for w in weights):
+    if 0 < weights.count(None) < len(weights):
         raise ParseError("either all or no variables may carry weights")
-    return RingContext(field, names, weights)
+    try:
+        return RingContext(field_by_name(m.group(1)), names, None if None in weights else weights)
+    except (FieldError, RingError) as exc:
+        raise ParseError(str(exc)) from exc
 
 
 _TOKEN_RE = re.compile(

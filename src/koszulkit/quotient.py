@@ -11,12 +11,13 @@ first syzygies of the generators (modules.syzygy_matrix).
 
 Coordinates are taken in the standard-monomial bases of the graded (or
 bigraded) pieces of R, so every resolution step reduces to kernels of
-field-linear maps, one kernel per level and degree; exactness counts the
-new generators, so a complement picks them only where some appear (see
-_Resolver).  Coordinate vectors are the columns of linalg matrices:
-int64 arrays with entries in [0, p) for primes below linalg's int64 bound,
-object arrays of exact field values for QQ and larger primes.  The resolver
-only calls linalg, which makes that choice.
+field-linear maps, one kernel per level and degree, in coordinates of the
+image one level down; exactness counts the new generators, so a complement
+picks them only where some are new (see _Resolver).  Coordinate vectors are
+the columns of linalg matrices: int64 arrays with entries in [0, p) for
+primes below linalg's int64 bound, object arrays of exact field values for
+QQ and larger primes.  The resolver only calls linalg, which makes that
+choice.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .ring import (
     Polynomial,
     RingContext,
     add_deg,
+    sub_deg,
     total,
 )
 
@@ -63,18 +65,13 @@ class QuotientRing:
         self._mul: dict = {}  # (i, d) -> the linalg matrix mul_var(i, d)
 
     # -- bases -----------------------------------------------------------
-    def _enumerate_std(self, d: Deg) -> list[Mon]:
-        lead = self._lead
-        out = [
-            m for m in self.ring.monomials(d)
-            if not any(all(x >= y for x, y in zip(m, g)) for g in lead)
-        ]
-        out.sort(key=self.order.key, reverse=True)
-        return out
-
     def std_basis(self, d: Deg) -> list[Mon]:
         if d not in self._std:
-            basis = self._enumerate_std(d)
+            basis = [
+                m for m in self.ring.monomials(d)
+                if not any(all(x >= y for x, y in zip(m, g)) for g in self._lead)
+            ]
+            basis.sort(key=self.order.key, reverse=True)
             self._std[d] = basis
             self._pos[d] = {m: i for i, m in enumerate(basis)}
         return self._std[d]
@@ -103,14 +100,14 @@ class QuotientRing:
         return r
 
     def coords(self, f: Polynomial, d: Deg) -> list:
-        """Coordinates of NF(f) in the standard basis of R_d (f homogeneous)."""
+        """Coordinates of NF(f) in the standard basis of R_d (f homogeneous):
+        NF is linear, so the sum of c * NF(m) over the terms c * m of f."""
         K = self.field
-        basis = self.std_basis(d)
+        vec = [K.zero()] * self.dim_piece(d)
         pos = self._pos[d]
-        vec = [K.zero()] * len(basis)
-        g = self.nf(f)
-        for m, c in g.terms.items():
-            vec[pos[m]] = c
+        for m, c in f.terms.items():
+            for t, a in self._nf_mon(m).terms.items():
+                vec[pos[t]] = K.add(vec[pos[t]], K.mul(c, a))
         return vec
 
     def mul_var(self, i: int, d: Deg):
@@ -185,12 +182,14 @@ class _Resolver:
     Level lev is resolved degree by degree, and its generators are found on
     the way.  In degree d, A_old is the differential on the generators of
     lower degree.  d_lev maps onto ker(d_{lev-1})_d (for lev = 1, the seeded
-    piece), whose basis the previous level left, so by exactness there are
-    dim ker(d_{lev-1})_d - rank(A_old) new generators.  The kernel of A_old
-    gives that rank, and the next level needs it anyway.  A greedy
-    complement (linalg.complement_in_basis) picks the new generators only
-    when some appear and A_old is not zero, and at the last level, which
-    takes no kernel.  On a linear resolution that is the last level alone.
+    piece), whose basis B the previous level left, so by exactness there are
+    dim ker(d_{lev-1})_d - rank(A_old) new generators.  The columns of A_old
+    lie in span(B), and B has full column rank and is the identity on its
+    rows `unit`, so A_old = B A_old[unit]: the kernel (which the next level
+    needs) and the rank are those of A_old[unit], and the last level takes
+    only the rank.  A greedy complement (linalg.complement_in_basis) picks
+    the new generators only when some appear and A_old is not zero; a linear
+    resolution takes none.
     The new columns are independent of A_old's and come last, so the kernel
     of the whole differential is ker(A_old) with zero rows added.
     """
@@ -224,7 +223,7 @@ class _Resolver:
             blocks = []
             off = 0
             for gdeg, cnt in groups:
-                e = tuple(a - b for a, b in zip(d, gdeg))
+                e = sub_deg(d, gdeg)
                 sz = 0 if any(x < 0 for x in e) else self.Q.dim_piece(e)
                 blocks.append((e, off, cnt, sz))
                 off += cnt * sz
@@ -245,7 +244,7 @@ class _Resolver:
                 i = next(i for i, x in enumerate(m) if x)
                 m2 = list(m)
                 m2[i] -= 1
-                e2 = tuple(a - b for a, b in zip(e, self.ring.weights[i]))
+                e2 = sub_deg(e, self.ring.weights[i])
                 Q.std_basis(e2)
                 ts, ts2 = out.setdefault(i, ([], []))
                 ts.append(t)
@@ -272,12 +271,10 @@ class _Resolver:
     def _differential(self, lev: int, d: Deg, diffs: dict):
         """Matrix of (F_lev)_d -> (F_{lev-1})_d.  The column of m * e_j, for
         a standard monomial m = x_i * m' with i its first variable, is x_i
-        times the column of m' * e_j in diffs[d - w_i]."""
+        times the column of m' * e_j in diffs[d - w_i]: one product per block
+        and variable, written through a view of A split by generator."""
         blocks, dim_src = self.layout(lev, d)
         A = linalg.zeros(self.K, (self._amb_dim(lev - 1, d), dim_src))
-        below = [tuple(a - b for a, b in zip(d, w)) for w in self.ring.weights]
-        dst: dict[int, list[int]] = {}  # var i -> columns of A
-        src: dict[int, list[int]] = {}  # var i -> columns of diffs[below[i]]
         for b, (e, off, cnt, sz) in enumerate(blocks):
             if not sz:
                 continue
@@ -285,12 +282,11 @@ class _Resolver:
                 A[:, off:off + cnt] = self.levels[lev]["cols"][d]
                 continue
             for i, (ts, ts2) in self._split(e).items():
-                _, off2, _, sz2 = self.layout(lev, below[i])[0][b]
-                for j in range(cnt):
-                    dst.setdefault(i, []).extend(off + j * sz + t for t in ts)
-                    src.setdefault(i, []).extend(off2 + j * sz2 + t for t in ts2)
-        for i, cols in dst.items():
-            A[:, cols] = self._mul_var_level(lev - 1, diffs[below[i]][:, src[i]], below[i], i)
+                e2 = sub_deg(d, self.ring.weights[i])
+                _, off2, _, sz2 = self.layout(lev, e2)[0][b]
+                X = diffs[e2][:, off2:off2 + cnt * sz2].reshape(-1, cnt, sz2)[:, :, ts2]
+                Y = self._mul_var_level(lev - 1, X.reshape(-1, cnt * len(ts)), e2, i)
+                A[:, off:off + cnt * sz].reshape(-1, cnt, sz)[:, :, ts] = Y.reshape(-1, cnt, len(ts))
         return A
 
     # ---- main loop ------------------------------------------------------
@@ -329,18 +325,16 @@ class _Resolver:
             A = self._differential(lev, d, diffs)
             old = A.shape[1]
             if last:
+                rank = linalg.rank_of_rows(K, A, unit)
+            else:
+                ker, free = linalg.kernel_basis(K, A[unit])
+                rank = old - len(free)
+            # d_lev maps onto span(B), and by exactness the generators found
+            # so far cover rank(A) of its len(unit) dimensions
+            if 0 < rank < len(unit):
                 chosen = linalg.complement_in_basis(K, unit, A)
             else:
-                ker, free = linalg.kernel_basis(K, A)
-                # d_lev maps onto span(B), and by exactness the generators
-                # found so far cover rank(A) of its len(unit) dimensions
-                rank = old - len(free)
-                if rank == 0:
-                    chosen = list(range(len(unit)))
-                elif rank < len(unit):
-                    chosen = linalg.complement_in_basis(K, unit, A)
-                else:
-                    chosen = []
+                chosen = [] if rank else list(range(len(unit)))
             if chosen:
                 new = level["cols"][d] = B[:, chosen]
                 level["degrees"].extend([d] * len(chosen))
@@ -385,7 +379,7 @@ def resolve_over_quotient(
             gd = g.degree()
             if gd is None:
                 raise GroebnerError("module generators must be homogeneous")
-            rem = tuple(a - b for a, b in zip(d, gd))
+            rem = sub_deg(d, gd)
             if any(x < 0 for x in rem):
                 continue
             for m in Q.std_basis(rem):

@@ -143,6 +143,8 @@ def test_zero_maxdeg_is_accepted(capsys, ideal_file):
     ("ring F7 [x:(1,a),y:(0,1)]", "x^2"),
     ("ring QQ [x,y]", "1/0*x^2"),
     ("ring F7 [x,y]", "1/7*x^2"),
+    ("ring F7 [x,x]", "x^2"),
+    ("ring F7 [x:(1,0),y:(0,0)]", "x^2"),
 ])
 def test_malformed_text_is_a_parse_error(capsys, decl, gens):
     with pytest.raises(ParseError):
@@ -155,3 +157,27 @@ def test_malformed_text_is_a_parse_error(capsys, decl, gens):
 def test_packed_field_overflow_is_out_of_scope_input(capsys, command):
     code, _, err = run_cli(capsys, command, "--ring", "ring F7 [x,y]", "--gens", "x^40000")
     assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--form", "2ii", "--field", "F15"),
+    ("gen", "--form", "2ii", "--field", "Fp:abc"),
+    ("appendix", "--char", "F15"),
+], ids=["gen-F15", "gen-Fp:abc", "appendix-F15"])
+def test_unknown_field_is_an_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+
+
+INHOMOGENEOUS_ERRORS = {
+    "hilbert": "error: Hilbert series need homogeneous input",
+    "res": "error: minimal resolutions need homogeneous input",
+    "classify": "error: classification expects a nondegenerate ideal generated by homogeneous quadrics; "
+                "x^2 + y is not a homogeneous quadric",
+}
+
+
+@pytest.mark.parametrize("command", sorted(INHOMOGENEOUS_ERRORS))
+def test_inhomogeneous_input_is_out_of_scope(capsys, command):
+    code, out, err = run_cli(capsys, command, "--ring", "ring F7 [x,y]", "--gens", "x^2+y")
+    assert code == 2 and not out and err.strip() == INHOMOGENEOUS_ERRORS[command]

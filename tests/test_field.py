@@ -40,10 +40,9 @@ def test_field_by_name():
     assert field_by_name("F2").p == 2
     assert field_by_name("F32003").p == 32003
     assert field_by_name("Fp:101").p == 101
-    with pytest.raises(ValueError):
-        field_by_name("F15")  # not prime
-    with pytest.raises(ValueError):
-        field_by_name("R")
+    for name in ["F15", "R", "Fp:abc", "Fp:-7", "F" + "9" * 5000]:
+        with pytest.raises(FieldError):
+            field_by_name(name)
 
 
 @pytest.mark.parametrize("p", [2, 7, 32003])

@@ -264,6 +264,31 @@ def test_kernel_vectors_are_annihilated(p, shape, data):
         assert all(sum(a * b for a, b in zip(r, v)) % p == 0 for r in rows)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    K=st.sampled_from([GF(2), GF(7), GF(32003), QQ]),
+    m=st.integers(0, 5),
+    extra=st.integers(0, 4),
+    n=st.integers(0, 6),
+    seed=st.integers(0, 2 ** 32),
+)
+def test_kernel_on_the_unit_rows(K, m, extra, n, seed):
+    """B is the identity on the rows `unit`, so it has full column rank and
+    (B C)[unit] = C: B C and C have the same kernel basis and rank, as the
+    quotient resolver uses; rank_of_rows reads both from B C."""
+    rng = random.Random(seed)
+    unit = sorted(rng.sample(range(m + extra), m))
+    B = linalg.array(K, rand_rows(K, rng, m + extra, m), m)
+    B[unit] = linalg.array(K, [[K.one() if i == j else K.zero() for j in range(m)] for i in range(m)], m)
+    C = linalg.array(K, rand_rows(K, rng, m, n), n)
+    A = linalg.matmul(K, B, C)
+    (ker, free), (want, want_free) = linalg.kernel_basis(K, A), linalg.kernel_basis(K, C)
+    assert free == want_free and ker.dtype == want.dtype and ker.tolist() == want.tolist()
+    assert linalg.rank_of_rows(K, A, unit) == linalg.rank(K, C.tolist()) == n - len(free)
+    assert linalg.rank_of_rows(K, A, range(m + extra)) == n - len(free)
+    assert A.tolist() == linalg.matmul(K, B, C).tolist()  # not modified
+
+
 # ---------------------------------------------------------------------------
 # QQ: the integer kernels against the Fraction reference
 

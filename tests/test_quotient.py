@@ -24,7 +24,7 @@ from koszulkit import (
 )
 from koszulkit import groebner, hilbert, linalg, quotient
 from koszulkit.forms import FORMS, generate_ideal, random_quadric
-from koszulkit.groebner import GroebnerError, buchberger, cut_last_variable
+from koszulkit.groebner import GroebnerError, buchberger, cut_last_variable, normal_form
 from koszulkit.modules import FreeModule, PolyMatrix
 from koszulkit.resolution import minimal_resolution
 from koszulkit.ring import DEGLEX, MonomialOrder, Polynomial, RingContext
@@ -155,6 +155,30 @@ class TestResolverPaths:
         I = generate_ideal("2iv-d", GF(32003), seed=8)["ideal"]
         res = self.both_paths(monkeypatch, lambda: is_koszul_up_to(I, 4)["resolution"])
         assert res.first_nonlinear() is None
+
+
+def _coords_ideals():
+    yield _bigraded_bad_algebra()[1]
+    R = parse_ring("ring QQ [x,y,z]")
+    yield ideal(R, "x^2-y*z", "x*y+1/2*z^2")
+    R = parse_ring("ring F7 [x,y,z,w]")
+    yield ideal(R, "x*y", "z^2+3*x*w", "y^2-w^2")
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.integers(0, 2), top=st.integers(0, 4), seed=st.integers(0, 2 ** 32))
+def test_coords_are_normal_form_coordinates(case, top, seed):
+    """coords sums the cached normal forms of the monomials of f: the
+    coordinates of NF(f), for random homogeneous f of every degree <= top."""
+    I = list(_coords_ideals())[case]
+    Q, K, rng = QuotientRing(I), I.ring.field, random.Random(seed)
+    for d in quotient._degrees_upto(I.ring, top):
+        mons = I.ring.monomials(d)
+        f = I.ring.form([K.random(rng) if rng.random() < 0.7 else K.zero() for _ in mons], mons)
+        want = [K.zero()] * Q.dim_piece(d)
+        for m, c in normal_form(f, Q.gb).terms.items():
+            want[Q.std_basis(d).index(m)] = c
+        assert Q.coords(f, d) == want
 
 
 class ReferenceResolver(quotient._Resolver):
@@ -301,10 +325,17 @@ def complement_levels(monkeypatch, resolve):
 
 
 class TestComplementOnlyWhereGeneratorsAppear:
-    def test_koszul_witness_takes_complements_at_the_last_level_only(self, monkeypatch):
+    def test_koszul_witness_takes_none(self, monkeypatch):
+        # a linear resolution counts its generators by exactness at every
+        # level, the last one included
         I = generate_ideal("2iv-d", GF(32003), seed=8)["ideal"]
-        calls = complement_levels(monkeypatch, lambda: is_koszul_up_to(I, 6))
-        assert calls and all(last for _, last in calls)
+        assert complement_levels(monkeypatch, lambda: is_koszul_up_to(I, 6)) == []
+
+    def test_generator_at_the_last_level_takes_a_complement(self, monkeypatch, bad_algebra_ideal):
+        # at bound 6 the nonlinear generator, at level 6 in degree 7, is found
+        # at the last level
+        calls = complement_levels(monkeypatch, lambda: is_koszul_up_to(bad_algebra_ideal, 6))
+        assert calls == [(6, True)]
 
     def test_nonlinear_generators_take_inner_complements(self, monkeypatch, bad_algebra_ideal):
         calls = complement_levels(monkeypatch, lambda: is_koszul_up_to(bad_algebra_ideal, 7))

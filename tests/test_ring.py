@@ -5,6 +5,8 @@ import random
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koszulkit import (
     DEGLEX,
@@ -14,6 +16,7 @@ from koszulkit import (
     LinearChange,
     MonomialOrder,
     RingContext,
+    parse_ideal_file,
     parse_poly,
     parse_ring,
 )
@@ -253,7 +256,30 @@ class TestLinearChange:
         assert phi.apply(f).degree() == (2,)
 
 
+VALID_IDEAL_FILES = [
+    "ring F32003 [x,y,a3,b3]\nideal: x^2, b3*x, a3*x+b3*y\n",
+    "ring QQ [x:(1,0), y:(1,0), a:(0,1), b:(0,1)]\n# bigraded\nideal: b*x, x*y,\n a*x-b*y, 3/2*x^2-y^2\n",
+    "ring Fp:7 [x,y,z]\nideal: 2x y - z^2, -(x+y)*z\n",
+]
+# characters and tokens of the grammar, spliced into valid files
+GRAMMAR_PIECES = [*"0123456789xyzab+-*/^()[],:# \n", "ring", "ideal:", "QQ", "F", "Fp:", "F4", "a3"]
+
+
 class TestParsing:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_ideal_files_parse_or_raise_parse_error(self, data):
+        text = data.draw(st.sampled_from(VALID_IDEAL_FILES))
+        for _ in range(data.draw(st.integers(1, 3))):
+            i = data.draw(st.integers(0, len(text)))
+            cut = data.draw(st.integers(0, 2))
+            text = text[:i] + data.draw(st.sampled_from(["", *GRAMMAR_PIECES])) + text[i + cut:]
+        try:
+            ring, gens = parse_ideal_file(text)
+        except ParseError:
+            return
+        assert gens and all(g.ring is ring for g in gens)
+
     def test_ring_declarations(self):
         R = parse_ring("ring F32003 [x,y,a3,a4,b3,b4,z]")
         assert R.n == 7 and R.field.name == "F32003"
