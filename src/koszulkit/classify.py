@@ -830,31 +830,6 @@ def _form_c_chain_certificate(I: Ideal, w: dict) -> dict | None:
 # the classifier
 
 
-_CASE_DISPLAY = {
-    "ht1": "ht1",
-    "2i-a": "2i",
-    "2i-b": "2i",
-    "2i-c": "2i",
-    "2ii": "2ii",
-    "2iii": "2iii",
-    "2iv-a": "2iv-(a)",
-    "2iv-b": "2iv-(b)",
-    "2iv-c": "2iv-(c)",
-    "2iv-d": "2iv-(d)",
-    "ht3-i": "ht3-i",
-    "ht3-ii": "ht3-ii",
-    "ht4-CI": "ht4-CI",
-}
-
-_KOSZUL_TABLE_LOOKUP = {}
-for _name, _tab in KNOWN_HEIGHT2_TABLES.items():
-    _KOSZUL_TABLE_LOOKUP[tuple(sorted(_tab.items()))] = _name
-
-
-def _table_name(B: BettiTable) -> str | None:
-    return _KOSZUL_TABLE_LOOKUP.get(tuple(sorted(B.entries.items())))
-
-
 def _dynamic_non_koszul_verdict(I: Ideal, bound: int, notes: list[str]):
     """First-syzygy span test, then truncated Tor; returns (verdict, cert)."""
     fsc = first_syzygy_criterion(I)
@@ -913,7 +888,7 @@ def classify(I: Ideal, bound: int = 5) -> ClassificationReport:
 
     def done(case_key, subcase, witnesses, verdict, certificate):
         return ClassificationReport(
-            matched_case=_CASE_DISPLAY.get(case_key, case_key),
+            matched_case=FORMS[case_key].display if case_key in FORMS else case_key,
             subcase=subcase,
             witnesses=witnesses or {},
             verdict=verdict,
@@ -951,7 +926,7 @@ def classify(I: Ideal, bound: int = 5) -> ClassificationReport:
         return unmatched("ht3-unmatched", "height three but neither structure case matched")
 
     # height 2: dispatch on the Betti table
-    tname = _table_name(B)
+    tname = next((name for name, table in KNOWN_HEIGHT2_TABLES.items() if B == table), None)
     if tname is None:
         return done(
             "no-Koszul-table",

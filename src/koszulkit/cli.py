@@ -259,8 +259,23 @@ def nonnegative(text: str) -> int:
     return n
 
 
+def positive(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {n}")
+    return n
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argument the way main reports every other error:
+    `error: ` first, then the usage, exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n{self.format_usage()}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="koszulkit",
         description="Exact commutative algebra toolkit for quadratic algebras",
     )
@@ -302,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gq-search", help="randomized search for a quadratic basis witness")
     add_ideal_args(sp)
-    sp.add_argument("--trials", type=int, default=20)
-    sp.add_argument("--perms", type=int, default=50)
+    sp.add_argument("--trials", type=positive, default=20)
+    sp.add_argument("--perms", type=positive, default=50)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_gq_search)
 
@@ -317,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--form", required=True, choices=sorted(FORMS) + ["2i"])
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--field", default="F32003")
-    sp.add_argument("--nvars", type=int, default=None)
+    sp.add_argument("--nvars", type=positive, default=None)
     sp.add_argument("-o", "--out", help="write the ideal file here")
     sp.add_argument("--format", choices=["text", "json"], default="text")
     sp.add_argument("--json", dest="json_out")

@@ -1,11 +1,13 @@
 """Templates for the structure cases of ideals generated by four quadrics.
 
-Each case knows how to build its ideal from named witness forms, how to
-verify the side conditions attached to the case, and how to sample random
-valid witnesses.  Its `build` is the one place where the case's generators
-are written: the generic lift used by G-quadratic certificates is `build`
-evaluated on fresh variables that stand for the witnesses, and the
-specializing linear sequence sets each fresh variable back to its witness.
+`FORMS` is the catalogue of cases, one `FormSpec` each, and every fact
+about a case lives there: how to build its ideal from named witness forms,
+how to verify the side conditions attached to it, which witnesses to sample,
+in how many variables, and the name reports give it.  Its `build` is the
+one place where the case's generators are written: the generic lift used by
+G-quadratic certificates is `build` evaluated on fresh variables that stand
+for the witnesses, and the specializing linear sequence sets each fresh
+variable back to its witness.
 """
 
 from __future__ import annotations
@@ -124,9 +126,9 @@ def _inject(ext: RingContext, f: Polynomial) -> Polynomial:
 def substitution_lift(ring: RingContext, spec: FormSpec, w: dict) -> GenericLift:
     """`spec.build` evaluated on fresh variables.  Each linear witness becomes
     the fresh variable `spec.fresh` names for it, in the listed position (a
-    matrix witness M becomes M00, M01, ..., row-major).  Every other witness
-    is a quadric and becomes sum u_k*v_k over fresh pairs from its pair
-    decomposition, numbered across the quadrics in the order of their names."""
+    matrix witness M becomes M00, M01, ..., row-major).  Each witness of
+    `spec.quadrics` becomes sum u_k*v_k over fresh pairs from its pair
+    decomposition, numbered across the quadrics in the listed order."""
     names, values = [], []
     for nm, key in spec.fresh.items():
         if isinstance(w[key], list):
@@ -136,8 +138,7 @@ def substitution_lift(ring: RingContext, spec: FormSpec, w: dict) -> GenericLift
         else:
             names.append(nm)
             values.append(w[key])
-    quadrics = sorted(key for key in w if key not in spec.fresh.values())
-    pairs = [pair_decomposition(w[key]) for key in quadrics]
+    pairs = [pair_decomposition(w[key]) for key in spec.quadrics]
     for k, pair in enumerate(p for ps in pairs for p in ps):
         names += [f"u{k}", f"v{k}"]
         values += pair
@@ -147,7 +148,7 @@ def substitution_lift(ring: RingContext, spec: FormSpec, w: dict) -> GenericLift
         key: [[next(it) for _ in row] for row in w[key]] if isinstance(w[key], list) else next(it)
         for key in spec.fresh.values()
     }
-    for key, ps in zip(quadrics, pairs):
+    for key, ps in zip(spec.quadrics, pairs):
         generic[key] = sum((next(it) * next(it) for _ in ps), ext.zero())
     return GenericLift(ext, spec.build(generic), MonomialOrder(spec.order, n=ext.n), specializing)
 
@@ -183,9 +184,6 @@ def build_2i_b(w: dict) -> list[Polynomial]:
     return [x * x, x * y, y * y, x * z + y * v]
 
 
-check_2i_b = check_2i_a
-
-
 def build_2i_c(w: dict) -> list[Polynomial]:
     x = w["x"]
     return [x * w["y"], x * w["z"], x * w["w"], w["q"]]
@@ -203,10 +201,6 @@ def check_2i_c(w: dict, I: Ideal) -> list[str]:
     if ideal_cofactors(q, [w["x"]]) is not None:
         fails.append("q in (x)")
     return fails
-
-
-def build_2ii(w: dict) -> list[Polynomial]:
-    return build_2i_c(w)
 
 
 def check_2ii(w: dict, I: Ideal) -> list[str]:
@@ -376,35 +370,13 @@ def check_ht4(w: dict, I: Ideal) -> list[str]:
 # sampling
 
 
-_DEFAULT_NVARS = {
-    "ht1": 5,
-    "2i-a": 4,
-    "2i-b": 4,
-    "2i-c": 4,
-    "2ii": 4,
-    "2iii": 7,
-    "2iv-a": 6,
-    "2iv-b": 6,
-    "2iv-c": 6,
-    "2iv-d": 6,
-    "ht3-i": 5,
-    "ht3-ii": 6,
-    "ht4-CI": 4,
-}
-
-
-def default_ring(field, case: str, nvars: int | None = None) -> RingContext:
-    n = nvars or _DEFAULT_NVARS[case]
-    return RingContext(field, [f"x{i}" for i in range(n)])
-
-
 def sample_witnesses(case: str, ring: RingContext, seed: int):
     """Random witness forms satisfying the case conditions (rejection sampling,
     at most 200 draws)."""
     rng = random.Random(f"gen:{case}:{seed}")
     spec = FORMS[case]
     for _ in range(200):
-        w = spec.random_witnesses(ring, rng)
+        w = spec.sample(ring, rng)
         gens = spec.build(w)
         if any(not g for g in gens):
             continue
@@ -423,22 +395,32 @@ def sample_witnesses(case: str, ring: RingContext, seed: int):
     )
 
 
-def _rl(ring, rng, k):
-    return [random_linear(ring, rng) for _ in range(k)]
-
-
 @dataclass
 class FormSpec:
     """A structure case: its generators from named witnesses, its side
-    conditions, a witness sampler, and the naming of its generic lift."""
+    conditions, how its witnesses are sampled, the naming of its generic
+    lift, and the name reports give it."""
 
     build: callable
     check: callable
-    random_witnesses: callable
     koszul: bool
     fresh: dict[str, str]       # lift variable -> linear or matrix witness, in ring order
+    nvars: int                  # variables of the ring generate_ideal samples in
+    display: str                # the case as reports name it
+    linear: tuple[str, ...] = ()    # witnesses drawn as random linear forms, in this order
+    quadrics: tuple[str, ...] = ()  # witnesses drawn as random quadrics after them
     order: str = "degrevlex"    # an order giving the lift a quadratic basis
-    own_lift: callable | None = None  # a lift that is not a substitution
+    own_lift: callable | None = None    # a lift that is not a substitution
+    own_sample: callable | None = None  # draws the witnesses before the quadrics, in place of `linear`
+
+    def sample(self, ring: RingContext, rng) -> dict:
+        """One draw of random witnesses; the draws come in a fixed order,
+        so a seeded rng gives the same witnesses every time."""
+        if self.own_sample is not None:
+            w = self.own_sample(ring, rng)
+        else:
+            w = {k: random_linear(ring, rng) for k in self.linear}
+        return w | {k: random_quadric(ring, rng) for k in self.quadrics}
 
     def lift(self, ring: RingContext, w: dict) -> GenericLift | None:
         if self.own_lift is not None:
@@ -465,103 +447,66 @@ def _lift_ht4(ring, w):
     return GenericLift(ext, gens, MonomialOrder("degrevlex", n=ext.n), specializing)
 
 
-def _rw_ht1(ring, rng):
-    return {"x": random_linear(ring, rng), **{f"a{i}": random_linear(ring, rng) for i in range(1, 5)}}
-
-
-def _rw_xyzw(ring, rng):
-    return dict(zip("xyzw", _rl(ring, rng, 4)))
-
-
-def _rw_2i_c(ring, rng):
-    w = _rw_xyzw(ring, rng)
+def _sample_2i_c(ring, rng):
+    """x, y, z, w, and q = y*u + z*v + w*t for random linear u, v, t, so
+    that q lies in (y, z, w)."""
+    w = {k: random_linear(ring, rng) for k in "xyzw"}
     w["q"] = w["y"] * random_linear(ring, rng) + w["z"] * random_linear(ring, rng) + w["w"] * random_linear(ring, rng)
     return w
 
 
-def _rw_2ii(ring, rng):
-    w = _rw_xyzw(ring, rng)
-    w["q"] = random_quadric(ring, rng)
-    return w
-
-
-def _rw_2iii(ring, rng):
-    return {k: random_linear(ring, rng) for k in ("x", "y", "z", "a3", "b3", "a4", "b4")}
-
-
-def _rw_2iv_a(ring, rng):
-    return {k: random_linear(ring, rng) for k in ("x", "y", "a3", "b3", "a4", "b4")}
-
-
-def _rw_2iv_b(ring, rng):
-    return {k: random_linear(ring, rng) for k in ("x", "y", "a2", "b3", "a4", "b4")}
-
-
-_rw_2iv_c = _rw_2iv_a
-
-
-def _rw_2iv_d(ring, rng):
-    return {k: random_linear(ring, rng) for k in ("x", "y", "a1", "a2", "b3", "b4")}
-
-
-def _rw_ht3_i(ring, rng):
-    return {
-        "x": random_linear(ring, rng),
-        "z": random_linear(ring, rng),
-        "w": random_linear(ring, rng),
-        "q3": random_quadric(ring, rng),
-        "q4": random_quadric(ring, rng),
-    }
-
-
-def _rw_ht3_ii(ring, rng):
-    return {
-        "M": [[random_linear(ring, rng) for _ in range(2)] for _ in range(3)],
-        "q4": random_quadric(ring, rng),
-    }
-
-
-def _rw_ht4(ring, rng):
-    return {f"q{i}": random_quadric(ring, rng) for i in range(1, 5)}
+def _sample_ht3_ii(ring, rng):
+    """A 3x2 matrix M of random linear forms, row by row."""
+    return {"M": [[random_linear(ring, rng) for _ in range(2)] for _ in range(3)]}
 
 
 _XYZW = {"X": "x", "Y": "y", "Z": "z", "W": "w"}
 _TWO_FACTOR = {"A3": "a3", "B3": "b3", "B4": "b4", "A4": "a4", "X": "x", "Y": "y"}
 
 FORMS: dict[str, FormSpec] = {
-    "ht1": FormSpec(build_ht1, check_ht1, _rw_ht1, True, {"X": "x", "A1": "a1", "A2": "a2", "A3": "a3", "A4": "a4"}),
-    "2i-a": FormSpec(build_2i_a, check_2i_a, _rw_xyzw, True, _XYZW),
-    "2i-b": FormSpec(build_2i_b, check_2i_b, _rw_xyzw, True, _XYZW),
-    "2i-c": FormSpec(build_2i_c, check_2i_c, _rw_2i_c, True, {}, own_lift=_lift_2i_c),
-    "2ii": FormSpec(build_2ii, check_2ii, _rw_2ii, True, _XYZW),
-    "2iii": FormSpec(build_2iii, check_2iii, _rw_2iii, True, {**_TWO_FACTOR, "Z": "z"}, order="deglex"),
-    "2iv-a": FormSpec(build_2iv_a, check_2iv_a, _rw_2iv_a, False, _TWO_FACTOR),
-    "2iv-b": FormSpec(build_2iv_b, check_2iv_b, _rw_2iv_b, False,
-                      {"A2": "a2", "B3": "b3", "B4": "b4", "A4": "a4", "X": "x", "Y": "y"}),
-    "2iv-c": FormSpec(build_2iv_c, check_2iv_c, _rw_2iv_c, False, _TWO_FACTOR),
-    "2iv-d": FormSpec(build_2iv_d, check_2iv_d, _rw_2iv_d, True,
-                      {"Z": "x", "W": "y", "U1": "a1", "U2": "a2", "V1": "b3", "V2": "b4"}),
-    "ht3-i": FormSpec(build_ht3_i, check_ht3_i, _rw_ht3_i, True, {"X": "x", "Z": "z", "W": "w"}),
-    "ht3-ii": FormSpec(build_ht3_ii, check_ht3_ii, _rw_ht3_ii, True, {"M": "M"}),
-    "ht4-CI": FormSpec(build_ht4, check_ht4, _rw_ht4, True, {}, own_lift=_lift_ht4),
+    "ht1": FormSpec(build_ht1, check_ht1, True, {"X": "x", "A1": "a1", "A2": "a2", "A3": "a3", "A4": "a4"},
+                    5, "ht1", ("x", "a1", "a2", "a3", "a4")),
+    "2i-a": FormSpec(build_2i_a, check_2i_a, True, _XYZW, 4, "2i", ("x", "y", "z", "w")),
+    "2i-b": FormSpec(build_2i_b, check_2i_a, True, _XYZW, 4, "2i", ("x", "y", "z", "w")),
+    "2i-c": FormSpec(build_2i_c, check_2i_c, True, {}, 4, "2i", own_lift=_lift_2i_c, own_sample=_sample_2i_c),
+    "2ii": FormSpec(build_2i_c, check_2ii, True, _XYZW, 4, "2ii", ("x", "y", "z", "w"), ("q",)),
+    "2iii": FormSpec(build_2iii, check_2iii, True, {**_TWO_FACTOR, "Z": "z"}, 7, "2iii",
+                     ("x", "y", "z", "a3", "b3", "a4", "b4"), order="deglex"),
+    "2iv-a": FormSpec(build_2iv_a, check_2iv_a, False, _TWO_FACTOR, 6, "2iv-(a)", ("x", "y", "a3", "b3", "a4", "b4")),
+    "2iv-b": FormSpec(build_2iv_b, check_2iv_b, False,
+                      {"A2": "a2", "B3": "b3", "B4": "b4", "A4": "a4", "X": "x", "Y": "y"},
+                      6, "2iv-(b)", ("x", "y", "a2", "b3", "a4", "b4")),
+    "2iv-c": FormSpec(build_2iv_c, check_2iv_c, False, _TWO_FACTOR, 6, "2iv-(c)", ("x", "y", "a3", "b3", "a4", "b4")),
+    "2iv-d": FormSpec(build_2iv_d, check_2iv_d, True,
+                      {"Z": "x", "W": "y", "U1": "a1", "U2": "a2", "V1": "b3", "V2": "b4"},
+                      6, "2iv-(d)", ("x", "y", "a1", "a2", "b3", "b4")),
+    "ht3-i": FormSpec(build_ht3_i, check_ht3_i, True, {"X": "x", "Z": "z", "W": "w"}, 5, "ht3-i",
+                      ("x", "z", "w"), ("q3", "q4")),
+    "ht3-ii": FormSpec(build_ht3_ii, check_ht3_ii, True, {"M": "M"}, 6, "ht3-ii", quadrics=("q4",),
+                       own_sample=_sample_ht3_ii),
+    "ht4-CI": FormSpec(build_ht4, check_ht4, True, {}, 4, "ht4-CI", quadrics=("q1", "q2", "q3", "q4"),
+                       own_lift=_lift_ht4),
 }
-
-_2I_ROTATION = ["2i-a", "2i-b", "2i-c"]
 
 
 def resolve_case_id(case: str, seed: int = 0) -> str:
     """Map the umbrella id 2i to one of its sub-forms by seed."""
     if case == "2i":
-        return _2I_ROTATION[seed % 3]
+        subforms = [key for key, spec in FORMS.items() if spec.display == "2i"]
+        return subforms[seed % len(subforms)]
     return case
 
 
 def generate_ideal(case: str, field, seed: int, nvars: int | None = None):
-    """Sample a random valid witnessed ideal of the given case; the witnesses
-    are re-checked before returning."""
+    """Sample a random valid witnessed ideal of the given case, in `nvars`
+    variables (the case's own default when None); the witnesses are
+    re-checked before returning."""
     concrete = resolve_case_id(case, seed)
     if concrete not in FORMS:
         raise GroebnerError(f"unknown case id {case!r}; known: {sorted(FORMS)} and 2i")
-    ring = default_ring(field, concrete, nvars)
+    if nvars is not None and nvars < 1:
+        raise GroebnerError(f"a witnessed ideal needs at least one variable, got nvars={nvars}")
+    n = FORMS[concrete].nvars if nvars is None else nvars
+    ring = RingContext(field, [f"x{i}" for i in range(n)])
     w, I = sample_witnesses(concrete, ring, seed)
     return {"case": case, "concrete_case": concrete, "ring": ring, "witnesses": w, "ideal": I}

@@ -188,7 +188,10 @@ class _PolyParser:
             kind2, e, pos2 = self.next()
             if kind2 != "num":
                 raise ParseError("expected an integer exponent", pos2, self.text)
-            base = base ** e
+            try:
+                base = base ** e
+            except RingError as exc:
+                raise ParseError(str(exc), pos2, self.text) from exc
         return base
 
 

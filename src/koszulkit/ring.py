@@ -518,6 +518,10 @@ class Polynomial:
     def __pow__(self, k: int):
         if k < 0:
             raise RingError("negative power")
+        if len(self.terms) > 1 and k * self.total_degree() >= LIMIT:
+            # no engine packs such a power, and expanding it may take forever;
+            # a power of one term is cheap, and packing it raises
+            raise MonomialOverflow(f"a power of degree {k * self.total_degree()} does not fit the packed fields")
         out = self.ring.one()
         base = self
         while k:

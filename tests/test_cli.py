@@ -1,9 +1,14 @@
 """The command-line interface: each command, determinism, and error paths."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import koszulkit
 from koszulkit.cli import main
 from koszulkit.parse import ParseError, parse_polys, parse_ring
 
@@ -145,6 +150,7 @@ def test_zero_maxdeg_is_accepted(capsys, ideal_file):
     ("ring F7 [x,y]", "1/7*x^2"),
     ("ring F7 [x,x]", "x^2"),
     ("ring F7 [x:(1,0),y:(0,0)]", "x^2"),
+    ("ring F7 [x,y]", "(x+y)^40000"),
 ])
 def test_malformed_text_is_a_parse_error(capsys, decl, gens):
     with pytest.raises(ParseError):
@@ -181,3 +187,32 @@ INHOMOGENEOUS_ERRORS = {
 def test_inhomogeneous_input_is_out_of_scope(capsys, command):
     code, out, err = run_cli(capsys, command, "--ring", "ring F7 [x,y]", "--gens", "x^2+y")
     assert code == 2 and not out and err.strip() == INHOMOGENEOUS_ERRORS[command]
+
+
+F7_XY = ("--ring", "ring F7 [x,y]")
+
+OUT_OF_SCOPE_COMMANDS = {
+    "gen-nvars-negative": ("gen", "--form", "2iii", "--nvars", "-1"),
+    "gen-nvars-zero": ("gen", "--form", "2iii", "--nvars", "0"),
+    "gq-search-trials-negative": ("gq-search", *F7_XY, "--gens", "x^2", "--trials", "-3"),
+    "gq-search-perms-zero": ("gq-search", *F7_XY, "--gens", "x^2", "--perms", "0"),
+    "huge-power-of-a-sum": ("hilbert", *F7_XY, "--gens", "(x+y)^40000"),
+    "huge-power": ("hilbert", *F7_XY, "--gens", "x^40000"),
+    "ring-F4": ("hilbert", "--ring", "ring F4 [x,y,z]", "--gens", "x^2"),
+    "zero-denominator": ("hilbert", "--ring", "ring QQ [x,y,z]", "--gens", "1/0*x*z"),
+    "gen-F15": ("gen", "--form", "2ii", "--field", "F15"),
+    "inhomogeneous": ("hilbert", *F7_XY, "--gens", "x^2+y"),
+}
+
+
+@pytest.mark.parametrize("argv", OUT_OF_SCOPE_COMMANDS.values(), ids=OUT_OF_SCOPE_COMMANDS.keys())
+def test_out_of_scope_input_exits_2_in_a_fresh_process(argv):
+    """The command line in a fresh interpreter on out-of-scope input: exit
+    code 2 and an `error: ` report with no traceback, well inside the
+    timeout (a negative --nvars and a huge power of a sum once ran forever)."""
+    src = str(Path(koszulkit.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "koszulkit.cli", *argv], capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 2 and proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr

@@ -60,6 +60,12 @@ def test_sampling_exhaustion_raises():
         generate_ideal("ht4-CI", GF(2), seed=0, nvars=2)
 
 
+@pytest.mark.parametrize("nvars", [0, -1])
+def test_fewer_than_one_variable_is_rejected(nvars):
+    with pytest.raises(GroebnerError, match="at least one variable"):
+        generate_ideal("2iii", GF(32003), seed=0, nvars=nvars)
+
+
 def test_pair_decomposition_rejects_constant_term():
     R = parse_ring("ring F32003 [x,y]")
     assert len(pair_decomposition(parse_poly(R, "x^2+x*y"))) == 1

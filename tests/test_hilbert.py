@@ -18,6 +18,7 @@ from koszulkit import (
 from koszulkit.forms import KNOWN_HEIGHT2_TABLES, random_linear, random_quadric
 from koszulkit.groebner import GroebnerError
 from koszulkit.hilbert import zp_div_1mt, zp_mul
+from koszulkit.ring import Polynomial
 
 
 def _min_cover(supports: list[frozenset[int]], memo: dict) -> int:
@@ -129,6 +130,45 @@ class TestQuotientSeries:
         phi = LinearChange.random(R, rng)
         I2 = Ideal([phi.apply(g) for g in I.gens], R)
         assert hilbert_of_quotient(I).numerator == hilbert_of_quotient(I2).numerator
+
+
+def _random_quadric_ideal(R, rng):
+    """One to n+1 quadrics: dense ones, x_i times a linear form, and
+    monomials x_i*x_j, so common factors and monomial pieces occur."""
+    gens = []
+    for _ in range(rng.randint(1, R.n + 1)):
+        i, j = rng.randrange(R.n), rng.randrange(R.n)
+        kind = rng.randrange(3)
+        factor = random_linear(R, rng) if kind == 1 else R.var(j)
+        gens.append(random_quadric(R, rng) if kind == 0 else R.var(i) * factor)
+    return Ideal(gens, R)
+
+
+@pytest.mark.parametrize("field,cases", [("F2", 12), ("F7", 12), ("F32003", 12), ("QQ", 8)])
+def test_series_matches_degreewise_ranks_by_sympy(field, cases):
+    """dim (S/I)_d = dim S_d - rank of the products m*f_i of degree d, the
+    rank taken by sympy's DomainMatrix over GF(p) or QQ: an independent
+    implementation, not a dependency, checks hilbert_of_quotient through
+    degree 6 (degree 5 in five variables)."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    dom = sympy.QQ if field == "QQ" else sympy.GF(int(field[1:]))
+    to_dom = (lambda c: dom(c.numerator, c.denominator)) if field == "QQ" else (lambda c: dom(int(c)))
+    rng = random.Random(f"hilbert-oracle:{field}")
+    for _ in range(cases):
+        R = parse_ring(f"ring {field} [{','.join(f'x{i}' for i in range(rng.randint(3, 5)))}]")
+        I = _random_quadric_ideal(R, rng)
+        top = 5 if R.n == 5 else 6
+        ranks = []
+        for d in range(top + 1):
+            mons = R.monomials((d,))
+            shifts = [Polynomial(R, {m: R.field.one()}) for m in R.monomials((d - 2,))] if d >= 2 else []
+            products = [m * f for f in I.gens for m in shifts]
+            rows = [[to_dom(c) for c in row] for row in R.coefficients(products, mons)]
+            rank = DomainMatrix(rows, (len(rows), len(mons)), dom).rank() if rows else 0
+            ranks.append(len(mons) - rank)
+        assert hilbert_of_quotient(I).series(top) == ranks, [str(g) for g in I.gens]
 
 
 class TestRegularSequences:
