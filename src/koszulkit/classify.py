@@ -4,10 +4,13 @@ witness forms, and a Koszulness verdict with a machine-checkable certificate.
 
 Verdict vocabulary is three-valued: certified-Koszul verdicts carry a lifted
 quadratic Groebner basis plus a Hilbert-verified regular specializing
-sequence; certified-non-Koszul verdicts carry a failed first-syzygy span
-witness, a nonlinear Tor position, a reference Betti-table mismatch, or, for
-sub-form 2iv-(c), the bad algebra's nonlinear syzygy position reached from
-the input by a chain of Hilbert-verified regular linear specializations.
+sequence; certified-non-Koszul verdicts carry a first-syzygy span failure
+(its witness a first syzygy outside the span of the linear and Koszul
+syzygies, which depends on the ideal and the module order alone, not on the
+minimal syzygies found), a nonlinear Tor position, a reference Betti-table
+mismatch, or, for sub-form 2iv-(c), the bad algebra's nonlinear syzygy
+position reached from the input by a chain of Hilbert-verified regular
+linear specializations.
 Everything else is inconclusive at the stated bound.
 """
 

@@ -179,10 +179,11 @@ class ModuleGB:
     - chain: a pending pair whose lcm the new lead divides is dropped,
       unless that lcm is also the lcm of the new lead with one of its two
       elements;
-    - equal lcm, without tags: of the new pairs with one lcm, only the
-      first is kept.  A tagged basis keeps them all: the pairs kept decide
-      which syzygies its zero reductions give, and with them the minimal
-      syzygy generators and the first-syzygy certificates built on them;
+    - equal lcm: of the new pairs with one lcm, only the first is kept.
+      In a tagged basis the pairs kept decide which syzygies its zero
+      reductions give, and with them which minimal syzygy generators
+      modules.syzygy_matrix picks; Betti numbers do not depend on that
+      choice, nor does the witness of quotient.first_syzygy_criterion;
     - strict lcm divisibility: a new pair is dropped when the lcm of
       another new pair strictly divides its own;
     - coprime, with a Koszul tag: when the free block has one component (the
@@ -259,14 +260,14 @@ class ModuleGB:
             if lay.divides(mono, l) and lcms[i] != l and lcms[j] != l:
                 drop.add(p)
         self.pairs.difference_update(drop)
-        new: dict[int, int] = {}  # keyed by lcm without tags: the first pair with each lcm stays
+        new: dict[int, int] = {}  # keyed by lcm: the first pair with each lcm stays
         for i in same:
             if self.use_coprime and lay.degree(lcms[i]) == lay.degree(self.basis[i][0]) + lay.degree(lead):
                 tau = self._koszul_tag(i, k) if self.tagged else None
                 if tau:
                     self._insert(tau)
                 continue
-            new.setdefault(i if self.tagged else lcms[i], i)
+            new.setdefault(lcms[i], i)
         for i in new.values():
             l = lcms[i]
             if any(lcms[j] != l and lay.divides(lcms[j], l) for j in new.values()):

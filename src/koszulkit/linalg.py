@@ -237,15 +237,15 @@ def _eliminate_qq(A: np.ndarray, full: bool) -> list[int]:
 def kernel_basis(K: Field, A: np.ndarray):
     """(B, free): the columns of B are a basis of {v : A v = 0}, one per
     non-pivot column of A, and B restricted to the rows `free` is the
-    identity.  A is not modified."""
-    R = A.copy()
-    pivots = _eliminate(K, R)
+    identity.  A is eliminated in place, so it ends in RREF; every caller
+    passes a fresh array."""
+    pivots = _eliminate(K, A)
     pivset = set(pivots)
     free = [c for c in range(A.shape[1]) if c not in pivset]
     B = zeros(K, (A.shape[1], len(free)))
     B[free, range(len(free))] = K.one()
     if pivots and free:
-        X = R[:len(pivots)][:, free]
+        X = A[:len(pivots)][:, free]
         B[pivots] = _reducer(K)(np.negative(X, out=X))
     return B, free
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 
 from .field import FieldError, field_by_name
 from .ring import Polynomial, RingContext, RingError
@@ -77,6 +78,25 @@ def parse_ring(decl: str) -> RingContext:
         return RingContext(field_by_name(m.group(1)), names, None if None in weights else weights)
     except (FieldError, RingError) as exc:
         raise ParseError(str(exc)) from exc
+
+
+# the most terms a power in the input may expand to: a power of a sum is
+# expanded in full, at a cost that grows with the square of its size
+_MAX_POWER_TERMS = 1000
+
+
+def _power_terms(base: Polynomial, e: int) -> int:
+    """An upper bound on the number of terms of base**e: the smaller of the
+    number of multisets of e terms of base and the number of monomials in
+    the variables of base whose degree lies between e times the least and e
+    times the largest degree of its terms."""
+    t = len(base.terms)
+    if t < 2:
+        return t
+    nvars = sum(1 for i in range(base.ring.n) if any(m[i] for m in base.terms))
+    degs = [sum(m) for m in base.terms]
+    lo, hi = e * min(degs), e * max(degs)
+    return min(comb(e + t - 1, t - 1), comb(hi + nvars, nvars) - comb(lo - 1 + nvars, nvars))
 
 
 _TOKEN_RE = re.compile(
@@ -188,6 +208,8 @@ class _PolyParser:
             kind2, e, pos2 = self.next()
             if kind2 != "num":
                 raise ParseError("expected an integer exponent", pos2, self.text)
+            if _power_terms(base, e) > _MAX_POWER_TERMS:
+                raise ParseError(f"a power that expands to more than {_MAX_POWER_TERMS} terms", pos2, self.text)
             try:
                 base = base ** e
             except RingError as exc:

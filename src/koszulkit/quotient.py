@@ -571,46 +571,72 @@ def froberg_consistency(Q_or_result, bound: int) -> dict:
 # the first-syzygy span criterion
 
 
-def first_syzygy_criterion(I: Ideal) -> dict:
-    """Test whether the minimal first syzygies of a quadric-generated ideal
-    are spanned by linear syzygies plus Koszul syzygies.
-
-    Failure certifies the quotient is not Koszul; a pass is inconclusive.
-    The minimal first syzygies are one syzygy_matrix of the row of minimal
-    quadric generators, the d2 of a minimal resolution of S/I; no further
-    level is resolved.
-    """
-    ring = I.ring
-    gens = minimal_quadric_generators(I)
-    g = len(gens)
-    row = PolyMatrix(FreeModule(ring, [ring.zero_deg]), FreeModule(ring, [f.degree() for f in gens]), [gens])
-    d2 = syzygy_matrix(row)
-    if not d2.ncols:
-        return {"passes": True, "witness": None, "n_min_syzygies": 0, "note": "no first syzygies"}
-
-    # the linear columns of d2 and the Koszul syzygies e_i*g_j - e_j*g_i
+def _linear_and_koszul(gens: list[Polynomial], d2: PolyMatrix) -> PolyMatrix:
+    """The span L + K of a generator row's first syzygies: the linear columns
+    of d2, which span its linear syzygies, and the Koszul syzygies
+    e_i*g_j - e_j*g_i of the generators."""
+    ring = d2.ring
     lin = [c for c in range(d2.ncols) if total(d2.source.twists[c]) == 3]
-    kos = [(i, j) for i in range(g) for j in range(i + 1, g)]
+    kos = [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))]
     zero = ring.zero()
     entries = [
         [row[c] for c in lin] + [gens[j] if r == i else -gens[i] if r == j else zero for i, j in kos]
         for r, row in enumerate(d2.entries)
     ]
     twists = [d2.source.twists[c] for c in lin] + [add_deg(gens[i].degree(), gens[j].degree()) for i, j in kos]
-    R, _ = TaggedModule(PolyMatrix(d2.target, FreeModule(ring, twists), entries)).reduce(d2)
+    return PolyMatrix(d2.target, FreeModule(ring, twists), entries)
+
+
+def first_syzygy_criterion(I: Ideal) -> dict:
+    """Test whether the minimal first syzygies of a quadric-generated ideal
+    are spanned by the linear syzygies L plus the Koszul syzygies K.
+
+    Failure certifies the quotient is not Koszul; a pass is inconclusive.
+    The minimal first syzygies are one syzygy_matrix of the row of minimal
+    quadric generators, the d2 of a minimal resolution of S/I; no further
+    level is resolved.  Each column of d2 is reduced modulo a Groebner basis
+    of L + K, and the criterion fails when some normal form is nonzero.
+
+    The witness of a failure does not depend on which minimal syzygies d2
+    holds.  Its degree D is the least degree of a column with a nonzero
+    normal form, and every column of lower degree lies in L + K, so the
+    normal forms of the degree-D columns span NF(Syz(I)_D), a space that
+    only I and the module order fix.  The witness is the first row of the
+    RREF of those normal forms, coordinates ordered by the module order
+    largest first: a monic syzygy outside L + K that is its own normal form.
+    """
+    ring = I.ring
+    K = ring.field
+    gens = minimal_quadric_generators(I)
+    row = PolyMatrix(FreeModule(ring, [ring.zero_deg]), FreeModule(ring, [f.degree() for f in gens]), [gens])
+    d2 = syzygy_matrix(row)
+    if not d2.ncols:
+        return {"passes": True, "witness": None, "n_min_syzygies": 0, "note": "no first syzygies"}
+
+    span = _linear_and_koszul(gens, d2)
+    R, _ = TaggedModule(span).reduce(d2)
+    degs = d2.source.twists
+    outside = [c for c in range(d2.ncols) if any(row[c] for row in R.entries)]
     witness = None
-    for c in range(d2.ncols):
-        if any(row[c] for row in R.entries):
-            witness = {
-                "column": c,
-                "degree": list(d2.source.twists[c]),
-                "vector": [row[c] for row in d2.entries],
-            }
-            break
+    if outside:
+        D = min((total(degs[c]), degs[c]) for c in outside)[1]
+        vecs = [[row[c] for row in R.entries] for c in outside if degs[c] == D]
+        # the module order on terms m*e_r of one degree: the base order on m,
+        # then the lower component first
+        key = DEGREVLEX.for_ring(ring).key
+        terms = sorted({(r, m) for v in vecs for r, f in enumerate(v) for m in f.terms},
+                       key=lambda t: (key(t[1]), -t[0]), reverse=True)
+        rows, _ = linalg.rref(K, [[v[r].terms.get(m, K.zero()) for r, m in terms] for v in vecs])
+        vector = [ring.zero() for _ in gens]
+        for (r, m), c in zip(terms, rows[0]):
+            if not K.is_zero(c):
+                vector[r].terms[m] = c
+        witness = {"degree": list(D), "vector": vector}
+    n_koszul = len(gens) * (len(gens) - 1) // 2
     return {
         "passes": witness is None,
         "witness": witness,
         "n_min_syzygies": d2.ncols,
-        "n_linear": len(lin),
-        "n_koszul": len(kos),
+        "n_linear": span.ncols - n_koszul,
+        "n_koszul": n_koszul,
     }

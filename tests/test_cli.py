@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import koszulkit
 from koszulkit.cli import main
-from koszulkit.parse import ParseError, parse_polys, parse_ring
+from koszulkit.parse import ParseError, parse_poly, parse_polys, parse_ring
 
 
 def run_cli(capsys, *argv):
@@ -151,12 +152,27 @@ def test_zero_maxdeg_is_accepted(capsys, ideal_file):
     ("ring F7 [x,x]", "x^2"),
     ("ring F7 [x:(1,0),y:(0,0)]", "x^2"),
     ("ring F7 [x,y]", "(x+y)^40000"),
+    ("ring F7 [x,y,z]", "(x+y+z)^44"),
 ])
 def test_malformed_text_is_a_parse_error(capsys, decl, gens):
     with pytest.raises(ParseError):
         parse_polys(parse_ring(decl), gens)
     code, _, err = run_cli(capsys, "hilbert", "--ring", decl, "--gens", gens)
     assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_a_power_past_the_term_bound_is_refused_before_it_is_expanded(capsys):
+    """(x+y)^16000 fits the packed degree fields but has 16001 terms, past
+    the parser's bound of 1000: refused at once (expanding it ran for
+    minutes).  Powers within the bound still parse: (x+y+z)^43 has 990
+    terms, and a power of one term has one."""
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "hilbert", "--ring", "ring F32003 [x,y]", "--gens", "(x+y)^16000")
+    assert code == 2 and "more than 1000 terms" in err and time.perf_counter() - start < 2
+    R = parse_ring("ring F32003 [x,y,z]")
+    assert len(parse_poly(R, "(x+y)^3").terms) == 4
+    assert len(parse_poly(R, "(x+y+z)^43").terms) == 990
+    assert parse_poly(R, "x^20000").terms == {(20000, 0, 0): 1}
 
 
 @pytest.mark.parametrize("command", ["gb", "hilbert", "res"])
@@ -197,6 +213,7 @@ OUT_OF_SCOPE_COMMANDS = {
     "gq-search-trials-negative": ("gq-search", *F7_XY, "--gens", "x^2", "--trials", "-3"),
     "gq-search-perms-zero": ("gq-search", *F7_XY, "--gens", "x^2", "--perms", "0"),
     "huge-power-of-a-sum": ("hilbert", *F7_XY, "--gens", "(x+y)^40000"),
+    "power-of-a-sum-past-the-term-bound": ("hilbert", "--ring", "ring F32003 [x,y]", "--gens", "(x+y)^16000"),
     "huge-power": ("hilbert", *F7_XY, "--gens", "x^40000"),
     "ring-F4": ("hilbert", "--ring", "ring F4 [x,y,z]", "--gens", "x^2"),
     "zero-denominator": ("hilbert", "--ring", "ring QQ [x,y,z]", "--gens", "1/0*x*z"),

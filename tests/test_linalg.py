@@ -282,11 +282,22 @@ def test_kernel_on_the_unit_rows(K, m, extra, n, seed):
     B[unit] = linalg.array(K, [[K.one() if i == j else K.zero() for j in range(m)] for i in range(m)], m)
     C = linalg.array(K, rand_rows(K, rng, m, n), n)
     A = linalg.matmul(K, B, C)
-    (ker, free), (want, want_free) = linalg.kernel_basis(K, A), linalg.kernel_basis(K, C)
+    (ker, free), (want, want_free) = linalg.kernel_basis(K, A.copy()), linalg.kernel_basis(K, C.copy())
     assert free == want_free and ker.dtype == want.dtype and ker.tolist() == want.tolist()
     assert linalg.rank_of_rows(K, A, unit) == linalg.rank(K, C.tolist()) == n - len(free)
     assert linalg.rank_of_rows(K, A, range(m + extra)) == n - len(free)
     assert A.tolist() == linalg.matmul(K, B, C).tolist()  # not modified
+
+
+@pytest.mark.parametrize("K", [GF(2), GF(32003), QQ], ids=str)
+def test_kernel_basis_eliminates_its_argument_in_place(K):
+    """kernel_basis leaves its argument in RREF, the form rref returns."""
+    rng = random.Random(f"in place:{K}")
+    for _ in range(20):
+        rows = rand_rows(K, rng, rng.randint(1, 5), rng.randint(1, 7))
+        A = linalg.array(K, rows, len(rows[0]))
+        linalg.kernel_basis(K, A)
+        assert A.tolist() == linalg.rref(K, rows)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from koszulkit import (
 from koszulkit import groebner, hilbert, linalg, quotient
 from koszulkit.forms import FORMS, generate_ideal, random_quadric
 from koszulkit.groebner import GroebnerError, buchberger, cut_last_variable, normal_form
-from koszulkit.modules import FreeModule, PolyMatrix
+from koszulkit.modules import FreeModule, PolyMatrix, TaggedModule
 from koszulkit.resolution import minimal_resolution
 from koszulkit.ring import DEGLEX, MonomialOrder, Polynomial, RingContext
 
@@ -210,7 +210,7 @@ class ReferenceResolver(quotient._Resolver):
             if not self._amb_dim(lev, d):
                 continue
             A = diffs[d] = self._differential(lev, d, diffs)
-            B, free = linalg.kernel_basis(self.K, A)
+            B, free = linalg.kernel_basis(self.K, A.copy())
             self._add_generators(lev, d, B, free, kernels, degrees, cols)
             kernels[d] = B
         return degrees, cols
@@ -432,6 +432,68 @@ class TestFirstSyzygyCriterion:
     def test_one_level_matches_the_whole_resolution_bigraded(self, monkeypatch):
         R = parse_ring("ring F32003 [x:(1,0),y:(1,0),a:(0,1),b:(0,1)]")
         self.same_as_whole_resolution(monkeypatch, [ideal(R, "x*a", "y*b", "x^2", "a^2")])
+
+
+WITNESS_INPUTS = [(case, K, seed) for case in ("2iv-a", "2iv-b") for K in (GF(2), GF(3), GF(7), GF(32003))
+                  for seed in range(5)]
+
+
+def _witness_setup(case, K, seed):
+    """The ideal, its minimal quadric generators, their d2 and the criterion's report."""
+    I = generate_ideal(case, K, seed)["ideal"]
+    gens = groebner.minimal_quadric_generators(I)
+    row = PolyMatrix(FreeModule(I.ring, [I.ring.zero_deg]), FreeModule(I.ring, [f.degree() for f in gens]), [gens])
+    return I, gens, quotient.syzygy_matrix(row), first_syzygy_criterion(I)
+
+
+def _other_minimal_generators(d2, rng):
+    """d2 * T, another minimal generating set of the columns' module: within
+    each degree T is a random invertible matrix, and it adds random
+    polynomial multiples of every column of lower degree."""
+    ring, K, twists = d2.ring, d2.ring.field, d2.source.twists
+    zero = ring.zero()
+    T = [[zero] * d2.ncols for _ in range(d2.ncols)]
+    for e in set(twists):
+        block = [c for c in range(d2.ncols) if twists[c] == e]
+        while True:
+            a = [[K.random(rng) for _ in block] for _ in block]
+            if linalg.rank(K, a) == len(block):
+                break
+        for r, cr in enumerate(block):
+            for c, cc in enumerate(block):
+                T[cr][cc] = ring.const(a[r][c])
+    for r in range(d2.ncols):
+        for c in range(d2.ncols):
+            gap = [x - y for x, y in zip(twists[c], twists[r])]
+            if min(gap) >= 0 and any(gap):
+                mons = ring.monomials(tuple(gap))
+                T[r][c] = ring.form([K.random(rng) for _ in mons], mons)
+    return d2.compose(PolyMatrix(d2.source, d2.source, T))
+
+
+class TestCanonicalWitness:
+    """The witness of a failed span criterion on the non-Koszul forms 2iv-a
+    and 2iv-b: a syzygy outside L + K that does not depend on which minimal
+    generators d2 holds."""
+
+    @pytest.mark.parametrize("case,K,seed", WITNESS_INPUTS, ids=str)
+    def test_another_minimal_generating_set_gives_the_same_witness(self, monkeypatch, case, K, seed):
+        I, _, d2, want = _witness_setup(case, K, seed)
+        other = _other_minimal_generators(d2, random.Random(f"{case} {K} {seed}"))
+        assert other.source.twists == d2.source.twists and other.entries != d2.entries
+        monkeypatch.setattr(quotient, "syzygy_matrix", lambda row: other)
+        assert not want["passes"] and first_syzygy_criterion(I) == want
+
+    @pytest.mark.parametrize("case,K,seed", WITNESS_INPUTS, ids=str)
+    def test_the_witness_is_a_syzygy_in_normal_form_outside_the_span(self, case, K, seed):
+        I, gens, d2, out = _witness_setup(case, K, seed)
+        w = out["witness"]["vector"]
+        ring = I.ring
+        assert sum((g * v for g, v in zip(gens, w)), ring.zero()) == ring.zero()
+        assert {v.degree() for v in w if v} == {(out["witness"]["degree"][0] - 2,)}
+        W = PolyMatrix(d2.target, FreeModule(ring, [tuple(out["witness"]["degree"])]), [[v] for v in w])
+        R, _ = TaggedModule(quotient._linear_and_koszul(gens, d2)).reduce(W)
+        assert [row[0] for row in R.entries] == w and any(w)
 
 
 def _resolution_d2(row):
