@@ -103,15 +103,15 @@ def reference_basis_count(d: Deg) -> int:
     return 0
 
 
-def check_basis(inst: AppendixInstance, bound: int = 6) -> dict:
-    """Standard-monomial dimensions of every bidegree up to the bound match
-    the explicit bihomogeneous basis, and the listed monomials are
+def check_basis(inst: AppendixInstance) -> dict:
+    """Standard-monomial dimensions of every bidegree up to total degree 6
+    match the explicit bihomogeneous basis, and the listed monomials are
     independent (they are distinct standard monomials)."""
     Q = inst.quotient
     ring = inst.ring
     failures = []
     checked = 0
-    for t in range(bound + 1):
+    for t in range(7):
         for p in range(t + 1):
             d = (p, t - p)
             got = Q.dim_piece(d)

@@ -96,20 +96,10 @@ class _QuadricSpace:
         self.K = ring.field
         self.mons = ring.quadratic_monomials
         self.gens = gens
-        rows, self.pivots = linalg.rref(self.K, self.coords(gens))
-        self.rows = rows[:len(self.pivots)]
+        self.rows = linalg.row_space_basis(self.K, self.coords(gens))
 
     def coords(self, forms: list[Polynomial]) -> list[list]:
         return self.ring.coefficients(forms, self.mons)
-
-    def _reduce(self, v) -> list:
-        """The representative of v + I_2 that is zero on the pivot columns."""
-        K = self.K
-        for row, c in zip(self.rows, self.pivots):
-            f = v[c]
-            if not K.is_zero(f):
-                v = [K.sub(x, K.mul(f, y)) for x, y in zip(v, row)]
-        return v
 
     def complement_of(self, subset: list[Polynomial]) -> list[Polynomial]:
         """Elements of the generator list extending span(subset) to the full space."""
@@ -146,10 +136,11 @@ def _extend(ring: RingContext, avoid: list[Polynomial], forms: list[Polynomial])
 def cofactor_space(qs: _QuadricSpace, f: Polynomial) -> list[Polynomial]:
     """Basis of {ell linear : f * ell in I_2}."""
     ring = qs.ring
-    # v is in the kernel iff sum v_j * f*x_j lies in I_2: reduce each product
-    # modulo I_2, then take the kernel of the reduced column matrix
-    reduced = [qs._reduce(v) for v in qs.coords([f * x for x in ring.gens()])]
-    return [ring.linear_form(v) for v in linalg.kernel(ring.field, _columns(reduced), ring.n)]
+    # (v, w) is in the kernel iff sum v_j * f*x_j = -sum w_i * row_i lies in
+    # I_2; the rows are independent, so v determines w and the first n
+    # coordinates of a kernel basis are a basis
+    cols = qs.coords([f * x for x in ring.gens()]) + qs.rows
+    return [ring.linear_form(v[:ring.n]) for v in linalg.kernel(ring.field, _columns(cols), len(cols))]
 
 
 def linear_syzygy_matrix(I: Ideal) -> PolyMatrix:

@@ -127,7 +127,7 @@ def cmd_koszul(args) -> int:
         "reduced_by_linear_forms": r["reduced_by_linear_forms"],
     }
     if r["verdict"] == "linear-so-far":
-        record["series_consistency"] = froberg_consistency(r, args.bound)["holds"]
+        record["series_consistency"] = froberg_consistency(r["resolution"], args.bound)["holds"]
     text = f"verdict: {r['verdict']}"
     if r.get("position"):
         text += f" at {r['position']}"

@@ -489,7 +489,7 @@ FORMS: dict[str, FormSpec] = {
 }
 
 
-def resolve_case_id(case: str, seed: int = 0) -> str:
+def resolve_case_id(case: str, seed: int) -> str:
     """Map the umbrella id 2i to one of its sub-forms by seed."""
     if case == "2i":
         subforms = [key for key, spec in FORMS.items() if spec.display == "2i"]

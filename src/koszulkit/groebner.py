@@ -408,7 +408,7 @@ class Ideal:
                 raise RingError("ideal generators from mixed rings")
         self.ring = ring
         self.gens = gens
-        self._gb_cache: dict = {}
+        self._gb: GroebnerBasis | None = None
 
     def is_zero(self) -> bool:
         return not self.gens
@@ -416,13 +416,13 @@ class Ideal:
     def is_homogeneous(self) -> bool:
         return all(g.is_homogeneous() for g in self.gens)
 
-    def gb(self, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
+    def gb(self) -> GroebnerBasis:
+        """The reduced degrevlex basis, computed once."""
         if self.is_zero():
             raise GroebnerError("Groebner basis of the zero ideal")
-        key = _gb_key(order)
-        if key not in self._gb_cache:
-            self._gb_cache[key] = buchberger(self.gens, order)
-        return self._gb_cache[key]
+        if self._gb is None:
+            self._gb = buchberger(self.gens)
+        return self._gb
 
     def contains(self, f: Polynomial) -> bool:
         if not f:
@@ -433,10 +433,6 @@ class Ideal:
 
     def __repr__(self):
         return f"Ideal({self.gens})"
-
-
-def _gb_key(order: MonomialOrder) -> tuple:
-    return (order.kind, tuple(order.perm) if order.perm else None, order.front)
 
 
 def cut_last_variable(I: Ideal, small: RingContext) -> Ideal | None:
@@ -461,7 +457,7 @@ def cut_last_variable(I: Ideal, small: RingContext) -> Ideal | None:
         return Polynomial(small, {m[:-1]: c for m, c in f.terms.items() if not m[-1]})
 
     J = Ideal([cut(g) for g in I.gens], small)
-    J._gb_cache[_gb_key(DEGREVLEX)] = GroebnerBasis(small, DEGREVLEX.for_ring(small), [cut(g) for g in gb])
+    J._gb = GroebnerBasis(small, DEGREVLEX.for_ring(small), [cut(g) for g in gb])
     return J
 
 
@@ -624,12 +620,7 @@ def random_permutation(n: int, rng) -> list[int]:
     return p
 
 
-def g_quadratic_search(
-    I: Ideal,
-    trials: int = 20,
-    seed: int = 0,
-    perms_per_trial: int = 50,
-) -> dict:
+def g_quadratic_search(I: Ideal, trials: int, seed: int, perms_per_trial: int) -> dict:
     """Search for a linear change of coordinates making the ideal's reduced
     basis quadratic under some catalog order.
 

@@ -84,7 +84,7 @@ def _integral(X: np.ndarray):
     return Z.reshape(X.shape), d
 
 
-def _fractions(Z: np.ndarray, d: int = 1) -> np.ndarray:
+def _fractions(Z: np.ndarray, d: int) -> np.ndarray:
     """The object array Z / d of normalized Fractions; Z holds ints.  Each
     distinct value is converted once."""
     vals = Z.ravel().tolist()

@@ -10,7 +10,8 @@ syzygies in their tags, and normal forms of (v, 0) carry representations
 groebner.ModuleGB, the one S-pair manager, which Buchberger's algorithm for
 ideals runs on too; its docstring lists the pair criteria.  Minimal
 generators are picked by normal forms too (minimal_module_generators).
-Inside, elements are packed dicts {int: coeff} (see groebner.ModuleOrder):
+The module orders are all built on degrevlex, whose layout packs the
+elements inside as dicts {int: coeff} (see groebner.ModuleOrder):
 PolyMatrix.packed_columns packs a matrix once, and groebner's one reduction
 loop reduces them.  syzygy_matrix keeps its columns packed from one call to
 the next and unpacks them once, into the matrix it returns.
@@ -24,7 +25,6 @@ from .ring import (
     FIELD_BITS,
     FIELD_MASK,
     Deg,
-    MonomialOrder,
     PackedLayout,
     RingContext,
     RingError,
@@ -69,7 +69,7 @@ class PolyMatrix:
         self.target = target
         self.source = source
         self.entries = [list(row) for row in entries]
-        self._packed = None  # (layout, columns), set by syzygy_matrix
+        self._packed = None  # the packed columns, set by syzygy_matrix
         if len(self.entries) != target.rank or any(len(r) != source.rank for r in self.entries):
             raise RingError("matrix shape does not match its free modules")
         if check:
@@ -93,12 +93,14 @@ class PolyMatrix:
     def ncols(self) -> int:
         return self.source.rank
 
-    def packed_columns(self, lay: PackedLayout) -> list[dict]:
+    def packed_columns(self) -> list[dict]:
         """The columns as packed elements {pack(m) + row + flag: c} of the
-        layout lay, checked homogeneous.  A matrix made by syzygy_matrix
-        keeps the packed columns it was unpacked from, and returns those."""
-        if self._packed is not None and self._packed[0] is lay:
-            return self._packed[1]
+        degrevlex layout, checked homogeneous.  A matrix made by
+        syzygy_matrix keeps the packed columns it was unpacked from, and
+        returns those."""
+        if self._packed is not None:
+            return self._packed
+        lay = DEGREVLEX.for_ring(self.ring).layout
         cols: list[dict] = [{} for _ in range(self.ncols)]
         for r, row in enumerate(self.entries):
             for col, f in zip(cols, row):
@@ -123,10 +125,10 @@ class PolyMatrix:
         ring = self.ring
         K = ring.field
         lay = DEGREVLEX.for_ring(ring).layout
-        A = self.packed_columns(lay)
+        A = self.packed_columns()
         unpack, frame = lay.unpack, lay.frame
         entries = [[ring.zero() for _ in range(other.ncols)] for _ in range(self.nrows)]
-        for c, col in enumerate(other.packed_columns(lay)):
+        for c, col in enumerate(other.packed_columns()):
             acc: dict = {}
             get = acc.get
             for P, y in col.items():
@@ -201,11 +203,11 @@ class TaggedModule:
     """The columns g_1..g_s of M, generators of a submodule of M.target,
     tagged in M.target (+) S^s."""
 
-    def __init__(self, M: PolyMatrix, order: MonomialOrder = DEGREVLEX):
-        base = order.for_ring(M.ring)
+    def __init__(self, M: PolyMatrix):
+        base = DEGREVLEX.for_ring(M.ring)
         lay = base.layout
         self.M, self.K, self.n_free = M, M.ring.field, M.nrows
-        self._packed = M.packed_columns(lay)
+        self._packed = M.packed_columns()
         # tags carry the lead monomials, without component and flag
         self.order = ModuleOrder(base, M.nrows, [lead_term(el, lay) & ~lay.frame if el else 0 for el in self._packed])
         self._gb: ModuleGB | None = None
@@ -244,7 +246,7 @@ class TaggedModule:
         zero = M.ring.zero
         R = [[zero() for _ in range(N.ncols)] for _ in range(n)]
         X = [[zero() for _ in range(N.ncols)] for _ in leads]
-        for c, col in enumerate(N.packed_columns(lay)):
+        for c, col in enumerate(N.packed_columns()):
             for P, v in reduce_terms(col, gb.reducers, lay, K).items():
                 i = P & FIELD_MASK
                 if P & lay.flag:
@@ -258,11 +260,10 @@ class TaggedModule:
         return self.reduce(N)[0].is_zero()
 
 
-def minimal_module_generators(F: FreeModule, cols: list[dict], degs: list, order: MonomialOrder) -> list[int]:
+def minimal_module_generators(F: FreeModule, cols: list[dict], degs: list) -> list[int]:
     """Indices of a minimal generating subset of the graded submodule of F
     spanned by homogeneous packed columns (as PolyMatrix.packed_columns
-    gives them in the layout of order, a MonomialOrder for F.ring) of
-    degrees degs (from column_degrees).
+    gives them) of degrees degs (from column_degrees).
 
     The nonzero columns are scanned by increasing total degree, then degree,
     then sorted (component, exponent) terms, and a column is kept unless it
@@ -273,12 +274,13 @@ def minimal_module_generators(F: FreeModule, cols: list[dict], degs: list, order
     generated, and inserting it keeps the basis complete through d, since
     its lead is irreducible and so every new pair has a higher degree.
     """
-    K, lay = F.ring.field, order.layout
+    base = DEGREVLEX.for_ring(F.ring)
+    K, lay = F.ring.field, base.layout
     idx = sorted(
         (i for i in range(len(cols)) if cols[i]),
         key=lambda i: (sum(degs[i]), degs[i], sorted(lex_terms(lay, cols[i]))),
     )
-    gb = ModuleGB(ModuleOrder(order, F.rank), K, F.twists)
+    gb = ModuleGB(ModuleOrder(base, F.rank), K, F.twists)
     kept: list[int] = []
     done = None  # the total degree the basis is complete through; unset, as degrees may be negative
     for i in idx:
@@ -293,23 +295,22 @@ def minimal_module_generators(F: FreeModule, cols: list[dict], degs: list, order
     return kept
 
 
-def syzygy_matrix(M: PolyMatrix, order: MonomialOrder = DEGREVLEX) -> PolyMatrix:
+def syzygy_matrix(M: PolyMatrix) -> PolyMatrix:
     """Matrix whose columns minimally generate ker(M); target module is M.source.
 
     Iterating it yields minimal resolutions directly.  The syzygies stay
     packed from the Groebner basis through generator selection and are
     unpacked once, into the result, which keeps them for the next call.
     """
-    base = order.for_ring(M.ring)
-    lay = base.layout
-    syz = TaggedModule(M, base).syzygies()
+    lay = DEGREVLEX.for_ring(M.ring).layout
+    syz = TaggedModule(M).syzygies()
     degs = column_degrees(M.source, lay, syz)
-    kept = minimal_module_generators(M.source, syz, degs, base) if syz else []
+    kept = minimal_module_generators(M.source, syz, degs) if syz else []
     ring, unpack = M.ring, lay.unpack
     entries = [[ring.zero() for _ in kept] for _ in range(M.source.rank)]
     for c, i in enumerate(kept):
         for P, v in syz[i].items():
             entries[P & FIELD_MASK][c].terms[unpack(P)] = v
     S = PolyMatrix(M.source, FreeModule(ring, [degs[i] for i in kept]), entries, check=False)
-    S._packed = (lay, [syz[i] for i in kept])
+    S._packed = [syz[i] for i in kept]
     return S

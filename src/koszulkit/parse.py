@@ -99,6 +99,11 @@ def _power_terms(base: Polynomial, e: int) -> int:
     return min(comb(e + t - 1, t - 1), comb(hi + nvars, nvars) - comb(lo - 1 + nvars, nvars))
 
 
+# the most pairs of terms a product in the input may multiply: a product of
+# two powers that each pass the bound above would still take seconds
+_MAX_PRODUCT_PAIRS = 10**5
+
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
 )
@@ -164,13 +169,20 @@ class _PolyParser:
             else:
                 return p
 
+    def times(self, p: Polynomial, pos: int) -> Polynomial:
+        """p times the next factor; pos is the operator's position."""
+        q = self.factor()
+        if len(p.terms) * len(q.terms) > _MAX_PRODUCT_PAIRS:
+            raise ParseError(f"a product of more than {_MAX_PRODUCT_PAIRS} pairs of terms", pos, self.text)
+        return p * q
+
     def term(self) -> Polynomial:
         p = self.factor()
         while True:
             kind, val, pos = self.peek()
             if kind == "op" and val == "*":
                 self.next()
-                p = p * self.factor()
+                p = self.times(p, pos)
             elif kind == "op" and val == "/":
                 self.next()
                 kind2, d, pos2 = self.next()
@@ -181,7 +193,7 @@ class _PolyParser:
                 p = p.scale(self.ring.field.coerce(Fraction(1, d)))
             elif kind in ("name", "num") or (kind == "op" and val == "("):
                 # implicit multiplication: 2x, x y, 3(x+y)
-                p = p * self.factor()
+                p = self.times(p, pos)
             else:
                 return p
 

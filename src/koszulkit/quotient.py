@@ -28,12 +28,12 @@ from itertools import groupby
 
 from . import linalg
 from .groebner import GroebnerError, Ideal, _fresh_name, cut_last_variable, minimal_quadric_generators, normal_form
+from .hilbert import hilbert_of_quotient
 from .modules import FreeModule, PolyMatrix, TaggedModule, syzygy_matrix
 from .ring import (
     DEGREVLEX,
     Deg,
     Mon,
-    MonomialOrder,
     Polynomial,
     RingContext,
     add_deg,
@@ -52,12 +52,11 @@ def _degrees_upto(ring: RingContext, bound: int) -> list[Deg]:
 class QuotientRing:
     """R = S/I with cached standard-monomial bases of its graded pieces."""
 
-    def __init__(self, I: Ideal, order: MonomialOrder = DEGREVLEX):
+    def __init__(self, I: Ideal):
         self.ideal = I
         self.ring = I.ring
         self.field = I.ring.field
-        self.order = order.for_ring(I.ring)
-        self.gb = I.gb(self.order) if not I.is_zero() else None
+        self.gb = I.gb() if not I.is_zero() else None
         self._lead = self.gb.initial_monomials() if self.gb else []
         self._std: dict[Deg, list[Mon]] = {}
         self._pos: dict[Deg, dict[Mon, int]] = {}
@@ -71,20 +70,13 @@ class QuotientRing:
                 m for m in self.ring.monomials(d)
                 if not any(all(x >= y for x, y in zip(m, g)) for g in self._lead)
             ]
-            basis.sort(key=self.order.key, reverse=True)
+            basis.sort(key=DEGREVLEX.for_ring(self.ring).key, reverse=True)
             self._std[d] = basis
             self._pos[d] = {m: i for i, m in enumerate(basis)}
         return self._std[d]
 
     def dim_piece(self, d: Deg) -> int:
         return len(self.std_basis(d))
-
-    def hilbert_coeffs(self, bound: int) -> list[int]:
-        """dim_k R_d for total degree d <= bound (bigraded pieces totalized)."""
-        out = [0] * (bound + 1)
-        for d in _degrees_upto(self.ring, bound):
-            out[total(d)] += self.dim_piece(d)
-        return out
 
     # -- normal forms and coordinates -------------------------------------
     def nf(self, f: Polynomial) -> Polynomial:
@@ -354,7 +346,7 @@ def resolve_over_quotient(
     Q: QuotientRing,
     target,
     hom_bound: int,
-    degree_bound: int | None = None,
+    degree_bound: int,
 ) -> TruncatedResolution:
     """Truncated minimal free resolution over R by degreewise linear algebra.
 
@@ -366,8 +358,6 @@ def resolve_over_quotient(
     kind, gens = target
     gens = [Q.nf(g) for g in gens]
     gens = [g for g in gens if g]
-    if degree_bound is None:
-        degree_bound = hom_bound + 1
     res = _Resolver(Q, degree_bound)
     ring = Q.ring
 
@@ -503,20 +493,15 @@ def _find_regular_linear_reduction(I: Ideal):
     return cur, used, None
 
 
-def is_koszul_up_to(
-    I: Ideal,
-    hom_bound: int,
-    *,
-    reduce_first: bool = True,
-) -> dict:
+def is_koszul_up_to(I: Ideal, hom_bound: int) -> dict:
     """Resolve the residue field over R = S/I up to hom_bound (internal
     degree truncated at hom_bound + 1); report the first nonlinear position
     if any.
 
     A 'linear-so-far' verdict is inconclusive beyond the bound; 'nonlinear-at'
-    certifies non-Koszulness.  When reduce_first is set, the ring is first cut
-    down by a regular sequence of linear forms (this preserves Koszulness and
-    the existence of a nonlinear position, though positions may shift).  The
+    certifies non-Koszulness.  The ring is first cut down by a regular
+    sequence of linear forms (this preserves Koszulness and the existence of
+    a nonlinear position, though positions may shift).  The
     search for those forms runs one Buchberger on I and one per candidate
     it tries after a zero-divisor last variable; a regular last variable
     costs none (the Bayer-Stillman criterion on the basis every cut ring
@@ -524,7 +509,7 @@ def is_koszul_up_to(
     socle element, and the resolver then reuses its QuotientRing.
     """
     reduced_by, Q = 0, None
-    if reduce_first and not I.is_zero():
+    if not I.is_zero():
         I, reduced_by, Q = _find_regular_linear_reduction(I)
     if Q is None:
         Q = QuotientRing(I)
@@ -545,18 +530,12 @@ def is_koszul_up_to(
     return out
 
 
-def froberg_consistency(Q_or_result, bound: int) -> dict:
+def froberg_consistency(res: TruncatedResolution, bound: int) -> dict:
     """Check coefficientwise that (sum_i beta_{i,i} t^i) * H_R(-t) = 1 to the
-    given bound.  Only meaningful after a linear-so-far verdict at the bound."""
-    if isinstance(Q_or_result, dict):
-        res = Q_or_result["resolution"]
-        if Q_or_result.get("verdict") != "linear-so-far":
-            return {"applicable": False, "holds": None, "note": "resolution not linear; check skipped"}
-    else:
-        res = Q_or_result
-    Q = res.quotient
+    given bound, for the resolution of the residue field over R.  Only
+    meaningful after a linear-so-far verdict at the bound."""
     diag = [res.betti_total(i, i) for i in range(bound + 1)]
-    h = Q.hilbert_coeffs(bound)
+    h = hilbert_of_quotient(res.quotient.ideal).series(bound)
     conv = []
     for d in range(bound + 1):
         s = 0
@@ -564,7 +543,7 @@ def froberg_consistency(Q_or_result, bound: int) -> dict:
             s += diag[i] * ((-1) ** (d - i)) * h[d - i]
         conv.append(s)
     holds = conv[0] == 1 and all(c == 0 for c in conv[1:])
-    return {"applicable": True, "holds": holds, "pairing": conv, "diagonal": diag}
+    return {"holds": holds, "pairing": conv, "diagonal": diag}
 
 
 # ---------------------------------------------------------------------------

@@ -183,7 +183,7 @@ def chk_koszul_verdicts(params, expect):
     bad = Ideal([P("b*x"), P("x*y"), P("a*x-b*y"), P("x^2-y^2")], Rb)
     r1 = is_koszul_up_to(bad, params["bound_bad"])
     r2 = is_koszul_up_to(_conca_ideal(), params["bound_example"])
-    fro = froberg_consistency(r2, params["bound_example"]) if r2["verdict"] == "linear-so-far" else {"holds": False}
+    fro = froberg_consistency(r2["resolution"], params["bound_example"]) if r2["verdict"] == "linear-so-far" else {"holds": False}
     got = {
         "bad_algebra": r1["verdict"],
         "example_ring": r2["verdict"],

@@ -9,7 +9,7 @@ from itertools import combinations
 from .groebner import GroebnerError, Ideal, intersect
 from .hilbert import hilbert_of_quotient, zp_add, zp_shift, zp_trim
 from .modules import FreeModule, PolyMatrix, TaggedModule, syzygy_matrix
-from .ring import DEGREVLEX, MonomialOrder, Polynomial, RingContext, RingError, total
+from .ring import Polynomial, RingContext, RingError, total
 
 
 class BettiTable:
@@ -193,12 +193,9 @@ def minimalize_complex(cx: FreeComplex) -> FreeComplex:
     return FreeComplex(mods, out_maps)
 
 
-def minimal_resolution(
-    I: Ideal,
-    max_steps: int | None = None,
-    order: MonomialOrder = DEGREVLEX,
-) -> tuple[FreeComplex, BettiTable]:
-    """Minimal graded free resolution of S/I with its Betti table."""
+def minimal_resolution(I: Ideal, max_steps: int | None = None) -> tuple[FreeComplex, BettiTable]:
+    """Minimal graded free resolution of S/I with its Betti table, from
+    degrevlex syzygies; the table does not depend on the order."""
     ring = I.ring
     if not I.is_homogeneous():
         raise GroebnerError("minimal resolutions need homogeneous input")
@@ -209,7 +206,7 @@ def minimal_resolution(
     maps = [PolyMatrix(F0, FreeModule(ring, [g.degree() for g in I.gens]), [list(I.gens)])]
     # each level starts from the packed columns the previous one kept
     for _ in range(ring.n + 1 if max_steps is None else max_steps):
-        S = syzygy_matrix(maps[-1], order)
+        S = syzygy_matrix(maps[-1])
         if S.ncols == 0:
             break
         maps.append(S)

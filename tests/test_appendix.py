@@ -33,11 +33,11 @@ class TestBasis:
         assert reference_basis_count((0, 4)) == 5
 
     def test_engine_agrees(self, inst32003):
-        out = check_basis(inst32003, 6)
+        out = check_basis(inst32003)
         assert out["ok"], out["failures"]
 
     def test_char2_basis(self, inst2):
-        assert check_basis(inst2, 5)["ok"]
+        assert check_basis(inst2)["ok"]
 
 
 class TestDifferentials:

@@ -4,7 +4,7 @@ sub-form dispatch, generalized zeros, and certificates."""
 import importlib
 import json
 import random
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -27,7 +27,7 @@ from koszulkit import (
     parse_poly,
     parse_ring,
 )
-from koszulkit import groebner
+from koszulkit import groebner, linalg
 from koszulkit.classify import (
     ClassificationError,
     _QuadricSpace,
@@ -39,7 +39,7 @@ from koszulkit.field import field_by_name
 from koszulkit.forms import FORMS, generate_ideal
 from koszulkit.groebner import GroebnerError, exact_div, intersect, minimal_quadric_generators
 from koszulkit.resolution import _det
-from koszulkit.ring import DEGREVLEX, RingContext
+from koszulkit.ring import DEGREVLEX, Polynomial, RingContext
 from koszulkit.zerodim import solve_system_points
 
 classify_module = importlib.import_module("koszulkit.classify")
@@ -386,7 +386,16 @@ def reference_common_factors(I):
         return list(found.values())
     aux = RingContext(K, [f"t{i}" for i in range(ring.n)])
     tvars = [aux.var(i) for i in range(ring.n)]
-    red_cols = [[qs._reduce(v) for v in qs.coords([x * xj for x in ring.gens()])] for xj in ring.gens()]
+    rows, pivots = linalg.rref(K, qs.coords(gens))
+
+    def reduce(v):
+        """The representative of v + I_2 that is zero on the pivot columns."""
+        for row, c in zip(rows, pivots):
+            if not K.is_zero(v[c]):
+                v = [K.sub(x, K.mul(v[c], y)) for x, y in zip(v, row)]
+        return v
+
+    red_cols = [[reduce(v) for v in qs.coords([x * xj for x in ring.gens()])] for xj in ring.gens()]
     mu = [
         [sum((tvars[i].scale(red_cols[j][i][c]) for i in range(ring.n)), aux.zero()) for j in range(ring.n)]
         for c in range(len(qs.mons))
@@ -409,6 +418,30 @@ def reference_common_factors(I):
 
 
 COMMON_FACTOR_FIELDS = ["F2", "F3", "F7", "F32003", "QQ"]
+
+
+@pytest.mark.parametrize("name", ["F2", "F3"])
+def test_cofactor_space_spans_every_cofactor(name):
+    """Over a small field every linear form can be tried: the span of
+    cofactor_space(qs, f) is exactly {ell : f * ell in I}, by ideal
+    membership, and its forms are independent."""
+    K = field_by_name(name)
+    p = K.p
+    tried = 0
+    for case in ("2i-a", "2i-b", "2ii", "2iv-d"):
+        g = generate_ideal(case, K, 0)
+        I, ring = g["ideal"], g["ideal"].ring
+        qs = _QuadricSpace(ring, minimal_quadric_generators(I))
+        linear = [w for w in g["witnesses"].values() if isinstance(w, Polynomial) and w.total_degree() == 1]
+        for f in ring.gens() + linear:
+            cof = ring.coefficients(cofactor_space(qs, f), ring.linear_monomials)
+            span = {tuple(sum(c * v[j] for c, v in zip(cs, cof)) % p for j in range(ring.n))
+                    for cs in product(range(p), repeat=len(cof))}
+            assert len(span) == p ** len(cof), (case, str(f))
+            want = {v for v in product(range(p), repeat=ring.n) if I.contains(f * ring.linear_form(list(v)))}
+            assert span == want, (case, str(f))
+            tried += len(cof) >= 2
+    assert tried
 
 
 def _random_linear(R, rng):

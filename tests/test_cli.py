@@ -153,6 +153,8 @@ def test_zero_maxdeg_is_accepted(capsys, ideal_file):
     ("ring F7 [x:(1,0),y:(0,0)]", "x^2"),
     ("ring F7 [x,y]", "(x+y)^40000"),
     ("ring F7 [x,y,z]", "(x+y+z)^44"),
+    ("ring F32003 [x,y,z]", "(x+y+z)^43*(x+y+z)^43"),
+    ("ring F32003 [x,y,z]", "(x+y+z)^43*(x+y+z)^43*(x+y+z)^43"),
 ])
 def test_malformed_text_is_a_parse_error(capsys, decl, gens):
     with pytest.raises(ParseError):
@@ -173,6 +175,21 @@ def test_a_power_past_the_term_bound_is_refused_before_it_is_expanded(capsys):
     assert len(parse_poly(R, "(x+y)^3").terms) == 4
     assert len(parse_poly(R, "(x+y+z)^43").terms) == 990
     assert parse_poly(R, "x^20000").terms == {(20000, 0, 0): 1}
+
+
+def test_a_product_past_the_pair_bound_is_refused_before_it_is_multiplied(capsys):
+    """Two factors of 990 terms each pass the power bound, but their product
+    multiplies 980100 pairs of terms, past the bound of 10^5: refused at the
+    first operator, explicit or implicit (multiplying ran for seconds, and
+    every further factor multiplied the cost).  A product of 99990 pairs
+    still parses."""
+    for gens in ("(x+y+z)^43*(x+y+z)^43", "(x+y+z)^43 (x+y+z)^43*(x+y+z)^43"):
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "hilbert", "--ring", "ring F32003 [x,y,z]", "--gens", gens)
+        assert code == 2 and "more than 100000 pairs of terms at line 1, column 11" in err
+        assert time.perf_counter() - start < 1
+    R = parse_ring("ring F32003 [x,y,z]")
+    assert len(parse_poly(R, "(x+y+z)^43*(x+y)^100").terms) == 5390
 
 
 @pytest.mark.parametrize("command", ["gb", "hilbert", "res"])
@@ -215,6 +232,9 @@ OUT_OF_SCOPE_COMMANDS = {
     "huge-power-of-a-sum": ("hilbert", *F7_XY, "--gens", "(x+y)^40000"),
     "power-of-a-sum-past-the-term-bound": ("hilbert", "--ring", "ring F32003 [x,y]", "--gens", "(x+y)^16000"),
     "huge-power": ("hilbert", *F7_XY, "--gens", "x^40000"),
+    "product-past-the-pair-bound": ("hilbert", "--ring", "ring F32003 [x,y,z]", "--gens", "(x+y+z)^43*(x+y+z)^43"),
+    "three-factor-product": ("hilbert", "--ring", "ring F32003 [x,y,z]", "--gens",
+                             "(x+y+z)^43*(x+y+z)^43*(x+y+z)^43"),
     "ring-F4": ("hilbert", "--ring", "ring F4 [x,y,z]", "--gens", "x^2"),
     "zero-denominator": ("hilbert", "--ring", "ring QQ [x,y,z]", "--gens", "1/0*x*z"),
     "gen-F15": ("gen", "--form", "2ii", "--field", "F15"),
