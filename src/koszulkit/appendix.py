@@ -3,19 +3,26 @@ R = k[x,y,a,b]/(bx, xy, ax-by, x^2-y^2): the bihomogeneous basis counts, the
 four stored differential matrices of the minimal resolution of the ideal
 (a, b), and the characteristic-dependent quadratic syzygy that obstructs
 Koszulness (homological degree 4 and total degree 6 in characteristic two,
-homological degree 5 and total degree 7 otherwise)."""
+homological degree 5 and total degree 7 otherwise).
+
+Each instance resolves (a, b) over R once (AppendixInstance.resolution),
+through total degree 7: verify_differentials compares its levels 0-4 with
+the stored differentials and find_obstruction reads its first nonlinear
+position.  The stored matrices are checked with the module engines:
+PolyMatrix.compose for products and TaggedModule for span membership."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 from .field import Field, field_by_name
 from .groebner import Ideal
-from .modules import FreeModule, PolyMatrix
+from .modules import FreeModule, PolyMatrix, TaggedModule
 from .parse import parse_poly
-from .quotient import QuotientRing, resolve_over_quotient
-from .ring import Deg, Polynomial, RingContext, total
+from .quotient import QuotientRing, TruncatedResolution, resolve_over_quotient
+from .ring import Deg, Polynomial, RingContext, add_deg, total
 
 
 @dataclass
@@ -26,6 +33,14 @@ class AppendixInstance:
     quotient: QuotientRing
     module_gens: list[Polynomial]
     differentials: list[PolyMatrix]
+
+    @cached_property
+    def resolution(self) -> TruncatedResolution:
+        """The minimal resolution of (a, b) over R to the obstruction's
+        homological degree (4 in characteristic two, 5 otherwise), through
+        total degree 7, the larger of the two obstruction degrees."""
+        bound = 4 if self.field.char == 2 else 5
+        return resolve_over_quotient(self.quotient, ("module", self.module_gens), bound, 7)
 
 
 _STAGE_TWISTS = [
@@ -138,34 +153,34 @@ def check_basis(inst: AppendixInstance) -> dict:
     return {"ok": not failures, "failures": failures, "bidegrees_checked": checked}
 
 
+def _nonzero_entry(Q: QuotientRing, M: PolyMatrix) -> tuple[int, int] | None:
+    """The first entry (row, column) of M that is nonzero in R, scanning by
+    rows; None when M vanishes in R."""
+    for r, row in enumerate(M.entries):
+        for c, f in enumerate(row):
+            if f and Q.nf(f):
+                return r, c
+    return None
+
+
 def verify_differentials(inst: AppendixInstance) -> dict:
     """Products of consecutive stored differentials vanish in R, column
     counts are (3, 6, 11, 20), entries have no constant terms, and the
-    per-bidegree generator counts agree with the engine's resolution."""
-    Q = inst.quotient
+    per-bidegree generator counts agree with levels 0-4 of the engine's
+    resolution."""
     ring = inst.ring
     report: dict = {"ok": True, "products": [], "column_counts": [], "minimal": True}
-
-    def nf_matrix_zero(M: PolyMatrix) -> tuple[bool, tuple | None]:
-        for r in range(M.nrows):
-            for c in range(M.ncols):
-                f = M.entries[r][c]
-                if f and Q.nf(f):
-                    return False, (r, c)
-        return True, None
-
     # the augmentation: (a, b) composed with the first differential
     aug = PolyMatrix(
         FreeModule(ring, [ring.zero_deg]),
-        FreeModule(ring, _STAGE_TWISTS[0]),
-        [[inst.module_gens[0], inst.module_gens[1]]],
+        inst.differentials[0].target,
+        [inst.module_gens],
     )
     chain = [aug] + inst.differentials
     for i in range(len(chain) - 1):
-        prod = chain[i].compose(chain[i + 1])
-        ok, where = nf_matrix_zero(prod)
-        report["products"].append({"index": i + 1, "zero": ok, "failure_at": where})
-        report["ok"] = report["ok"] and ok
+        where = _nonzero_entry(inst.quotient, chain[i].compose(chain[i + 1]))
+        report["products"].append({"index": i + 1, "zero": where is None, "failure_at": where})
+        report["ok"] = report["ok"] and where is None
     report["column_counts"] = [d.ncols for d in inst.differentials]
     if report["column_counts"] != [3, 6, 11, 20]:
         report["ok"] = False
@@ -177,9 +192,8 @@ def verify_differentials(inst: AppendixInstance) -> dict:
                     report["minimal"] = False
                     report["ok"] = False
     # engine comparison: per-bidegree generator counts
-    res = resolve_over_quotient(Q, ("module", inst.module_gens), 4, 7)
     engine_counts = [
-        {tuple(d): degs.count(d) for d in set(degs)} for degs in res.gen_degrees
+        {tuple(d): degs.count(d) for d in set(degs)} for degs in inst.resolution.gen_degrees[:5]
     ]
     golden_counts = [
         {d: tw.count(d) for d in set(tw)} for tw in _STAGE_TWISTS
@@ -200,62 +214,38 @@ def verify_differentials(inst: AppendixInstance) -> dict:
 
 
 def _char2_extra_syzygy(inst: AppendixInstance) -> dict:
-    """In characteristic two the vector with x^2 in the eighth coordinate is
-    a syzygy of the third differential lying outside the span of the stored
-    fourth differential's columns in bidegree (4, 2)."""
-    Q = inst.quotient
+    """In characteristic two the vector s with x^2 in the eighth coordinate
+    is a syzygy of the third differential lying outside the span of the
+    stored fourth differential's columns in bidegree (4, 2).  The span is
+    taken over R, so s lies in it exactly when s is in im(d4) + I*F3 over
+    S, the span of the columns of d4 and of g*e_k for the generators g of
+    I, which TaggedModule decides.  In other characteristics s is a syzygy
+    inside that span."""
     ring = inst.ring
-    K = inst.field
     d3, d4 = inst.differentials[2], inst.differentials[3]
-    x2 = ring.var(0) * ring.var(0)
-    s_entries = [ring.zero()] * 11
-    s_entries[7] = x2
-    # check d3 . s = 0 in R
-    image_ok = True
-    for r in range(d3.nrows):
-        acc = ring.zero()
-        for c in range(11):
-            if s_entries[c]:
-                acc = acc + d3.entries[r][c] * s_entries[c]
-        if Q.nf(acc):
-            image_ok = False
-    # coordinates of the (4,2)-piece of the stage-3 source module
-    target_deg = (4, 2)
-    twists = _STAGE_TWISTS[3]
-
-    def coords_of(entries) -> list:
-        vec: list = []
-        for c, tw in enumerate(twists):
-            piece = tuple(a - b for a, b in zip(target_deg, tw))
-            if any(t < 0 for t in piece):
-                continue
-            vec.extend(Q.coords(entries[c], piece))
-        return vec
-
-    displayed = []
-    for c in range(d4.ncols):
-        col_deg = d4.source.twists[c]
-        mult_deg = tuple(a - b for a, b in zip(target_deg, col_deg))
-        if any(t < 0 for t in mult_deg):
-            continue
-        for m in Q.std_basis(mult_deg):
-            scaled = [
-                d4.entries[r][c].mul_term(m, K.one()) if d4.entries[r][c] else ring.zero()
-                for r in range(11)
-            ]
-            displayed.append(coords_of(scaled))
-    outside = not linalg.in_row_space(K, displayed, coords_of(s_entries))
-    return {"is_syzygy": image_ok, "outside_displayed_span": outside, "confirmed": image_ok and outside}
+    F3, zero = d4.target, ring.zero()
+    x = ring.var(0)
+    s = PolyMatrix(F3, FreeModule(ring, [(4, 2)]), [[x * x if r == 7 else zero] for r in range(F3.rank)])
+    is_syzygy = _nonzero_entry(inst.quotient, d3.compose(s)) is None
+    gens = inst.ideal.gens
+    # the columns of d4, then g*e_k for each coordinate k and generator g
+    span = PolyMatrix(
+        F3,
+        d4.source.concat(FreeModule(ring, [add_deg(t, g.degree()) for t in F3.twists for g in gens])),
+        [row + [g if k == r else zero for k in range(F3.rank) for g in gens] for r, row in enumerate(d4.entries)],
+    )
+    outside = not TaggedModule(span).contains(s)
+    return {"is_syzygy": is_syzygy, "outside_displayed_span": outside, "confirmed": is_syzygy and outside}
 
 
 def find_obstruction(inst: AppendixInstance) -> dict:
     """First non-linear minimal generator position of the resolution of the
-    ideal (a, b) over R, resolved to homological degree 4 in characteristic
-    2 and 5 otherwise; the generators of the ideal sit at homological degree
-    zero with total degree one."""
-    char2 = inst.field.char == 2
-    bound = 4 if char2 else 5
-    res = resolve_over_quotient(inst.quotient, ("module", inst.module_gens), bound, bound + 2)
+    ideal (a, b) over R: the instance's one resolution, to homological
+    degree 4 in characteristic 2 and 5 otherwise, through total degree 7.
+    The generators of the ideal sit at homological degree zero with total
+    degree one."""
+    bound = 4 if inst.field.char == 2 else 5
+    res = inst.resolution
     pos = res.first_nonlinear(offset=1)
     if pos is None:
         return {"found": False, "bound": bound, "ranks": res.ranks()}
@@ -265,7 +255,7 @@ def find_obstruction(inst: AppendixInstance) -> dict:
         "bidegree": list(pos[1]),
         "total_degree": total(pos[1]),
         "ranks": res.ranks(),
-        "expected": {"hom_degree": 4 if char2 else 5, "total_degree": 6 if char2 else 7},
+        "expected": {"hom_degree": bound, "total_degree": bound + 2},
     }
 
 

@@ -656,17 +656,26 @@ def _first_common_factor(quadrics: list[Polynomial]) -> Polynomial | None:
     return next((x for x in factors if x is not None), None)
 
 
+def _zero_row_combinations(gens: list[Polynomial], M: PolyMatrix) -> list[Polynomial] | None:
+    """The nonzero combinations of gens by a basis of the kernel of u, the
+    generalized zero row of their linear syzygy matrix M; None when M has no
+    such row."""
+    u = generalized_zero_row(M)
+    if u is None:
+        return None
+    ring = M.ring
+    ker = linalg.kernel(ring.field, [u], len(gens))
+    jgens = [sum((gens[i].scale(v[i]) for i in range(len(gens))), ring.zero()) for v in ker]
+    return [g for g in jgens if g]
+
+
 def _extract_table_ii(I: Ideal):
     ring = I.ring
     gens = minimal_quadric_generators(I)
     qs = _QuadricSpace(ring, gens)
-    M = linear_syzygy_matrix(I)
-    u = generalized_zero_row(M)
-    if u is None:
+    jgens = _zero_row_combinations(gens, linear_syzygy_matrix(I))
+    if jgens is None:
         return None
-    ker = linalg.kernel(ring.field, [u], len(gens))
-    jgens = [sum((gens[i].scale(v[i]) for i in range(len(gens))), ring.zero()) for v in ker]
-    jgens = [g for g in jgens if g]
     x = _first_common_factor(jgens)
     if x is None:
         return None
@@ -691,7 +700,6 @@ def _extract_ht1(I: Ideal):
 def _extract_ht3(I: Ideal):
     """Returns (case, witnesses) for the height-three structure cases."""
     ring = I.ring
-    K = ring.field
     gens = minimal_quadric_generators(I)
     qs = _QuadricSpace(ring, gens)
     M = linear_syzygy_matrix(I)
@@ -710,15 +718,9 @@ def _extract_ht3(I: Ideal):
             return "ht3-i", w
         return None, None
     if M.ncols == 2:
-        u = generalized_zero_row(M)
-        if u is None:
-            return None, None
-        ker = linalg.kernel(K, [u], len(gens))
         # generator basis: three carrying the syzygies + one distinguished
-        jcoef = ker
-        jgens = [sum((gens[i].scale(v[i]) for i in range(len(gens))), ring.zero()) for v in jcoef]
-        jgens = [g for g in jgens if g]
-        if len(jgens) != 3:
+        jgens = _zero_row_combinations(gens, M)
+        if jgens is None or len(jgens) != 3:
             return None, None
         # the two linear syzygies among the j-generators give the 3x2 matrix
         Jideal = Ideal(jgens, ring)

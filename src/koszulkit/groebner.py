@@ -475,36 +475,26 @@ def is_subideal(I: Ideal, J: Ideal) -> bool:
 
 
 def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Quotient f/g when g divides f exactly; raises otherwise."""
+    """Quotient f/g when g divides f exactly; raises otherwise.
+
+    f is reduced by the one reducer g, tagged with the term lead - flag + 1
+    (its lead monomial in the tag component 1), so each multiple q*g taken
+    off leaves -q*lead in the tag part: the tag part of the normal form is
+    minus the quotient times the lead, and the free part is the remainder."""
     if not g:
         raise GroebnerError("division by the zero polynomial")
     if not f:
         return f.ring.zero()
     lay = DEGREVLEX.for_ring(f.ring).layout
     K = f.ring.field
-    divisor = lay.pack_terms(g.terms)
+    divisor = lay.pack_terms(g.terms, lay.flag)
     lead = lead_term(divisor, lay)
-    lcg = divisor[lead]
-    work = lay.pack_terms(f.terms)
-    quot: dict = {}
-    while work:
-        P = lead_term(work, lay)
-        c = work.pop(P)
-        if not lay.divides(lead, P):
-            raise GroebnerError("inexact polynomial division")
-        q = P - lead
-        coef = K.div(c, lcg)
-        quot[q] = coef
-        for T, tc in divisor.items():
-            mm = q + T
-            if mm == P:
-                continue
-            s = K.sub(work.get(mm, K.zero()), K.mul(coef, tc))
-            if K.is_zero(s):
-                work.pop(mm, None)
-            else:
-                work[mm] = s
-    return Polynomial(f.ring, lay.unpack_terms(quot))
+    tag = lead - lay.flag + 1
+    reducer = (lead, divisor[lead], {**divisor, tag: K.one()})
+    rem = reduce_terms(lay.pack_terms(f.terms, lay.flag), [[reducer]], lay, K)
+    if any(P & lay.flag for P in rem):
+        raise GroebnerError("inexact polynomial division")
+    return Polynomial(f.ring, {lay.unpack(P - tag): K.neg(c) for P, c in rem.items()})
 
 
 def _fresh_name(ring: RingContext, stem: str) -> str:

@@ -37,13 +37,15 @@ from .resolution import (
 from .ring import MonomialOrder
 
 
-def _betti_json(B) -> dict:
-    return B.to_json()
-
-
 def _conca_ideal():
     R = parse_ring("ring F32003 [x,y,z,w]")
     gens = [parse_poly(R, s) for s in ["x*y", "x*w", "(x-y)*z", "z^2", "x^2+z*w"]]
+    return Ideal(gens, R)
+
+
+def _bad_algebra():
+    R = parse_ring("ring F32003 [x,y,a,b]")
+    gens = [parse_poly(R, s) for s in ["b*x", "x*y", "a*x-b*y", "x^2-y^2"]]
     return Ideal(gens, R)
 
 
@@ -62,7 +64,7 @@ def chk_betti_tables(params, expect):
         for seed in params["seeds"]:
             g = generate_ideal(form, field, seed)
             _, B = minimal_resolution(g["ideal"])
-            got_tab = _betti_json(B)
+            got_tab = B.to_json()
             if got_tab != expect[form]:
                 ok = False
                 got[f"{form}:{seed}"] = got_tab
@@ -71,7 +73,7 @@ def chk_betti_tables(params, expect):
 
 def chk_conca_betti(params, expect):
     _, B = minimal_resolution(_conca_ideal())
-    got = _betti_json(B)
+    got = B.to_json()
     return got == expect, got
 
 
@@ -178,10 +180,7 @@ def chk_bad_algebra(params, expect):
 
 
 def chk_koszul_verdicts(params, expect):
-    Rb = parse_ring("ring F32003 [x,y,a,b]")
-    P = lambda s: parse_poly(Rb, s)
-    bad = Ideal([P("b*x"), P("x*y"), P("a*x-b*y"), P("x^2-y^2")], Rb)
-    r1 = is_koszul_up_to(bad, params["bound_bad"])
+    r1 = is_koszul_up_to(_bad_algebra(), params["bound_bad"])
     r2 = is_koszul_up_to(_conca_ideal(), params["bound_example"])
     fro = froberg_consistency(r2["resolution"], params["bound_example"]) if r2["verdict"] == "linear-so-far" else {"holds": False}
     got = {
@@ -258,10 +257,7 @@ def chk_mapping_cone(params, expect):
 
 
 def chk_classify_bad(params, expect):
-    Rb = parse_ring("ring F32003 [x,y,a,b]")
-    P = lambda s: parse_poly(Rb, s)
-    I = Ideal([P("b*x"), P("x*y"), P("a*x-b*y"), P("x^2-y^2")], Rb)
-    rep = classify(I)
+    rep = classify(_bad_algebra())
     pos = (rep.certificate or {}).get("bad_algebra", {}).get("nonlinear_position", {})
     got = {
         "matched_case": rep.matched_case,

@@ -403,7 +403,7 @@ def ann_ext(I: Ideal, i: int, resolution: FreeComplex | None = None) -> Ideal:
     """Annihilator of Ext^i_S(S/I, S), computed from a minimal free resolution."""
     ring = I.ring
     if resolution is None:
-        resolution, _ = minimal_resolution(I, max_steps=max(i + 1, ring.n + 1))
+        resolution, _ = minimal_resolution(I)
     cx = resolution
     if i < 0 or i > cx.length:
         if i > ring.n:

@@ -3,8 +3,10 @@ characteristic-dependent obstruction."""
 
 import pytest
 
-from koszulkit import GF, QQ
+from koszulkit import GF, QQ, appendix
 from koszulkit.appendix import (
+    CHARACTERISTIC_BATTERY,
+    _char2_extra_syzygy,
     check_basis,
     find_obstruction,
     make_instance,
@@ -13,6 +15,9 @@ from koszulkit.appendix import (
     run_characteristic,
     verify_differentials,
 )
+from koszulkit.field import field_by_name
+from koszulkit.modules import PolyMatrix
+from koszulkit.parse import parse_poly
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +60,23 @@ class TestDifferentials:
         extra = out["char2_quadratic_syzygy"]
         assert extra["is_syzygy"] and extra["outside_displayed_span"]
 
+    @pytest.mark.parametrize("field_name", ["F3", "F7", "F32003", "QQ"])
+    def test_extra_syzygy_lies_in_the_stored_span_off_characteristic_two(self, field_name):
+        out = _char2_extra_syzygy(make_instance(field_by_name(field_name)))
+        assert out == {"is_syzygy": True, "outside_displayed_span": False, "confirmed": False}
+
+    def test_a_wrong_entry_is_located(self):
+        inst = make_instance(GF(32003))
+        d2 = inst.differentials[1]
+        entries = [list(row) for row in d2.entries]
+        entries[0][0] = parse_poly(inst.ring, "x")  # was y
+        inst.differentials[1] = PolyMatrix(d2.target, d2.source, entries)
+        out = verify_differentials(inst)
+        assert not out["ok"]
+        assert [p["zero"] for p in out["products"]] == [True, False, False, True]
+        # d1 * d2 reads x^2 at (0, 0) where it read xy, and x^2 is nonzero in R
+        assert out["products"][1]["failure_at"] == (0, 0)
+
     def test_entries_use_doubled_coefficients(self, inst32003):
         d4 = inst32003.differentials[3]
         K = inst32003.field
@@ -83,6 +105,22 @@ class TestObstruction:
         obs = out["obstruction"]
         assert out["ok"]
         assert (obs["hom_degree"], obs["total_degree"]) == expected
+
+
+@pytest.mark.parametrize("field_name", CHARACTERISTIC_BATTERY)
+def test_one_resolution_per_field(monkeypatch, field_name):
+    """The differential check and the obstruction search share one
+    resolution of (a, b) over R."""
+    calls = []
+    real = appendix.resolve_over_quotient
+
+    def spy(*args):
+        calls.append(args[2:])
+        return real(*args)
+
+    monkeypatch.setattr(appendix, "resolve_over_quotient", spy)
+    assert run_characteristic(field_name)["ok"]
+    assert calls == [(4 if field_name == "F2" else 5, 7)]
 
 
 def test_full_battery():

@@ -6,8 +6,9 @@ terms, no function, class or method goes unreferenced, no module-level
 constant or instance attribute goes unread, no function
 takes a parameter it never reads, every defaulted parameter is passed
 by some library or benchmark call, only ModuleGB manages S-pairs, classify calls no
-elimination-order construction, and every span the benchmark traces
-names a library function or method."""
+elimination-order construction, appendix resolves the bad algebra's module
+in one place, and every span the benchmark traces names a library function
+or method."""
 
 import ast
 import importlib
@@ -108,6 +109,29 @@ def test_classify_calls_no_elimination():
             if name in ELIMINATIONS:
                 found.append(f"classify.py:{node.lineno}: {name}")
     assert not found, "eliminations in classify:\n" + "\n".join(found)
+
+
+def test_appendix_resolves_in_one_place():
+    """The bad algebra's module is resolved only by the cached
+    AppendixInstance.resolution, which the differential check and the
+    obstruction search share, so a second resolution per field cannot come
+    back."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "resolve_over_quotient":
+                found.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    path = SRC / "appendix.py"
+    visit(ast.parse(path.read_text(), filename=str(path)), ())
+    assert found == ["AppendixInstance.resolution"], found
 
 
 PACKED_NAMES = {
