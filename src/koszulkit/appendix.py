@@ -5,16 +5,18 @@ four stored differential matrices of the minimal resolution of the ideal
 Koszulness (homological degree 4 and total degree 6 in characteristic two,
 homological degree 5 and total degree 7 otherwise).
 
-Each instance resolves (a, b) over R once (AppendixInstance.resolution),
-through total degree 7: verify_differentials compares its levels 0-4 with
-the stored differentials and find_obstruction reads its first nonlinear
-position.  The stored matrices are checked with the module engines:
-PolyMatrix.compose for products and TaggedModule for span membership."""
+make_instance keeps one instance per field and process, and each resolves
+(a, b) over R once (AppendixInstance.resolution), through total degree 7:
+verify_differentials compares its levels 0-4 with the stored differentials
+and find_obstruction reads its first nonlinear position, for the battery
+and for classify's 2iv-(c) certificate alike.  The stored matrices are
+checked with the module engines: PolyMatrix.compose for products and
+TaggedModule for span membership."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import linalg
 from .field import Field, field_by_name
@@ -86,7 +88,10 @@ _D4 = [
 CHARACTERISTIC_BATTERY = ("F2", "F3", "F7", "F32003", "QQ")
 
 
+@cache
 def make_instance(field: Field) -> AppendixInstance:
+    """The instance over `field`, one per field and process, so the battery
+    and classify's 2iv-(c) certificate share its resolution."""
     ring = RingContext(field, ["x", "y", "a", "b"], [(1, 0), (1, 0), (0, 1), (0, 1)])
     x, y, a, b = (ring.var(i) for i in range(4))
     I = Ideal([b * x, x * y, a * x - b * y, x * x - y * y], ring)

@@ -13,8 +13,16 @@ class FieldError(ArithmeticError):
     """Division by zero, or a value that does not coerce into the field."""
 
 
-def _is_probable_prime(n: int) -> bool:
-    # deterministic Miller-Rabin for n < 3.3e24
+# psi_12, the least strong pseudoprime to the twelve prime bases 2 .. 37
+# (Sorenson and Webster, Math. Comp. 86, 2017): below it, Miller-Rabin on
+# those bases proves primality
+_PRIME_BOUND = 318665857834031151167461
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < _PRIME_BOUND."""
+    if n >= _PRIME_BOUND:
+        raise FieldError(f"{n} is not below {_PRIME_BOUND}, the bound of the primality test")
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -94,7 +102,7 @@ class PrimeField(Field):
     """F_p for a machine-word prime p; residues stored in [0, p)."""
 
     def __init__(self, p: int):
-        if not _is_probable_prime(p):
+        if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
         self.p = p
         self.char = p

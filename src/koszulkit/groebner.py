@@ -8,6 +8,9 @@ criteria.  A polynomial is the one-component, tagless case of a module
 element, so buchberger is a ModuleGB over one free component followed by
 the reduction to the canonical basis (_reduce_final); modules.py builds its
 tagged constructions on the same ModuleGB.
+
+Ideal arithmetic on homogeneous ideals runs on them too: intersect reads
+I cap J off syzygies, and colon is one module colon (modules.submodule_colon).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .ring import (
     RingContext,
     RingError,
     elimination_order,
+    sub_deg,
 )
 
 
@@ -497,48 +501,26 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial(f.ring, {lay.unpack(P - tag): K.neg(c) for P, c in rem.items()})
 
 
-def _fresh_name(ring: RingContext, stem: str) -> str:
-    name = stem
-    i = 0
-    while name in ring.names:
-        name = f"{stem}{i}"
-        i += 1
-    return name
-
-
-def _to_extended(ring_ext: RingContext, f: Polynomial) -> Polynomial:
-    """f in the ring with one auxiliary variable appended."""
-    return Polynomial(ring_ext, {m + (0,): c for m, c in f.terms.items()})
-
-
-def _from_extended(ring: RingContext, f: Polynomial) -> Polynomial:
-    out = {}
-    for m, c in f.terms.items():
-        if any(m[ring.n:]):
-            raise GroebnerError("auxiliary variable left in an eliminated polynomial")
-        out[m[: ring.n]] = c
-    return Polynomial(ring, out)
+def _need_homogeneous(*ideals: Ideal):
+    if not all(I.is_homogeneous() for I in ideals):
+        raise GroebnerError("ideal arithmetic needs homogeneous input")
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I cap J via the auxiliary-variable elimination construction."""
+    """I cap J: the sums a_1*f_1 + ... + a_s*f_s over the minimal syzygies
+    (a, b) of the row [f_1 .. f_s | g_1 .. g_t] of the generators of I and J."""
+    from . import modules  # modules imports the engine from this module
+
+    _need_homogeneous(I, J)
     ring = I.ring
     if I.is_zero() or J.is_zero():
         return Ideal([], ring)
-    t_name = _fresh_name(ring, "t_")
-    ext = ring.extend([t_name], [ring.weights[0]]) if ring.bigraded else ring.extend([t_name])
-    t = ext.var(ext.n - 1)
-    gens = [t * _to_extended(ext, f) for f in I.gens]
-    one_minus_t = ext.one() - t
-    gens += [one_minus_t * _to_extended(ext, g) for g in J.gens]
-    order = elimination_order(ext, [ext.n - 1])
-    gb = buchberger(gens, order)
-    out = [
-        _from_extended(ring, g)
-        for g in gb.elements
-        if all(m[ext.n - 1] == 0 for m in g.terms)
-    ]
-    return Ideal(out, ring)
+    gens = I.gens + J.gens
+    row = modules.PolyMatrix(
+        modules.FreeModule(ring, [ring.zero_deg]), modules.FreeModule(ring, [g.degree() for g in gens]), [gens])
+    S = modules.syzygy_matrix(row)
+    meet = [sum((a[c] * f for a, f in zip(S.entries, I.gens)), ring.zero()) for c in range(S.ncols)]
+    return Ideal(meet, ring)
 
 
 def eliminate(I: Ideal, front_vars) -> Ideal:
@@ -553,31 +535,35 @@ def eliminate(I: Ideal, front_vars) -> Ideal:
     return Ideal(out, ring)
 
 
-def colon_poly(I: Ideal, f: Polynomial) -> Ideal:
-    """(I : f) for a single nonzero polynomial f."""
-    if not f:
-        raise GroebnerError("colon by zero")
-    meet = intersect(I, Ideal([f], I.ring))
-    return Ideal([exact_div(g, f) for g in meet.gens], I.ring)
-
-
 def colon(I: Ideal, J: Ideal | Polynomial) -> Ideal:
-    """(I : J) = {f : f*J in I}."""
+    """(I : J) = {a : a*J in I}, one module colon (modules.submodule_colon):
+    the a with a*k in the span of the other columns of W = [k | B], where k
+    is the column of the generators g_1 .. g_m of J and row r of B holds the
+    generators of I in the r-th of m blocks of columns, so that a*g_r lies
+    in I for every r."""
+    from . import modules  # modules imports the engine from this module
+
     if isinstance(J, Polynomial):
-        return colon_poly(I, J)
+        if not J:
+            raise GroebnerError("colon by zero")
+        J = Ideal([J], I.ring)
     if J.is_zero():
         raise GroebnerError("colon by the zero ideal")
-    out = None
-    for g in J.gens:
-        part = colon_poly(I, g)
-        out = part if out is None else intersect(out, part)
-    return out
+    _need_homogeneous(I, J)
+    ring, zero = I.ring, I.ring.zero()
+    s = len(I.gens)
+    rows = [[g] + [zero] * (r * s) + I.gens + [zero] * ((len(J.gens) - r - 1) * s) for r, g in enumerate(J.gens)]
+    target = modules.FreeModule(ring, [sub_deg(ring.zero_deg, g.degree()) for g in J.gens])
+    source = modules.FreeModule(
+        ring, [ring.zero_deg] + [sub_deg(f.degree(), g.degree()) for g in J.gens for f in I.gens])
+    return modules.submodule_colon(modules.PolyMatrix(target, source, rows))
 
 
 def saturate(I: Ideal, J: Ideal) -> Ideal:
     """Stable limit of I : J^k."""
     if J.is_zero():
         raise GroebnerError("saturation by the zero ideal")
+    _need_homogeneous(I, J)
     if any(g.is_constant() and g for g in J.gens):
         return I
     cur = I

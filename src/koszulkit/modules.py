@@ -15,11 +15,13 @@ elements inside as dicts {int: coeff} (see groebner.ModuleOrder):
 PolyMatrix.packed_columns packs a matrix once, and groebner's one reduction
 loop reduces them.  syzygy_matrix keeps its columns packed from one call to
 the next and unpacks them once, into the matrix it returns.
+submodule_colon, the first entries of the syzygies of [k | B], is the one
+colon: groebner.colon and resolution.ann_ext both call it.
 """
 
 from __future__ import annotations
 
-from .groebner import ModuleGB, ModuleOrder, lead_term, reduce_terms
+from .groebner import Ideal, ModuleGB, ModuleOrder, lead_term, reduce_terms
 from .ring import (
     DEGREVLEX,
     FIELD_BITS,
@@ -314,3 +316,15 @@ def syzygy_matrix(M: PolyMatrix) -> PolyMatrix:
     S = PolyMatrix(M.source, FreeModule(ring, [degs[i] for i in kept]), entries, check=False)
     S._packed = [syz[i] for i in kept]
     return S
+
+
+def submodule_colon(W: PolyMatrix) -> Ideal:
+    """The ideal of a with a*k in the span of the other columns of
+    W = [k | B]: the first entries of the syzygies of W (Greuel and Pfister,
+    A Singular Introduction to Commutative Algebra, 2.8).  The unit ideal
+    when k is zero."""
+    ring = W.ring
+    if not any(row[0] for row in W.entries):
+        return Ideal([ring.one()], ring)
+    S = syzygy_matrix(W)
+    return Ideal(S.entries[0], ring)

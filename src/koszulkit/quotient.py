@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 
 from . import linalg
-from .groebner import GroebnerError, Ideal, _fresh_name, cut_last_variable, minimal_quadric_generators, normal_form
+from .groebner import GroebnerError, Ideal, cut_last_variable, minimal_quadric_generators, normal_form
 from .hilbert import hilbert_of_quotient
 from .modules import FreeModule, PolyMatrix, TaggedModule, syzygy_matrix
 from .ring import (
@@ -435,7 +435,8 @@ def _cut_by_form(I: Ideal, coeffs) -> Ideal | None:
     names = [nm for i, nm in enumerate(ring.names) if i != piv]
     small = RingContext(K, names)
     if piv < ring.n - 1 or any(not K.is_zero(c) for c in coeffs[:piv]):
-        big = RingContext(K, names + [_fresh_name(ring, "y")])
+        fresh = next(nm for nm in ["y"] + [f"y{i}" for i in range(ring.n)] if nm not in ring.names)
+        big = RingContext(K, names + [fresh])
         inv = K.inv(coeffs[piv])
         solved = big.linear_form([K.neg(K.mul(c, inv)) for i, c in enumerate(coeffs) if i != piv] + [inv])
         images = [solved if i == piv else big.var(i - (i > piv)) for i in range(ring.n)]

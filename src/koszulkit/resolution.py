@@ -1,14 +1,17 @@
 """Minimal graded free resolutions over the polynomial ring, Betti tables,
 chain-map lifting, mapping cones, the acyclicity test via expected ranks and
-heights of minor ideals, and Ext-annihilator computation."""
+heights of minor ideals, and Ext-annihilator computation: Ann Ext^i is the
+intersection (groebner.intersect) of the proper colons
+(modules.submodule_colon) of the cocycles into the coboundaries."""
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
 
 from .groebner import GroebnerError, Ideal, intersect
 from .hilbert import hilbert_of_quotient, zp_add, zp_shift, zp_trim
-from .modules import FreeModule, PolyMatrix, TaggedModule, syzygy_matrix
+from .modules import FreeModule, PolyMatrix, TaggedModule, submodule_colon, syzygy_matrix
 from .ring import Polynomial, RingContext, RingError, total
 
 
@@ -389,16 +392,6 @@ def buchsbaum_eisenbud_check(cx: FreeComplex) -> tuple[bool, dict]:
 # annihilators of Ext modules
 
 
-def _colon_into_submodule(W: PolyMatrix) -> Ideal:
-    """The ideal of a with a*k in the span of the other columns of W = [k | B]."""
-    ring = W.ring
-    if not any(row[0] for row in W.entries):
-        return Ideal([ring.one()], ring)
-    S = syzygy_matrix(W)
-    gens = [S.entries[0][c] for c in range(S.ncols) if S.entries[0][c]]
-    return Ideal(gens, ring)
-
-
 def ann_ext(I: Ideal, i: int, resolution: FreeComplex | None = None) -> Ideal:
     """Annihilator of Ext^i_S(S/I, S), computed from a minimal free resolution."""
     ring = I.ring
@@ -423,22 +416,16 @@ def ann_ext(I: Ideal, i: int, resolution: FreeComplex | None = None) -> Ideal:
     else:
         B, b_degs = [[]] * Kmat.nrows, []
     # elements of ker not already in the image give the actual conditions:
-    # a column k of Kmat gives the colon ideal of W = [k | T_prev]
-    out = None
+    # a column k of Kmat gives the colon ideal of W = [k | T_prev], and the
+    # annihilator is the intersection of those that are proper
+    parts = []
     for c in range(Kmat.ncols):
         W = PolyMatrix(
             Kmat.target,
             FreeModule(ring, [Kmat.source.twists[c]] + b_degs),
             [[k_row[c]] + b_row for k_row, b_row in zip(Kmat.entries, B)],
         )
-        part = _colon_into_submodule(W)
-        out = part if out is None else _ideal_meet(out, part)
-    return out
-
-
-def _ideal_meet(a: Ideal, b: Ideal) -> Ideal:
-    if any(g.is_constant() for g in a.gens):
-        return b
-    if any(g.is_constant() for g in b.gens):
-        return a
-    return intersect(a, b)
+        part = submodule_colon(W)
+        if not any(g.is_constant() for g in part.gens):
+            parts.append(part)
+    return reduce(intersect, parts) if parts else Ideal([ring.one()], ring)

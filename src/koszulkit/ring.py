@@ -151,14 +151,6 @@ class RingContext:
             or (self.field == other.field and self.names == other.names and self.weights == other.weights)
         )
 
-    def extend(self, new_names: list[str], new_weights: list[Deg] | None = None) -> "RingContext":
-        """Ring with extra variables appended (used by elimination constructions)."""
-        if new_weights is None:
-            new_weights = [(1,) * 1 if self.gdim == 1 else None for _ in new_names]
-            if self.gdim != 1:
-                raise RingError("extension of a bigraded ring needs explicit weights")
-        return RingContext(self.field, self.names + list(new_names), self.weights + list(new_weights))
-
     def decl(self) -> str:
         if not self.bigraded:
             return f"ring {self.field.name} [{','.join(self.names)}]"

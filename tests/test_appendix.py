@@ -1,9 +1,11 @@
 """The bad-algebra battery: basis counts, stored differentials, and the
 characteristic-dependent obstruction."""
 
+import dataclasses
+
 import pytest
 
-from koszulkit import GF, QQ, appendix
+from koszulkit import GF, QQ, appendix, repro
 from koszulkit.appendix import (
     CHARACTERISTIC_BATTERY,
     _char2_extra_syzygy,
@@ -15,6 +17,7 @@ from koszulkit.appendix import (
     run_characteristic,
     verify_differentials,
 )
+from koszulkit.classify import classify
 from koszulkit.field import field_by_name
 from koszulkit.modules import PolyMatrix
 from koszulkit.parse import parse_poly
@@ -66,11 +69,15 @@ class TestDifferentials:
         assert out == {"is_syzygy": True, "outside_displayed_span": False, "confirmed": False}
 
     def test_a_wrong_entry_is_located(self):
-        inst = make_instance(GF(32003))
-        d2 = inst.differentials[1]
+        """The corruption goes into a copy: make_instance shares its
+        instance with every other caller in the process."""
+        shared = make_instance(GF(32003))
+        d2 = shared.differentials[1]
         entries = [list(row) for row in d2.entries]
-        entries[0][0] = parse_poly(inst.ring, "x")  # was y
-        inst.differentials[1] = PolyMatrix(d2.target, d2.source, entries)
+        entries[0][0] = parse_poly(shared.ring, "x")  # was y
+        diffs = list(shared.differentials)
+        diffs[1] = PolyMatrix(d2.target, d2.source, entries)
+        inst = dataclasses.replace(shared, differentials=diffs)
         out = verify_differentials(inst)
         assert not out["ok"]
         assert [p["zero"] for p in out["products"]] == [True, False, False, True]
@@ -107,10 +114,10 @@ class TestObstruction:
         assert (obs["hom_degree"], obs["total_degree"]) == expected
 
 
-@pytest.mark.parametrize("field_name", CHARACTERISTIC_BATTERY)
-def test_one_resolution_per_field(monkeypatch, field_name):
-    """The differential check and the obstruction search share one
-    resolution of (a, b) over R."""
+def spy_resolutions(monkeypatch) -> list:
+    """Empty make_instance's cache and record the (hom_bound, degree_bound)
+    of every resolve_over_quotient call appendix makes from now on."""
+    make_instance.cache_clear()
     calls = []
     real = appendix.resolve_over_quotient
 
@@ -119,8 +126,27 @@ def test_one_resolution_per_field(monkeypatch, field_name):
         return real(*args)
 
     monkeypatch.setattr(appendix, "resolve_over_quotient", spy)
+    return calls
+
+
+@pytest.mark.parametrize("field_name", CHARACTERISTIC_BATTERY)
+def test_one_resolution_per_field(monkeypatch, field_name):
+    """The differential check and the obstruction search share one
+    resolution of (a, b) over R."""
+    calls = spy_resolutions(monkeypatch)
     assert run_characteristic(field_name)["ok"]
     assert calls == [(4 if field_name == "F2" else 5, 7)]
+
+
+def test_classify_reuses_the_battery_resolution(monkeypatch):
+    """classify's 2iv-(c) certificate for the bad algebra over F32003 reads
+    the obstruction of the instance the battery resolved: five resolutions
+    in all, one per battery field, and none more."""
+    calls = spy_resolutions(monkeypatch)
+    assert run_battery()["ok"]
+    rep = classify(repro._bad_algebra())
+    assert rep.verdict == "certified-non-Koszul"
+    assert calls == [(4, 7)] + [(5, 7)] * 4
 
 
 def test_full_battery():

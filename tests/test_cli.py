@@ -202,7 +202,9 @@ def test_packed_field_overflow_is_out_of_scope_input(capsys, command):
     ("gen", "--form", "2ii", "--field", "F15"),
     ("gen", "--form", "2ii", "--field", "Fp:abc"),
     ("appendix", "--char", "F15"),
-], ids=["gen-F15", "gen-Fp:abc", "appendix-F15"])
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin on the bases 2 .. 37
+    ("gb", "--ring", "ring Fp:318665857834031151167461 [x,y]", "--gens", "399165290221*x + y, 798330580441*x"),
+], ids=["gen-F15", "gen-Fp:abc", "appendix-F15", "gb-psi12"])
 def test_unknown_field_is_an_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2 and err.startswith("error: ") and "Traceback" not in err

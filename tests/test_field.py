@@ -45,6 +45,19 @@ def test_field_by_name():
             field_by_name(name)
 
 
+def test_primality_is_proven_below_its_bound():
+    """Strong pseudoprimes to the first 4, 8 and 11 prime bases are refused
+    as composite, psi_12 (the least to the first 12) and anything larger as
+    past the bound; a prime just below psi_12 is accepted."""
+    for n in (3215031751, 341550071728321, 3825123056546413051):
+        with pytest.raises(FieldError, match="is not prime"):
+            GF(n)
+    for n in (318665857834031151167461, 2**89 - 1):
+        with pytest.raises(FieldError, match="bound of the primality test"):
+            GF(n)
+    assert GF(2**61 - 1).p == 2**61 - 1
+
+
 @pytest.mark.parametrize("p", [2, 7, 32003])
 def test_field_axioms_random_triples(p):
     K = GF(p)

@@ -29,7 +29,7 @@ from koszulkit import (
 )
 from koszulkit import groebner
 from koszulkit.groebner import GroebnerError, lead_term, reduce_terms, scaled
-from koszulkit.ring import elimination_order, primitive_scale
+from koszulkit.ring import RingContext, elimination_order, primitive_scale
 
 
 def P(R, s):
@@ -213,6 +213,101 @@ class TestIdealArithmetic:
         assert exact_div(P(R, "x^2*y - x*y^2"), P(R, "x*y")) == P(R, "x - y")
         with pytest.raises(GroebnerError):
             exact_div(P(R, "x^2 + y"), P(R, "x"))
+
+
+# ---------------------------------------------------------------------------
+# intersect and colon on the syzygy engine against the elimination
+# constructions they replaced, kept here as references
+
+
+def reference_intersect(I, J):
+    """I cap J as (t*I + (1 - t)*J) cap k[x], eliminating an auxiliary
+    variable t appended to the ring (weighted as the first variable)."""
+    ring = I.ring
+    if I.is_zero() or J.is_zero():
+        return Ideal([], ring)
+    ext = RingContext(ring.field, ring.names + ["t_"], ring.weights + [ring.weights[0]])
+    t = ext.var(ring.n)
+
+    def lift(f):
+        return Polynomial(ext, {m + (0,): c for m, c in f.terms.items()})
+
+    gens = [t * lift(f) for f in I.gens] + [(ext.one() - t) * lift(g) for g in J.gens]
+    gb = buchberger(gens, elimination_order(ext, [ring.n]))
+    return Ideal([Polynomial(ring, {m[:-1]: c for m, c in g.terms.items()})
+                  for g in gb if not any(m[-1] for m in g.terms)], ring)
+
+
+def reference_colon(I, J):
+    """(I : J) as the intersection, over the generators g of J, of the
+    quotients by g of the generators of I cap (g)."""
+    out = None
+    for g in J.gens:
+        part = Ideal([exact_div(h, g) for h in reference_intersect(I, Ideal([g], I.ring)).gens], I.ring)
+        out = part if out is None else reference_intersect(out, part)
+    return out
+
+
+def random_form(R, d, rng):
+    """A form of degree d with up to three terms and small coefficients."""
+    K = R.field
+    mons = rng.sample(R.monomials(d), min(3, len(R.monomials(d))))
+    return Polynomial(R, {m: K.coerce(rng.choice([-3, -2, -1, 1, 2, 3])) for m in mons})
+
+
+ARITHMETIC_RINGS = {
+    "F7": ("ring F7 [x,y,z,w]", [(1,), (2,)]),
+    "F32003": ("ring F32003 [x,y,z,w]", [(1,), (2,)]),
+    "QQ": ("ring QQ [x,y,z,w]", [(1,), (2,)]),
+    "appendix-F32003": ("ring F32003 [x:(1,0),y:(1,0),a:(0,1),b:(0,1)]", [(1, 0), (0, 1), (1, 1), (2, 0)]),
+}
+
+
+class TestArithmeticAgainstElimination:
+    @pytest.fixture(params=sorted(ARITHMETIC_RINGS))
+    def draws(self, request):
+        """Twelve pairs (I, J) of random homogeneous ideals: I = (p1*q1, p2*q2)
+        and J = (p1, p2), so that I : J contains q1*q2."""
+        decl, degrees = ARITHMETIC_RINGS[request.param]
+        R = parse_ring(decl)
+        rng = random.Random(f"arith:{request.param}")
+        out = []
+        for _ in range(12):
+            p1, q1, p2, q2 = (random_form(R, rng.choice(degrees), rng) for _ in range(4))
+            out.append((Ideal([p1 * q1, p2 * q2], R), Ideal([p1, p2], R)))
+        return out
+
+    def test_intersect(self, draws):
+        for I, J in draws:
+            assert ideal_equal(intersect(I, J), reference_intersect(I, J))
+
+    def test_principal_colon(self, draws):
+        for I, J in draws:
+            assert ideal_equal(colon(I, J.gens[0]), reference_colon(I, Ideal(J.gens[:1], I.ring)))
+
+    def test_colon_by_an_ideal(self, draws):
+        """A colon by several generators is one module colon, equal to the
+        intersection of the principal colons."""
+        for I, J in draws:
+            got = colon(I, J)
+            assert ideal_equal(got, reference_colon(I, J))
+            assert ideal_equal(got, intersect(colon(I, J.gens[0]), colon(I, J.gens[1])))
+
+    def test_no_buchberger_of_their_own(self, draws, monkeypatch):
+        """intersect and colon run on the module engine alone: no ideal
+        Groebner basis and no auxiliary-variable ring."""
+        calls = []
+        monkeypatch.setattr(groebner, "buchberger", lambda *args: calls.append(args))
+        I, J = draws[0]
+        intersect(I, J), colon(I, J), colon(I, J.gens[0])
+        assert not calls
+
+    def test_inhomogeneous_input_raises(self, qq_xy):
+        I, J = ideal(qq_xy, "x^2 + y"), ideal(qq_xy, "x")
+        for fn in (intersect, colon, saturate):
+            for args in ((I, J), (J, I)):
+                with pytest.raises(GroebnerError, match="homogeneous"):
+                    fn(*args)
 
 
 class TestQuadraticSearch:
