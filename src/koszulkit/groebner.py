@@ -3,11 +3,13 @@
 The Groebner engine works on packed term dicts (see ring.PackedLayout) and
 serves ideals and modules alike: reduce_terms is its one reduction loop,
 s_element its one S-element builder and ModuleGB its one S-pair manager,
-with the chain, equal-lcm, strict lcm divisibility and coprime (Koszul tag)
-criteria.  A polynomial is the one-component, tagless case of a module
-element, so buchberger is a ModuleGB over one free component followed by
-the reduction to the canonical basis (_reduce_final); modules.py builds its
-tagged constructions on the same ModuleGB.
+which applies the criteria of Gebauer and Moeller in their order: the chain
+criterion on the pending pairs, then, on the new pairs, equal lcm, strict
+lcm divisibility and last the coprime test (with a Koszul tag when the
+basis is tagged).  A polynomial is the one-component, tagless case of a
+module element, so buchberger is a ModuleGB over one free component
+followed by the reduction to the canonical basis (_reduce_final);
+modules.py builds its tagged constructions on the same ModuleGB.
 
 Ideal arithmetic on homogeneous ideals runs on them too: intersect reads
 I cap J off syzygies, and colon is one module colon (modules.submodule_colon).
@@ -178,21 +180,25 @@ class ModuleGB:
     syzygies among syzygies, which no caller needs.  complete() takes the
     pair of least lcm degree first (the normal strategy), and pairs are
     pruned by the criteria of Gebauer and Moeller (J. Symbolic Comput. 6,
-    1988) as each element is added:
+    1988) as each element is added, in this order:
 
     - chain: a pending pair whose lcm the new lead divides is dropped,
       unless that lcm is also the lcm of the new lead with one of its two
       elements;
-    - equal lcm: of the new pairs with one lcm, only the first is kept.
-      In a tagged basis the pairs kept decide which syzygies its zero
-      reductions give, and with them which minimal syzygy generators
-      modules.syzygy_matrix picks; Betti numbers do not depend on that
-      choice, nor does the witness of quotient.first_syzygy_criterion;
-    - strict lcm divisibility: a new pair is dropped when the lcm of
-      another new pair strictly divides its own;
-    - coprime, with a Koszul tag: when the free block has one component (the
-      ideal case), a new pair with coprime leads is dropped and its syzygy,
-      the Koszul tag element, is inserted instead when the basis has tags.
+    - equal lcm: the new pairs, coprime ones included, are grouped by lcm
+      and only the first pair of each group is kept.  In a tagged basis the
+      pairs kept decide which syzygies its zero reductions give, and with
+      them which minimal syzygy generators modules.syzygy_matrix picks;
+      Betti numbers do not depend on that choice, nor does the witness of
+      quotient.first_syzygy_criterion;
+    - strict lcm divisibility: a kept pair is dropped when the lcm of
+      another group strictly divides its own;
+    - coprime, with a Koszul tag: only the pairs still kept are tested.
+      When the free block has one component (the ideal case), a pair with
+      coprime leads is dropped and its syzygy, the Koszul tag element, is
+      inserted instead when the basis has tags.  Testing it last means no
+      tag is built for a coprime pair whose syzygy the other pairs already
+      generate.
 
     The syzygy of each dropped pair is a combination of those of the pairs
     kept and the Koszul tags, so by Schreyer's theorem (Eisenbud,
@@ -266,15 +272,14 @@ class ModuleGB:
         self.pairs.difference_update(drop)
         new: dict[int, int] = {}  # keyed by lcm: the first pair with each lcm stays
         for i in same:
-            if self.use_coprime and lay.degree(lcms[i]) == lay.degree(self.basis[i][0]) + lay.degree(lead):
+            new.setdefault(lcms[i], i)
+        for l, i in new.items():
+            if any(l2 != l and lay.divides(l2, l) for l2 in new):
+                continue
+            if self.use_coprime and lay.degree(l) == lay.degree(self.basis[i][0]) + lay.degree(lead):
                 tau = self._koszul_tag(i, k) if self.tagged else None
                 if tau:
                     self._insert(tau)
-                continue
-            new.setdefault(lcms[i], i)
-        for i in new.values():
-            l = lcms[i]
-            if any(lcms[j] != l and lay.divides(lcms[j], l) for j in new.values()):
                 continue
             self.pairs.add((i, k))
             self._pair_lcm[(i, k)] = l

@@ -402,8 +402,10 @@ def reference_buchberger(gens, order=DEGREVLEX):
     with the coprime ones among them; the first pair of each group is kept
     unless another group's lcm strictly divides its own, and the product
     criterion then drops the kept pairs with coprime leads.  The chain
-    criterion prunes the pending pairs.  S-elements are formed through
-    groebner.s_element, so a test can count them."""
+    criterion prunes the pending pairs.  ModuleGB applies the criteria in
+    the same order, and in a tagged basis its coprime test, the last one,
+    inserts a Koszul tag.  S-elements are formed through groebner.s_element,
+    so a test can count them."""
     ring = gens[0].ring
     order = order.for_ring(ring)
     lay = order.layout

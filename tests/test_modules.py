@@ -3,15 +3,16 @@ decides membership by normal forms against a Groebner basis completed
 lazily by degree, against two references (the same scan with the basis
 completed in full after every kept column, and the dense graded-Nakayama
 scan it replaced), the degree bound of ModuleGB.complete, the generation
-property, and TaggedModule.reduce against degreewise linear algebra."""
+property, the order of the pair criteria against the coprime-first rule it
+replaced, and TaggedModule.reduce against degreewise linear algebra."""
 
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koszulkit import GF, QQ, FreeModule, PolyMatrix, parse_poly, parse_ring
-from koszulkit.forms import generate_ideal
+from koszulkit import GF, QQ, FreeModule, PolyMatrix, groebner, modules, parse_poly, parse_ring
+from koszulkit.forms import FORMS, generate_ideal
 from koszulkit.groebner import reduce_terms
 from koszulkit.linalg import in_row_space
 from koszulkit.modules import ModuleGB, ModuleOrder, TaggedModule, column_degrees, minimal_module_generators
@@ -341,12 +342,113 @@ def test_koszul_tag_is_the_tag_part_of_the_full_product(monkeypatch):
         return tau
 
     monkeypatch.setattr(ModuleGB, "_koszul_tag", checked)
-    for case, field in (("2iii", GF(32003)), ("2iv-d", GF(32003)), ("2ii", GF(7))):
-        I = generate_ideal(case, field, 3)["ideal"]
-        F = FreeModule(I.ring, [I.ring.zero_deg])
-        TaggedModule(PolyMatrix(F, FreeModule(I.ring, [g.degree() for g in I.gens]), [list(I.gens)])).syzygies()
+    # inputs with coprime pairs that the strict-lcm criterion keeps
+    for case, seed in (("2iv-d", 3), ("ht3-ii", 1), ("ht3-ii", 2), ("ht4-CI", 1)):
+        TaggedModule(generator_row(generate_ideal(case, GF(7), seed)["ideal"])).syzygies()
     # the injections happened, and had tag terms of more than one generator
     assert len(seen) >= 3 and max(seen) > 2
+
+
+def generator_row(I) -> PolyMatrix:
+    """The 1 x s matrix of the generators of I."""
+    F = FreeModule(I.ring, [I.ring.zero_deg])
+    return PolyMatrix(F, FreeModule(I.ring, [g.degree() for g in I.gens]), [list(I.gens)])
+
+
+class CoprimeFirstGB(ModuleGB):
+    """The coprime-first rule, the reference for ModuleGB's order of the
+    criteria: the coprime test runs first, on every new pair, and builds a
+    Koszul tag even for a pair that the strict-lcm criterion would drop."""
+
+    def _add_reduced(self, el: dict):
+        lay = self.lay
+        k = len(self.basis)
+        lead = self._insert(el)
+        if not lead & lay.flag:
+            return
+        self.reducers[lead & FIELD_MASK].append(self.basis[k])
+        mono = lead - (lead & lay.frame)
+        same = [i for i in range(k) if self.basis[i][0] & lay.frame == lead & lay.frame]
+        lcms = {i: lay.lcm(self.basis[i][0], lead) for i in same}
+        drop = set()
+        for p in self.pairs:
+            i, j = p
+            if i not in lcms:
+                continue
+            l = self._pair_lcm[p]
+            if lay.divides(mono, l) and lcms[i] != l and lcms[j] != l:
+                drop.add(p)
+        self.pairs.difference_update(drop)
+        new: dict[int, int] = {}
+        for i in same:
+            if self.use_coprime and lay.degree(lcms[i]) == lay.degree(self.basis[i][0]) + lay.degree(lead):
+                tau = self._koszul_tag(i, k) if self.tagged else None
+                if tau:
+                    self._insert(tau)
+                continue
+            new.setdefault(lcms[i], i)
+        for i in new.values():
+            l = lcms[i]
+            if any(lcms[j] != l and lay.divides(lcms[j], l) for j in new.values()):
+                continue
+            self.pairs.add((i, k))
+            self._pair_lcm[(i, k)] = l
+            self._pair_key[(i, k)] = (lay.degree(l), lay.key(l))
+
+
+def counted_syzygies(monkeypatch, rule, M: PolyMatrix):
+    """modules.syzygy_matrix(M) with rule as the pair manager, and the
+    number of Koszul tags built and of S-pairs reduced in tagged bases."""
+    counts = {"tags": 0, "tagged_pairs": 0}
+    complete, koszul_tag, s_element = ModuleGB.complete, ModuleGB._koszul_tag, groebner.s_element
+    tagged = []
+
+    def counting_complete(self, through=None):
+        tagged.append(self.tagged)
+        try:
+            complete(self, through)
+        finally:
+            tagged.pop()
+
+    def counting_tag(self, i, j):
+        counts["tags"] += 1
+        return koszul_tag(self, i, j)
+
+    def counting_s_element(*args):
+        counts["tagged_pairs"] += bool(tagged and tagged[-1])
+        return s_element(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(modules, "ModuleGB", rule)
+        m.setattr(ModuleGB, "complete", counting_complete)
+        m.setattr(ModuleGB, "_koszul_tag", counting_tag)
+        m.setattr(groebner, "s_element", counting_s_element)
+        S = modules.syzygy_matrix(M)
+    return S, counts
+
+
+def test_gebauer_moeller_order_keeps_the_syzygies_with_less_work(monkeypatch):
+    """The coprime test runs after the equal-lcm and strict-lcm criteria:
+    on the generator row of every form, the minimal syzygies have the same
+    degrees as under the coprime-first rule and span the same module, and
+    the new rule builds no more Koszul tags and reduces no more tagged
+    S-pairs."""
+    inputs = [(case, field, seed) for case in FORMS for field in (GF(7), GF(32003)) for seed in (0, 1)]
+    inputs += [(case, QQ, 0) for case in FORMS]
+    for case, field, seed in inputs:
+        M = generator_row(generate_ideal(case, field, seed)["ideal"])
+        got, work = counted_syzygies(monkeypatch, ModuleGB, M)
+        want, ref_work = counted_syzygies(monkeypatch, CoprimeFirstGB, M)
+        where = (case, field.name, seed)
+        assert sorted(got.source.twists) == sorted(want.source.twists), where
+        assert TaggedModule(got).contains(want) and TaggedModule(want).contains(got), where
+        assert work["tags"] <= ref_work["tags"], (where, work, ref_work)
+        assert work["tagged_pairs"] <= ref_work["tagged_pairs"], (where, work, ref_work)
+    # the coprime pairs of these inputs all fall to the strict-lcm criterion
+    for case, field in (("2iii", GF(32003)), ("2iv-d", GF(32003)), ("2ii", GF(7))):
+        M = generator_row(generate_ideal(case, field, 3)["ideal"])
+        assert counted_syzygies(monkeypatch, ModuleGB, M)[1]["tags"] == 0, case
+        assert counted_syzygies(monkeypatch, CoprimeFirstGB, M)[1]["tags"] > 0, case
 
 
 def in_span(F, gens, col):
