@@ -40,7 +40,6 @@ from .resolution import (
     BettiTable,
     FreeComplex,
     ann_ext,
-    betti_numbers,
     buchsbaum_eisenbud_check,
     lift_chain_map,
     mapping_cone,

@@ -47,48 +47,45 @@ class GroebnerError(ValueError):
 # a triple (packed lead, lead coefficient, element).  Every stored term has
 # its fields below 2^15, so the product of a stored term and a quotient
 # never carries out of a field; a term that reaches a guard bit is caught
-# when it is popped or returned.
+# when it is popped or returned.  A stored element (basis entry, reducer,
+# result of reduce_terms) is always canonical: coerced, with no zero terms.
+# Inside reduce_terms and s_element a coefficient is a raw Python number
+# (int or Fraction) summed unreduced and coerced once, by reduce_terms; terms
+# are ordered by the int P ^ lay.neg, which sorts like lay.key(P).
 
 
 def reduce_terms(terms: dict, reducers: list, lay: PackedLayout, K) -> dict:
-    """Normal form of the free part of a packed element.
+    """Normal form of the free part of a packed element, canonical.
 
-    reducers[c] lists the reducers with lead in free component c, in basis
-    order; the first whose lead divides a term reduces it.  Terms are
-    processed largest-first through a lazy-deletion heap; newly created
-    terms are always smaller than the one being reduced.  Free coefficients
-    are summed unreduced (raw values of both fields are Python numbers) and
-    reduced when their term is popped.  Tag terms (flag clear) sort below
-    every free term, so once one is popped the rest of the element is tag
-    terms, which are returned untouched: they only carry representation
-    bookkeeping and never need reducing.  They are kept reduced, and leave
-    when they cancel, so the tag block keeps the order in which its terms
-    arose.
+    terms may hold raw unreduced coefficients and zeros (as s_element gives
+    them).  reducers[c] lists the reducers with lead in free component c, in
+    basis order; the first whose lead divides a term reduces it.  Free terms
+    pass largest-first through a min-heap of the ints P ^ ~neg = ~(P ^ neg),
+    each pushed once, since new terms are always smaller than the one being
+    reduced; their coefficients are summed unreduced and coerced when
+    popped.  Tag terms (flag clear) only carry representation bookkeeping:
+    they never enter the heap or get reduced, and their sums stay unreduced
+    until the heap is empty, when each is coerced, then dropped if zero or
+    guard-checked.  Compare results as dicts: the order of the tag block is
+    not part of the contract.
     """
-    work = dict(terms)
-    rem: dict = {}
-    neg, guard, divmask, flag = lay.neg, lay.guard, lay.divmask, lay.flag
-    heap = [(((P & neg) << 1) - P, P) for P in work]
+    flag = lay.flag
+    work = {P: c for P, c in terms.items() if P >= flag}  # free terms
+    tags = {P: c for P, c in terms.items() if P < flag}
+    nneg, guard, divmask = ~lay.neg, lay.guard, lay.divmask
+    heap = [P ^ nneg for P in work]
     heapq.heapify(heap)
     heappush, heappop = heapq.heappush, heapq.heappop
-    is_zero, coerce, sub, mul = K.is_zero, K.coerce, K.sub, K.mul
-    zero, one = K.zero(), K.one()
+    is_zero, coerce, one = K.is_zero, K.coerce, K.one()
+    tag, get = tags.get, work.get
+    rem: dict = {}
     while heap:
-        P = heappop(heap)[1]
-        c = work.pop(P, None)
-        if c is None:
-            continue
-        c = coerce(c)
+        P = heappop(heap) ^ nneg
+        c = coerce(work.pop(P))
         if is_zero(c):
             continue
         if P & guard:
             lay.check(P)
-        if P < flag:
-            rem[P] = c
-            rem.update(work)
-            for T in work:
-                lay.check(T)
-            break
         for lead, lc, g in reducers[P & FIELD_MASK]:
             q = P - lead
             if q & divmask:
@@ -96,31 +93,30 @@ def reduce_terms(terms: dict, reducers: list, lay: PackedLayout, K) -> dict:
             f = c if lc == one else K.div(c, lc)  # module reducers are monic
             for T, tc in g.items():
                 mm = q + T
-                if mm == P:
-                    continue  # cancels against the popped lead
-                old = work.get(mm)
-                if mm >= flag:
-                    if old is None:
-                        heappush(heap, (((mm & neg) << 1) - mm, mm))
-                        work[mm] = -f * tc
-                    else:
-                        work[mm] = old - f * tc
-                    continue
-                s = sub(old if old is not None else zero, mul(f, tc))
-                if is_zero(s):
-                    work.pop(mm, None)
-                else:
-                    if old is None:
-                        heappush(heap, (((mm & neg) << 1) - mm, mm))
-                    work[mm] = s
+                old = get(mm)
+                if old is not None:
+                    work[mm] = old - f * tc
+                elif mm < flag:
+                    tags[mm] = tag(mm, 0) - f * tc
+                elif mm != P:  # P itself cancels against the popped lead
+                    heappush(heap, mm ^ nneg)
+                    work[mm] = -f * tc
             break
         else:
             rem[P] = c
+    for T, v in tags.items():
+        v = coerce(v)
+        if not is_zero(v):
+            if T & guard:
+                lay.check(T)
+            rem[T] = v
     return rem
 
 
 def s_element(a: tuple, b: tuple, lcm: int, K) -> dict:
-    """S-element of two reducers whose leads divide the packed term lcm."""
+    """S-element of two reducers whose leads divide the packed term lcm,
+    with unreduced raw coefficients and the cancelled lcm term kept as a
+    zero: input for reduce_terms, which coerces it."""
     (la, lca, ta), (lb, lcb, tb) = a, b
     qa, qb = lcm - la, lcm - lb
     one = K.one()  # module reducers are monic: no inversion, no scaling
@@ -128,17 +124,13 @@ def s_element(a: tuple, b: tuple, lcm: int, K) -> dict:
     tb = tb if lcb == one else scaled(tb, K.inv(lcb), K)
     out = {qa + T: c for T, c in ta.items()}
     for T, c in tb.items():
-        mm = qb + T
-        s = K.sub(out.get(mm, K.zero()), c)
-        if K.is_zero(s):
-            out.pop(mm, None)
-        else:
-            out[mm] = s
+        out[qb + T] = out.get(qb + T, 0) - c
     return out
 
 
 def lead_term(el: dict, lay: PackedLayout) -> int:
-    return max(el, key=lay.key)
+    neg = lay.neg
+    return max(map(neg.__xor__, el)) ^ neg
 
 
 def scaled(el: dict, factor, K) -> dict:

@@ -129,6 +129,7 @@ class PolyMatrix:
         lay = DEGREVLEX.for_ring(ring).layout
         A = self.packed_columns()
         unpack, frame = lay.unpack, lay.frame
+        coerce, is_zero = K.coerce, K.is_zero
         entries = [[ring.zero() for _ in range(other.ncols)] for _ in range(self.nrows)]
         for c, col in enumerate(other.packed_columns()):
             acc: dict = {}
@@ -136,10 +137,11 @@ class PolyMatrix:
             for P, y in col.items():
                 m = P & ~frame
                 for Q, x in A[P & FIELD_MASK].items():
-                    acc[Q + m] = get(Q + m, 0) + x * y
+                    R = Q + m
+                    acc[R] = get(R, 0) + x * y
             for R, v in acc.items():
-                v = K.coerce(v)
-                if not K.is_zero(v):
+                v = coerce(v)
+                if not is_zero(v):
                     entries[R & FIELD_MASK][c].terms[unpack(R)] = v
         return PolyMatrix(self.target, other.source, entries, check=False)
 

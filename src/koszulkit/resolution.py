@@ -221,10 +221,6 @@ def minimal_resolution(I: Ideal, max_steps: int | None = None) -> tuple[FreeComp
     return cx, cx.betti()
 
 
-def betti_numbers(I: Ideal) -> BettiTable:
-    return minimal_resolution(I)[1]
-
-
 # ---------------------------------------------------------------------------
 # chain maps and cones
 

@@ -223,7 +223,10 @@ class PackedLayout:
     their fields lexicographically from the top, so it sorts terms by the
     order (free terms above tag terms, then the monomial, then decreasing
     component).  That also holds for fields up to 2^16 - 1, so a term that
-    sets a guard bit is still sorted correctly until it is detected.
+    sets a guard bit is still sorted correctly until it is detected.  The
+    int P ^ neg, which the engine's inner loops order terms by, is the key
+    plus the constant neg (each negated field v becomes 2^16 - 1 - v
+    instead of -v), so it sorts like the key.
     """
 
     def __init__(self, kind: str, perm, front: int, n: int):

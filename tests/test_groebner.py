@@ -29,7 +29,7 @@ from koszulkit import (
 )
 from koszulkit import groebner
 from koszulkit.groebner import GroebnerError, lead_term, reduce_terms, scaled
-from koszulkit.ring import RingContext, elimination_order, primitive_scale
+from koszulkit.ring import FIELD_MASK, RingContext, elimination_order, primitive_scale
 
 
 def P(R, s):
@@ -127,7 +127,102 @@ class TestNormalForm:
             assert in1 == in2
 
 
-class TestIdealArithmetic:
+def reference_reduce(terms, reducers, lay, K):
+    """Division with every coefficient reduced at every step, the reference
+    for groebner.reduce_terms: the largest free term is reduced by the first
+    reducer in its component whose lead divides it, or else moved to the
+    remainder, until no free term is left; tag terms are never reduced, and
+    one whose sum reaches zero leaves.  Returns the remainder with the tag
+    terms, and how many times a tag term arose again after cancelling."""
+    work = {T: K.coerce(c) for T, c in terms.items() if not K.is_zero(K.coerce(c))}
+    rem, gone, revived = {}, set(), 0
+    while any(T & lay.flag for T in work):
+        P = max((T for T in work if T & lay.flag), key=lay.key)
+        for lead, lc, g in reducers[P & FIELD_MASK]:
+            if lay.divides(lead, P):
+                f, q = K.div(work[P], lc), P - lead
+                for T, tc in g.items():
+                    s = K.sub(work.get(q + T, K.zero()), K.mul(f, tc))
+                    if K.is_zero(s):
+                        work.pop(q + T, None)
+                        gone.add(q + T)
+                    else:
+                        revived += q + T in gone and q + T not in work and not (q + T) & lay.flag
+                        work[q + T] = s
+                assert P not in work
+                break
+        else:
+            rem[P] = work.pop(P)
+    return {**rem, **work}, revived
+
+
+class TestReductionLoop:
+    """reduce_terms sums its coefficients unreduced and coerces each once; on
+    random packed elements with free and tag parts it agrees with the
+    reference division, which reduces every coefficient at every step."""
+
+    @staticmethod
+    def random_case(R, lay, rng):
+        """Reducers in two free components, an element to reduce and the
+        S-elements of same-component reducer pairs.  Most cases take
+        their coefficients from +-1, so that tag sums cancel in every field;
+        reducer lead coefficients are not always one."""
+        K, n_free = R.field, 2
+        pool = [1, -1] if rng.random() < 0.7 else list(range(-9, 10))
+        tag_leads = [lay.pack(m) for m in R.monomials((1,))][:2]
+
+        def coeff():
+            while True:
+                c = K.coerce(rng.choice(pool))
+                if not K.is_zero(c):
+                    return c
+
+        def mono(d):
+            m = [0] * R.n
+            for _ in range(d):
+                m[rng.randrange(R.n)] += 1
+            return lay.pack(tuple(m))
+
+        def element(comps, degs, n_terms, n_tags):
+            el = {mono(rng.choice(degs)) + rng.choice(comps) + lay.flag: coeff() for _ in range(n_terms)}
+            for _ in range(n_tags):
+                k = rng.randrange(len(tag_leads))
+                el[mono(rng.random() < 0.2) + tag_leads[k] + n_free + k] = coeff()
+            return el
+
+        reducers = [[] for _ in range(n_free)]
+        for _ in range(rng.randint(2, 6)):
+            c = rng.randrange(n_free)
+            g = element([c], (1, 2), rng.randint(1, 3), rng.randint(0, 3))
+            lead = lead_term(g, lay)
+            if not rng.randrange(3):  # a non-monic reducer
+                g = scaled(g, coeff(), K)
+            reducers[c].append((lead, g[lead], g))
+        el = element(range(n_free), (2, 3), rng.randint(1, 8), rng.randint(0, 4))
+        s_elements = [
+            groebner.s_element(a, b, lay.lcm(a[0], b[0]) + (a[0] & lay.frame), K)
+            for rs in reducers for i, a in enumerate(rs) for b in rs[i + 1:]
+        ]
+        return reducers, [el] + s_elements
+
+    @pytest.mark.parametrize("field", ["F2", "F7", "F32003", "QQ"])
+    def test_matches_the_reference_division(self, field):
+        R = parse_ring(f"ring {field} [x,y,z]")
+        rng = random.Random(f"reduce:{field}")
+        revived = unreduced = 0
+        for order in (DEGREVLEX.for_ring(R), DEGLEX.for_ring(R), elimination_order(R, [0])):
+            lay = order.layout
+            for _ in range(100):
+                reducers, inputs = self.random_case(R, lay, rng)
+                for el in inputs:
+                    want, k = reference_reduce(el, reducers, lay, R.field)
+                    revived += k
+                    unreduced += any(R.field.coerce(c) != c or R.field.is_zero(c) for c in el.values())
+                    got = reduce_terms(el, reducers, lay, R.field)
+                    assert got == want, (order, el, reducers)
+                    assert all(not R.field.is_zero(c) and R.field.coerce(c) == c for c in got.values())
+        assert revived > 0 and unreduced > 0
+
     def test_colon_principal(self, qq_xy):
         R = qq_xy
         assert ideal_equal(colon(ideal(R, "x^2"), P(R, "x")), ideal(R, "x"))

@@ -118,6 +118,9 @@ class TestOrderKeys:
                 P = pack((c, m))
                 tag_lead = 0 if P & lay.flag else order.packed_leads[c - order.n_free]
                 assert (P & FIELD_MASK, lay.unpack(P - tag_lead)) == (c, m)
+            # the engines order terms by the int P ^ neg, which differs from
+            # the key by one constant over free and tag terms of every component
+            assert {lay.key(pack(cm)) - (pack(cm) ^ lay.neg) for cm in terms} == {-lay.neg}, base
 
     def test_for_ring_returns_one_order_per_ring_size(self):
         a, b = parse_ring("ring F7 [x,y,z]"), parse_ring("ring QQ [p,q,r]")
