@@ -31,7 +31,6 @@ from .groebner import (
     is_subideal,
     minimal_quadric_generators,
     normal_form,
-    saturate,
     verify_basis,
 )
 from .hilbert import HilbertData, hilbert_from_monomials, hilbert_of_quotient, is_regular_sequence_mod, regularity

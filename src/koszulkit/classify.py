@@ -2,6 +2,17 @@
 height, multiplicity, Betti table, the matched structure case with explicit
 witness forms, and a Koszulness verdict with a machine-checkable certificate.
 
+Dispatch: the height and, at height two, the Betti table name the locus
+(`FormSpec.locus`).  The `FORMS` cases at that locus are tried in `FORMS`
+order.  Each case's extractor in `_EXTRACT` yields candidate witnesses from
+one lazy `_Context` of the input, and the first candidate that `_confirms`
+accepts (the case's side conditions hold and the rebuilt generators have the
+input's reduced echelon degree-two basis) is the match.  A Koszul case then
+gets its lg-quadratic certificate; 2iv-(c) first tries the chain
+certificate; every other match, and an input no case at its locus matches
+(reported as `<locus>-unmatched`), gets the dynamic verdict, the
+first-syzygy span test and then truncated Tor.
+
 Verdict vocabulary is three-valued: certified-Koszul verdicts carry a lifted
 quadratic Groebner basis plus a Hilbert-verified regular specializing
 sequence; certified-non-Koszul verdicts carry a first-syzygy span failure
@@ -17,7 +28,8 @@ Everything else is inconclusive at the stated bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import cached_property
+from itertools import combinations, permutations
 
 from . import linalg
 from .appendix import find_obstruction, make_instance
@@ -34,7 +46,6 @@ from .groebner import (
     Ideal,
     buchberger,
     exact_div,
-    ideal_equal,
     is_quadratic_gb,
     minimal_quadric_generators,
 )
@@ -307,12 +318,12 @@ def _split_from_sigma(ring: RingContext, gens: list[Polynomial], sigma: list[Pol
     return SplitPair(f, [z, w])
 
 
-def split_pairs(I: Ideal, M: PolyMatrix) -> list[SplitPair]:
+def split_pairs(gens: list[Polynomial], M: PolyMatrix) -> list[SplitPair]:
     """All split syzygies found through column combinations of M, the linear
-    syzygy matrix of I: its columns themselves, or in the two-column case
-    the combinations whose entries span at most two dimensions."""
-    ring = I.ring
-    gens = minimal_quadric_generators(I)
+    syzygy matrix of the quadrics gens: its columns themselves, or in the
+    two-column case the combinations whose entries span at most two
+    dimensions."""
+    ring = M.ring
     out = []
     seen = set()
     if M.ncols != 2:
@@ -367,15 +378,44 @@ def common_factors(I: Ideal, qs: _QuadricSpace) -> list[tuple[Polynomial, list[P
 
 
 # ---------------------------------------------------------------------------
-# witness extraction per Betti table
+# witness extraction: one extractor per FORMS case
 
 
-def _prime_from_ann(I: Ideal, resolution) -> list[Polynomial]:
-    """Degree-one span of Ann Ext^2: the unique height-two linear prime for
-    the multiplicity-one tables."""
-    a2 = ann_ext(I, 2, resolution)
-    lin = [g for g in a2.gens if g.total_degree() == 1]
-    return _echelon_forms(I.ring, lin)
+class _Context:
+    """What the extractors of one input share, each computed on first use:
+    the minimal quadrics, the quadric space, the linear syzygy matrix, the
+    common factors, the degree-one span of Ann Ext^2 (the unique height-two
+    linear prime of tables (iii) and (iv)) and the split syzygies."""
+
+    def __init__(self, I: Ideal, resolution):
+        self.I = I
+        self.ring = I.ring
+        self.resolution = resolution
+
+    @cached_property
+    def gens(self) -> list[Polynomial]:
+        return minimal_quadric_generators(self.I)
+
+    @cached_property
+    def qs(self) -> _QuadricSpace:
+        return _QuadricSpace(self.ring, self.gens)
+
+    @cached_property
+    def M(self) -> PolyMatrix:
+        return linear_syzygy_matrix(self.I)
+
+    @cached_property
+    def factors(self) -> list[tuple[Polynomial, list[Polynomial]]]:
+        return common_factors(self.I, self.qs)
+
+    @cached_property
+    def prime(self) -> list[Polynomial]:
+        a2 = ann_ext(self.I, 2, self.resolution)
+        return _echelon_forms(self.ring, [g for g in a2.gens if g.total_degree() == 1])
+
+    @cached_property
+    def splits(self) -> list[SplitPair]:
+        return split_pairs(self.gens, self.M)
 
 
 def _canonical_complement(ring, inside: list[Polynomial], avoid: list[Polynomial]) -> Polynomial | None:
@@ -396,131 +436,6 @@ def _solve_quadric_with_y_cofactor(qs: _QuadricSpace, x: Polynomial, y: Polynomi
     return q if q else None
 
 
-def _confirms(case: str, w: dict, I: Ideal) -> bool:
-    """The witnesses meet the case's conditions and regenerate I."""
-    spec = FORMS[case]
-    if spec.check(w, I):
-        return False
-    J = Ideal([g for g in spec.build(w) if g], I.ring)
-    return not J.is_zero() and ideal_equal(I, J)
-
-
-def _attempt_2iv_a(I, qs, P, splits):
-    ring = I.ring
-    for sp in splits:
-        W = sp.cofactors
-        if not _in_span(W, sp.factor):
-            continue
-        x = sp.factor.monic(DEGREVLEX.for_ring(ring))
-        if not _in_span(P, x):
-            continue
-        b3 = _canonical_complement(ring, W, [x])
-        if b3 is None:
-            continue
-        y = _canonical_complement(ring, P, [x])
-        if y is None:
-            continue
-        q3 = _solve_quadric_with_y_cofactor(qs, x, y, b3)
-        if q3 is None:
-            continue
-        try:
-            a3 = exact_div(q3 - b3 * y, x)
-        except GroebnerError:
-            continue
-        rest = qs.complement_of([x * x, b3 * x, q3])
-        if len(rest) != 1:
-            continue
-        q4 = rest[0]
-        cof = ideal_cofactors(q4, [x, y])
-        if cof is None:
-            continue
-        a4, b4 = cof
-        w = {"x": x, "y": y, "a3": a3, "b3": b3, "a4": a4, "b4": b4}
-        if _confirms("2iv-a", w, I):
-            return w
-    return None
-
-
-def _attempt_2iv_b(I, qs, P, splits):
-    ring = I.ring
-    for sp in splits:
-        x = sp.factor.monic(DEGREVLEX.for_ring(ring))
-        if not _in_span(P, x):
-            continue
-        # need a cofactor direction inside P independent of x
-        W = sp.cofactors
-        inter = _space_intersection(ring, W, P)
-        y = _canonical_complement(ring, inter, [x])
-        if y is None:
-            continue
-        a2 = _canonical_complement(ring, W, [y])
-        if a2 is None:
-            continue
-        cof_y = cofactor_space(qs, y)
-        b3 = _canonical_complement(ring, cof_y, [x])
-        if b3 is None:
-            continue
-        rest = qs.complement_of([x * y, a2 * x, b3 * y])
-        if len(rest) != 1:
-            continue
-        q4 = rest[0]
-        cof = ideal_cofactors(q4, [x, y])
-        if cof is None:
-            continue
-        a4, b4 = cof
-        w = {"x": x, "y": y, "a2": a2, "b3": b3, "a4": a4, "b4": b4}
-        if _confirms("2iv-b", w, I):
-            return w
-    return None
-
-
-def _attempt_2iv_c(I, qs, P, splits):
-    ring = I.ring
-    for sp in splits:
-        x = sp.factor.monic(DEGREVLEX.for_ring(ring))
-        if not _in_span(P, x):
-            continue
-        W = sp.cofactors
-        if _in_span(W, x):
-            continue
-        y = _canonical_complement(ring, P, [x])
-        if y is None:
-            continue
-        b3, b4 = W
-        q3 = _solve_quadric_with_y_cofactor(qs, x, y, b3)
-        q4 = _solve_quadric_with_y_cofactor(qs, x, y, b4)
-        if q3 is None or q4 is None:
-            continue
-        try:
-            a3 = exact_div(q3 - b3 * y, x)
-            a4 = exact_div(q4 - b4 * y, x)
-        except GroebnerError:
-            continue
-        w = {"x": x, "y": y, "a3": a3, "b3": b3, "a4": a4, "b4": b4}
-        if _confirms("2iv-c", w, I):
-            return w
-    return None
-
-
-def _attempt_2iv_d(I, qs, P, splits):
-    ring = I.ring
-    for i in range(len(splits)):
-        for j in range(len(splits)):
-            if i == j:
-                continue
-            s1, s2 = splits[i], splits[j]
-            if span_dim([s1.factor, s2.factor]) != 2:
-                continue
-            x = s1.factor.monic(DEGREVLEX.for_ring(ring))
-            y = s2.factor.monic(DEGREVLEX.for_ring(ring))
-            a1, a2 = s1.cofactors
-            b3, b4 = s2.cofactors
-            w = {"x": x, "y": y, "a1": a1, "a2": a2, "b3": b3, "b4": b4}
-            if _confirms("2iv-d", w, I):
-                return w
-    return None
-
-
 def _space_intersection(ring, A: list[Polynomial], B: list[Polynomial]) -> list[Polynomial]:
     """Basis of span(A) cap span(B) for lists of linear forms."""
     if not A or not B:
@@ -529,124 +444,6 @@ def _space_intersection(ring, A: list[Polynomial], B: list[Polynomial]) -> list[
     rows = _columns(ring.coefficients(A + [-f for f in B], ring.linear_monomials))
     ker = linalg.kernel(ring.field, rows, len(A) + len(B))
     return _echelon_forms(ring, [sum((f.scale(c) for f, c in zip(A, v)), ring.zero()) for v in ker])
-
-
-def match_form_2iv(I: Ideal, resolution=None):
-    """Dispatch a table-(iv) ideal to its structural sub-form (a)-(d) with
-    verified witnesses; sub-forms are attempted in order and each match is
-    confirmed by height conditions plus ideal regeneration."""
-    ring = I.ring
-    qs = _QuadricSpace(ring, minimal_quadric_generators(I))
-    P = _prime_from_ann(I, resolution)
-    if len(P) != 2:
-        return None, {"note": f"degree-one span of Ann Ext^2 has dimension {len(P)}, expected 2"}
-    M = linear_syzygy_matrix(I)
-    splits = split_pairs(I, M)
-    for name, attempt in (
-        ("a", _attempt_2iv_a),
-        ("b", _attempt_2iv_b),
-        ("c", _attempt_2iv_c),
-        ("d", _attempt_2iv_d),
-    ):
-        w = attempt(I, qs, P, splits)
-        if w is not None:
-            return name, w
-    return None, {
-        "note": "no sub-form matched over this field; witnesses may exist only after field extension",
-        "splits_found": len(splits),
-    }
-
-
-def _extract_2iii(I: Ideal, resolution):
-    ring = I.ring
-    qs = _QuadricSpace(ring, minimal_quadric_generators(I))
-    P = _prime_from_ann(I, resolution)
-    if len(P) != 2:
-        return None
-    x, y = P
-    # z-space: {ell : x*ell and y*ell both in I_2}
-    cx = cofactor_space(qs, x)
-    cy = cofactor_space(qs, y)
-    zspace = _space_intersection(ring, cx, cy)
-    for z in zspace:
-        rest = qs.complement_of([x * z, y * z])
-        if len(rest) != 2:
-            continue
-        q3, q4 = rest
-        c3 = ideal_cofactors(q3, [x, y])
-        c4 = ideal_cofactors(q4, [x, y])
-        if c3 is None or c4 is None:
-            continue
-        w = {"x": x, "y": y, "z": z, "a3": c3[0], "b3": c3[1], "a4": c4[0], "b4": c4[1]}
-        if _confirms("2iii", w, I):
-            return w
-    return None
-
-
-def _extract_three_products(I: Ideal, qs: _QuadricSpace, x: Polynomial, cof: list[Polynomial], case: str):
-    """Witnesses (x, y, z, w, q) of a form with generators x*(y, z, w) and q,
-    2i-c or 2ii: y, z, w extend x to a basis of the cofactor span, and q
-    completes their products to I_2."""
-    ring = I.ring
-    yzw = _extend(ring, [x], _echelon_forms(ring, cof))
-    if len(yzw) < 3:
-        return None
-    y, z, wv = yzw[:3]
-    rest = qs.complement_of([x * y, x * z, x * wv])
-    if len(rest) != 1:
-        return None
-    w = {"x": x, "y": y, "z": z, "w": wv, "q": rest[0]}
-    return w if _confirms(case, w, I) else None
-
-
-def _extract_table_i(I: Ideal):
-    """Sub-forms of the product-type table: returns (subcase, witnesses).
-
-    Signatures: a factor with a three-dimensional cofactor space marks the
-    three-products form; a factor lying inside its own two-dimensional
-    cofactor space marks the squared form; two-dimensional cofactor spaces
-    with two-dimensional back-cofactors mark the two-plane intersection."""
-    ring = I.ring
-    qs = _QuadricSpace(ring, minimal_quadric_generators(I))
-    factors = common_factors(I, qs)
-    for f, cof in factors:
-        if len(cof) >= 3:
-            w = _extract_three_products(I, qs, f, cof, "2i-c")
-            if w is not None:
-                return "c", w
-    for f, cof in factors:
-        if len(cof) != 2:
-            continue
-        if _in_span(cof, f):
-            # pair f*(f, y): the squared sub-form
-            Pspan = _echelon_forms(ring, cof)
-            x = f
-            y = _canonical_complement(ring, Pspan, [x])
-            if y is None:
-                continue
-            rest = qs.complement_of([x * x, x * y, y * y])
-            if len(rest) != 1:
-                continue
-            q = rest[0]
-            cz = ideal_cofactors(q, [x, y])
-            if cz is None:
-                continue
-            z, wv = cz
-            w = {"x": x, "y": y, "z": z, "w": wv}
-            if _confirms("2i-b", w, I):
-                return "b", w
-            continue
-        V2 = _echelon_forms(ring, cof)
-        back = cofactor_space(qs, V2[0])
-        if len(back) != 2:
-            continue
-        V1 = _echelon_forms(ring, back)
-        x, y = V1
-        z, wv = V2
-        w = {"x": x, "y": y, "z": z, "w": wv}
-        if _confirms("2i-a", w, I):
-            return "a", w
-    return None, None
 
 
 def _first_common_factor(quadrics: list[Polynomial]) -> Polynomial | None:
@@ -669,75 +466,291 @@ def _zero_row_combinations(gens: list[Polynomial], M: PolyMatrix) -> list[Polyno
     return [g for g in jgens if g]
 
 
-def _extract_table_ii(I: Ideal):
-    ring = I.ring
-    gens = minimal_quadric_generators(I)
-    qs = _QuadricSpace(ring, gens)
-    jgens = _zero_row_combinations(gens, linear_syzygy_matrix(I))
-    if jgens is None:
-        return None
-    x = _first_common_factor(jgens)
-    if x is None:
-        return None
-    return _extract_three_products(I, qs, x, cofactor_space(qs, x), "2ii")
+def _confirms(case: str, w: dict, ctx: _Context) -> bool:
+    """The witnesses meet the case's conditions and regenerate I.  Ideals
+    generated by quadrics are equal exactly when their degree-two pieces
+    are, and `minimal_quadric_generators` gives the reduced echelon basis of
+    that piece, which is canonical."""
+    spec = FORMS[case]
+    if spec.check(w, ctx.I):
+        return False
+    built = [g for g in spec.build(w) if g]
+    return bool(built) and minimal_quadric_generators(Ideal(built, ctx.ring)) == ctx.gens
 
 
-def _extract_ht1(I: Ideal):
-    gens = minimal_quadric_generators(I)
-    x = _first_common_factor(gens)
+def _extract_ht1(ctx: _Context):
+    x = _first_common_factor(ctx.gens)
     if x is None:
-        return None
+        return
     try:
-        avals = [exact_div(g, x) for g in gens]
+        a = [exact_div(g, x) for g in ctx.gens]
     except GroebnerError:
-        return None
-    w = {"x": x, "a1": avals[0], "a2": avals[1], "a3": avals[2], "a4": avals[3]}
-    if _confirms("ht1", w, I):
-        return w
+        return
+    yield {"x": x, "a1": a[0], "a2": a[1], "a3": a[2], "a4": a[3]}
+
+
+def _extract_2i_a(ctx: _Context):
+    """The two-plane intersection: a factor with a two-dimensional cofactor
+    space whose first form has a two-dimensional cofactor space back."""
+    for f, cof in ctx.factors:
+        if len(cof) != 2 or _in_span(cof, f):
+            continue
+        z, wv = _echelon_forms(ctx.ring, cof)
+        back = cofactor_space(ctx.qs, z)
+        if len(back) == 2:
+            x, y = _echelon_forms(ctx.ring, back)
+            yield {"x": x, "y": y, "z": z, "w": wv}
+
+
+def _extract_2i_b(ctx: _Context):
+    """The squared form x*(x, y): a factor inside its own two-dimensional
+    cofactor space."""
+    for x, cof in ctx.factors:
+        if len(cof) != 2 or not _in_span(cof, x):
+            continue
+        y = _canonical_complement(ctx.ring, cof, [x])
+        if y is None:
+            continue
+        rest = ctx.qs.complement_of([x * x, x * y, y * y])
+        if len(rest) != 1:
+            continue
+        cz = ideal_cofactors(rest[0], [x, y])
+        if cz is not None:
+            yield {"x": x, "y": y, "z": cz[0], "w": cz[1]}
+
+
+def _three_products(ctx: _Context, x: Polynomial, cof: list[Polynomial]):
+    """Witnesses (x, y, z, w, q) of a form with generators x*(y, z, w) and q,
+    2i-c or 2ii: y, z, w extend x to a basis of the cofactor span, and q
+    completes their products to I_2."""
+    yzw = _extend(ctx.ring, [x], _echelon_forms(ctx.ring, cof))
+    if len(yzw) < 3:
+        return
+    y, z, wv = yzw[:3]
+    rest = ctx.qs.complement_of([x * y, x * z, x * wv])
+    if len(rest) == 1:
+        yield {"x": x, "y": y, "z": z, "w": wv, "q": rest[0]}
+
+
+def _extract_2i_c(ctx: _Context):
+    """The three-products form: a factor with a three-dimensional cofactor space."""
+    for x, cof in ctx.factors:
+        if len(cof) >= 3:
+            yield from _three_products(ctx, x, cof)
+
+
+def _extract_2ii(ctx: _Context):
+    jgens = _zero_row_combinations(ctx.gens, ctx.M)
+    x = None if jgens is None else _first_common_factor(jgens)
+    if x is not None:
+        yield from _three_products(ctx, x, cofactor_space(ctx.qs, x))
+
+
+def _extract_2iii(ctx: _Context):
+    if len(ctx.prime) != 2:
+        return
+    x, y = ctx.prime
+    # z-space: {ell : x*ell and y*ell both in I_2}
+    for z in _space_intersection(ctx.ring, cofactor_space(ctx.qs, x), cofactor_space(ctx.qs, y)):
+        rest = ctx.qs.complement_of([x * z, y * z])
+        if len(rest) != 2:
+            continue
+        c3 = ideal_cofactors(rest[0], [x, y])
+        c4 = ideal_cofactors(rest[1], [x, y])
+        if c3 is not None and c4 is not None:
+            yield {"x": x, "y": y, "z": z, "a3": c3[0], "b3": c3[1], "a4": c4[0], "b4": c4[1]}
+
+
+def _extract_2iv_a(ctx: _Context):
+    ring, P = ctx.ring, ctx.prime
+    if len(P) != 2:
+        return
+    for sp in ctx.splits:
+        W = sp.cofactors
+        if not _in_span(W, sp.factor):
+            continue
+        x = sp.factor.monic(DEGREVLEX.for_ring(ring))
+        if not _in_span(P, x):
+            continue
+        b3 = _canonical_complement(ring, W, [x])
+        y = _canonical_complement(ring, P, [x])
+        if b3 is None or y is None:
+            continue
+        q3 = _solve_quadric_with_y_cofactor(ctx.qs, x, y, b3)
+        if q3 is None:
+            continue
+        try:
+            a3 = exact_div(q3 - b3 * y, x)
+        except GroebnerError:
+            continue
+        rest = ctx.qs.complement_of([x * x, b3 * x, q3])
+        cof = ideal_cofactors(rest[0], [x, y]) if len(rest) == 1 else None
+        if cof is not None:
+            yield {"x": x, "y": y, "a3": a3, "b3": b3, "a4": cof[0], "b4": cof[1]}
+
+
+def _extract_2iv_b(ctx: _Context):
+    ring, P = ctx.ring, ctx.prime
+    if len(P) != 2:
+        return
+    for sp in ctx.splits:
+        x = sp.factor.monic(DEGREVLEX.for_ring(ring))
+        if not _in_span(P, x):
+            continue
+        # need a cofactor direction inside P independent of x
+        W = sp.cofactors
+        y = _canonical_complement(ring, _space_intersection(ring, W, P), [x])
+        if y is None:
+            continue
+        a2 = _canonical_complement(ring, W, [y])
+        if a2 is None:
+            continue
+        b3 = _canonical_complement(ring, cofactor_space(ctx.qs, y), [x])
+        if b3 is None:
+            continue
+        rest = ctx.qs.complement_of([x * y, a2 * x, b3 * y])
+        cof = ideal_cofactors(rest[0], [x, y]) if len(rest) == 1 else None
+        if cof is not None:
+            yield {"x": x, "y": y, "a2": a2, "b3": b3, "a4": cof[0], "b4": cof[1]}
+
+
+def _extract_2iv_c(ctx: _Context):
+    ring, P = ctx.ring, ctx.prime
+    if len(P) != 2:
+        return
+    for sp in ctx.splits:
+        x = sp.factor.monic(DEGREVLEX.for_ring(ring))
+        W = sp.cofactors
+        if not _in_span(P, x) or _in_span(W, x):
+            continue
+        y = _canonical_complement(ring, P, [x])
+        if y is None:
+            continue
+        b3, b4 = W
+        q3 = _solve_quadric_with_y_cofactor(ctx.qs, x, y, b3)
+        q4 = _solve_quadric_with_y_cofactor(ctx.qs, x, y, b4)
+        if q3 is None or q4 is None:
+            continue
+        try:
+            a3 = exact_div(q3 - b3 * y, x)
+            a4 = exact_div(q4 - b4 * y, x)
+        except GroebnerError:
+            continue
+        yield {"x": x, "y": y, "a3": a3, "b3": b3, "a4": a4, "b4": b4}
+
+
+def _extract_2iv_d(ctx: _Context):
+    if len(ctx.prime) != 2:
+        return
+    order = DEGREVLEX.for_ring(ctx.ring)
+    for s1, s2 in permutations(ctx.splits, 2):
+        if span_dim([s1.factor, s2.factor]) == 2:
+            a1, a2 = s1.cofactors
+            b3, b4 = s2.cofactors
+            yield {"x": s1.factor.monic(order), "y": s2.factor.monic(order), "a1": a1, "a2": a2, "b3": b3, "b4": b4}
+
+
+def _extract_ht3_i(ctx: _Context):
+    if ctx.M.ncols != 1:
+        return
+    sp = _split_from_sigma(ctx.ring, ctx.gens, [ctx.M.entries[r][0] for r in range(ctx.M.nrows)])
+    if sp is None:
+        return
+    x = sp.factor.monic(DEGREVLEX.for_ring(ctx.ring))
+    z, wv = sp.cofactors
+    rest = ctx.qs.complement_of([x * z, x * wv])
+    if len(rest) == 2:
+        yield {"x": x, "z": z, "w": wv, "q3": rest[0], "q4": rest[1]}
+
+
+def _extract_ht3_ii(ctx: _Context):
+    """Three generators carrying the two linear syzygies, their 3x2 matrix,
+    and one distinguished generator."""
+    if ctx.M.ncols != 2:
+        return
+    jgens = _zero_row_combinations(ctx.gens, ctx.M)
+    if jgens is None or len(jgens) != 3:
+        return
+    J = Ideal(jgens, ctx.ring)
+    MJ = linear_syzygy_matrix(J)
+    rest = ctx.qs.complement_of(jgens)
+    if MJ.ncols != 2 or len(rest) != 1:
+        return
+    w = {"M": [[MJ.entries[r][c] for c in range(2)] for r in range(3)], "q4": rest[0]}
+    # the minors span the j-generators unless a Hilbert-Burch scalar intervenes
+    minors = [m for m in FORMS["ht3-ii"].build(w)[:3] if m]
+    if minors and minimal_quadric_generators(Ideal(minors, ctx.ring)) == minimal_quadric_generators(J):
+        yield w
+
+
+def _extract_ht4(ctx: _Context):
+    yield {f"q{i + 1}": g for i, g in enumerate(ctx.gens)}
+
+
+# the candidate witnesses of each FORMS case, in the order they are tried
+_EXTRACT = {
+    "ht1": _extract_ht1,
+    "2i-a": _extract_2i_a,
+    "2i-b": _extract_2i_b,
+    "2i-c": _extract_2i_c,
+    "2ii": _extract_2ii,
+    "2iii": _extract_2iii,
+    "2iv-a": _extract_2iv_a,
+    "2iv-b": _extract_2iv_b,
+    "2iv-c": _extract_2iv_c,
+    "2iv-d": _extract_2iv_d,
+    "ht3-i": _extract_ht3_i,
+    "ht3-ii": _extract_ht3_ii,
+    "ht4-CI": _extract_ht4,
+}
+
+# the note of an input whose locus no case matched; a complete intersection
+# always matches ht4-CI
+_UNMATCHED = {
+    "ht1": "height one but no common linear factor extraction succeeded",
+    "2i": "table (i) but no sub-form extraction succeeded over this field",
+    "2ii": "table (ii) but witness extraction failed over this field",
+    "2iii": "table (iii) but witness extraction failed over this field",
+    "2iv": "no sub-form matched over this field; witnesses may exist only after field extension",
+    "ht3": "height three but neither structure case matched",
+}
+
+
+def _locus(hgt: int, B: BettiTable) -> str | None:
+    """Where a case lives, as `FormSpec.locus` names it: ht1, ht3 or ht4 by
+    height, and at height two 2i to 2iv by the Betti table; None for a
+    height-two table that no Koszul algebra of this shape has."""
+    if hgt != 2:
+        return f"ht{hgt}"
+    return next((f"2{name}" for name, table in KNOWN_HEIGHT2_TABLES.items() if B == table), None)
+
+
+def _match(ctx: _Context, locus: str) -> tuple[str, dict] | None:
+    """The first case at the locus, in FORMS order, with the first witnesses
+    its extractor yields that `_confirms` accepts; None when no case has one."""
+    for case, spec in FORMS.items():
+        if spec.locus == locus:
+            w = next((w for w in _EXTRACT[case](ctx) if _confirms(case, w, ctx)), None)
+            if w is not None:
+                return case, w
     return None
 
 
-def _extract_ht3(I: Ideal):
-    """Returns (case, witnesses) for the height-three structure cases."""
-    ring = I.ring
-    gens = minimal_quadric_generators(I)
-    qs = _QuadricSpace(ring, gens)
-    M = linear_syzygy_matrix(I)
-    if M.ncols == 1:
-        sigma = [M.entries[r][0] for r in range(M.nrows)]
-        sp = _split_from_sigma(ring, gens, sigma)
-        if sp is None:
-            return None, None
-        x = sp.factor.monic(DEGREVLEX.for_ring(ring))
-        z, wv = sp.cofactors
-        rest = qs.complement_of([x * z, x * wv])
-        if len(rest) != 2:
-            return None, None
-        w = {"x": x, "z": z, "w": wv, "q3": rest[0], "q4": rest[1]}
-        if _confirms("ht3-i", w, I):
-            return "ht3-i", w
-        return None, None
-    if M.ncols == 2:
-        # generator basis: three carrying the syzygies + one distinguished
-        jgens = _zero_row_combinations(gens, M)
-        if jgens is None or len(jgens) != 3:
-            return None, None
-        # the two linear syzygies among the j-generators give the 3x2 matrix
-        Jideal = Ideal(jgens, ring)
-        MJ = linear_syzygy_matrix(Jideal)
-        if MJ.ncols != 2:
-            return None, None
-        rest = qs.complement_of(jgens)
-        if len(rest) != 1:
-            return None, None
-        w = {"M": [[MJ.entries[r][c] for c in range(2)] for r in range(3)], "q4": rest[0]}
-        minors = FORMS["ht3-ii"].build(w)[:3]
-        if not ideal_equal(Ideal([m for m in minors if m], ring), Jideal):
-            # a Hilbert-Burch scalar may intervene
-            return None, None
-        if _confirms("ht3-ii", w, I):
-            return "ht3-ii", w
-    return None, None
+def _unmatched_note(ctx: _Context, locus: str) -> str:
+    if locus == "2iv" and len(ctx.prime) != 2:
+        return f"degree-one span of Ann Ext^2 has dimension {len(ctx.prime)}, expected 2"
+    return _UNMATCHED[locus]
+
+
+def match_form_2iv(I: Ideal):
+    """The table-(iv) sub-form of I with confirmed witnesses, as (letter,
+    witnesses) with the letter a to d, or (None, {"note": ...}) saying why
+    none matched."""
+    ctx = _Context(I, None)
+    found = _match(ctx, "2iv")
+    if found is None:
+        return None, {"note": _unmatched_note(ctx, "2iv")}
+    return found[0][-1], found[1]
 
 
 # ---------------------------------------------------------------------------
@@ -886,44 +899,14 @@ def classify(I: Ideal, bound: int = 5) -> ClassificationReport:
         return ClassificationReport(
             matched_case=FORMS[case_key].display if case_key in FORMS else case_key,
             subcase=subcase,
-            witnesses=witnesses or {},
+            witnesses=witnesses,
             verdict=verdict,
             certificate=certificate,
             **report,
         )
 
-    def koszul_done(case_key, subcase, witnesses):
-        cert = lg_quadratic_certificate(I, case_key, witnesses)
-        if cert is None:
-            notes.append(f"matched {case_key} but the certificate was refused")
-            verdict, cert2 = "inconclusive-at-bound", {"type": "inconclusive", "bound": bound}
-            return done(case_key, subcase, witnesses, verdict, cert2)
-        return done(case_key, subcase, witnesses, "certified-Koszul", cert)
-
-    def unmatched(case_key, note):
-        notes.append(note)
-        verdict, cert = _dynamic_non_koszul_verdict(I, bound, notes)
-        return done(case_key, None, {}, verdict, cert)
-
-    if h.codim == 4:
-        w = {f"q{i+1}": gens[i] for i in range(4)}
-        return koszul_done("ht4-CI", None, w)
-
-    if h.codim == 1:
-        w = _extract_ht1(I)
-        if w is not None:
-            return koszul_done("ht1", None, w)
-        return unmatched("ht1-unmatched", "height one but no common linear factor extraction succeeded")
-
-    if h.codim == 3:
-        case, w = _extract_ht3(I)
-        if case is not None:
-            return koszul_done(case, None, w)
-        return unmatched("ht3-unmatched", "height three but neither structure case matched")
-
-    # height 2: dispatch on the Betti table
-    tname = next((name for name, table in KNOWN_HEIGHT2_TABLES.items() if B == table), None)
-    if tname is None:
+    locus = _locus(h.codim, B)
+    if locus is None:
         return done(
             "no-Koszul-table",
             None,
@@ -935,32 +918,26 @@ def classify(I: Ideal, bound: int = 5) -> ClassificationReport:
                 "note": "the Betti table is not among the four tables realized by Koszul algebras of this shape",
             },
         )
-    if tname == "i":
-        sub, w = _extract_table_i(I)
-        if sub is not None:
-            return koszul_done(f"2i-{sub}", sub, w)
-        return unmatched("2i-unmatched", "table (i) but no sub-form extraction succeeded over this field")
-    if tname == "ii":
-        w = _extract_table_ii(I)
-        if w is not None:
-            return koszul_done("2ii", None, w)
-        return unmatched("2ii-unmatched", "table (ii) but witness extraction failed over this field")
-    if tname == "iii":
-        w = _extract_2iii(I, cx)
-        if w is not None:
-            return koszul_done("2iii", None, w)
-        return unmatched("2iii-unmatched", "table (iii) but witness extraction failed over this field")
-    # table (iv)
-    sub, w = match_form_2iv(I, cx)
-    if sub is None:
-        return unmatched("2iv-unmatched", w.get("note", "no sub-form matched"))
-    case_key = f"2iv-{sub}"
-    if sub == "d":
-        return koszul_done(case_key, sub, w)
-    if sub == "c":
+    ctx = _Context(I, cx)
+    found = _match(ctx, locus)
+    if found is None:
+        notes.append(_unmatched_note(ctx, locus))
+        verdict, cert = _dynamic_non_koszul_verdict(I, bound, notes)
+        return done(f"{locus}-unmatched", None, {}, verdict, cert)
+    case, w = found
+    spec = FORMS[case]
+    # a sub-form of 2i or 2iv, whose id is not its display name, reports its letter
+    subcase = None if case == spec.display else case[-1]
+    if spec.koszul:
+        cert = lg_quadratic_certificate(I, case, w)
+        if cert is not None:
+            return done(case, subcase, w, "certified-Koszul", cert)
+        notes.append(f"matched {case} but the certificate was refused")
+        return done(case, subcase, w, "inconclusive-at-bound", {"type": "inconclusive", "bound": bound})
+    if case == "2iv-c":
         cert = _form_c_chain_certificate(I, w)
         if cert is not None:
-            return done(case_key, sub, w, "certified-non-Koszul", cert)
+            return done(case, subcase, w, "certified-non-Koszul", cert)
         notes.append("no specialization-chain certificate; using direct Tor computation")
     verdict, cert = _dynamic_non_koszul_verdict(I, bound, notes)
-    return done(case_key, sub, w, verdict, cert)
+    return done(case, subcase, w, verdict, cert)

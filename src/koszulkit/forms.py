@@ -3,7 +3,9 @@
 `FORMS` is the catalogue of cases, one `FormSpec` each, and every fact
 about a case lives there: how to build its ideal from named witness forms,
 how to verify the side conditions attached to it, which witnesses to sample,
-in how many variables, and the name reports give it.  Its `build` is the
+in how many variables, the name reports give it, and its locus (the prefix
+of that name: the height and height-two Betti table where the case lives,
+which is where the classifier looks for it).  Its `build` is the
 one place where the case's generators are written: the generic lift used by
 G-quadratic certificates is `build` evaluated on fresh variables that stand
 for the witnesses, and the specializing linear sequence sets each fresh
@@ -421,6 +423,12 @@ class FormSpec:
         else:
             w = {k: random_linear(ring, rng) for k in self.linear}
         return w | {k: random_quadric(ring, rng) for k in self.quadrics}
+
+    @property
+    def locus(self) -> str:
+        """Where the case lives, the prefix of `display`: ht1, ht3 or ht4 by
+        height, and 2i, 2ii, 2iii or 2iv by height-two Betti table."""
+        return self.display.split("-")[0]
 
     def lift(self, ring: RingContext, w: dict) -> GenericLift | None:
         if self.own_lift is not None:

@@ -556,21 +556,6 @@ def colon(I: Ideal, J: Ideal | Polynomial) -> Ideal:
     return modules.submodule_colon(modules.PolyMatrix(target, source, rows))
 
 
-def saturate(I: Ideal, J: Ideal) -> Ideal:
-    """Stable limit of I : J^k."""
-    if J.is_zero():
-        raise GroebnerError("saturation by the zero ideal")
-    _need_homogeneous(I, J)
-    if any(g.is_constant() and g for g in J.gens):
-        return I
-    cur = I
-    while True:
-        nxt = colon(cur, J)
-        if ideal_equal(nxt, cur):
-            return cur
-        cur = nxt
-
-
 def minimal_quadric_generators(I: Ideal) -> list[Polynomial]:
     """Reduced-echelon basis of the degree-2 piece of an ideal generated by quadrics."""
     ring = I.ring

@@ -19,11 +19,13 @@ from koszulkit import (
     buchberger,
     classify,
     find_generalized_zero,
+    hilbert_of_quotient,
     ideal_equal,
     is_quadratic_gb,
     is_regular_sequence_mod,
     linear_syzygy_matrix,
     match_form_2iv,
+    minimal_resolution,
     parse_poly,
     parse_ring,
 )
@@ -244,6 +246,38 @@ class TestSubformDispatch:
         g = generate_ideal("2iv-a", GF(32003), seed=29)
         _, w = match_form_2iv(g["ideal"])
         assert not FORMS["2iv-a"].check(w, g["ideal"])
+
+
+class TestCatalogue:
+    def test_every_case_has_an_extractor_and_every_locus_a_note(self):
+        """ht4-CI always matches a complete intersection, so ht4 alone has
+        no unmatched note."""
+        assert set(classify_module._EXTRACT) == set(FORMS)
+        assert set(classify_module._UNMATCHED) == {spec.locus for spec in FORMS.values()} - {"ht4"}
+
+    @pytest.mark.parametrize("name", ["F7", "F32003"])
+    def test_each_witness_sits_at_its_case_locus(self, name):
+        for case, spec in FORMS.items():
+            I = generate_ideal(case, field_by_name(name), 0)["ideal"]
+            locus = classify_module._locus(hilbert_of_quotient(I).codim, minimal_resolution(I)[1])
+            assert locus == spec.locus, (case, locus)
+
+    def test_the_context_computes_ann_ext_only_where_it_is_needed(self, monkeypatch):
+        """The extractors share one lazy context: Ann Ext^2 is computed once
+        on tables (iii) and (iv) and never elsewhere."""
+        calls = []
+        real = classify_module.ann_ext
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(classify_module, "ann_ext", spy)
+        for case, spec in FORMS.items():
+            calls.clear()
+            rep = classify(generate_ideal(case, GF(32003), 0)["ideal"])
+            assert rep.matched_case == spec.display, case
+            assert len(calls) == (spec.locus in ("2iii", "2iv")), case
 
 
 class TestCertificates:

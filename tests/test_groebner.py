@@ -24,7 +24,6 @@ from koszulkit import (
     Polynomial,
     parse_poly,
     parse_ring,
-    saturate,
     verify_basis,
 )
 from koszulkit import groebner
@@ -291,18 +290,6 @@ class TestReductionLoop:
         out = eliminate(I, ["t"])
         assert [str(g) for g in out.gens] == ["x*y"]
 
-    def test_saturate_examples(self, qq_xy):
-        R = qq_xy
-        assert ideal_equal(saturate(ideal(R, "x^2", "x*y"), ideal(R, "x", "y")), ideal(R, "x"))
-        I = ideal(R, "x^2", "x*y")
-        assert ideal_equal(saturate(I, Ideal([R.one()], R)), I)
-
-    def test_saturate_two_planes(self):
-        R = parse_ring("ring QQ [x,y,z,w]")
-        got = saturate(ideal(R, "x*z", "x*w", "y*z", "y*w"), ideal(R, "x", "y"))
-        want = ideal(R, "z", "w")
-        assert is_subideal(got, want) and is_subideal(want, got)
-
     def test_exact_div(self, qq_xy):
         R = qq_xy
         assert exact_div(P(R, "x^2*y - x*y^2"), P(R, "x*y")) == P(R, "x - y")
@@ -399,7 +386,7 @@ class TestArithmeticAgainstElimination:
 
     def test_inhomogeneous_input_raises(self, qq_xy):
         I, J = ideal(qq_xy, "x^2 + y"), ideal(qq_xy, "x")
-        for fn in (intersect, colon, saturate):
+        for fn in (intersect, colon):
             for args in ((I, J), (J, I)):
                 with pytest.raises(GroebnerError, match="homogeneous"):
                     fn(*args)

@@ -93,7 +93,7 @@ def test_modules_imports_nothing_from_linalg():
     assert not found, "modules imports linalg:\n" + "\n".join(found)
 
 
-ELIMINATIONS = {"intersect", "eliminate", "colon", "saturate"}
+ELIMINATIONS = {"intersect", "eliminate", "colon"}
 
 
 def test_classify_calls_no_elimination():
@@ -292,7 +292,6 @@ def test_every_constant_and_instance_attribute_is_read():
 # parameter of that signature unread.
 DISPATCH_PROTOCOLS = {
     ("forms.py", "check_"): "FormSpec.check(w, I): check_ht4 needs only I",
-    ("classify.py", "_attempt_2iv_"): "match_form_2iv calls each sub-form attempt with (I, qs, P, splits)",
     ("repro.py", "chk_"): "run_manifest calls each check with (params, expect)",
 }
 
