@@ -761,7 +761,10 @@ def _verified_lift(I: Ideal, lift: GenericLift) -> Ideal | None:
     """The lifted ideal, when the specializing forms L are a regular sequence
     on it and S'/(lifted, L) has the Hilbert series of S/I.  With L regular
     and one linear form per fresh variable, that series is the numerator of
-    S'/lifted over (1-t)^n, so the numerators of S'/lifted and S/I agree."""
+    S'/lifted over (1-t)^n, so the numerators of S'/lifted and S/I agree.
+    `is_regular_sequence_mod` solves each form of L for its fresh variable,
+    so the regular-sequence identity is verified in the ring of the old
+    variables, on the lifted generators with the witnesses put back."""
     if len(lift.specializing) != lift.ring.n - I.ring.n:
         raise ClassificationError("a generic lift needs one specializing form per fresh variable")
     lifted = Ideal(lift.ideal_gens, lift.ring)

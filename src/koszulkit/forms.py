@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .groebner import GroebnerError, Ideal, minimal_quadric_generators
-from .hilbert import hilbert_of_quotient, is_regular_sequence_mod, zp_add
+from .hilbert import hilbert_of_quotient, is_regular_sequence_mod, zp_add, zp_shift
 from .modules import FreeModule, PolyMatrix, TaggedModule
 from .ring import MonomialOrder, Polynomial, RingContext
 
@@ -309,12 +309,19 @@ def check_2iv_d(w: dict, I: Ideal) -> list[str]:
         fails.append("hgt(x,y) != 2")
     I1 = Ideal([w["a1"] * w["x"], w["a2"] * w["x"]], ring)
     I2 = Ideal([w["b3"] * w["y"], w["b4"] * w["y"]], ring)
-    prod = Ideal([f * g for f in I1.gens for g in I2.gens], ring)
     # I1*I2 lies in I1 ∩ I2, and 0 -> S/(I1 ∩ I2) -> S/I1 + S/I2 -> S/(I1+I2) -> 0
     # is exact, so the two are equal iff S/(I1*I2) has the Hilbert series
-    # H(S/I1) + H(S/I2) - H(S/I); I is I1 + I2
+    # H(S/I1) + H(S/I2) - H(S/I); I is I1 + I2.  I1*I2 = f*K with f = x*y and
+    # K = (a1, a2)(b3, b4); f is a nonzerodivisor, so 0 -> (S/K)(-2) -> S/fK
+    # -> S/(f) -> 0 is exact and num(S/I1*I2) = (1 - t^2) + t^2 num(S/K); when
+    # f = 0, I1*I2 = 0 and the numerator is 1
     num = lambda J: hilbert_of_quotient(J).numerator
-    if zp_add(num(I1), num(I2)) != zp_add(num(I), num(prod)):
+    if w["x"] and w["y"]:
+        K = Ideal([a * b for a in (w["a1"], w["a2"]) for b in (w["b3"], w["b4"])], ring)
+        prod = zp_add((1, 0, -1), zp_shift(num(K), 2))
+    else:
+        prod = (1,)
+    if zp_add(num(I1), num(I2)) != zp_add(num(I), prod):
         fails.append("summands are not transversal")
     return fails
 

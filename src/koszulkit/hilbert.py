@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import linalg
 from .groebner import GroebnerError, Ideal
 from .ring import Mon, Polynomial, RingContext
 
@@ -177,25 +178,50 @@ def hilbert_of_quotient(I: Ideal) -> HilbertData:
 
 
 def is_regular_sequence_mod(I: Ideal, L: list[Polynomial]) -> bool:
-    """True iff H_{S/(I,L)}(t) = H_{S/I}(t) * prod_f (1 - t^deg f) exactly.
+    """True iff the homogeneous forms L, of any positive degrees, are a
+    regular sequence mod I; I may be zero (then the test is plain regularity
+    of L in S).
 
-    By Stanley's criterion equality holds precisely when the homogeneous
-    forms L, of any positive degrees, are a regular sequence mod I; I may be
-    zero (then the test is plain regularity of L in S).
+    By Stanley's criterion that holds exactly when H_{S/(I,L)}(t) =
+    H_{S/I}(t) * prod_f (1 - t^deg f).  The linear forms of L are cut first,
+    by substitution.  When their coefficient rows have rank below their
+    count, one of them is zero modulo the others, so the sequence is not
+    regular.  Otherwise their reduced echelon rows solve each pivot variable
+    as minus its row on the free variables, and that substitution is an
+    isomorphism S/(I, L) = k[free]/(I', L'), with I' and L' the images of I
+    and of the other forms of L.  As S/(linear forms) = k[free], the
+    identity holds exactly when the numerator of k[free]/(I', L') is that of
+    S/I times prod (1 - t^deg f) over the other forms.  Every series here is
+    by total degree, so k[free] is standard graded whatever the grading of S.
     """
     if not L:
         return True
     ring = I.ring
+    K = ring.field
     rhs = hilbert_of_quotient(I).numerator
+    linear, rest = [], []
     for f in L:
         if not f.ring.same(ring):
             raise GroebnerError("regular-sequence test in mixed rings")
         degs = {sum(m) for m in f.terms}
         if len(degs) != 1 or 0 in degs:
             raise GroebnerError(f"regular-sequence test needs homogeneous forms of positive degree, got {f}")
-        rhs = zp_mul(rhs, _one_minus_t_to(degs.pop()))
-    big = Ideal(list(I.gens) + list(L), ring)
-    return hilbert_of_quotient(big).numerator == rhs
+        d = degs.pop()
+        if d == 1:
+            linear.append(f)
+        else:
+            rest.append(f)
+            rhs = zp_mul(rhs, _one_minus_t_to(d))
+    rows, pivots = linalg.rref(K, ring.coefficients(linear, ring.linear_monomials))
+    if len(pivots) < len(linear):
+        return False
+    free = [i for i in range(ring.n) if i not in pivots]
+    small = RingContext(K, [ring.names[i] for i in free])
+    images = [small.var(j) for j in range(small.n)]
+    for row, p in zip(rows, pivots):
+        images.insert(p, small.form([K.neg(row[i]) for i in free], small.linear_monomials))
+    cut = Ideal([f.substitute(images) for f in list(I.gens) + rest], small)
+    return hilbert_of_quotient(cut).numerator == rhs
 
 
 def regularity(table) -> int:

@@ -8,13 +8,16 @@ from koszulkit import GF, QQ, Ideal, hilbert_of_quotient, minimal_resolution, pa
 from koszulkit.forms import (
     FORMS,
     KNOWN_HEIGHT2_TABLES,
+    build_2iv_d,
     check_2iv_d,
     generate_ideal,
     pair_decomposition,
     random_linear,
     resolve_case_id,
+    span_dim,
 )
 from koszulkit.groebner import GroebnerError, ideal_equal, intersect, minimal_quadric_generators
+from koszulkit.hilbert import zp_add
 from koszulkit.ring import RingContext
 
 
@@ -112,3 +115,78 @@ def test_2iv_d_transversality_by_hilbert_series_matches_intersection(K):
         assert ("summands are not transversal" not in check_2iv_d(w, I)) == transversal
         seen.add(transversal)
     assert seen == {True, False}
+
+
+def _check_2iv_d_by_product(w, I):
+    """Reference for check_2iv_d: the same conditions, with the Hilbert series
+    of S/(I1*I2) taken from the product ideal itself."""
+    ring = w["x"].ring
+    fails = [msg for msg, forms in (
+        ("hgt(a1,a2) != 2", [w["a1"], w["a2"]]),
+        ("hgt(b3,b4) != 2", [w["b3"], w["b4"]]),
+        ("hgt(x,y) != 2", [w["x"], w["y"]]),
+    ) if span_dim(forms) != 2]
+    I1 = Ideal([w["a1"] * w["x"], w["a2"] * w["x"]], ring)
+    I2 = Ideal([w["b3"] * w["y"], w["b4"] * w["y"]], ring)
+    prod = Ideal([f * g for f in I1.gens for g in I2.gens], ring)
+    num = lambda J: hilbert_of_quotient(J).numerator
+    if zp_add(num(I1), num(I2)) != zp_add(num(I), num(prod)):
+        fails.append("summands are not transversal")
+    return fails
+
+
+_SMALL_FIELDS = [GF(2), GF(3), GF(7), GF(32003)]
+
+
+def test_2iv_d_factored_series_matches_the_product_ideal():
+    """300 draws of the 2iv-d sampler, 75 a field; over the small fields
+    many are degenerate, so every outcome of the check occurs."""
+    outcomes = set()
+    for K in _SMALL_FIELDS:
+        ring = RingContext(K, [f"x{i}" for i in range(6)])
+        rng = random.Random(f"2iv-d-factored:{K}")
+        for _ in range(75):
+            w = FORMS["2iv-d"].sample(ring, rng)
+            I = Ideal(build_2iv_d(w), ring)
+            want = _check_2iv_d_by_product(w, I)
+            assert check_2iv_d(w, I) == want, (K.name, {k: str(v) for k, v in w.items()})
+            outcomes.add("summands are not transversal" in want)
+    assert outcomes == {True, False}
+
+
+def test_2iv_d_factored_series_on_degenerate_witnesses():
+    """x = 0 and y = 0 make the product zero; the rest are edge cases of the
+    factor K = (a1, a2)(b3, b4)."""
+    R = parse_ring("ring F7 [x0,x1,x2,x3,x4,x5]")
+    x0, x1, x2, x3, x4, x5 = R.gens()
+    base = {"x": x0, "y": x1, "a1": x2, "a2": x3, "b3": x4, "b4": x5}
+    cases = [
+        {"x": R.zero()},
+        {"y": R.zero()},
+        {"y": x0.scale(R.field.coerce(2))},
+        {"a1": R.zero(), "a2": R.zero()},
+        {"x": x4 + x5.scale(R.field.coerce(3))},
+        {"y": x2 - x3},
+        {"b3": x2, "b4": x3},
+        {},
+    ]
+    for change in cases:
+        w = base | change
+        I = Ideal(build_2iv_d(w), R)
+        assert check_2iv_d(w, I) == _check_2iv_d_by_product(w, I), change
+
+
+def test_sampling_with_the_product_reference_draws_the_same_witnesses(monkeypatch):
+    """Every check outcome in the rejection loop decides which draw is
+    returned, so equal witnesses for s = 0..9 show equal outcomes there."""
+    def run():
+        out = []
+        for K in _SMALL_FIELDS:
+            for s in range(10):
+                g = generate_ideal("2iv-d", K, s)
+                out.append(([str(g["witnesses"][k]) for k in sorted(g["witnesses"])], [str(f) for f in g["ideal"].gens]))
+        return out
+
+    got = run()
+    monkeypatch.setattr(FORMS["2iv-d"], "check", _check_2iv_d_by_product)
+    assert run() == got

@@ -1,5 +1,6 @@
 """Hilbert series, dimension, multiplicity, regular-sequence tests."""
 
+import importlib
 import random
 
 import pytest
@@ -9,16 +10,20 @@ from koszulkit import (
     Ideal,
     LinearChange,
     hilbert_from_monomials,
+    groebner,
     hilbert_of_quotient,
     is_regular_sequence_mod,
+    lg_quadratic_certificate,
     parse_poly,
     parse_ring,
     regularity,
 )
-from koszulkit.forms import KNOWN_HEIGHT2_TABLES, random_linear, random_quadric
+from koszulkit.forms import FORMS, KNOWN_HEIGHT2_TABLES, generate_ideal, random_linear, random_quadric
 from koszulkit.groebner import GroebnerError
-from koszulkit.hilbert import zp_div_1mt, zp_mul
+from koszulkit.hilbert import zp_div_1mt, zp_mul, zp_trim
 from koszulkit.ring import Polynomial
+
+classify_module = importlib.import_module("koszulkit.classify")
 
 
 def _min_cover(supports: list[frozenset[int]], memo: dict) -> int:
@@ -184,8 +189,6 @@ class TestRegularSequences:
         # lift a valid concrete witness to the seven-variable generic form;
         # the specializing differences must be a regular sequence, which is
         # exactly the series equality this operation tests
-        from koszulkit.forms import FORMS, generate_ideal
-
         g = generate_ideal("2iii", GF(32003), seed=4)
         lift = FORMS["2iii"].lift(g["ideal"].ring, g["witnesses"])
         lifted = Ideal(lift.ideal_gens, lift.ring)
@@ -233,6 +236,89 @@ class TestRegularQuadricSequences:
         R = parse_ring("ring QQ [x,y,z]")
         with pytest.raises(GroebnerError, match="homogeneous forms of positive degree"):
             is_regular_sequence_mod(ideal(R, "x*y"), [P(R, form)])
+
+
+def _stanley_in_the_whole_ring(I, L):
+    """Reference: Stanley's identity H_{S/(I,L)} = H_{S/I} prod (1 - t^deg f)
+    checked in S itself, with the linear forms kept as generators."""
+    rhs = hilbert_of_quotient(I).numerator
+    for f in L:
+        rhs = zp_mul(rhs, zp_trim([1] + [0] * (f.total_degree() - 1) + [-1]))
+    return hilbert_of_quotient(Ideal(list(I.gens) + list(L), I.ring)).numerator == rhs
+
+
+def _cut_draws(R, rng, count):
+    """(I, L) pairs, one kind after another: independent linear forms, a
+    repeated one, a multiple of one, a linear form then a quadric, a quadric
+    then linear forms, quadrics only, and I = 0 under a mixed L."""
+    lin, quad = (lambda: random_linear(R, rng)), (lambda: random_quadric(R, rng))
+    for trial in range(count):
+        kind = trial % 7
+        I = Ideal([] if kind == 6 else [quad() for _ in range(rng.randint(1, 2))], R)
+        l = lin()
+        L = [
+            [l] + [lin() for _ in range(rng.randint(0, 2))],
+            [l, lin(), l],
+            [lin(), l, l.scale(R.field.coerce(5))],
+            [l, quad()],
+            [quad(), l, lin()],
+            [quad() for _ in range(rng.randint(1, 2))],
+            [l, quad(), lin()],
+        ][kind]
+        yield I, L
+
+
+class TestLinearCut:
+    """The linear forms of L are cut by substitution before the Hilbert test;
+    the verdict is the identity's in the whole ring."""
+
+    @pytest.mark.parametrize("decl", [
+        "ring F2 [x0,x1,x2,x3]",
+        "ring F7 [x0,x1,x2,x3,x4]",
+        "ring F32003 [x0,x1,x2,x3]",
+        "ring QQ [x0,x1,x2]",
+        "ring F7 [x:(1,0),y:(1,0),z:(1,0),a:(0,1),b:(0,1)]",
+    ])
+    def test_agrees_with_the_identity_in_the_whole_ring(self, decl):
+        R = parse_ring(decl)
+        rng = random.Random(f"linear-cut:{decl}")
+        verdicts = []
+        for I, L in _cut_draws(R, rng, 42):
+            want = _stanley_in_the_whole_ring(I, L)
+            assert is_regular_sequence_mod(I, L) == want, ([str(g) for g in I.gens], [str(f) for f in L])
+            verdicts.append(want)
+        assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("case", sorted(c for c, spec in FORMS.items() if spec.koszul))
+    def test_certificate_lifts(self, case):
+        g = generate_ideal(case, GF(32003), seed=0)
+        lift = FORMS[case].lift(g["ring"], g["witnesses"])
+        lifted = Ideal(lift.ideal_gens, lift.ring)
+        assert _stanley_in_the_whole_ring(lifted, lift.specializing)
+        assert is_regular_sequence_mod(lifted, lift.specializing)
+
+    def test_rank_deficit_is_not_regular(self):
+        R = parse_ring("ring QQ [x,y,z]")
+        assert not is_regular_sequence_mod(Ideal([], R), [P(R, "x+y"), P(R, "z"), P(R, "2*x+2*y")])
+        assert is_regular_sequence_mod(Ideal([], R), [P(R, "x+y"), P(R, "z"), P(R, "x")])
+
+    def test_certificate_bases_stay_small_in_the_lift_ring(self, monkeypatch):
+        """The ht3-i lift at the manifest's seed has 28 variables; after the
+        cut, every basis computed in it has at most the four lifted
+        generators, and the rest of the test runs in the input's ring."""
+        g = generate_ideal("ht3-i", GF(32003), seed=2)
+        seen = []
+        for mod in (groebner, classify_module):
+            run = mod.buchberger
+
+            def spy(gens, *args, run=run, **kwargs):
+                seen.append((gens[0].ring.n, len(gens)))
+                return run(gens, *args, **kwargs)
+
+            monkeypatch.setattr(mod, "buchberger", spy)
+        assert lg_quadratic_certificate(g["ideal"], "ht3-i", g["witnesses"]) is not None
+        in_lift = [k for n, k in seen if n == 28]
+        assert in_lift and max(in_lift) <= 4
 
 
 class TestRegularity:
