@@ -467,15 +467,16 @@ def _zero_row_combinations(gens: list[Polynomial], M: PolyMatrix) -> list[Polyno
 
 
 def _confirms(case: str, w: dict, ctx: _Context) -> bool:
-    """The witnesses meet the case's conditions and regenerate I.  Ideals
+    """The witnesses regenerate I and meet the case's conditions.  Ideals
     generated by quadrics are equal exactly when their degree-two pieces
     are, and `minimal_quadric_generators` gives the reduced echelon basis of
-    that piece, which is canonical."""
+    that piece, which is canonical.  That comparison is the cheap one, so it
+    runs first: the conditions take Groebner bases or Hilbert series."""
     spec = FORMS[case]
-    if spec.check(w, ctx.I):
-        return False
     built = [g for g in spec.build(w) if g]
-    return bool(built) and minimal_quadric_generators(Ideal(built, ctx.ring)) == ctx.gens
+    if not built or minimal_quadric_generators(Ideal(built, ctx.ring)) != ctx.gens:
+        return False
+    return not spec.check(w, ctx.I)
 
 
 def _extract_ht1(ctx: _Context):

@@ -300,7 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("res", help="minimal free resolution and Betti table")
     add_ideal_args(sp)
-    sp.add_argument("--maxdeg", type=nonnegative, default=None)
+    sp.add_argument("--maxdeg", type=nonnegative, default=None,
+                    help="syzygy steps to take after the generators, so the table reaches "
+                         "homological degree maxdeg + 1 at most (default: until the kernel is zero)")
     sp.add_argument("--matrices", action="store_true")
     sp.set_defaults(fn=cmd_res)
 

@@ -14,12 +14,23 @@ The module orders are all built on degrevlex, whose layout packs the
 elements inside as dicts {int: coeff} (see groebner.ModuleOrder):
 PolyMatrix.packed_columns packs a matrix once, and groebner's one reduction
 loop reduces them.  syzygy_matrix keeps its columns packed from one call to
-the next and unpacks them once, into the matrix it returns.
+the next and unpacks them once, into the matrix it returns.  That matrix
+also keeps the packed leads of the columns one level down, and TaggedModule
+offsets each component of its free block by them: a free term m*e_r packs
+as m + lead_r + r + flag, so the tagged basis of each level from the second
+on runs in the Schreyer order induced by the level below, the order its
+tags ran in (Schreyer's theorem: Eisenbud, Commutative Algebra, Thm 15.10;
+La Scala and Stillman, J. Symbolic Comput. 26, 1998).  The offsets live
+only inside TaggedModule: syzygies leave it as plain packed columns, and
+generator selection and products run the plain order.
 submodule_colon, the first entries of the syzygies of [k | B], is the one
 colon: groebner.colon and resolution.ann_ext both call it.
 """
 
 from __future__ import annotations
+
+from itertools import chain
+from operator import is_
 
 from .groebner import Ideal, ModuleGB, ModuleOrder, lead_term, reduce_terms
 from .ring import (
@@ -71,7 +82,10 @@ class PolyMatrix:
         self.target = target
         self.source = source
         self.entries = [list(row) for row in entries]
-        self._packed = None  # the packed columns, set by syzygy_matrix
+        # set by syzygy_matrix: (entries, the packed columns they were
+        # unpacked from), and the Schreyer leads of the target's components
+        self._packed = None
+        self._leads = None
         if len(self.entries) != target.rank or any(len(r) != source.rank for r in self.entries):
             raise RingError("matrix shape does not match its free modules")
         if check:
@@ -99,9 +113,12 @@ class PolyMatrix:
         """The columns as packed elements {pack(m) + row + flag: c} of the
         degrevlex layout, checked homogeneous.  A matrix made by
         syzygy_matrix keeps the packed columns it was unpacked from, and
-        returns those."""
+        returns those as long as every entry is the one unpacked from them:
+        an entry replaced since is packed again with all the others."""
         if self._packed is not None:
-            return self._packed
+            unpacked, cols = self._packed
+            if all(map(is_, chain.from_iterable(self.entries), unpacked)):
+                return cols
         lay = DEGREVLEX.for_ring(self.ring).layout
         cols: list[dict] = [{} for _ in range(self.ncols)]
         for r, row in enumerate(self.entries):
@@ -205,16 +222,34 @@ def lex_terms(lay: PackedLayout, col: dict) -> list[int]:
 
 class TaggedModule:
     """The columns g_1..g_s of M, generators of a submodule of M.target,
-    tagged in M.target (+) S^s."""
+    tagged in M.target (+) S^s.
+
+    A free term m*e_r packs as m + lead_r + r + flag.  When M was made by
+    syzygy_matrix, lead_r is the packed lead of generator r one level down
+    (M._leads), so the free block runs in the Schreyer order those leads
+    induce, the order in which the tags one level down ran; for a matrix
+    built from entries every lead_r is 0, the plain order of the layout.
+    The offsets cancel within one component, so divisibility, lcms and the
+    pair criteria are those of the plain packing (the coprime test, which
+    runs on one free component only, sees offset 0 there: a matrix from
+    syzygy_matrix has one row only when the one column below it is zero);
+    _schreyer applies the offsets and reduce removes them."""
 
     def __init__(self, M: PolyMatrix):
         base = DEGREVLEX.for_ring(M.ring)
         lay = base.layout
         self.M, self.K, self.n_free = M, M.ring.field, M.nrows
-        self._packed = M.packed_columns()
+        self.offsets = M._leads or [0] * M.nrows
+        self._packed = self._schreyer(M.packed_columns())
         # tags carry the lead monomials, without component and flag
         self.order = ModuleOrder(base, M.nrows, [lead_term(el, lay) & ~lay.frame if el else 0 for el in self._packed])
         self._gb: ModuleGB | None = None
+
+    def _schreyer(self, cols: list[dict]) -> list[dict]:
+        """Packed columns of M.target (as packed_columns gives them) in
+        this module's packing: each term of component r moved by lead_r."""
+        off = self.offsets
+        return [{P + off[P & FIELD_MASK]: v for P, v in col.items()} for col in cols]
 
     def gb(self) -> ModuleGB:
         """The completed Groebner basis of the augmented generators (g_i, e_i);
@@ -250,11 +285,12 @@ class TaggedModule:
         zero = M.ring.zero
         R = [[zero() for _ in range(N.ncols)] for _ in range(n)]
         X = [[zero() for _ in range(N.ncols)] for _ in leads]
-        for c, col in enumerate(N.packed_columns()):
+        off = self.offsets
+        for c, col in enumerate(self._schreyer(N.packed_columns())):
             for P, v in reduce_terms(col, gb.reducers, lay, K).items():
                 i = P & FIELD_MASK
                 if P & lay.flag:
-                    R[i][c].terms[lay.unpack(P)] = v
+                    R[i][c].terms[lay.unpack(P - off[i])] = v
                 else:
                     X[i - n][c].terms[lay.unpack(P - leads[i - n])] = K.neg(v)
         return PolyMatrix(M.target, N.source, R, check=False), PolyMatrix(M.source, N.source, X)
@@ -304,10 +340,14 @@ def syzygy_matrix(M: PolyMatrix) -> PolyMatrix:
 
     Iterating it yields minimal resolutions directly.  The syzygies stay
     packed from the Groebner basis through generator selection and are
-    unpacked once, into the result, which keeps them for the next call.
+    unpacked once, into the result, which keeps them for the next call,
+    with the packed leads of M's columns: the next call's TaggedModule runs
+    the Schreyer order they induce on M.source.  Which minimal generators it
+    finds depends on that order; their degrees do not.
     """
     lay = DEGREVLEX.for_ring(M.ring).layout
-    syz = TaggedModule(M).syzygies()
+    tagged = TaggedModule(M)
+    syz = tagged.syzygies()
     degs = column_degrees(M.source, lay, syz)
     kept = minimal_module_generators(M.source, syz, degs) if syz else []
     ring, unpack = M.ring, lay.unpack
@@ -316,7 +356,8 @@ def syzygy_matrix(M: PolyMatrix) -> PolyMatrix:
         for P, v in syz[i].items():
             entries[P & FIELD_MASK][c].terms[unpack(P)] = v
     S = PolyMatrix(M.source, FreeModule(ring, [degs[i] for i in kept]), entries, check=False)
-    S._packed = [syz[i] for i in kept]
+    S._packed = (tuple(chain.from_iterable(S.entries)), [syz[i] for i in kept])
+    S._leads = tagged.order.packed_leads
     return S
 
 

@@ -26,6 +26,7 @@ from koszulkit import (
 )
 from koszulkit.forms import KNOWN_HEIGHT2_TABLES, generate_ideal, random_quadric
 from koszulkit.groebner import GroebnerError, colon
+from koszulkit.modules import TaggedModule
 from koszulkit.resolution import FreeComplex
 from koszulkit.ring import DEGLEX, PackedLayout, RingError
 from test_syzygy_pipeline import ref_minimal_resolution
@@ -345,3 +346,99 @@ class TestValidation:
         bad = FreeComplex([F0, F1, F2], [d1, d2], check=False)
         with pytest.raises(RingError, match="d_1 o d_2 != 0"):
             minimalize_complex(bad)
+
+
+def rebuilt(d):
+    """d rebuilt from its entries: no kept packed columns, no Schreyer leads."""
+    return PolyMatrix(d.target, d.source, d.entries)
+
+
+def grid(M):
+    return [[f.terms for f in row] for row in M.entries]
+
+
+class TestSchreyerPackedMaps:
+    """From the second map on, a minimal resolution's maps carry the leads
+    of the level below, and TaggedModule runs their Schreyer order; a copy
+    rebuilt from entries runs the plain order.  Every answer on the one
+    must be the answer on the other, so no operation mixes the packings."""
+
+    @pytest.fixture(scope="class", params=["ht3-i", "2iv-d"])
+    def resolved(self, request):
+        I = generate_ideal(request.param, GF(32003), 0)["ideal"]
+        return I, minimal_resolution(I)[0]
+
+    @staticmethod
+    def probes(d):
+        """(members, others): x_0 times each column of d, and the same plus
+        a power of x_1 in the first component, outside the span here."""
+        ring = d.ring
+        x0, x1 = ring.var(0), ring.var(1)
+        twists = [(t[0] + 1,) for t in d.source.twists]
+        C = PolyMatrix(d.source, FreeModule(ring, twists),
+                       [[x0 if r == c else ring.zero() for c in range(d.ncols)] for r in range(d.ncols)])
+        members = d.compose(C)
+        entries = [row[:] for row in members.entries]
+        for c, (t,) in enumerate(twists):
+            entries[0][c] = entries[0][c] + x1 ** (t - d.target.twists[0][0])
+        return members, PolyMatrix(d.target, members.source, entries)
+
+    def test_maps_from_the_second_on_run_the_schreyer_order(self, resolved):
+        _, cx = resolved
+        for i, d in enumerate(cx.maps):
+            schreyer = TaggedModule(d).order.packed_leads != TaggedModule(rebuilt(d)).order.packed_leads
+            assert schreyer == (i > 0), i
+
+    def test_reduce_and_contains_match_the_rebuilt_maps(self, resolved):
+        _, cx = resolved
+        for d in cx.maps:
+            members, others = self.probes(d)
+            schreyer, plain = TaggedModule(d), TaggedModule(rebuilt(d))
+            assert all(T.contains(members) and not T.contains(others) for T in (schreyer, plain))
+            remainders = []
+            for T in (schreyer, plain):
+                R, X = T.reduce(others)
+                back = d.compose(X)
+                assert all(others.entries[r][c] == R.entries[r][c] + back.entries[r][c]
+                           for r in range(d.nrows) for c in range(others.ncols))
+                assert all(any(row[c] for row in R.entries) for c in range(R.ncols))
+                remainders.append(R)
+            a, b = remainders
+            diff = [[f - g for f, g in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)]
+            assert plain.contains(PolyMatrix(d.target, others.source, diff))
+
+    def test_compose_matches_the_rebuilt_maps(self, resolved):
+        _, cx = resolved
+        for d, e in zip(cx.maps, cx.maps[1:]):
+            assert d.compose(e).is_zero()
+            assert grid(d.compose(e)) == grid(rebuilt(d).compose(rebuilt(e)))
+        for d in cx.maps:
+            members, _ = self.probes(d)
+            assert grid(members) == grid(self.probes(rebuilt(d))[0])
+
+    def test_lifts_and_cones_match_the_rebuilt_maps(self, resolved):
+        """S/(three generators) -> S/I lifts to the same chain map either
+        way: each lift is unique, as the twists of top's F_i lie below
+        those of the bottom's F_(i+1), where the kernel of its d_i starts."""
+        I, cx = resolved
+        top, _ = minimal_resolution(Ideal(I.gens[:3], I.ring))
+        flat = FreeComplex(cx.modules, [rebuilt(d) for d in cx.maps])
+        L0 = PolyMatrix.identity(cx.modules[0])
+        lifts = lift_chain_map(L0, top, cx)
+        assert [grid(L) for L in lifts] == [grid(L) for L in lift_chain_map(L0, top, flat)]
+        cone = minimalize_complex(mapping_cone(lifts, top, cx))
+        assert cone.betti() == minimalize_complex(mapping_cone(lift_chain_map(L0, top, flat), top, flat)).betti()
+
+    def test_a_corrupted_entry_fails_validation(self, resolved):
+        _, cx = resolved
+        maps = list(cx.maps)
+        d = maps[2]
+        r, c = next((r, c) for r in range(d.nrows) for c in range(d.ncols) if d.entries[r][c])
+        f = d.entries[r][c]
+        d.entries[r][c] = f + f
+        try:
+            with pytest.raises(RingError, match="d_2 o d_3 != 0"):
+                FreeComplex(cx.modules, maps)
+        finally:
+            d.entries[r][c] = f
+        FreeComplex(cx.modules, maps)

@@ -5,7 +5,8 @@ imports nothing from linalg, only ring, groebner and modules touch packed
 terms, no function, class or method goes unreferenced, no module-level
 constant or instance attribute goes unread, no function
 takes a parameter it never reads, every defaulted parameter is passed
-by some library or benchmark call, only ModuleGB manages S-pairs, classify calls no
+by some library or benchmark call, only ModuleGB manages S-pairs, only modules
+touches the Schreyer leads of a matrix, classify calls no
 elimination-order construction, appendix resolves the bad algebra's module
 in one place, and every span the benchmark traces names a library function
 or method."""
@@ -180,6 +181,20 @@ def test_one_pair_manager():
 
         visit(tree, ())
     assert found == {"groebner.ModuleGB.complete", "groebner.verify_basis"}, sorted(found)
+
+
+def test_only_modules_touches_schreyer_leads():
+    """The Schreyer leads a PolyMatrix keeps (PolyMatrix._leads) are read
+    and written only in modules, where TaggedModule packs module columns
+    by them, so a second packing of module columns cannot appear."""
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in paths if path != SRC / "modules.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "_leads"
+    ]
+    assert not found, "Schreyer leads outside modules:\n" + "\n".join(found)
 
 
 def _references(paths) -> tuple[set[str], set[str]]:
