@@ -23,7 +23,6 @@ from .groebner import (
     buchberger,
     colon,
     eliminate,
-    exact_div,
     g_quadratic_search,
     ideal_equal,
     intersect,
@@ -33,7 +32,7 @@ from .groebner import (
     normal_form,
     verify_basis,
 )
-from .hilbert import HilbertData, hilbert_from_monomials, hilbert_of_quotient, is_regular_sequence_mod, regularity
+from .hilbert import HilbertData, hilbert_from_monomials, hilbert_of_quotient, is_regular_sequence_mod
 from .modules import FreeModule, PolyMatrix, syzygy_matrix
 from .resolution import (
     BettiTable,

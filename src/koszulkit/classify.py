@@ -42,10 +42,8 @@ from .forms import (
     span_dim,
 )
 from .groebner import (
-    GroebnerError,
     Ideal,
     buchberger,
-    exact_div,
     is_quadratic_gb,
     minimal_quadric_generators,
 )
@@ -131,9 +129,7 @@ def _echelon_forms(ring: RingContext, forms: list[Polynomial]) -> list[Polynomia
 
 def _in_span(forms: list[Polynomial], f: Polynomial) -> bool:
     """The linear form f lies in the k-span of the linear forms."""
-    ring = f.ring
-    *rows, v = ring.coefficients(forms + [f], ring.linear_monomials)
-    return linalg.in_row_space(ring.field, rows, v)
+    return span_dim(forms + [f]) == span_dim(forms)
 
 
 def _extend(ring: RingContext, avoid: list[Polynomial], forms: list[Polynomial]) -> list[Polynomial]:
@@ -282,7 +278,7 @@ class SplitPair:
     """A linear syzygy whose entries span two dimensions: the corresponding
     generators factor as f*(z, w)."""
 
-    factor: Polynomial          # f
+    factor: Polynomial          # f, monic
     cofactors: list[Polynomial]  # echelon basis (z, w) of the entry span
 
 
@@ -309,13 +305,10 @@ def _split_from_sigma(ring: RingContext, gens: list[Polynomial], sigma: list[Pol
     # w*p1 - z*p2 = 0 and hgt(z, w) = 2 force p1 = z*f, p2 = w*f
     if not p1 or not p2:
         return None
-    try:
-        f = exact_div(p1, z)
-    except GroebnerError:
+    f = ideal_cofactors(p1, [z])
+    if f is None or ideal_cofactors(p2, [w]) != f:
         return None
-    if exact_div(p2, w) != f:
-        return None
-    return SplitPair(f, [z, w])
+    return SplitPair(f[0].monic(DEGREVLEX.for_ring(ring)), [z, w])
 
 
 def split_pairs(gens: list[Polynomial], M: PolyMatrix) -> list[SplitPair]:
@@ -342,7 +335,7 @@ def split_pairs(gens: list[Polynomial], M: PolyMatrix) -> list[SplitPair]:
         sp = _split_from_sigma(ring, gens, sigma)
         if sp is None:
             continue
-        key = str(sp.factor.monic(DEGREVLEX.for_ring(ring)))
+        key = str(sp.factor)
         if key in seen:
             continue
         seen.add(key)
@@ -359,7 +352,10 @@ def quadric_common_factor(f: Polynomial, g: Polynomial) -> Polynomial | None:
     M = linear_syzygy_matrix(J)
     if M.ncols != 1:
         return None
-    return exact_div(minimal_quadric_generators(J)[0], M.entries[1][0]).monic(DEGREVLEX.for_ring(f.ring))
+    x = ideal_cofactors(minimal_quadric_generators(J)[0], [M.entries[1][0]])
+    if x is None:
+        raise ClassificationError("the echelon quadric is not divisible by its syzygy entry")
+    return x[0].monic(DEGREVLEX.for_ring(f.ring))
 
 
 def common_factors(I: Ideal, qs: _QuadricSpace) -> list[tuple[Polynomial, list[Polynomial]]]:
@@ -476,18 +472,16 @@ def _confirms(case: str, w: dict, ctx: _Context) -> bool:
     built = [g for g in spec.build(w) if g]
     if not built or minimal_quadric_generators(Ideal(built, ctx.ring)) != ctx.gens:
         return False
-    return not spec.check(w, ctx.I)
+    return spec.check(w, ctx.I)
 
 
 def _extract_ht1(ctx: _Context):
     x = _first_common_factor(ctx.gens)
     if x is None:
         return
-    try:
-        a = [exact_div(g, x) for g in ctx.gens]
-    except GroebnerError:
-        return
-    yield {"x": x, "a1": a[0], "a2": a[1], "a3": a[2], "a4": a[3]}
+    a = [ideal_cofactors(g, [x]) for g in ctx.gens]
+    if all(c is not None for c in a):
+        yield {"x": x, "a1": a[0][0], "a2": a[1][0], "a3": a[2][0], "a4": a[3][0]}
 
 
 def _extract_2i_a(ctx: _Context):
@@ -567,11 +561,8 @@ def _extract_2iv_a(ctx: _Context):
     if len(P) != 2:
         return
     for sp in ctx.splits:
-        W = sp.cofactors
-        if not _in_span(W, sp.factor):
-            continue
-        x = sp.factor.monic(DEGREVLEX.for_ring(ring))
-        if not _in_span(P, x):
+        x, W = sp.factor, sp.cofactors
+        if not _in_span(W, x) or not _in_span(P, x):
             continue
         b3 = _canonical_complement(ring, W, [x])
         y = _canonical_complement(ring, P, [x])
@@ -580,14 +571,13 @@ def _extract_2iv_a(ctx: _Context):
         q3 = _solve_quadric_with_y_cofactor(ctx.qs, x, y, b3)
         if q3 is None:
             continue
-        try:
-            a3 = exact_div(q3 - b3 * y, x)
-        except GroebnerError:
+        a3 = ideal_cofactors(q3 - b3 * y, [x])
+        if a3 is None:
             continue
         rest = ctx.qs.complement_of([x * x, b3 * x, q3])
         cof = ideal_cofactors(rest[0], [x, y]) if len(rest) == 1 else None
         if cof is not None:
-            yield {"x": x, "y": y, "a3": a3, "b3": b3, "a4": cof[0], "b4": cof[1]}
+            yield {"x": x, "y": y, "a3": a3[0], "b3": b3, "a4": cof[0], "b4": cof[1]}
 
 
 def _extract_2iv_b(ctx: _Context):
@@ -595,11 +585,10 @@ def _extract_2iv_b(ctx: _Context):
     if len(P) != 2:
         return
     for sp in ctx.splits:
-        x = sp.factor.monic(DEGREVLEX.for_ring(ring))
+        x, W = sp.factor, sp.cofactors
         if not _in_span(P, x):
             continue
         # need a cofactor direction inside P independent of x
-        W = sp.cofactors
         y = _canonical_complement(ring, _space_intersection(ring, W, P), [x])
         if y is None:
             continue
@@ -620,8 +609,7 @@ def _extract_2iv_c(ctx: _Context):
     if len(P) != 2:
         return
     for sp in ctx.splits:
-        x = sp.factor.monic(DEGREVLEX.for_ring(ring))
-        W = sp.cofactors
+        x, W = sp.factor, sp.cofactors
         if not _in_span(P, x) or _in_span(W, x):
             continue
         y = _canonical_complement(ring, P, [x])
@@ -632,23 +620,20 @@ def _extract_2iv_c(ctx: _Context):
         q4 = _solve_quadric_with_y_cofactor(ctx.qs, x, y, b4)
         if q3 is None or q4 is None:
             continue
-        try:
-            a3 = exact_div(q3 - b3 * y, x)
-            a4 = exact_div(q4 - b4 * y, x)
-        except GroebnerError:
-            continue
-        yield {"x": x, "y": y, "a3": a3, "b3": b3, "a4": a4, "b4": b4}
+        a3 = ideal_cofactors(q3 - b3 * y, [x])
+        a4 = ideal_cofactors(q4 - b4 * y, [x])
+        if a3 is not None and a4 is not None:
+            yield {"x": x, "y": y, "a3": a3[0], "b3": b3, "a4": a4[0], "b4": b4}
 
 
 def _extract_2iv_d(ctx: _Context):
     if len(ctx.prime) != 2:
         return
-    order = DEGREVLEX.for_ring(ctx.ring)
     for s1, s2 in permutations(ctx.splits, 2):
         if span_dim([s1.factor, s2.factor]) == 2:
             a1, a2 = s1.cofactors
             b3, b4 = s2.cofactors
-            yield {"x": s1.factor.monic(order), "y": s2.factor.monic(order), "a1": a1, "a2": a2, "b3": b3, "b4": b4}
+            yield {"x": s1.factor, "y": s2.factor, "a1": a1, "a2": a2, "b3": b3, "b4": b4}
 
 
 def _extract_ht3_i(ctx: _Context):
@@ -657,8 +642,7 @@ def _extract_ht3_i(ctx: _Context):
     sp = _split_from_sigma(ctx.ring, ctx.gens, [ctx.M.entries[r][0] for r in range(ctx.M.nrows)])
     if sp is None:
         return
-    x = sp.factor.monic(DEGREVLEX.for_ring(ctx.ring))
-    z, wv = sp.cofactors
+    x, (z, wv) = sp.factor, sp.cofactors
     rest = ctx.qs.complement_of([x * z, x * wv])
     if len(rest) == 2:
         yield {"x": x, "z": z, "w": wv, "q3": rest[0], "q4": rest[1]}

@@ -41,6 +41,11 @@ def span_dim(forms: list[Polynomial]) -> int:
     return linalg.rank(ring.field, ring.coefficients(forms, ring.linear_monomials))
 
 
+def _height(ring: RingContext, forms: list[Polynomial]) -> int:
+    """Height of the ideal the forms generate; 0 when they are all zero."""
+    return hilbert_of_quotient(Ideal(forms, ring)).codim
+
+
 def random_linear(ring: RingContext, rng) -> Polynomial:
     while True:
         f = ring.linear_form([ring.field.random(rng) for _ in range(ring.n)])
@@ -55,7 +60,9 @@ def random_quadric(ring: RingContext, rng) -> Polynomial:
 
 
 def ideal_cofactors(f: Polynomial, gens: list[Polynomial]) -> list[Polynomial] | None:
-    """Write a homogeneous f = sum(c_i * gens_i) if possible; None otherwise."""
+    """Write a homogeneous f = sum(c_i * gens_i) if possible; None otherwise.
+    This is the library's one exact division: with gens = [g] it gives
+    [f / g] when g divides f."""
     ring = f.ring
     F = FreeModule(ring, [ring.zero_deg])
     twist = lambda g: g.degree() or ring.zero_deg  # a zero column takes any twist
@@ -163,13 +170,8 @@ def build_ht1(w: dict) -> list[Polynomial]:
     return [w["a1"] * w["x"], w["a2"] * w["x"], w["a3"] * w["x"], w["a4"] * w["x"]]
 
 
-def check_ht1(w: dict, I: Ideal) -> list[str]:
-    fails = []
-    if span_dim([w["a1"], w["a2"], w["a3"], w["a4"]]) != 4:
-        fails.append("hgt(a1..a4) != 4")
-    if not w["x"]:
-        fails.append("x = 0")
-    return fails
+def check_ht1(w: dict, I: Ideal) -> bool:
+    return span_dim([w["a1"], w["a2"], w["a3"], w["a4"]]) == 4 and bool(w["x"])
 
 
 def build_2i_a(w: dict) -> list[Polynomial]:
@@ -177,8 +179,8 @@ def build_2i_a(w: dict) -> list[Polynomial]:
     return [x * z, x * v, y * z, y * v]
 
 
-def check_2i_a(w: dict, I: Ideal) -> list[str]:
-    return [] if span_dim([w["x"], w["y"], w["z"], w["w"]]) == 4 else ["x,y,z,w not independent"]
+def check_2i_a(w: dict, I: Ideal) -> bool:
+    return span_dim([w["x"], w["y"], w["z"], w["w"]]) == 4
 
 
 def build_2i_b(w: dict) -> list[Polynomial]:
@@ -191,31 +193,20 @@ def build_2i_c(w: dict) -> list[Polynomial]:
     return [x * w["y"], x * w["z"], x * w["w"], w["q"]]
 
 
-def check_2i_c(w: dict, I: Ideal) -> list[str]:
-    fails = []
-    if span_dim([w["y"], w["z"], w["w"]]) != 3:
-        fails.append("y,z,w not independent")
-    if not w["x"]:
-        fails.append("x = 0")
+def check_2i_c(w: dict, I: Ideal) -> bool:
     q = w["q"]
-    if ideal_cofactors(q, [w["y"], w["z"], w["w"]]) is None:
-        fails.append("q not in (y,z,w)")
-    if ideal_cofactors(q, [w["x"]]) is not None:
-        fails.append("q in (x)")
-    return fails
+    return (
+        span_dim([w["y"], w["z"], w["w"]]) == 3
+        and bool(w["x"])
+        and ideal_cofactors(q, [w["y"], w["z"], w["w"]]) is not None
+        and ideal_cofactors(q, [w["x"]]) is None
+    )
 
 
-def check_2ii(w: dict, I: Ideal) -> list[str]:
-    fails = []
-    if span_dim([w["y"], w["z"], w["w"]]) != 3:
-        fails.append("y,z,w not independent")
-    if not w["x"]:
-        fails.append("x = 0")
+def check_2ii(w: dict, I: Ideal) -> bool:
     x = w["x"]
     J = Ideal([x * w["y"], x * w["z"], x * w["w"]], x.ring)
-    if not is_regular_sequence_mod(J, [w["q"]]):
-        fails.append("q is a zerodivisor mod (xy,xz,xw)")
-    return fails
+    return span_dim([w["y"], w["z"], w["w"]]) == 3 and bool(x) and is_regular_sequence_mod(J, [w["q"]])
 
 
 def build_2iii(w: dict) -> list[Polynomial]:
@@ -223,20 +214,15 @@ def build_2iii(w: dict) -> list[Polynomial]:
     return [x * w["z"], y * w["z"], w["a3"] * x + w["b3"] * y, w["a4"] * x + w["b4"] * y]
 
 
-def check_2iii(w: dict, I: Ideal) -> list[str]:
-    fails = []
+def check_2iii(w: dict, I: Ideal) -> bool:
     ring = w["x"].ring
-    x, y, z = w["x"], w["y"], w["z"]
     _, _, q3, q4 = build_2iii(w)
     delta = w["a3"] * w["b4"] - w["a4"] * w["b3"]
-    if span_dim([x, y]) != 2:
-        fails.append("hgt(x,y) != 2")
-    if (not q3) or (not q4) or hilbert_of_quotient(Ideal([q3, q4], ring)).codim != 2:
-        fails.append("hgt(q3,q4) != 2")
-    J = Ideal([g for g in [z, q3, q4, delta] if g], ring)
-    if J.is_zero() or hilbert_of_quotient(J).codim != 3:
-        fails.append("hgt(z,q3,q4,Delta) != 3")
-    return fails
+    return (
+        span_dim([w["x"], w["y"]]) == 2
+        and _height(ring, [q3, q4]) == 2
+        and _height(ring, [w["z"], q3, q4, delta]) == 3
+    )
 
 
 def build_2iv_a(w: dict) -> list[Polynomial]:
@@ -244,15 +230,12 @@ def build_2iv_a(w: dict) -> list[Polynomial]:
     return [x * x, w["b3"] * x, w["a3"] * x + w["b3"] * y, w["a4"] * x + w["b4"] * y]
 
 
-def check_2iv_a(w: dict, I: Ideal) -> list[str]:
-    fails = []
-    if span_dim([w["x"], w["y"]]) != 2:
-        fails.append("hgt(x,y) != 2")
-    if span_dim([w["x"], w["b3"], w["b4"]]) != 3:
-        fails.append("hgt(x,b3,b4) != 3")
-    if span_dim([w["x"], w["y"], w["a3"], w["b3"]]) != 4:
-        fails.append("hgt(x,y,a3,b3) != 4")
-    return fails
+def check_2iv_a(w: dict, I: Ideal) -> bool:
+    return (
+        span_dim([w["x"], w["y"]]) == 2
+        and span_dim([w["x"], w["b3"], w["b4"]]) == 3
+        and span_dim([w["x"], w["y"], w["a3"], w["b3"]]) == 4
+    )
 
 
 def build_2iv_b(w: dict) -> list[Polynomial]:
@@ -260,17 +243,13 @@ def build_2iv_b(w: dict) -> list[Polynomial]:
     return [x * y, w["a2"] * x, w["b3"] * y, w["a4"] * x + w["b4"] * y]
 
 
-def check_2iv_b(w: dict, I: Ideal) -> list[str]:
-    fails = []
-    if span_dim([w["x"], w["y"]]) != 2:
-        fails.append("hgt(x,y) != 2")
-    if span_dim([w["x"], w["b3"], w["b4"]]) != 3:
-        fails.append("hgt(x,b3,b4) != 3")
-    if span_dim([w["y"], w["a2"], w["a4"]]) != 3:
-        fails.append("hgt(y,a2,a4) != 3")
-    if span_dim([w["x"], w["y"], w["a2"], w["b3"]]) != 4:
-        fails.append("hgt(x,y,a2,b3) != 4")
-    return fails
+def check_2iv_b(w: dict, I: Ideal) -> bool:
+    return (
+        span_dim([w["x"], w["y"]]) == 2
+        and span_dim([w["x"], w["b3"], w["b4"]]) == 3
+        and span_dim([w["y"], w["a2"], w["a4"]]) == 3
+        and span_dim([w["x"], w["y"], w["a2"], w["b3"]]) == 4
+    )
 
 
 def build_2iv_c(w: dict) -> list[Polynomial]:
@@ -278,19 +257,14 @@ def build_2iv_c(w: dict) -> list[Polynomial]:
     return [w["b3"] * x, w["b4"] * x, w["a3"] * x + w["b3"] * y, w["a4"] * x + w["b4"] * y]
 
 
-def check_2iv_c(w: dict, I: Ideal) -> list[str]:
-    fails = []
-    ring = w["x"].ring
-    if span_dim([w["x"], w["y"]]) != 2:
-        fails.append("hgt(x,y) != 2")
-    if span_dim([w["x"], w["b3"], w["b4"]]) != 3:
-        fails.append("hgt(x,b3,b4) != 3")
-    if span_dim([w["a3"], w["a4"], w["b3"], w["b4"]]) != 4:
-        fails.append("hgt(a3,a4,b3,b4) != 4")
+def check_2iv_c(w: dict, I: Ideal) -> bool:
     _, _, q3, q4 = build_2iv_c(w)
-    if (not q3) or (not q4) or hilbert_of_quotient(Ideal([q3, q4], ring)).codim != 2:
-        fails.append("hgt(q3,q4) != 2")
-    return fails
+    return (
+        span_dim([w["x"], w["y"]]) == 2
+        and span_dim([w["x"], w["b3"], w["b4"]]) == 3
+        and span_dim([w["a3"], w["a4"], w["b3"], w["b4"]]) == 4
+        and _height(w["x"].ring, [q3, q4]) == 2
+    )
 
 
 def build_2iv_d(w: dict) -> list[Polynomial]:
@@ -298,15 +272,10 @@ def build_2iv_d(w: dict) -> list[Polynomial]:
     return [w["a1"] * x, w["a2"] * x, w["b3"] * y, w["b4"] * y]
 
 
-def check_2iv_d(w: dict, I: Ideal) -> list[str]:
-    fails = []
+def check_2iv_d(w: dict, I: Ideal) -> bool:
     ring = w["x"].ring
-    if span_dim([w["a1"], w["a2"]]) != 2:
-        fails.append("hgt(a1,a2) != 2")
-    if span_dim([w["b3"], w["b4"]]) != 2:
-        fails.append("hgt(b3,b4) != 2")
-    if span_dim([w["x"], w["y"]]) != 2:
-        fails.append("hgt(x,y) != 2")
+    if span_dim([w["a1"], w["a2"]]) != 2 or span_dim([w["b3"], w["b4"]]) != 2 or span_dim([w["x"], w["y"]]) != 2:
+        return False
     I1 = Ideal([w["a1"] * w["x"], w["a2"] * w["x"]], ring)
     I2 = Ideal([w["b3"] * w["y"], w["b4"] * w["y"]], ring)
     # I1*I2 lies in I1 ∩ I2, and 0 -> S/(I1 ∩ I2) -> S/I1 + S/I2 -> S/(I1+I2) -> 0
@@ -321,26 +290,16 @@ def check_2iv_d(w: dict, I: Ideal) -> list[str]:
         prod = zp_add((1, 0, -1), zp_shift(num(K), 2))
     else:
         prod = (1,)
-    if zp_add(num(I1), num(I2)) != zp_add(num(I), prod):
-        fails.append("summands are not transversal")
-    return fails
+    return zp_add(num(I1), num(I2)) == zp_add(num(I), prod)
 
 
 def build_ht3_i(w: dict) -> list[Polynomial]:
     return [w["x"] * w["z"], w["x"] * w["w"], w["q3"], w["q4"]]
 
 
-def check_ht3_i(w: dict, I: Ideal) -> list[str]:
-    fails = []
-    ring = w["x"].ring
-    if span_dim([w["z"], w["w"]]) != 2:
-        fails.append("hgt(z,w) != 2")
-    if not w["x"]:
-        fails.append("x = 0")
-    J = Ideal([w["x"] * w["z"], w["x"] * w["w"]], ring)
-    if not is_regular_sequence_mod(J, [w["q3"], w["q4"]]):
-        fails.append("q3,q4 not a regular sequence mod (xz,xw)")
-    return fails
+def check_ht3_i(w: dict, I: Ideal) -> bool:
+    J = Ideal([w["x"] * w["z"], w["x"] * w["w"]], w["x"].ring)
+    return span_dim([w["z"], w["w"]]) == 2 and bool(w["x"]) and is_regular_sequence_mod(J, [w["q3"], w["q4"]])
 
 
 def build_ht3_ii(w: dict) -> list[Polynomial]:
@@ -353,26 +312,17 @@ def build_ht3_ii(w: dict) -> list[Polynomial]:
     return minors + [w["q4"]]
 
 
-def check_ht3_ii(w: dict, I: Ideal) -> list[str]:
-    fails = []
-    m = w["M"]
-    ring = m[0][0].ring
-    minors = build_ht3_ii(w)[:3]
-    J = Ideal([g for g in minors if g], ring)
-    if J.is_zero() or hilbert_of_quotient(J).codim != 2:
-        fails.append("hgt I2(M) != 2")
-    elif not is_regular_sequence_mod(J, [w["q4"]]):
-        fails.append("q4 not regular mod I2(M)")
-    return fails
+def check_ht3_ii(w: dict, I: Ideal) -> bool:
+    J = Ideal(build_ht3_ii(w)[:3], w["M"][0][0].ring)
+    return hilbert_of_quotient(J).codim == 2 and is_regular_sequence_mod(J, [w["q4"]])
 
 
 def build_ht4(w: dict) -> list[Polynomial]:
     return [w["q1"], w["q2"], w["q3"], w["q4"]]
 
 
-def check_ht4(w: dict, I: Ideal) -> list[str]:
-    h = hilbert_of_quotient(I)
-    return [] if h.codim == 4 else [f"hgt = {h.codim}, not a complete intersection"]
+def check_ht4(w: dict, I: Ideal) -> bool:
+    return hilbert_of_quotient(I).codim == 4
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +346,7 @@ def sample_witnesses(case: str, ring: RingContext, seed: int):
             continue
         I = Ideal(gens, ring)
         if spec.check(w, I):
-            continue
-        return w, I
+            return w, I
     raise GroebnerError(
         f"could not sample valid witnesses for {case} over {ring.field.name}; "
         "try a larger field or more variables"
@@ -408,10 +357,11 @@ def sample_witnesses(case: str, ring: RingContext, seed: int):
 class FormSpec:
     """A structure case: its generators from named witnesses, its side
     conditions, how its witnesses are sampled, the naming of its generic
-    lift, and the name reports give it."""
+    lift, and the name reports give it.  `check(w, I)` is true when the
+    witnesses w of the ideal I meet the case's conditions."""
 
     build: callable
-    check: callable
+    check: callable             # (witnesses, ideal) -> bool
     koszul: bool
     fresh: dict[str, str]       # lift variable -> linear or matrix witness, in ring order
     nvars: int                  # variables of the ring generate_ideal samples in

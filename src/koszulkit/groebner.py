@@ -26,7 +26,6 @@ from .ring import (
     FIELD_MASK,
     LIMIT,
     LinearChange,
-    Mon,
     MonomialOrder,
     MonomialOverflow,
     PackedLayout,
@@ -331,9 +330,6 @@ class GroebnerBasis:
     def __iter__(self):
         return iter(self.elements)
 
-    def initial_monomials(self) -> list[Mon]:
-        return list(self.lead_mons)
-
     def __repr__(self):
         return f"GroebnerBasis({self.order}, {self.elements})"
 
@@ -473,29 +469,6 @@ def ideal_equal(I: Ideal, J: Ideal) -> bool:
 def is_subideal(I: Ideal, J: Ideal) -> bool:
     """I contained in J."""
     return all(J.contains(g) for g in I.gens)
-
-
-def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Quotient f/g when g divides f exactly; raises otherwise.
-
-    f is reduced by the one reducer g, tagged with the term lead - flag + 1
-    (its lead monomial in the tag component 1), so each multiple q*g taken
-    off leaves -q*lead in the tag part: the tag part of the normal form is
-    minus the quotient times the lead, and the free part is the remainder."""
-    if not g:
-        raise GroebnerError("division by the zero polynomial")
-    if not f:
-        return f.ring.zero()
-    lay = DEGREVLEX.for_ring(f.ring).layout
-    K = f.ring.field
-    divisor = lay.pack_terms(g.terms, lay.flag)
-    lead = lead_term(divisor, lay)
-    tag = lead - lay.flag + 1
-    reducer = (lead, divisor[lead], {**divisor, tag: K.one()})
-    rem = reduce_terms(lay.pack_terms(f.terms, lay.flag), [[reducer]], lay, K)
-    if any(P & lay.flag for P in rem):
-        raise GroebnerError("inexact polynomial division")
-    return Polynomial(f.ring, {lay.unpack(P - tag): K.neg(c) for P, c in rem.items()})
 
 
 def _need_homogeneous(*ideals: Ideal):

@@ -174,7 +174,7 @@ def hilbert_of_quotient(I: Ideal) -> HilbertData:
     if I.is_zero():
         return HilbertData((1,), I.ring.n, I.ring.n, 0, 1, (1,))
     gb = I.gb()
-    return hilbert_from_monomials(I.ring, gb.initial_monomials())
+    return hilbert_from_monomials(I.ring, gb.lead_mons)
 
 
 def is_regular_sequence_mod(I: Ideal, L: list[Polynomial]) -> bool:
@@ -222,11 +222,3 @@ def is_regular_sequence_mod(I: Ideal, L: list[Polynomial]) -> bool:
         images.insert(p, small.form([K.neg(row[i]) for i in free], small.linear_monomials))
     cut = Ideal([f.substitute(images) for f in list(I.gens) + rest], small)
     return hilbert_of_quotient(cut).numerator == rhs
-
-
-def regularity(table) -> int:
-    """Max row index j-i over nonzero graded Betti numbers beta_{i,j}."""
-    entries = table.entries if hasattr(table, "entries") else table
-    if not entries:
-        raise GroebnerError("regularity of an empty Betti table")
-    return max(j - i for (i, j), v in entries.items() if v)

@@ -329,10 +329,6 @@ def row_space_basis(K: Field, rows):
     return [R[i] for i in range(len(pivots))]
 
 
-def in_row_space(K: Field, rows, v) -> bool:
-    return rank(K, list(rows) + [list(v)]) == rank(K, rows)
-
-
 def complement_indices(K: Field, spanning, candidates):
     """Indices of candidate vectors extending span(spanning) to span(both).
 

@@ -57,7 +57,7 @@ class QuotientRing:
         self.ring = I.ring
         self.field = I.ring.field
         self.gb = I.gb() if not I.is_zero() else None
-        self._lead = self.gb.initial_monomials() if self.gb else []
+        self._lead = self.gb.lead_mons if self.gb else []
         self._std: dict[Deg, list[Mon]] = {}
         self._pos: dict[Deg, dict[Mon, int]] = {}
         self._nf_cache: dict[Mon, Polynomial] = {}

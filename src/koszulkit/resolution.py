@@ -37,6 +37,8 @@ class BettiTable:
         return max((i for (i, _) in self.entries), default=0)
 
     def max_row(self) -> int:
+        """The Castelnuovo-Mumford regularity: the largest row index j - i
+        of a nonzero beta_{i,j}, 0 for an empty table."""
         return max((j - i for (i, j) in self.entries), default=0)
 
     def alternating_sum(self) -> tuple:

@@ -14,7 +14,6 @@ from koszulkit import (
     buchberger,
     colon,
     eliminate,
-    exact_div,
     g_quadratic_search,
     ideal_equal,
     intersect,
@@ -27,6 +26,7 @@ from koszulkit import (
     verify_basis,
 )
 from koszulkit import groebner
+from koszulkit.forms import ideal_cofactors
 from koszulkit.groebner import GroebnerError, lead_term, reduce_terms, scaled
 from koszulkit.ring import FIELD_MASK, RingContext, elimination_order, primitive_scale
 
@@ -290,12 +290,6 @@ class TestReductionLoop:
         out = eliminate(I, ["t"])
         assert [str(g) for g in out.gens] == ["x*y"]
 
-    def test_exact_div(self, qq_xy):
-        R = qq_xy
-        assert exact_div(P(R, "x^2*y - x*y^2"), P(R, "x*y")) == P(R, "x - y")
-        with pytest.raises(GroebnerError):
-            exact_div(P(R, "x^2 + y"), P(R, "x"))
-
 
 # ---------------------------------------------------------------------------
 # intersect and colon on the syzygy engine against the elimination
@@ -325,7 +319,7 @@ def reference_colon(I, J):
     quotients by g of the generators of I cap (g)."""
     out = None
     for g in J.gens:
-        part = Ideal([exact_div(h, g) for h in reference_intersect(I, Ideal([g], I.ring)).gens], I.ring)
+        part = Ideal([ideal_cofactors(h, [g])[0] for h in reference_intersect(I, Ideal([g], I.ring)).gens], I.ring)
         out = part if out is None else reference_intersect(out, part)
     return out
 

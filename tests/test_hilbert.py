@@ -7,6 +7,7 @@ import pytest
 
 from koszulkit import (
     GF,
+    BettiTable,
     Ideal,
     LinearChange,
     hilbert_from_monomials,
@@ -16,7 +17,6 @@ from koszulkit import (
     lg_quadratic_certificate,
     parse_poly,
     parse_ring,
-    regularity,
 )
 from koszulkit.forms import FORMS, KNOWN_HEIGHT2_TABLES, generate_ideal, random_linear, random_quadric
 from koszulkit.groebner import GroebnerError
@@ -323,16 +323,12 @@ class TestLinearCut:
 
 class TestRegularity:
     def test_reference_tables(self):
-        assert regularity(KNOWN_HEIGHT2_TABLES["i"]) == 1
-        assert regularity(KNOWN_HEIGHT2_TABLES["iv"]) == 2
+        assert BettiTable(KNOWN_HEIGHT2_TABLES["i"]).max_row() == 1
+        assert BettiTable(KNOWN_HEIGHT2_TABLES["iv"]).max_row() == 2
 
     def test_exterior_complex_regularity_zero(self):
         R = parse_ring("ring QQ [x,y,z]")
         from koszulkit import minimal_resolution
 
         _, B = minimal_resolution(ideal(R, "x", "y", "z"))
-        assert regularity(B) == 0
-
-    def test_empty_table_errors(self):
-        with pytest.raises(Exception):
-            regularity({})
+        assert B.max_row() == 0

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from koszulkit import GF, QQ, FreeModule, PolyMatrix, groebner, modules, parse_poly, parse_ring
 from koszulkit.forms import FORMS, generate_ideal
 from koszulkit.groebner import reduce_terms
-from koszulkit.linalg import in_row_space
+from koszulkit.linalg import rank
 from koszulkit.modules import ModuleGB, ModuleOrder, TaggedModule, column_degrees, minimal_module_generators
 from koszulkit.ring import (
     DEGLEX,
@@ -467,7 +467,8 @@ def in_span(F, gens, col):
     target = {(r, t): c for r, f in enumerate(col) for t, c in f.terms.items()}
     coords = sorted(set(target).union(*products))
     vector = lambda v: [v.get(k, K.zero()) for k in coords]
-    return in_row_space(K, [vector(p) for p in products], vector(target))
+    rows = [vector(p) for p in products]
+    return rank(K, rows + [vector(target)]) == rank(K, rows)
 
 
 BIGRADED = parse_ring("ring F7 [x:(1,0),y:(1,0),a:(0,1),b:(0,1)]")

@@ -8,8 +8,8 @@ takes a parameter it never reads, every defaulted parameter is passed
 by some library or benchmark call, only ModuleGB manages S-pairs, only modules
 touches the Schreyer leads of a matrix, classify calls no
 elimination-order construction, appendix resolves the bad algebra's module
-in one place, and every span the benchmark traces names a library function
-or method."""
+in one place, every witness check of forms is a predicate, and every span
+the benchmark traces names a library function or method."""
 
 import ast
 import importlib
@@ -110,6 +110,24 @@ def test_classify_calls_no_elimination():
             if name in ELIMINATIONS:
                 found.append(f"classify.py:{node.lineno}: {name}")
     assert not found, "eliminations in classify:\n" + "\n".join(found)
+
+
+def test_witness_checks_are_predicates():
+    """Every check_* of forms.py is annotated -> bool and appends to no list:
+    its callers only test its truth, so a list of failure messages would be
+    built for no reader."""
+    path = SRC / "forms.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    checks = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name.startswith("check_")]
+    assert checks
+    found = []
+    for fn in checks:
+        if not (isinstance(fn.returns, ast.Name) and fn.returns.id == "bool"):
+            found.append(f"forms.py:{fn.lineno}: {fn.name} is not annotated -> bool")
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in ("append", "extend"):
+                found.append(f"forms.py:{node.lineno}: {fn.name} calls .{node.func.attr}")
+    assert not found, "\n".join(found)
 
 
 def test_appendix_resolves_in_one_place():
@@ -306,7 +324,7 @@ def test_every_constant_and_instance_attribute_is_read():
 # Families of functions called through one signature, so a member may leave a
 # parameter of that signature unread.
 DISPATCH_PROTOCOLS = {
-    ("forms.py", "check_"): "FormSpec.check(w, I): check_ht4 needs only I",
+    ("forms.py", "check_"): "FormSpec.check(w, I): check_ht4 and check_2iv_d read I, the others only w",
     ("repro.py", "chk_"): "run_manifest calls each check with (params, expect)",
 }
 
