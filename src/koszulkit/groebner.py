@@ -140,56 +140,56 @@ def scaled(el: dict, factor, K) -> dict:
 
 
 class ModuleOrder:
-    """Order on F (+) tag block, through the packing of its terms.
+    """Order on F (+) tag block, through the packing of its terms into the
+    base order's layout: a free term (c, m) as m + c + flag, a tag term
+    (c, m) as m*lead + c, where lead is the packed lead monomial of the c-th
+    tagged generator (tagged one by one, add_tag).  The layout's key then
+    orders free terms above tag terms, then by the base key of m (of m*lead
+    for tags: the Schreyer key induced from the tagged generators), then by
+    decreasing component."""
 
-    Terms pack into the base order's layout: a free term (c, m) as
-    m + c + flag, a tag term (c, m) as m*lead + c, where lead is the packed
-    lead monomial of the c-th tagged generator.  The layout's key then orders
-    free terms above tag terms, then by the base key of m (of m*lead for
-    tags: the Schreyer key induced from the tagged generators), then by
-    decreasing component.
-    """
-
-    def __init__(self, base: MonomialOrder, n_free: int, packed_leads: list[int] = ()):
+    def __init__(self, base: MonomialOrder, n_free: int):
         self.base = base
         self.lay = base.layout
         self.n_free = n_free
-        self.packed_leads = list(packed_leads)
-        if n_free + len(self.packed_leads) >= LIMIT:
+        self.packed_leads: list[int] = []
+
+    def add_tag(self, lead: int):
+        """Tag one more generator, of packed lead monomial lead."""
+        if self.n_free + len(self.packed_leads) + 1 >= LIMIT:
             raise MonomialOverflow("too many module components for the packed component field")
+        self.packed_leads.append(lead)
 
 
 class ModuleGB:
     """Incremental Groebner basis of the free-block part of a module, with
     tag parts carried along: the package's one S-pair manager, which
-    buchberger runs with one free component and no tags.
-
-    Elements are packed dicts (see ModuleOrder); basis entries are monic
-    reducers (lead, lc, element), and self.reducers[c] lists the ones with
-    lead in free component c, in basis order.  S-pairs are only formed
-    within one free component: pairs of pure-tag elements would compute
-    syzygies among syzygies, which no caller needs.  complete() takes the
-    pair of least lcm degree first (the normal strategy), and pairs are
-    pruned by the criteria of Gebauer and Moeller (J. Symbolic Comput. 6,
-    1988) as each element is added, in this order:
+    buchberger runs with one free component and no tags.  Elements are
+    packed dicts (see ModuleOrder); basis entries are monic reducers
+    (lead, lc, element), and self.reducers[c] lists the ones with lead in
+    free component c, in basis order.  S-pairs are only formed within one
+    free component: pairs of pure-tag elements would compute syzygies among
+    syzygies, which no caller needs.  complete() takes the pair of least
+    lcm degree first (the normal strategy), and pairs are pruned by the
+    criteria of Gebauer and Moeller (J. Symbolic Comput. 6, 1988) as each
+    element is added, in this order:
 
     - chain: a pending pair whose lcm the new lead divides is dropped,
       unless that lcm is also the lcm of the new lead with one of its two
       elements;
     - equal lcm: the new pairs, coprime ones included, are grouped by lcm
       and only the first pair of each group is kept.  In a tagged basis the
-      pairs kept decide which syzygies its zero reductions give, and with
-      them which minimal syzygy generators modules.syzygy_matrix picks;
-      Betti numbers do not depend on that choice, nor does the witness of
-      quotient.first_syzygy_criterion;
+      pairs kept and the order in which it grew decide which syzygies its
+      zero reductions give, and with them which minimal syzygy generators
+      modules.syzygy_matrix picks; Betti numbers do not depend on that
+      choice, nor does the witness of quotient.first_syzygy_criterion;
     - strict lcm divisibility: a kept pair is dropped when the lcm of
       another group strictly divides its own;
     - coprime, with a Koszul tag: only the pairs still kept are tested.
-      When the free block has one component (the ideal case), a pair with
-      coprime leads is dropped and its syzygy, the Koszul tag element, is
-      inserted instead when the basis has tags.  Testing it last means no
-      tag is built for a coprime pair whose syzygy the other pairs already
-      generate.
+      With one free component (the ideal case), a pair with coprime leads
+      is dropped and its syzygy, the Koszul tag element, is inserted when
+      the basis has tags; last, so that no tag is built for a pair whose
+      syzygy the other pairs already generate.
 
     The syzygy of each dropped pair is a combination of those of the pairs
     kept and the Koszul tags, so by Schreyer's theorem (Eisenbud,
@@ -197,14 +197,13 @@ class ModuleGB:
     still generate the syzygy module.
     """
 
-    def __init__(self, order: ModuleOrder, K, twists=()):
+    def __init__(self, order: ModuleOrder, K, shifts=()):
         self.order = order
         self.lay = order.lay
         self.K = K
         self.n_free = order.n_free
-        self.shifts = [sum(t) for t in twists] or [0] * order.n_free
+        self.shifts = list(shifts) or [0] * order.n_free
         self.use_coprime = order.n_free == 1
-        self.tagged = bool(order.packed_leads)
         self.basis: list[tuple] = []
         self.reducers: list[list] = [[] for _ in range(order.n_free)]
         self.pairs: set[tuple[int, int]] = set()
@@ -268,7 +267,7 @@ class ModuleGB:
             if any(l2 != l and lay.divides(l2, l) for l2 in new):
                 continue
             if self.use_coprime and lay.degree(l) == lay.degree(self.basis[i][0]) + lay.degree(lead):
-                tau = self._koszul_tag(i, k) if self.tagged else None
+                tau = self._koszul_tag(i, k) if self.order.packed_leads else None
                 if tau:
                     self._insert(tau)
                 continue
@@ -286,7 +285,7 @@ class ModuleGB:
 
     def complete(self, through: int | None = None):
         """Process the pending pairs, least _pair_key first; with a bound,
-        only those of total degree (twist, as given to __init__, plus lcm
+        only those of total degree (shift, as given to __init__, plus lcm
         degree) at most through, after which every element of the module of
         degree at most through reduces to zero.  The rest stay pending."""
         basis, lay, K, key = self.basis, self.lay, self.K, self._pair_key.__getitem__

@@ -6,31 +6,28 @@ construction: the columns g_i of a matrix M, generators of a submodule of
 F = M.target, are tagged as (g_i, e_i) in F (+) S^s with a block order in
 which F dominates, so Groebner elements with vanishing F-part carry
 syzygies in their tags, and normal forms of (v, 0) carry representations
-(TaggedModule.reduce: N = R + M*X).  The Groebner bases are
-groebner.ModuleGB, the one S-pair manager, which Buchberger's algorithm for
-ideals runs on too; its docstring lists the pair criteria.  Minimal
-generators are picked by normal forms too (minimal_module_generators).
-The module orders are all built on degrevlex, whose layout packs the
-elements inside as dicts {int: coeff} (see groebner.ModuleOrder):
-PolyMatrix.packed_columns packs a matrix once, and groebner's one reduction
-loop reduces them.  syzygy_matrix keeps its columns packed from one call to
-the next and unpacks them once, into the matrix it returns.  That matrix
-also keeps the packed leads of the columns one level down, and TaggedModule
-offsets each component of its free block by them: a free term m*e_r packs
-as m + lead_r + r + flag, so the tagged basis of each level from the second
-on runs in the Schreyer order induced by the level below, the order its
-tags ran in (Schreyer's theorem: Eisenbud, Commutative Algebra, Thm 15.10;
-La Scala and Stillman, J. Symbolic Comput. 26, 1998).  The offsets live
-only inside TaggedModule: syzygies leave it as plain packed columns, and
-generator selection and products run the plain order.
-submodule_colon, the first entries of the syzygies of [k | B], is the one
-colon: groebner.colon and resolution.ann_ext both call it.
+(TaggedModule.reduce: N = R + M*X).  The bases are groebner.ModuleGB, the
+one S-pair manager, which also runs Buchberger's algorithm for ideals.
+Each resolution level has one tagged basis: minimal generators are picked
+by normal forms inside the tagged module of the next level, as La Scala
+and Stillman (J. Symbolic Comput. 26, 1998) minimalize inside the one
+basis they compute.  Elements are packed dicts {int: coeff} of the
+degrevlex layout (groebner.ModuleOrder); syzygy_matrix unpacks each level
+once, into the matrix it returns, which keeps the packed columns, the
+tagged module and the packed leads of the columns one level down.
+TaggedModule offsets each free component by those leads, so the basis of
+each level from the second on runs in the Schreyer order induced by the
+level below (Schreyer's theorem: Eisenbud, Commutative Algebra, Thm
+15.10); syzygies leave it as plain packed columns, and products and the
+selection scan run the plain order.  submodule_colon (the first entries
+of the syzygies of [k | B]) is the colon of groebner.colon and ann_ext.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from operator import is_
+from operator import is_, itemgetter
+from struct import Struct
 
 from .groebner import Ideal, ModuleGB, ModuleOrder, lead_term, reduce_terms
 from .ring import (
@@ -75,17 +72,20 @@ class FreeModule:
 
 class PolyMatrix:
     """Matrix of polynomials between free modules; entry (r, c) is zero or
-    homogeneous of degree source.twists[c] - target.twists[r]."""
+    homogeneous of degree source.twists[c] - target.twists[r].  Entries are
+    values: what syzygy_matrix keeps with a matrix serves while each entry
+    is the object it unpacked, so an entry edited in place goes unnoticed."""
 
     def __init__(self, target: FreeModule, source: FreeModule, entries, check: bool = True):
         self.ring = target.ring
         self.target = target
         self.source = source
         self.entries = [list(row) for row in entries]
-        # set by syzygy_matrix: (entries, the packed columns they were
-        # unpacked from), and the Schreyer leads of the target's components
+        # set by syzygy_matrix: (entries, the packed columns they were unpacked
+        # from), the Schreyer leads of the target's components, the columns' TaggedModule
         self._packed = None
         self._leads = None
+        self._module = None
         if len(self.entries) != target.rank or any(len(r) != source.rank for r in self.entries):
             raise RingError("matrix shape does not match its free modules")
         if check:
@@ -109,16 +109,16 @@ class PolyMatrix:
     def ncols(self) -> int:
         return self.source.rank
 
+    def _intact(self) -> bool:  # every entry is the one syzygy_matrix unpacked
+        return self._packed is not None and all(map(is_, chain.from_iterable(self.entries), self._packed[0]))
+
     def packed_columns(self) -> list[dict]:
         """The columns as packed elements {pack(m) + row + flag: c} of the
-        degrevlex layout, checked homogeneous.  A matrix made by
-        syzygy_matrix keeps the packed columns it was unpacked from, and
-        returns those as long as every entry is the one unpacked from them:
-        an entry replaced since is packed again with all the others."""
-        if self._packed is not None:
-            unpacked, cols = self._packed
-            if all(map(is_, chain.from_iterable(self.entries), unpacked)):
-                return cols
+        degrevlex layout, checked homogeneous: for a matrix made by
+        syzygy_matrix, those it was unpacked from, until an entry is
+        replaced; then every entry is packed again."""
+        if self._intact():
+            return self._packed[1]
         lay = DEGREVLEX.for_ring(self.ring).layout
         cols: list[dict] = [{} for _ in range(self.ncols)]
         for r, row in enumerate(self.entries):
@@ -131,13 +131,12 @@ class PolyMatrix:
         return all(not self.entries[r][c] for r in range(self.nrows) for c in range(self.ncols))
 
     def compose(self, other: "PolyMatrix") -> "PolyMatrix":
-        """self composed after other: self * other.
-
-        Works on packed columns, so a matrix from syzygy_matrix is not
-        packed again: a term m*e_k of a column of other adds m times column
-        k of self.  Each output column sums its products in one dict,
-        unreduced (raw values of both fields are Python numbers), and is
-        reduced once; only the terms that survive are unpacked."""
+        """self composed after other: self * other, on packed columns (a
+        matrix from syzygy_matrix is not packed again): a term m*e_k of a
+        column of other adds m times column k of self.  Each output column
+        sums its products in one dict, unreduced (raw values of both fields
+        are Python numbers), and is reduced once; only the terms that
+        survive are unpacked."""
         if other.target != self.source:
             if other.target.twists != self.source.twists:
                 raise RingError("composition with mismatched modules")
@@ -207,13 +206,12 @@ def column_degrees(F: FreeModule, lay: PackedLayout, cols: list[dict]) -> list[D
     return degs
 
 
-def lex_terms(lay: PackedLayout, col: dict) -> list[int]:
-    """The terms of a packed column as ints that sort like their keys
-    (component, exponent tuple): one field each, in that order."""
-    keys = [P & FIELD_MASK for P in col]
-    for s in lay.shifts:
-        keys = [(k << FIELD_BITS) | ((P >> s) & FIELD_MASK) for k, P in zip(keys, col)]
-    return keys
+def lex_terms(lay: PackedLayout, col: dict) -> list[tuple]:
+    """The terms of a packed column as tuples that sort like their keys
+    (component, exponent tuple), picked from the 16-bit fields of each."""
+    n = (lay.flag.bit_length() - 1) // FIELD_BITS + 1  # fields, through the flag's
+    fields, pick = Struct(f"<{n}H").unpack, itemgetter(0, *(s // FIELD_BITS for s in lay.shifts))
+    return [pick(fields(P.to_bytes(2 * n, "little"))) for P in col]
 
 
 # ---------------------------------------------------------------------------
@@ -221,47 +219,42 @@ def lex_terms(lay: PackedLayout, col: dict) -> list[int]:
 
 
 class TaggedModule:
-    """The columns g_1..g_s of M, generators of a submodule of M.target,
-    tagged in M.target (+) S^s.
-
-    A free term m*e_r packs as m + lead_r + r + flag.  When M was made by
-    syzygy_matrix, lead_r is the packed lead of generator r one level down
-    (M._leads), so the free block runs in the Schreyer order those leads
-    induce, the order in which the tags one level down ran; for a matrix
-    built from entries every lead_r is 0, the plain order of the layout.
-    The offsets cancel within one component, so divisibility, lcms and the
-    pair criteria are those of the plain packing (the coprime test, which
-    runs on one free component only, sees offset 0 there: a matrix from
-    syzygy_matrix has one row only when the one column below it is zero);
-    _schreyer applies the offsets and reduce removes them."""
+    """Generators g_1..g_s of a submodule of F = M.target, tagged in
+    F (+) S^s, and the Groebner basis of the (g_i, e_i), completed on use.
+    TaggedModule(M) feeds it the columns of M; minimal_module_generators
+    grows one that starts with none.  A free term m*e_r packs as
+    m + lead_r + r + flag: lead_r is the packed lead of generator r one
+    level down (M._leads) when M was made by syzygy_matrix, so the free
+    block runs in the Schreyer order those leads induce, the order in which
+    the tags one level down ran, and 0 for a matrix built from entries, the
+    plain order.  The offsets cancel within one component, so divisibility,
+    lcms and the pair criteria are those of the plain packing (the coprime
+    test, which runs on one free component only, sees offset 0 there: a
+    matrix from syzygy_matrix has one row only when the one column below it
+    is zero).  Component r is shifted by its twist less deg lead_r."""
 
     def __init__(self, M: PolyMatrix):
         base = DEGREVLEX.for_ring(M.ring)
-        lay = base.layout
-        self.M, self.K, self.n_free = M, M.ring.field, M.nrows
+        self.F, self.K, self.n_free = M.target, M.ring.field, M.nrows
         self.offsets = M._leads or [0] * M.nrows
-        self._packed = self._schreyer(M.packed_columns())
-        # tags carry the lead monomials, without component and flag
-        self.order = ModuleOrder(base, M.nrows, [lead_term(el, lay) & ~lay.frame if el else 0 for el in self._packed])
-        self._gb: ModuleGB | None = None
+        self.twists = list(M.source.twists)  # of the generators
+        self.order = ModuleOrder(base, M.nrows)
+        shifts = [sum(t) - base.layout.degree(off) for t, off in zip(M.target.twists, self.offsets)]
+        self.gb = ModuleGB(self.order, self.K, shifts)  # completed on use
+        for col in M.packed_columns():
+            el, lead = self._tagged(col)
+            self.order.add_tag(lead)
+            self.gb.add(el)
 
-    def _schreyer(self, cols: list[dict]) -> list[dict]:
-        """Packed columns of M.target (as packed_columns gives them) in
-        this module's packing: each term of component r moved by lead_r."""
-        off = self.offsets
-        return [{P + off[P & FIELD_MASK]: v for P, v in col.items()} for col in cols]
-
-    def gb(self) -> ModuleGB:
-        """The completed Groebner basis of the augmented generators (g_i, e_i);
-        the tag term of e_i is lead_i + n_free + i."""
-        if self._gb is None:
-            gb = ModuleGB(self.order, self.K)
-            one, n = self.K.one(), self.n_free
-            for i, (el, lead) in enumerate(zip(self._packed, self.order.packed_leads)):
-                gb.add({**el, lead + n + i: one})
-            gb.complete()
-            self._gb = gb
-        return self._gb
+    def _tagged(self, col: dict) -> tuple[dict, int]:
+        """A packed column of F in this module's packing, each term of
+        component r moved by lead_r, tagged as the next generator; and its
+        lead monomial lead, without component and flag: the tag's offset."""
+        lay, off = self.order.lay, self.offsets
+        el = {P + off[P & FIELD_MASK]: v for P, v in col.items()}
+        lead = lead_term(el, lay) & ~lay.frame if el else 0
+        el[lead + self.n_free + len(self.order.packed_leads)] = self.K.one()
+        return el, lead
 
     def syzygies(self) -> list[dict]:
         """Generators of the syzygy module of the g_i, packed as elements of
@@ -269,68 +262,70 @@ class TaggedModule:
         the free term m + i + flag, which is what packed_columns gives."""
         lay, n = self.order.lay, self.n_free
         shift = [lead + n - lay.flag for lead in self.order.packed_leads]
+        self.gb.complete()
         # an element whose lead is a tag term has no free part
         return [{P - shift[(P & FIELD_MASK) - n]: v for P, v in el.items()}
-                for lead, _, el in self.gb().basis if not lead & lay.flag]
+                for lead, _, el in self.gb.basis if not lead & lay.flag]
 
     def reduce(self, N: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
-        """(R, X) with N = R + M*X column by column: the columns of R are the
-        normal forms of those of N, zero exactly for the columns of N in the
-        span of the g_i."""
-        M = self.M
-        if N.target != M.target:
+        """(R, X) with N = R + M*X column by column, M the matrix of the g_i:
+        the columns of R are the normal forms of those of N, zero exactly
+        for the columns of N in the span of the g_i."""
+        F, ring, gb = self.F, self.F.ring, self.gb
+        if N.target != F:
             raise RingError("reduced matrix does not share the module's target")
-        gb = self.gb()
-        lay, n, K, leads = gb.lay, self.n_free, self.K, self.order.packed_leads
-        zero = M.ring.zero
-        R = [[zero() for _ in range(N.ncols)] for _ in range(n)]
-        X = [[zero() for _ in range(N.ncols)] for _ in leads]
-        off = self.offsets
-        for c, col in enumerate(self._schreyer(N.packed_columns())):
+        gb.complete()
+        lay, n, K, leads, off = gb.lay, self.n_free, self.K, self.order.packed_leads, self.offsets
+        R = [[ring.zero() for _ in range(N.ncols)] for _ in range(n)]
+        X = [[ring.zero() for _ in range(N.ncols)] for _ in leads]
+        for c, col in enumerate(N.packed_columns()):
+            col = {P + off[P & FIELD_MASK]: v for P, v in col.items()}
             for P, v in reduce_terms(col, gb.reducers, lay, K).items():
                 i = P & FIELD_MASK
                 if P & lay.flag:
                     R[i][c].terms[lay.unpack(P - off[i])] = v
                 else:
                     X[i - n][c].terms[lay.unpack(P - leads[i - n])] = K.neg(v)
-        return PolyMatrix(M.target, N.source, R, check=False), PolyMatrix(M.source, N.source, X)
+        return PolyMatrix(F, N.source, R, check=False), PolyMatrix(FreeModule(ring, self.twists), N.source, X)
 
     def contains(self, N: PolyMatrix) -> bool:
         """Every column of N lies in the span of the g_i."""
         return self.reduce(N)[0].is_zero()
 
 
-def minimal_module_generators(F: FreeModule, cols: list[dict], degs: list) -> list[int]:
-    """Indices of a minimal generating subset of the graded submodule of F
-    spanned by homogeneous packed columns (as PolyMatrix.packed_columns
-    gives them) of degrees degs (from column_degrees).
+def minimal_module_generators(module: TaggedModule, cols: list[dict], degs: list) -> list[int]:
+    """Indices of a minimal generating subset of the graded submodule of
+    module.F spanned by homogeneous packed columns (as packed_columns gives
+    them) of degrees degs (from column_degrees); module, which starts with
+    none, gets them as generators, in the order of the scan.
 
     The nonzero columns are scanned by increasing total degree, then degree,
-    then sorted (component, exponent) terms, and a column is kept unless it
-    reduces to zero modulo an untagged Groebner basis of the columns kept
-    before it, which generate it exactly then.  The basis is completed only
-    when a column of total degree d leaves a remainder, through d and once
-    per degree; a remainder left after that proves the column is not
-    generated, and inserting it keeps the basis complete through d, since
-    its lead is irreducible and so every new pair has a higher degree.
+    then sorted (component, exponent) terms.  Each is tagged as the next
+    generator and kept unless its free part reduces to zero, exactly when
+    the columns kept before it generate it.  The basis is completed only
+    when a column of total degree d leaves a free remainder, through d and
+    once per degree; inserting a free remainder left after that keeps it
+    complete through d, as its lead is irreducible and so every new pair
+    has a higher degree.
     """
-    base = DEGREVLEX.for_ring(F.ring)
-    K, lay = F.ring.field, base.layout
+    lay, K, gb = module.order.lay, module.K, module.gb
     idx = sorted(
         (i for i in range(len(cols)) if cols[i]),
         key=lambda i: (sum(degs[i]), degs[i], sorted(lex_terms(lay, cols[i]))),
     )
-    gb = ModuleGB(ModuleOrder(base, F.rank), K, F.twists)
     kept: list[int] = []
     done = None  # the total degree the basis is complete through; unset, as degrees may be negative
     for i in idx:
-        rem = reduce_terms(cols[i], gb.reducers, lay, K)
-        if rem and sum(degs[i]) != done:
+        el, lead = module._tagged(cols[i])
+        rem = reduce_terms(el, gb.reducers, lay, K)
+        if max(rem) >= lay.flag and sum(degs[i]) != done:
             done = sum(degs[i])
             gb.complete(done)
             rem = reduce_terms(rem, gb.reducers, lay, K)
-        if rem:
+        if max(rem) >= lay.flag:  # a free term is left
             kept.append(i)
+            module.order.add_tag(lead)
+            module.twists.append(degs[i])
             gb._add_reduced(rem)
     return kept
 
@@ -339,25 +334,30 @@ def syzygy_matrix(M: PolyMatrix) -> PolyMatrix:
     """Matrix whose columns minimally generate ker(M); target module is M.source.
 
     Iterating it yields minimal resolutions directly.  The syzygies stay
-    packed from the Groebner basis through generator selection and are
-    unpacked once, into the result, which keeps them for the next call,
-    with the packed leads of M's columns: the next call's TaggedModule runs
-    the Schreyer order they induce on M.source.  Which minimal generators it
-    finds depends on that order; their degrees do not.
+    packed through generator selection and are unpacked once, into the
+    result, which keeps them, the packed leads of M's columns (whose
+    Schreyer order the next level runs) and the TaggedModule they were
+    picked in, for the next call on it to complete and drop.  Any other
+    call builds the module of M's columns.  Which minimal generators are
+    found depends on how their module was built; their degrees do not.
     """
     lay = DEGREVLEX.for_ring(M.ring).layout
-    tagged = TaggedModule(M)
-    syz = tagged.syzygies()
-    degs = column_degrees(M.source, lay, syz)
-    kept = minimal_module_generators(M.source, syz, degs) if syz else []
     ring, unpack = M.ring, lay.unpack
+    tagged = (M._module if M._intact() else None) or TaggedModule(M)
+    syz, leads = tagged.syzygies(), tagged.order.packed_leads
+    M._module = tagged = None  # this level's basis is not needed past its syzygies
+    degs = column_degrees(M.source, lay, syz)
+    start = PolyMatrix.zero(M.source, FreeModule(ring, []))
+    start._leads = leads
+    module = TaggedModule(start)
+    kept = minimal_module_generators(module, syz, degs) if syz else []
     entries = [[ring.zero() for _ in kept] for _ in range(M.source.rank)]
     for c, i in enumerate(kept):
         for P, v in syz[i].items():
             entries[P & FIELD_MASK][c].terms[unpack(P)] = v
     S = PolyMatrix(M.source, FreeModule(ring, [degs[i] for i in kept]), entries, check=False)
     S._packed = (tuple(chain.from_iterable(S.entries)), [syz[i] for i in kept])
-    S._leads = tagged.order.packed_leads
+    S._leads, S._module = leads, module
     return S
 
 

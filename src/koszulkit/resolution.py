@@ -215,6 +215,7 @@ def minimal_resolution(I: Ideal, max_steps: int | None = None) -> tuple[FreeComp
         if S.ncols == 0:
             break
         maps.append(S)
+    maps[-1]._module = None  # no level above consumes the module of the last
     modules = [maps[0].target] + [d.source for d in maps]
     # minimalize_complex validates d o d = 0 on the pruned complex, once
     cx = minimalize_complex(FreeComplex(modules, maps, check=False))

@@ -4,18 +4,26 @@ lazily by degree, against two references (the same scan with the basis
 completed in full after every kept column, and the dense graded-Nakayama
 scan it replaced), the degree bound of ModuleGB.complete, the generation
 property, the order of the pair criteria against the coprime-first rule it
-replaced, and TaggedModule.reduce against degreewise linear algebra."""
+replaced, TaggedModule.reduce against degreewise linear algebra, and the
+module that syzygy_matrix keeps for the next level."""
 
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koszulkit import GF, QQ, FreeModule, PolyMatrix, groebner, modules, parse_poly, parse_ring
+from koszulkit import GF, QQ, FreeModule, PolyMatrix, groebner, minimal_resolution, modules, parse_poly, parse_ring
 from koszulkit.forms import FORMS, generate_ideal
 from koszulkit.groebner import reduce_terms
 from koszulkit.linalg import rank
-from koszulkit.modules import ModuleGB, ModuleOrder, TaggedModule, column_degrees, minimal_module_generators
+from koszulkit.modules import (
+    ModuleGB,
+    ModuleOrder,
+    TaggedModule,
+    column_degrees,
+    minimal_module_generators,
+    syzygy_matrix,
+)
 from koszulkit.ring import (
     DEGLEX,
     DEGREVLEX,
@@ -53,9 +61,11 @@ def column_terms(col):
 
 def mingens(F, cols):
     """minimal_module_generators on the columns, packed as
-    PolyMatrix.packed_columns packs them."""
+    PolyMatrix.packed_columns packs them, into a module of F that starts
+    with no generators."""
     packed = matrix(F, cols).packed_columns()
-    return minimal_module_generators(F, packed, column_degrees(F, DEGREVLEX.for_ring(F.ring).layout, packed))
+    module = TaggedModule(PolyMatrix.zero(F, FreeModule(F.ring, [])))
+    return minimal_module_generators(module, packed, column_degrees(F, DEGREVLEX.for_ring(F.ring).layout, packed))
 
 
 def gb_greedy(F, cols, order=DEGREVLEX):
@@ -249,7 +259,7 @@ def test_complete_through_a_degree_leaves_only_higher_pairs():
         lay = base.layout
         packed = matrix(F, cols).packed_columns()
         degs = column_degrees(F, lay, packed)
-        lazy, full = (ModuleGB(ModuleOrder(base, F.rank), R.field, F.twists) for _ in range(2))
+        lazy, full = (ModuleGB(ModuleOrder(base, F.rank), R.field, [sum(t) for t in F.twists]) for _ in range(2))
         for el in packed:
             lazy.add(el)
             full.add(el)
@@ -382,7 +392,7 @@ class CoprimeFirstGB(ModuleGB):
         new: dict[int, int] = {}
         for i in same:
             if self.use_coprime and lay.degree(lcms[i]) == lay.degree(self.basis[i][0]) + lay.degree(lead):
-                tau = self._koszul_tag(i, k) if self.tagged else None
+                tau = self._koszul_tag(i, k) if self.order.packed_leads else None
                 if tau:
                     self._insert(tau)
                 continue
@@ -404,7 +414,7 @@ def counted_syzygies(monkeypatch, rule, M: PolyMatrix):
     tagged = []
 
     def counting_complete(self, through=None):
-        tagged.append(self.tagged)
+        tagged.append(bool(self.order.packed_leads))
         try:
             complete(self, through)
         finally:
@@ -501,3 +511,34 @@ def test_reduce_writes_each_column_as_normal_form_plus_combination(K, seed):
     members = [in_span(F, gens, col) for col in cols]
     assert [not any(row[c] for row in R.entries) for c in range(N.ncols)] == members
     assert TaggedModule(M).contains(N) == all(members)
+
+
+class TestKeptModule:
+    """syzygy_matrix picks the minimal syzygies of a level inside the tagged
+    module of the next level, and keeps that module with the matrix it
+    returns for the next call to complete."""
+
+    def test_only_the_generator_row_is_tagged_from_its_columns(self, monkeypatch):
+        built = []
+        init = TaggedModule.__init__
+
+        def counted(self, M):
+            built.append(M.ncols)
+            init(self, M)
+
+        monkeypatch.setattr(TaggedModule, "__init__", counted)
+        I = generate_ideal("2iv-d", GF(32003), 0)["ideal"]
+        cx, _ = minimal_resolution(I)
+        # every later module starts with no columns and is grown, then completed
+        assert [n for n in built if n] == [len(I.gens)] and len(built) > cx.length
+
+    def test_a_replaced_entry_rebuilds_the_module(self):
+        """The kept module serves only while every entry is the one it was
+        built from: once a column is scaled by 2, entry by entry, the next
+        level holds syzygies of the new columns, not of the old."""
+        I = generate_ideal("2iv-d", GF(32003), 0)["ideal"]
+        S = syzygy_matrix(generator_row(I))
+        for r in range(S.nrows):
+            S.entries[r][0] = S.entries[r][0].scale(2)
+        T = syzygy_matrix(S)
+        assert T.ncols and S.compose(T).is_zero()

@@ -101,7 +101,9 @@ class TestOrderKeys:
         leads = [rng.choice(mons) for _ in range(3)]
         for base in orders_of(ring, rng):
             lay = base.layout
-            order = ModuleOrder(base, 2, [lay.pack(m) for m in leads])
+            order = ModuleOrder(base, 2)
+            for m in leads:
+                order.add_tag(lay.pack(m))
 
             def pack(cm):
                 # a free term as m + c + flag, a tag term as m*lead + c

@@ -1,7 +1,12 @@
 """Syzygies, minimal resolutions, Betti tables, chain maps, cones, the
 acyclicity test, and Ext annihilators."""
 
+import gc
+import importlib.util
 import random
+import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,11 +29,12 @@ from koszulkit import (
     shift_complex,
     syzygy_matrix,
 )
-from koszulkit.forms import KNOWN_HEIGHT2_TABLES, generate_ideal, random_quadric
-from koszulkit.groebner import GroebnerError, colon
+from koszulkit.forms import FORMS, KNOWN_HEIGHT2_TABLES, generate_ideal, random_quadric
+from koszulkit.groebner import GroebnerError, ModuleGB, colon, intersect
 from koszulkit.modules import TaggedModule
+from koszulkit.quotient import QuotientRing, first_syzygy_criterion, resolve_over_quotient
 from koszulkit.resolution import FreeComplex
-from koszulkit.ring import DEGLEX, PackedLayout, RingError
+from koszulkit.ring import DEGLEX, PackedLayout, RingError, total
 from test_syzygy_pipeline import ref_minimal_resolution
 
 
@@ -126,6 +132,28 @@ class TestMinimalResolutions:
         for form, table in (("2i", "i"), ("2ii", "ii"), ("2iii", "iii"), ("2iv-d", "iv")):
             I = generate_ideal(form, GF(32003), 5)["ideal"]
             assert minimal_resolution(I)[1] == KNOWN_HEIGHT2_TABLES[table]
+
+    @pytest.mark.parametrize("K", [GF(7), GF(32003)], ids=lambda K: K.name)
+    def test_graded_tables_match_the_quotient_resolver(self, K):
+        """The degreewise resolver over S, the quotient by the zero ideal,
+        resolves S/I by linear algebra and shares no code with modules: the
+        generator degrees of each of its levels are the twists of that level
+        of minimal_resolution.  In up to five variables it runs one degree
+        above the top twist of the S side, where nothing may appear; in six
+        and seven, that degree would cost five times the rest.  Past the
+        degrees resolved, the Hilbert identity (alternating_sum) covers the
+        table."""
+        for case in sorted(FORMS):
+            I = generate_ideal(case, K, 0)["ideal"]
+            R = I.ring
+            cx, _ = minimal_resolution(I)
+            top = max(total(t) for F in cx.modules for t in F.twists)
+            above = int(R.n <= 5)
+            res = resolve_over_quotient(QuotientRing(Ideal([], R)), ("quotient", I.gens), R.n + 1, top + above)
+            want = [sorted(F.twists) for F in cx.modules]
+            got = [sorted(degs) for degs in res.gen_degrees]
+            assert got[: len(want)] == want and not any(got[len(want):]), case
+            assert all(total(d) <= top for degs in res.gen_degrees for d in degs), case
 
     def test_display_convention(self):
         R = parse_ring("ring QQ [x,y,z,w]")
@@ -442,3 +470,45 @@ class TestSchreyerPackedMaps:
         finally:
             d.entries[r][c] = f
         FreeComplex(cx.modules, maps)
+
+
+def live_bases() -> int:
+    gc.collect()
+    return sum(isinstance(o, ModuleGB) for o in gc.get_objects())
+
+
+class TestKeptModules:
+    """syzygy_matrix keeps the tagged module of the generators it picks with
+    the matrix it returns, for the next call to complete; nothing it
+    returns to a caller outlives that use."""
+
+    def test_no_basis_outlives_its_caller(self):
+        I = generate_ideal("2iv-d", GF(32003), 0)["ideal"]
+        before = live_bases()
+        whole, _ = minimal_resolution(I)
+        cut, _ = minimal_resolution(I, 2)  # its last level has no next one to consume its module
+        one_shot = (
+            intersect(Ideal(I.gens[:2], I.ring), Ideal(I.gens[2:], I.ring)),
+            colon(Ideal(I.gens[1:], I.ring), I.gens[0]),
+            ann_ext(I, 2, whole),
+            first_syzygy_criterion(I),
+        )
+        assert cut.length < whole.length and all(one_shot)
+        assert live_bases() == before
+
+    def test_kept_columns_are_the_ranks_from_the_second_module_on(self):
+        """The benchmark's tracer counts the candidates and the kept columns
+        of minimal_module_generators from its arguments and result."""
+        path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("bench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        I = generate_ideal("2iv-d", GF(32003), 0)["ideal"]
+        tracer = spans.Tracer(SimpleNamespace(clock=time.perf_counter))
+        tracer.install()
+        try:
+            cx, _ = minimal_resolution(I)
+        finally:
+            tracer.uninstall()
+        kept, candidates = tracer.counts["kept_columns"], tracer.counts["candidate_columns"]
+        assert kept == sum(F.rank for F in cx.modules[2:]) and kept < candidates

@@ -13,7 +13,11 @@ From the second level on, the library packs the free terms of a level in
 the Schreyer order induced by the level below.  The reference does the
 same with its own tuple code: each level returns the lead exponents of its
 generators, and pack multiplies the free terms of the next level by them.
-With no leads it runs the plain order, which still gives minimal
+The library also picks each level's generators inside the tagged basis of
+the next level, which that level then completes; the reference grows that
+basis the same way (ref_tagged_basis), while graded Nakayama still decides
+which columns are kept.  With no leads it runs the plain order, with every
+tagged basis built from its generators, which still gives minimal
 resolutions and serves as an oracle for the Betti tables.
 """
 
@@ -24,7 +28,7 @@ import pytest
 
 from koszulkit import GF, QQ, FreeModule, PolyMatrix, parse_poly, parse_ring
 from koszulkit.forms import FORMS, generate_ideal
-from koszulkit.groebner import lead_term
+from koszulkit.groebner import lead_term, reduce_terms
 from koszulkit.linalg import complement_indices
 from koszulkit.modules import ModuleGB, ModuleOrder, column_degrees, syzygy_matrix
 from koszulkit.resolution import FreeComplex, minimal_resolution, minimalize_complex
@@ -94,24 +98,28 @@ def ref_degree(ring, twists, el):
     return deg
 
 
-def ref_syzygies(F, gens, order, leads=None):
+def ref_syzygies(F, gens, order, leads=None, gb=None):
     """The syzygies of gens, with the free terms packed by the lead
-    exponents of F's components, and the lead exponents of the gens."""
+    exponents of F's components, and the lead exponents of the gens.  gb,
+    when given, is the tagged basis of the gens that ref_tagged_basis grew
+    while they were picked; it is completed instead of built."""
     ring, K = F.ring, F.ring.field
     base = order.for_ring(ring)
     lay = base.layout
-    free = ModuleOrder(base, F.rank)
-    packed, gen_leads = [], []
-    for g in gens:
-        if g and ref_degree(ring, F.twists, g) is None:
-            raise RingError("inhomogeneous module generator")
-        el = {pack(free, cm, leads): v for cm, v in g.items()}
-        packed.append(el)
-        gen_leads.append(lay.unpack(lead_term(el, lay)) if el else (0,) * ring.n)
-    tagged = ModuleOrder(base, F.rank, [lay.pack(m) for m in gen_leads])
-    gb = ModuleGB(tagged, K)
-    for i, el in enumerate(packed):
-        gb.add({**el, pack(tagged, (F.rank + i, (0,) * ring.n)): K.one()})
+    if gb is None:
+        free = ModuleOrder(base, F.rank)
+        packed, gen_leads = [], []
+        for g in gens:
+            if g and ref_degree(ring, F.twists, g) is None:
+                raise RingError("inhomogeneous module generator")
+            el = {pack(free, cm, leads): v for cm, v in g.items()}
+            packed.append(el)
+            gen_leads.append(lay.unpack(lead_term(el, lay)) if el else (0,) * ring.n)
+        gb = ModuleGB(ModuleOrder(base, F.rank), K)
+        for m in gen_leads:
+            gb.order.add_tag(lay.pack(m))
+        for i, el in enumerate(packed):
+            gb.add({**el, pack(gb.order, (F.rank + i, (0,) * ring.n)): K.one()})
     gb.complete()
     out = []
     for lead, _, el in gb.basis:
@@ -119,10 +127,44 @@ def ref_syzygies(F, gens, order, leads=None):
             continue
         tag = {}
         for P, v in el.items():
-            c, m = unpack(tagged, P)
+            c, m = unpack(gb.order, P)
             tag[(c - F.rank, m)] = v
         out.append(tag)
-    return out, gen_leads
+    return out, [lay.unpack(m) for m in gb.order.packed_leads]
+
+
+def ref_tagged_basis(F, cols, kept, order, leads):
+    """The tagged basis of the next level, grown as syzygy_matrix grows it
+    while it picks the minimal generators among cols: each nonzero column,
+    in the order of the scan, packed by the lead exponents leads and tagged
+    as the next generator, is reduced; the basis is completed through a new
+    total degree when a column of that degree leaves a free remainder, and
+    a column still leaving one is inserted.  Those are the columns kept
+    (by graded Nakayama)."""
+    ring, K = F.ring, F.ring.field
+    base = order.for_ring(ring)
+    lay = base.layout
+    tagged = ModuleOrder(base, F.rank)
+    # a packed free term of component c has degree deg m + deg lead_c
+    gb = ModuleGB(tagged, K, [sum(t) - sum(m) for t, m in zip(F.twists, leads)])
+    degs = [ref_degree(ring, F.twists, c) for c in cols]
+    free_left = lambda el: any(P & lay.flag for P in el)
+    done, inserted = None, []
+    for i in sorted((i for i in range(len(cols)) if cols[i]), key=lambda i: (sum(degs[i]), degs[i], sorted(cols[i]))):
+        el = {pack(tagged, cm, leads): v for cm, v in cols[i].items()}
+        lead = lay.unpack(lead_term(el, lay))
+        el[lay.pack(lead) + F.rank + len(inserted)] = K.one()
+        rem = reduce_terms(el, gb.reducers, lay, K)
+        if free_left(rem) and sum(degs[i]) != done:
+            done = sum(degs[i])
+            gb.complete(done)
+            rem = reduce_terms(rem, gb.reducers, lay, K)
+        if free_left(rem):
+            inserted.append(i)
+            tagged.add_tag(lay.pack(lead))
+            gb._add_reduced(rem)
+    assert inserted == kept
+    return gb
 
 
 def ref_minimal_generators(F, cols):
@@ -159,13 +201,15 @@ def ref_minimal_generators(F, cols):
     return kept
 
 
-def ref_syzygy_matrix(M, order=DEGREVLEX, leads=None):
+def ref_syzygy_matrix(M, order=DEGREVLEX, leads=None, gb=None):
     """The minimal syzygies of M, with M.target packed by the lead
-    exponents leads, and the lead exponents of M's columns, which pack
-    M.source at the next level."""
-    syz, col_leads = ref_syzygies(M.target, columns(M), order, leads)
-    if syz:
-        syz = [syz[i] for i in ref_minimal_generators(M.source, syz)]
+    exponents leads (and gb, when given, the tagged basis of M's columns);
+    the lead exponents of M's columns, which pack M.source at the next
+    level; and the tagged basis of the next level."""
+    syz, col_leads = ref_syzygies(M.target, columns(M), order, leads, gb)
+    kept = ref_minimal_generators(M.source, syz) if syz else []
+    nxt = ref_tagged_basis(M.source, syz, kept, order, col_leads)
+    syz = [syz[i] for i in kept]
     degs = []
     for s in syz:
         d = ref_degree(M.ring, M.source.twists, s)
@@ -173,19 +217,22 @@ def ref_syzygy_matrix(M, order=DEGREVLEX, leads=None):
             raise RingError("inhomogeneous syzygy from a homogeneous matrix")
         degs.append(d)
     cols = sorted(zip(syz, degs), key=lambda p: (sum(p[1]), p[1], sorted(p[0].keys())))
-    return from_columns(M.source, [c for c, _ in cols], [d for _, d in cols]), col_leads
+    return from_columns(M.source, [c for c, _ in cols], [d for _, d in cols]), col_leads, nxt
 
 
 def ref_minimal_resolution(I, max_steps=None, order=DEGREVLEX, schreyer=True):
     """The reference resolution, each level in the Schreyer order of the
-    one below, or with schreyer=False every level in the plain order."""
+    one below, from the tagged basis grown while its generators were
+    picked; or with schreyer=False every level in the plain order, from a
+    tagged basis built from the generators."""
     ring = I.ring
     F0 = FreeModule(ring, [ring.zero_deg])
     maps = [PolyMatrix(F0, FreeModule(ring, [g.degree() for g in I.gens]), [list(I.gens)])]
-    leads = None
+    leads = gb = None
     for _ in range(ring.n + 1 if max_steps is None else max_steps):
-        S, col_leads = ref_syzygy_matrix(maps[-1], order, leads)
-        leads = col_leads if schreyer else None
+        S, col_leads, nxt = ref_syzygy_matrix(maps[-1], order, leads, gb)
+        if schreyer:
+            leads, gb = col_leads, nxt
         if S.ncols == 0:
             break
         maps.append(S)
@@ -217,9 +264,9 @@ def check_levels(M, levels):
     """syzygy_matrix iterated from M against the reference; each level
     starts from the packed columns the previous call kept.  Returns None
     once a level is zero."""
-    ref, leads = M, None
+    ref, leads, gb = M, None, None
     for _ in range(levels):
-        M, (ref, leads) = syzygy_matrix(M), ref_syzygy_matrix(ref, leads=leads)
+        M, (ref, leads, gb) = syzygy_matrix(M), ref_syzygy_matrix(ref, leads=leads, gb=gb)
         assert as_terms(M) == as_terms(ref)
         if not M.ncols:
             return None
@@ -285,10 +332,11 @@ def test_syzygy_matrix_levels_on_a_bigraded_module():
     # plain order at every level, and deglex and a permuted degrevlex with
     # Schreyer levels
     for order, schreyer in ((DEGREVLEX, False), (DEGLEX, True), (MonomialOrder("degrevlex", perm=[2, 0, 3, 1]), True)):
-        N, ref, leads = M, M, None
+        N, ref, leads, gb = M, M, None, None
         while N.ncols:
-            N, (ref, col_leads) = syzygy_matrix(N), ref_syzygy_matrix(ref, order, leads)
-            leads = col_leads if schreyer else None
+            N, (ref, col_leads, nxt) = syzygy_matrix(N), ref_syzygy_matrix(ref, order, leads, gb)
+            if schreyer:
+                leads, gb = col_leads, nxt
             assert sorted(N.source.twists) == sorted(ref.source.twists), (order, schreyer)
 
 
